@@ -208,15 +208,10 @@ func BenchmarkTECfanControl(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleDecide measures one exhaustive Oracle decision on the
-// 4-core server (M^N·2^N·F configurations) for contrast with TECfan.
-func BenchmarkOracleDecide(b *testing.B) {
-	benchServerPolicy(b, server.NewOracle())
-}
-
-// BenchmarkTECfanServerDecide measures one TECfan decision on the same
-// 4-core server state — the complexity contrast the paper draws between
-// O(M^N·2^N·F) exhaustive search and the O(NL + N²M) heuristic.
+// BenchmarkTECfanServerDecide measures one TECfan decision on the 4-core
+// server — the complexity contrast the paper draws between O(M^N·2^N·F)
+// exhaustive search (BenchmarkOracleDecide in internal/server) and the
+// O(NL + N²M) heuristic.
 func BenchmarkTECfanServerDecide(b *testing.B) {
 	benchServerPolicy(b, server.TECfan{})
 }

@@ -18,8 +18,9 @@ import (
 // gatePackages is the default benchmark surface: the packages holding the
 // hot-path kernels DESIGN.md §18 polices. The root package carries the
 // controller, solver, and estimator benchmarks; internal/sim the per-step
-// kernel; internal/linalg and internal/thermal the substrate.
-var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./internal/thermal"}
+// kernel; internal/linalg and internal/thermal the substrate;
+// internal/server the exhaustive Fig. 7 Oracle searches.
+var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./internal/thermal", "./internal/server"}
 
 // gateBenchRe is the default -bench selection: the hot-path kernels and
 // their substrate, by exact name. The root package's table/figure
@@ -29,7 +30,7 @@ var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./inter
 // minutes-slow and noisy.
 const gateBenchRe = "^Benchmark(Step|SteadySolve|TransientStep|Systolic|TECfanControl|BandEstimatorEval|" +
 	"CholeskyFactor305|CholeskySolve305|LUFactor305|CGGridScale|BandMulVec18|BandLUSolve18|ParMulVec4096|" +
-	"NetworkAssembly16|SteadyWithTEC16|GridSteady16)$"
+	"NetworkAssembly16|SteadyWithTEC16|GridSteady16|OracleDecide|OraclePDecide)$"
 
 type gateFlags struct {
 	gate      bool

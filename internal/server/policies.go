@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"slices"
 )
 
 // This file implements the §V-E contenders. OFTEC and Oracle perform the
@@ -11,7 +12,7 @@ import (
 // heuristic specialized to the utilization workload; Oracle-P is Oracle
 // under TECfan's (zero) performance-degradation budget.
 
-// enumBanks lists all 2^n per-core TEC bank vectors.
+// enumBanks lists all 2^n per-core TEC bank vectors in mask order.
 func enumBanks(n int) [][]bool {
 	out := make([][]bool, 0, 1<<n)
 	for mask := 0; mask < 1<<n; mask++ {
@@ -53,10 +54,11 @@ func (OFTEC) Decide(st *State, m *Machine) Decision {
 		// Max DVFS ⇒ achieved utilization equals demand (capacity 1).
 		util[c] = clamp01(st.Demand[c] + st.Backlog[c])
 	}
-	best := Decision{DVFS: dvfs, Banks: st.Banks, FanLevel: st.FanLevel}
+	bankVecs := m.bankVectors()
+	bestBank, bestFan := -1, st.FanLevel
 	bestCost := math.Inf(1)
 	temps := make([]float64, m.NW.NumNodes())
-	for _, banks := range enumBanks(n) {
+	for bi, banks := range bankVecs {
 		nOn := countOn(banks)
 		for f := 0; f < m.Fan.NumLevels(); f++ {
 			cost := m.SearchCoolingPower(nOn, f)
@@ -69,16 +71,36 @@ func (OFTEC) Decide(st *State, m *Machine) Decision {
 			if _, peak := m.NW.PeakDie(temps); peak > st.Threshold {
 				continue
 			}
-			bestCost = cost
-			best = Decision{DVFS: dvfs, Banks: banks, FanLevel: f}
+			bestCost, bestBank, bestFan = cost, bi, f
 		}
 	}
-	return best
+	banks := st.Banks
+	if bestBank >= 0 {
+		banks = bankVecs[bestBank]
+	}
+	return Decision{DVFS: dvfs, Banks: slices.Clone(banks), FanLevel: bestFan}
 }
 
 // Oracle exhaustively minimizes EPI over DVFS levels, TEC banks, and fan
 // level under the temperature constraint — the paper's optimal-but-
-// impractical reference, O(M^N·2^N·F) per period.
+// impractical reference, 2^N·F·M^N candidates per period.
+//
+// Only the bank mask and the fan level change between the 2^N·F passes
+// over the M^N DVFS configurations, so Decide hoists everything else out
+// of the sweep: an O(N·M) per-core, per-level table (capacity, served
+// work, utilization, core power, Oracle-P admissibility) and an O(M^N)
+// per-configuration table (admissible, throughput, core + uncore power).
+// A candidate then costs three flops; only one that beats the running
+// minimum is decoded and sent to the thermal check.
+//
+// The tables must not move a decision by one bit. Each candidate's EPI is
+// SearchPower(dvfs, util, nOn, f) / throughput evaluated in SearchPower's
+// own order, ((Σ_c core + uncore) + fan) + joule with c = 0…N−1, and the
+// throughput is summed in the same core order. Floating-point addition is
+// not associative, so any regrouping (say, fan + joule first) can change
+// the last bit of an EPI and flip a near-tie. With the same sums and the
+// strict improvement rule (the first minimum in enumeration order wins),
+// decisions, and so the Fig. 7 rows, match the direct per-candidate loop.
 type Oracle struct {
 	// MinPerfRatio, when positive, additionally requires every core's
 	// capacity to cover that fraction of its pending demand — the Oracle-P
@@ -98,67 +120,150 @@ func NewOracleP() *Oracle { return &Oracle{MinPerfRatio: 1, name: "Oracle-P"} }
 // Name implements Policy.
 func (o *Oracle) Name() string { return o.name }
 
-// Decide implements Policy.
-func (o *Oracle) Decide(st *State, m *Machine) Decision {
-	n := m.Chip.NumCores()
-	table := m.Platform.DVFS
-	levels := table.Num()
+// oracleScratch is the Oracle's search state, reused across calls so a
+// Decide allocates only the Decision it returns. Per-core tables are
+// indexed c·M + l, per-configuration tables by the configuration number
+// whose base-M digits are the core levels (core 0 least significant).
+type oracleScratch struct {
+	served, util, power []float64 // per core and level
+	admit               []bool    // per core and level: Oracle-P admissible
+	ok                  []bool    // per configuration: admissible, throughput > 0
+	thr, pcu            []float64 // per configuration: Σ served, Σ core + uncore
+	dvfs                []int
+	cfgUtil, temps      []float64
+}
+
+// oracleScratch returns the Machine's Oracle scratch, built on first use.
+func (m *Machine) oracleScratch() *oracleScratch {
+	if m.oracle != nil {
+		return m.oracle
+	}
+	n, levels := m.Chip.NumCores(), m.Platform.DVFS.Num()
 	nConfigs := 1
 	for i := 0; i < n; i++ {
 		nConfigs *= levels
 	}
-	best := Decision{DVFS: append([]int(nil), st.DVFS...), Banks: st.Banks, FanLevel: st.FanLevel}
-	bestEPI := math.Inf(1)
-	dvfs := make([]int, n)
-	util := make([]float64, n)
-	temps := make([]float64, m.NW.NumNodes())
-	for _, banks := range enumBanks(n) {
-		nOn := countOn(banks)
-		for f := 0; f < m.Fan.NumLevels(); f++ {
-			for cfg := 0; cfg < nConfigs; cfg++ {
-				x := cfg
-				ok := true
-				var throughput float64
-				for c := 0; c < n; c++ {
-					dvfs[c] = x % levels
-					x /= levels
-					capc := m.Platform.Capacity(dvfs[c])
-					pending := st.Demand[c] + st.Backlog[c]
-					if o.MinPerfRatio > 0 && capc < o.MinPerfRatio*math.Min(pending, 1) {
-						ok = false
-						break
-					}
-					served := math.Min(pending, capc)
-					if capc > 0 {
-						util[c] = served / capc
-					} else {
-						util[c] = 0
-					}
-					throughput += served
-				}
-				if !ok || throughput <= 0 {
-					continue
-				}
-				epi := m.SearchPower(dvfs, util, nOn, f) / throughput
-				if epi >= bestEPI {
-					continue // cannot win; skip the thermal evaluation
-				}
-				if err := m.PredictSteadyInto(temps, dvfs, util, banks, f); err != nil {
-					continue
-				}
-				if _, peak := m.NW.PeakDie(temps); peak > st.Threshold {
-					continue
-				}
-				bestEPI = epi
-				best = Decision{
-					DVFS:     append([]int(nil), dvfs...),
-					Banks:    append([]bool(nil), banks...),
-					FanLevel: f,
-				}
+	m.oracle = &oracleScratch{
+		served:  make([]float64, n*levels),
+		util:    make([]float64, n*levels),
+		power:   make([]float64, n*levels),
+		admit:   make([]bool, n*levels),
+		ok:      make([]bool, nConfigs),
+		thr:     make([]float64, nConfigs),
+		pcu:     make([]float64, nConfigs),
+		dvfs:    make([]int, n),
+		cfgUtil: make([]float64, n),
+		temps:   make([]float64, m.NW.NumNodes()),
+	}
+	return m.oracle
+}
+
+// epi scores configuration cfg at a fan power and a bank Joule power:
+// SearchPower / throughput, in SearchPower's summation order.
+func (s *oracleScratch) epi(cfg int, fanP, joule float64) float64 {
+	return (s.pcu[cfg] + fanP + joule) / s.thr[cfg]
+}
+
+// Decide implements Policy.
+func (o *Oracle) Decide(st *State, m *Machine) Decision {
+	n := m.Chip.NumCores()
+	levels := m.Platform.DVFS.Num()
+	s := m.oracleScratch()
+
+	// Per core and level.
+	for c := 0; c < n; c++ {
+		pending := st.Demand[c] + st.Backlog[c]
+		for l := 0; l < levels; l++ {
+			k := c*levels + l
+			capc := m.Platform.Capacity(l)
+			s.admit[k] = !(o.MinPerfRatio > 0 && capc < o.MinPerfRatio*math.Min(pending, 1))
+			served := math.Min(pending, capc)
+			u := 0.0
+			if capc > 0 {
+				u = served / capc
+			}
+			s.served[k], s.util[k] = served, u
+			if !(u < 0) { // negative pending work: CorePower panics, see below
+				s.power[k] = m.Platform.CorePower(l, u)
 			}
 		}
 	}
-	return best
+
+	// Per configuration.
+	for cfg := range s.ok {
+		x := cfg
+		ok := true
+		var thr float64
+		for c := 0; c < n; c++ {
+			k := c*levels + x%levels
+			x /= levels
+			if !s.admit[k] {
+				ok = false
+				break
+			}
+			thr += s.served[k]
+		}
+		s.ok[cfg] = ok && !(thr <= 0) // not thr > 0: a NaN throughput is scored
+		if !s.ok[cfg] {
+			continue
+		}
+		var pcu float64
+		x = cfg
+		for c := 0; c < n; c++ {
+			l := x % levels
+			x /= levels
+			k := c*levels + l
+			p := s.power[k]
+			if s.util[k] < 0 {
+				p = m.Platform.CorePower(l, s.util[k]) // panics, as SearchPower on this candidate does
+			}
+			pcu += p
+		}
+		s.thr[cfg], s.pcu[cfg] = thr, pcu+m.Platform.UncorePower
+	}
+
+	// The sweep: three flops per candidate.
+	bankVecs := m.bankVectors()
+	bestCfg, bestBank, bestFan := -1, -1, -1
+	bestEPI := math.Inf(1)
+	for bi, banks := range bankVecs {
+		joule := m.bankJoule(countOn(banks))
+		for f := 0; f < m.Fan.NumLevels(); f++ {
+			fanP := m.Fan.Power(f)
+			for cfg, ok := range s.ok {
+				if !ok {
+					continue
+				}
+				epi := s.epi(cfg, fanP, joule)
+				if epi >= bestEPI {
+					continue // cannot win; skip the thermal evaluation
+				}
+				x := cfg
+				for c := 0; c < n; c++ {
+					l := x % levels
+					x /= levels
+					s.dvfs[c], s.cfgUtil[c] = l, s.util[c*levels+l]
+				}
+				if err := m.PredictSteadyInto(s.temps, s.dvfs, s.cfgUtil, banks, f); err != nil {
+					continue
+				}
+				if _, peak := m.NW.PeakDie(s.temps); peak > st.Threshold {
+					continue
+				}
+				bestEPI, bestCfg, bestBank, bestFan = epi, cfg, bi, f
+			}
+		}
+	}
+
+	if bestCfg < 0 { // nothing meets the threshold: keep the current configuration
+		return Decision{DVFS: slices.Clone(st.DVFS), Banks: slices.Clone(st.Banks), FanLevel: st.FanLevel}
+	}
+	dvfs := make([]int, n)
+	for c, x := 0, bestCfg; c < n; c++ {
+		dvfs[c] = x % levels
+		x /= levels
+	}
+	return Decision{DVFS: dvfs, Banks: slices.Clone(bankVecs[bestBank]), FanLevel: bestFan}
 }
 
 // TECfan is the paper's heuristic specialized to the server workload. The
@@ -216,7 +321,7 @@ func (tf TECfan) Decide(st *State, m *Machine) Decision {
 		throughput += util[c] * m.Platform.Capacity(dvfs[c])
 	}
 	temps := make([]float64, m.NW.NumNodes())
-	for _, banks := range enumBanks(n) {
+	for _, banks := range m.bankVectors() {
 		nOn := countOn(banks)
 		for df := -1; df <= 1; df++ {
 			f := m.Fan.Clamp(st.FanLevel + df)

@@ -69,7 +69,10 @@ type Machine struct {
 
 	coreComps [][]int
 	tileArea  float64
-	basisMap  map[int]*steadyBasis
+	// Search state, built lazily and reused: a Machine is single-goroutine.
+	basisMap map[int]*steadyBasis
+	bankVecs [][]bool
+	oracle   *oracleScratch
 }
 
 // steadyBasis exploits the linearity of the steady thermal system for a
@@ -126,6 +129,16 @@ func (m *Machine) bankState(banks []bool) *tec.State {
 	}
 	st.Advance(1)
 	return st
+}
+
+// bankVectors returns every per-core bank vector in mask order, built once
+// per Machine and shared by the searches. The vectors are read-only: a
+// Decision carrying one must copy it.
+func (m *Machine) bankVectors() [][]bool {
+	if m.bankVecs == nil {
+		m.bankVecs = enumBanks(m.Chip.NumCores())
+	}
+	return m.bankVecs
 }
 
 // banksMask packs a bank vector into a cache key.
@@ -373,7 +386,6 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 
 	stepsPerPeriod := int(math.Round(rc.Period / rc.ThermalDT))
 	maxPeriods := traceLen * 3 // drain guard
-	var totalWork, servedWork float64
 	period := 0
 	var drainTime float64
 	for ; period < maxPeriods; period++ {
@@ -452,8 +464,6 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 			} else {
 				util[c] = 0
 			}
-			totalWork += demand[c] * rc.Period
-			servedWork += served
 			ipsProxy += served / rc.Period
 			meanDemand += demand[c]
 			meanDVFS += float64(dvfs[c])
@@ -483,8 +493,6 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 		MeanDVFS:  meanDVFS / float64(period*nCores),
 		FanLevels: fanHist,
 	}
-	_ = totalWork
-	_ = servedWork
 	return res, nil
 }
 
