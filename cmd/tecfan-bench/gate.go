@@ -30,7 +30,7 @@ var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./inter
 // minutes-slow and noisy.
 const gateBenchRe = "^Benchmark(Step|SteadySolve|TransientStep|Systolic|TECfanControl|BandEstimatorEval|" +
 	"CholeskyFactor305|CholeskySolve305|LUFactor305|CGGridScale|BandMulVec18|BandLUSolve18|ParMulVec4096|" +
-	"NetworkAssembly16|SteadyWithTEC16|GridSteady16|OracleDecide|OraclePDecide)$"
+	"NetworkAssembly16|TransientFactor16|SteadyWithTEC16|GridSteady16|OracleDecide|OraclePDecide)$"
 
 type gateFlags struct {
 	gate      bool

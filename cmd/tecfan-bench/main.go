@@ -10,8 +10,8 @@
 // With -gobench it instead becomes the performance regression gate over
 // the Go micro-benchmarks (see gate.go and scripts/bench_gate.sh):
 //
-//	tecfan-bench -gobench -emit BENCH_12.json          # record a baseline
-//	tecfan-bench -gobench -gate -baseline BENCH_12.json  # CI gate
+//	tecfan-bench -gobench -emit BENCH_13.json          # record a baseline
+//	tecfan-bench -gobench -gate -baseline BENCH_13.json  # CI gate
 package main
 
 import (

@@ -45,7 +45,7 @@ var defaultHotpath = map[string]bool{
 	"tecfan/internal/linalg.(*BandLU).Solve":              true,
 	"tecfan/internal/linalg.(*VerifiedBandLU).Solve":      true,
 	"tecfan/internal/linalg.(*VerifiedBandLU).residual":   true,
-	"tecfan/internal/linalg.(*Dense).MulVec":              true,
+	"tecfan/internal/linalg.(*CSR).MulVec":                true,
 	"tecfan/internal/linalg.(*Banded).MulVec":             true,
 	"tecfan/internal/linalg.relResidual":                  true,
 	"tecfan/internal/linalg.Fill":                         true,

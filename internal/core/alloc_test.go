@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"tecfan/internal/testenv"
@@ -64,5 +66,42 @@ func TestSteadyPeakZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SteadyPeak allocates %.1f per call", allocs)
+	}
+}
+
+// TestEstimatorTausMatchDenseG pins the RC constants of Eq. (5) bitwise to
+// the ones read off the dense conductance matrix, and proves NewEstimator
+// no longer builds that matrix: it allocates less than one n×n float64
+// block per call (the dense G is 744 KB on the SCC16 network).
+func TestEstimatorTausMatchDenseG(t *testing.T) {
+	for _, e := range []*testenv.Env{testenv.NewQuad(), testenv.NewSCC16()} {
+		est := newEstimator(e)
+		nw := e.NW
+		g := nw.AssembleG(0)
+		for i := 0; i < nw.NumNodes(); i++ {
+			gi := g.At(i, i)
+			if gi <= 0 {
+				gi = 1
+			}
+			tau := nw.Capacity(i) / gi
+			if tau <= 0 {
+				tau = 1e-4
+			}
+			if math.Float64bits(est.taus[i]) != math.Float64bits(tau) {
+				t.Fatalf("%d nodes: tau[%d] = %v, dense-G path %v", nw.NumNodes(), i, est.taus[i], tau)
+			}
+		}
+
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			newEstimator(e)
+		}
+		runtime.ReadMemStats(&after)
+		n := uint64(nw.NumNodes())
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 8*n*n {
+			t.Fatalf("%d nodes: NewEstimator allocates %d B per call, at least an n×n matrix (%d B)", n, per, 8*n*n)
+		}
 	}
 }

@@ -104,10 +104,9 @@ func NewEstimator(nw *thermal.Network, table *power.DVFSTable, leak power.Leakag
 		Period:     period,
 	}
 	n := nw.NumNodes()
-	e.taus = make([]float64, n)
-	g := nw.AssembleG(0)
-	for i := 0; i < n; i++ {
-		gi := g.At(i, i)
+	// τᵢ = Cᵢ/Gᵢᵢ, computed in place over G's diagonal.
+	e.taus = nw.DiagG(0)
+	for i, gi := range e.taus {
 		if gi <= 0 {
 			gi = 1
 		}

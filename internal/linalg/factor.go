@@ -6,58 +6,151 @@ import "math"
 // The thermal conductance matrix of a pure-resistance network is SPD once the
 // ambient ground node is eliminated, so this is the default steady-state
 // solver.
+//
+// The factor is stored in profile (envelope) form. Let first[i] be the
+// first nonzero column of row i of A's lower triangle. By the envelope
+// theorem L[i][k] is exactly zero for every k < first[i]: the fill-in of a
+// Cholesky factorization never leaves A's row envelope. L is therefore kept
+// row-packed over [first[i], i], and the elimination skips every product
+// with a structural zero. On the 305-node SCC16 network that is 7 810
+// nonzeros of L against 46 665 lower-triangle entries. A dense input has
+// first[i] = 0 everywhere and factors with the plain dense loops.
+//
+// The back substitution reads L by columns, whose envelope is much wider
+// than its nonzeros (each die column reaches down to its core's spreader
+// row), so each column of L is kept a second time as a row of Lᵀ: a
+// contiguous leading run of nonzeros, then an ascending sparse tail of the
+// remaining ones. A forward and back substitution then cost O(nnz(L)).
+//
+// Every skipped term is a product with an exact zero, and the terms kept
+// are summed in the dense algorithm's order (ascending k). For finite data
+// subtracting a zero product leaves a nonzero sum unchanged, so pivots and
+// solutions are bitwise those of the dense algorithm (only the sign of an
+// exact zero could differ). The order is fixed on purpose: every simulated
+// temperature, golden digest and committed result depends on these solves
+// bit for bit, and a reordered sum would change them all.
 type Cholesky struct {
-	n int
-	l *Dense
-	// ut holds Lᵀ so the back substitution reads rows instead of striding
-	// down columns: at the n≈300 of a per-die RC network the column walk
-	// touches a new cache line per element. Values are identical to l's,
-	// so the solve is bitwise-unchanged.
-	ut *Dense
+	n     int
+	first []int     // first nonzero column of row i of A's lower triangle
+	off   []int     // row i of L is l[off[i] : off[i+1]], columns first[i]..i
+	l     []float64 // row-packed L, diagonal last in each row
+	diag  []float64 // the pivots L[i][i]
+
+	// Row i of Lᵀ (column i of L) below the diagonal: run holds
+	// L[i+1..i+len][i] for run = run[runOff[i]:runOff[i+1]]; the tail holds
+	// the remaining nonzeros as (tailCol, tailVal) over
+	// [tailOff[i], tailOff[i+1]], in ascending row order.
+	runOff, tailOff []int
+	run, tailVal    []float64
+	tailCol         []int
 }
 
 // NewCholesky factors the SPD matrix a. It returns ErrNotSPD if a pivot is
-// not strictly positive.
+// not strictly positive. Only a's lower triangle is read.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
 	n := a.Rows
-	l := a.Clone()
+	c := &Cholesky{n: n, first: make([]int, n), off: make([]int, n+1), diag: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		row := a.Row(i)[:i+1]
+		f := i
+		for k, v := range row {
+			if v != 0 {
+				f = k
+				break
+			}
+		}
+		c.first[i] = f
+		c.off[i+1] = c.off[i] + i + 1 - f
+	}
+	c.l = make([]float64, c.off[n])
+	for i := 0; i < n; i++ {
+		copy(c.l[c.off[i]:c.off[i+1]], a.Row(i)[c.first[i]:i+1])
+	}
 	for j := 0; j < n; j++ {
-		d := l.At(j, j)
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		fj := c.first[j]
+		rj := c.l[c.off[j]:c.off[j+1]]
+		d := rj[j-fj]
+		for _, v := range rj[:j-fj] {
 			d -= v * v
 		}
 		if !finitePositive(d) {
 			return nil, ErrNotSPD
 		}
 		d = math.Sqrt(d)
-		l.Set(j, j, d)
+		rj[j-fj] = d
+		c.diag[j] = d
 		inv := 1 / d
 		for i := j + 1; i < n; i++ {
-			s := l.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			fi := c.first[i]
+			if fi > j {
+				continue // L[i][j] is outside row i's envelope: exactly zero
 			}
-			l.Set(i, j, s*inv)
+			ri := c.l[c.off[i]:c.off[i+1]]
+			lo := max(fi, fj)
+			s := ri[j-fi]
+			li, lj := ri[lo-fi:j-fi], rj[lo-fj:j-fj]
+			lj = lj[:len(li)]
+			for k, v := range li {
+				s -= v * lj[k]
+			}
+			ri[j-fi] = s * inv
 		}
 	}
-	// Zero the strictly-upper part so the factor is clean for callers that
-	// inspect it.
+	c.transpose()
+	return c, nil
+}
+
+// transpose builds the run-plus-tail rows of Lᵀ from the row-packed L in
+// one pass over its envelope per stage. Rows are visited in ascending
+// order, so each column's entries arrive in ascending row order.
+func (c *Cholesky) transpose() {
+	n := c.n
+	// runEnd[i] is one past the last row of column i's leading run.
+	runEnd := make([]int, n)
+	for i := range runEnd {
+		runEnd[i] = i + 1
+	}
+	c.runOff = make([]int, n+1)
+	c.tailOff = make([]int, n+1)
+	c.forEachBelowDiag(func(k, i int, v float64) {
+		if runEnd[i] == k {
+			runEnd[i] = k + 1
+		} else {
+			c.tailOff[i+1]++
+		}
+	})
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l.Set(i, j, 0)
+		c.runOff[i+1] = c.runOff[i] + runEnd[i] - i - 1
+		c.tailOff[i+1] += c.tailOff[i]
+	}
+	c.run = make([]float64, c.runOff[n])
+	c.tailCol = make([]int, c.tailOff[n])
+	c.tailVal = make([]float64, c.tailOff[n])
+	next := append([]int(nil), c.tailOff[:n]...) // per-column tail cursor
+	c.forEachBelowDiag(func(k, i int, v float64) {
+		if k < runEnd[i] {
+			c.run[c.runOff[i]+k-i-1] = v
+			return
+		}
+		c.tailCol[next[i]], c.tailVal[next[i]] = k, v
+		next[i]++
+	})
+}
+
+// forEachBelowDiag calls fn(k, i, L[k][i]) for every nonzero of L below the
+// diagonal, row by row in ascending order.
+func (c *Cholesky) forEachBelowDiag(fn func(k, i int, v float64)) {
+	for k := 0; k < c.n; k++ {
+		f := c.first[k]
+		for r, v := range c.l[c.off[k] : c.off[k+1]-1] {
+			if v != 0 {
+				fn(k, f+r, v)
+			}
 		}
 	}
-	ut := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			ut.Set(j, i, l.At(i, j))
-		}
-	}
-	return &Cholesky{n: n, l: l, ut: ut}, nil
 }
 
 // Solve computes x such that A·x = b. b is not modified; x must have length n
@@ -69,24 +162,34 @@ func (c *Cholesky) Solve(b, x []float64) {
 	if &x[0] != &b[0] {
 		copy(x, b)
 	}
-	l := c.l
-	// Forward substitution L·y = b.
+	// Forward substitution L·y = b over each packed row.
 	for i := 0; i < c.n; i++ {
+		f := c.first[i]
+		row := c.l[c.off[i] : c.off[i+1]-1]
+		xs := x[f:i]
+		xs = xs[:len(row)]
 		s := x[i]
-		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
+		for k, v := range row {
+			s -= v * xs[k]
 		}
-		x[i] = s / row[i]
+		x[i] = s / c.diag[i]
 	}
-	// Back substitution Lᵀ·x = y, reading rows of the stored transpose.
+	// Back substitution Lᵀ·x = y: the leading run, then the sparse tail.
 	for i := c.n - 1; i >= 0; i-- {
 		s := x[i]
-		urow := c.ut.Row(i)
-		for k := i + 1; k < c.n; k++ {
-			s -= urow[k] * x[k]
+		run := c.run[c.runOff[i]:c.runOff[i+1]]
+		xs := x[i+1:]
+		xs = xs[:len(run)]
+		for k, v := range run {
+			s -= v * xs[k]
 		}
-		x[i] = s / urow[i]
+		lo, hi := c.tailOff[i], c.tailOff[i+1]
+		cols, vals := c.tailCol[lo:hi], c.tailVal[lo:hi]
+		vals = vals[:len(cols)]
+		for k, col := range cols {
+			s -= vals[k] * x[col]
+		}
+		x[i] = s / c.diag[i]
 	}
 }
 

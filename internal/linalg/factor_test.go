@@ -88,13 +88,87 @@ func TestCholeskyFactorProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	llt := ch.l.Mul(ch.l.Transpose())
+	l := profileL(ch)
+	llt := l.Mul(l.Transpose())
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			if !almostEqual(llt.At(i, j), a.At(i, j), 1e-8*a.MaxAbs()) {
 				t.Fatalf("L·Lᵀ ≠ A at (%d,%d): %v vs %v", i, j, llt.At(i, j), a.At(i, j))
 			}
 		}
+	}
+}
+
+// profileL expands the row-packed factor into a dense lower-triangular L.
+func profileL(ch *Cholesky) *Dense {
+	l := NewDense(ch.n, ch.n)
+	for i := 0; i < ch.n; i++ {
+		copy(l.Row(i)[ch.first[i]:i+1], ch.l[ch.off[i]:ch.off[i+1]])
+	}
+	return l
+}
+
+// A banded (profile) SPD matrix factors inside its envelope: L·Lᵀ = A,
+// L is zero left of each row's first nonzero, and the Lᵀ rows the back
+// substitution reads hold exactly L's below-diagonal nonzeros.
+func TestCholeskyProfileFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 40
+	a := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 4+rng.Float64())
+		for _, k := range []int{i - 1, i - 3} {
+			if k >= 0 && rng.Intn(3) > 0 {
+				v := -rng.Float64()
+				a.Set(i, k, v)
+				a.Set(k, i, v)
+			}
+		}
+	}
+	ch, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ch.l) >= n*(n+1)/2 {
+		t.Fatalf("profile storage %d entries, want fewer than the dense %d", len(ch.l), n*(n+1)/2)
+	}
+	l := profileL(ch)
+	llt := l.Mul(l.Transpose())
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !almostEqual(llt.At(i, j), a.At(i, j), 1e-12*a.MaxAbs()) {
+				t.Fatalf("L·Lᵀ ≠ A at (%d,%d): %v vs %v", i, j, llt.At(i, j), a.At(i, j))
+			}
+		}
+	}
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			if l.At(i, k) != 0 {
+				nnz++
+			}
+		}
+		if ch.diag[i] != l.At(i, i) {
+			t.Fatalf("diag[%d] = %v, L[%d][%d] = %v", i, ch.diag[i], i, i, l.At(i, i))
+		}
+	}
+	for i := 0; i < n; i++ {
+		for r, v := range ch.run[ch.runOff[i]:ch.runOff[i+1]] {
+			if v == 0 || v != l.At(i+1+r, i) {
+				t.Fatalf("run of column %d at row %d: %v, L = %v", i, i+1+r, v, l.At(i+1+r, i))
+			}
+		}
+		prev := i + ch.runOff[i+1] - ch.runOff[i]
+		for k := ch.tailOff[i]; k < ch.tailOff[i+1]; k++ {
+			r := ch.tailCol[k]
+			if r <= prev || ch.tailVal[k] != l.At(r, i) {
+				t.Fatalf("tail of column %d: row %d after %d, value %v, L = %v", i, r, prev, ch.tailVal[k], l.At(r, i))
+			}
+			prev = r
+		}
+	}
+	if stored := len(ch.run) + len(ch.tailVal); stored != nnz {
+		t.Fatalf("Lᵀ rows hold %d entries, L has %d below-diagonal nonzeros", stored, nnz)
 	}
 }
 

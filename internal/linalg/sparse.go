@@ -51,6 +51,38 @@ func NewCSR(n int, items []Coord) *CSR {
 	for r := 0; r < n; r++ {
 		m.RowPtr[r+1] += m.RowPtr[r]
 	}
+	m.indexDiag()
+	return m
+}
+
+// csrFromDense copies the nonzeros of d, row by row in ascending column
+// order. Unlike NewCSR on triplets (whose sort is unstable and which sums
+// duplicates), the stored rows are exactly d's rows with the zeros dropped,
+// so MulVec sums each row in Dense.MulVec's order.
+func csrFromDense(d *Dense) *CSR {
+	nnz := 0
+	for _, v := range d.Data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	m := &CSR{N: d.Rows, RowPtr: make([]int, d.Rows+1), ColIdx: make([]int, 0, nnz), Vals: make([]float64, 0, nnz)}
+	for r := 0; r < d.Rows; r++ {
+		for c, v := range d.Row(r) {
+			if v != 0 {
+				m.ColIdx = append(m.ColIdx, c)
+				m.Vals = append(m.Vals, v)
+			}
+		}
+		m.RowPtr[r+1] = len(m.Vals)
+	}
+	m.indexDiag()
+	return m
+}
+
+// indexDiag fills diagIdx from the assembled rows.
+func (m *CSR) indexDiag() {
+	n := m.N
 	m.diagIdx = make([]int, n)
 	for r := 0; r < n; r++ {
 		m.diagIdx[r] = -1
@@ -61,7 +93,6 @@ func NewCSR(n int, items []Coord) *CSR {
 			}
 		}
 	}
-	return m
 }
 
 // NNZ returns the number of stored entries.
@@ -91,9 +122,12 @@ func (m *CSR) MulVec(x, y []float64) {
 		panic(ErrShape)
 	}
 	for r := 0; r < m.N; r++ {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols, vals := m.ColIdx[lo:hi], m.Vals[lo:hi]
+		vals = vals[:len(cols)]
 		var s float64
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Vals[k] * x[m.ColIdx[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		y[r] = s
 	}

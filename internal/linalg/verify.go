@@ -101,12 +101,16 @@ func relResidual(r, b []float64) float64 {
 }
 
 // VerifiedCholesky pairs a Cholesky factor with the matrix it factored so
-// every solve can be residual-checked and refined. Construction costs one
-// matrix clone; each Solve costs one extra MulVec (O(n²), same order as the
-// substitution sweeps it verifies).
+// every solve can be residual-checked and refined. A is kept in CSR form,
+// built by scanning its rows for nonzeros in ascending column order, so the
+// residual b − A·x costs O(nnz(A)) (2 425 entries on the 305-node SCC16
+// network, against 93 025 dense) and sums each row in the dense order:
+// the skipped terms are products with an exact zero, so the residual, and
+// with it the refinement verdict, is bitwise the dense one for finite x.
+// Each Solve therefore costs O(nnz(L) + nnz(A)).
 type VerifiedCholesky struct {
 	chol *Cholesky
-	a    *Dense
+	a    *CSR
 	tol  float64
 	cond float64
 	// scratch for residual/refinement, sized n — reused so steady-state
@@ -114,7 +118,7 @@ type VerifiedCholesky struct {
 	ax, r, d []float64
 }
 
-// NewVerifiedCholesky factors a and retains a clone of it for residual
+// NewVerifiedCholesky factors a and retains a CSR copy of it for residual
 // checks. tol ≤ 0 selects DefaultResidualTol.
 func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 	ch, err := NewCholesky(a)
@@ -127,7 +131,7 @@ func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 	n := ch.N()
 	v := &VerifiedCholesky{
 		chol: ch,
-		a:    a.Clone(),
+		a:    csrFromDense(a),
 		tol:  tol,
 		ax:   make([]float64, n),
 		r:    make([]float64, n),
@@ -137,8 +141,7 @@ func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 	// Crude but free, and exactly the data that degrades as A approaches
 	// indefiniteness.
 	mn, mx := math.Inf(1), 0.0
-	for i := 0; i < n; i++ {
-		d := ch.l.At(i, i)
+	for _, d := range ch.diag {
 		if d < mn {
 			mn = d
 		}

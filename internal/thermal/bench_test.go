@@ -29,6 +29,23 @@ func BenchmarkNetworkAssembly16(b *testing.B) {
 	}
 }
 
+// BenchmarkTransientFactor16 measures the cache-miss cost of NewTransient —
+// assembling C/dt + G and its verified profile Cholesky factor — on the
+// real SCC16 network at the sim's 100 µs step.
+func BenchmarkTransientFactor16(b *testing.B) {
+	chip := floorplan.NewSCC16()
+	fm := fan.DynatronR16()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nw := NewNetwork(chip, fm, DefaultParams())
+		b.StartTimer()
+		if _, err := nw.NewTransient(1, 100e-6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSteadyWithTEC16(b *testing.B) {
 	nw, p := benchNetwork16()
 	ts := tec.NewState(tec.Array(nw.Chip, tec.DefaultDevice()))

@@ -235,6 +235,31 @@ func (nw *Network) AssembleG(fanLevel int) *linalg.Dense {
 	return g
 }
 
+// DiagG returns the diagonal of AssembleG(fanLevel) without building the
+// dense matrix. Entries are summed in the same order AssembleG sums them
+// (the conduction graph's order, then the fan leg at the sink), so the
+// values are bitwise AssembleG's.
+func (nw *Network) DiagG(fanLevel int) []float64 {
+	d := make([]float64, nw.n)
+	for _, c := range nw.cond {
+		if c.Row == c.Col {
+			d[c.Row] += c.Val
+		}
+	}
+	d[nw.sinkNode] += nw.Fan.Conductance(fanLevel)
+	return d
+}
+
+// TransientMatrix builds the dense backward-Euler system matrix C/dt + Ĝ
+// that NewTransient factors for a fan level and time step.
+func (nw *Network) TransientMatrix(fanLevel int, dt float64) *linalg.Dense {
+	m := nw.AssembleG(fanLevel)
+	for i := 0; i < nw.n; i++ {
+		m.Add(i, i, nw.capn[i]/dt)
+	}
+	return m
+}
+
 // steadyFactor returns the cached verified Cholesky factor of G(fanLevel).
 func (nw *Network) steadyFactor(fanLevel int) (*linalg.VerifiedCholesky, error) {
 	if f, ok := nw.steadyCache[fanLevel]; ok {
@@ -369,12 +394,8 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 	key := transientKey{fanLevel: fanLevel, dtNanos: int64(dt * 1e9)}
 	f, ok := nw.transientCache[key]
 	if !ok {
-		m := nw.AssembleG(fanLevel)
-		for i := 0; i < nw.n; i++ {
-			m.Add(i, i, nw.capn[i]/dt)
-		}
 		var err error
-		f, err = linalg.NewVerifiedCholesky(m, 0)
+		f, err = linalg.NewVerifiedCholesky(nw.TransientMatrix(fanLevel, dt), 0)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 		}

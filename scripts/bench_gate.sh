@@ -5,14 +5,14 @@
 # reduces each metric to its median, and fails on any allocs/op increase
 # (every machine) or a >15% ns/op regression (matching CPU only).
 #
-#   scripts/bench_gate.sh                 # gate against BENCH_12.json
+#   scripts/bench_gate.sh                 # gate against BENCH_13.json
 #   BASELINE=BENCH_10.json scripts/bench_gate.sh
 #   RUNS=5 scripts/bench_gate.sh          # more repetitions, stabler median
-#   EMIT=BENCH_13.json scripts/bench_gate.sh   # also record a new baseline
+#   EMIT=BENCH_14.json scripts/bench_gate.sh   # also record a new baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE="${BASELINE:-BENCH_12.json}"
+BASELINE="${BASELINE:-BENCH_13.json}"
 RUNS="${RUNS:-3}"
 EMIT="${EMIT:-}"
 
