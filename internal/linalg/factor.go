@@ -18,9 +18,9 @@ import "math"
 //
 // The back substitution reads L by columns, whose envelope is much wider
 // than its nonzeros (each die column reaches down to its core's spreader
-// row), so each column of L is kept a second time as a row of Lᵀ: a
-// contiguous leading run of nonzeros, then an ascending sparse tail of the
-// remaining ones. A forward and back substitution then cost O(nnz(L)).
+// row), so the nonzeros below the diagonal of each column of L are kept a
+// second time as a sparse row of Lᵀ (row index + value, ascending). A
+// forward and back substitution then cost O(nnz(L)).
 //
 // Every skipped term is a product with an exact zero, and the terms kept
 // are summed in the dense algorithm's order (ascending k). For finite data
@@ -33,16 +33,12 @@ type Cholesky struct {
 	n     int
 	first []int     // first nonzero column of row i of A's lower triangle
 	off   []int     // row i of L is l[off[i] : off[i+1]], columns first[i]..i
-	l     []float64 // row-packed L, diagonal last in each row
-	diag  []float64 // the pivots L[i][i]
+	l     []float64 // row-packed L; each row ends with its pivot L[i][i]
 
-	// Row i of Lᵀ (column i of L) below the diagonal: run holds
-	// L[i+1..i+len][i] for run = run[runOff[i]:runOff[i+1]]; the tail holds
-	// the remaining nonzeros as (tailCol, tailVal) over
-	// [tailOff[i], tailOff[i+1]], in ascending row order.
-	runOff, tailOff []int
-	run, tailVal    []float64
-	tailCol         []int
+	// Row i of Lᵀ below the diagonal: the nonzeros L[utRow[k]][i] = utVal[k]
+	// for k in [utOff[i], utOff[i+1]), in ascending row order.
+	utOff, utRow []int
+	utVal        []float64
 }
 
 // NewCholesky factors the SPD matrix a. It returns ErrNotSPD if a pivot is
@@ -52,7 +48,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 		return nil, ErrShape
 	}
 	n := a.Rows
-	c := &Cholesky{n: n, first: make([]int, n), off: make([]int, n+1), diag: make([]float64, n)}
+	c := &Cholesky{n: n, first: make([]int, n), off: make([]int, n+1)}
 	for i := 0; i < n; i++ {
 		row := a.Row(i)[:i+1]
 		f := i
@@ -81,7 +77,6 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 		}
 		d = math.Sqrt(d)
 		rj[j-fj] = d
-		c.diag[j] = d
 		inv := 1 / d
 		for i := j + 1; i < n; i++ {
 			fi := c.first[i]
@@ -103,55 +98,43 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return c, nil
 }
 
-// transpose builds the run-plus-tail rows of Lᵀ from the row-packed L in
-// one pass over its envelope per stage. Rows are visited in ascending
-// order, so each column's entries arrive in ascending row order.
+// transpose builds the sparse rows of Lᵀ from the row-packed L: one pass
+// counts each column's nonzeros, a second scatters them. Rows are visited
+// in ascending order, so each column's entries arrive in ascending row
+// order.
 func (c *Cholesky) transpose() {
 	n := c.n
-	// runEnd[i] is one past the last row of column i's leading run.
-	runEnd := make([]int, n)
-	for i := range runEnd {
-		runEnd[i] = i + 1
-	}
-	c.runOff = make([]int, n+1)
-	c.tailOff = make([]int, n+1)
-	c.forEachBelowDiag(func(k, i int, v float64) {
-		if runEnd[i] == k {
-			runEnd[i] = k + 1
-		} else {
-			c.tailOff[i+1]++
-		}
-	})
-	for i := 0; i < n; i++ {
-		c.runOff[i+1] = c.runOff[i] + runEnd[i] - i - 1
-		c.tailOff[i+1] += c.tailOff[i]
-	}
-	c.run = make([]float64, c.runOff[n])
-	c.tailCol = make([]int, c.tailOff[n])
-	c.tailVal = make([]float64, c.tailOff[n])
-	next := append([]int(nil), c.tailOff[:n]...) // per-column tail cursor
-	c.forEachBelowDiag(func(k, i int, v float64) {
-		if k < runEnd[i] {
-			c.run[c.runOff[i]+k-i-1] = v
-			return
-		}
-		c.tailCol[next[i]], c.tailVal[next[i]] = k, v
-		next[i]++
-	})
-}
-
-// forEachBelowDiag calls fn(k, i, L[k][i]) for every nonzero of L below the
-// diagonal, row by row in ascending order.
-func (c *Cholesky) forEachBelowDiag(fn func(k, i int, v float64)) {
-	for k := 0; k < c.n; k++ {
+	c.utOff = make([]int, n+1)
+	for k := 0; k < n; k++ {
 		f := c.first[k]
 		for r, v := range c.l[c.off[k] : c.off[k+1]-1] {
 			if v != 0 {
-				fn(k, f+r, v)
+				c.utOff[f+r+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		c.utOff[i+1] += c.utOff[i]
+	}
+	c.utRow = make([]int, c.utOff[n])
+	c.utVal = make([]float64, c.utOff[n])
+	next := append([]int(nil), c.utOff[:n]...) // per-column cursor
+	for k := 0; k < n; k++ {
+		f := c.first[k]
+		for r, v := range c.l[c.off[k] : c.off[k+1]-1] {
+			if v != 0 {
+				i := f + r
+				c.utRow[next[i]], c.utVal[next[i]] = k, v
+				next[i]++
 			}
 		}
 	}
 }
+
+// pivot returns L[i][i], the last entry of packed row i.
+//
+//tecfan:hotpath
+func (c *Cholesky) pivot(i int) float64 { return c.l[c.off[i+1]-1] }
 
 // Solve computes x such that A·x = b. b is not modified; x must have length n
 // and may alias b.
@@ -164,32 +147,27 @@ func (c *Cholesky) Solve(b, x []float64) {
 	}
 	// Forward substitution L·y = b over each packed row.
 	for i := 0; i < c.n; i++ {
-		f := c.first[i]
-		row := c.l[c.off[i] : c.off[i+1]-1]
-		xs := x[f:i]
+		row := c.l[c.off[i]:c.off[i+1]]
+		d := row[len(row)-1]
+		row = row[:len(row)-1]
+		xs := x[c.first[i]:i]
 		xs = xs[:len(row)]
 		s := x[i]
 		for k, v := range row {
 			s -= v * xs[k]
 		}
-		x[i] = s / c.diag[i]
+		x[i] = s / d
 	}
-	// Back substitution Lᵀ·x = y: the leading run, then the sparse tail.
+	// Back substitution Lᵀ·x = y over each sparse row of Lᵀ.
 	for i := c.n - 1; i >= 0; i-- {
 		s := x[i]
-		run := c.run[c.runOff[i]:c.runOff[i+1]]
-		xs := x[i+1:]
-		xs = xs[:len(run)]
-		for k, v := range run {
-			s -= v * xs[k]
+		lo, hi := c.utOff[i], c.utOff[i+1]
+		rows, vals := c.utRow[lo:hi], c.utVal[lo:hi]
+		vals = vals[:len(rows)]
+		for k, r := range rows {
+			s -= vals[k] * x[r]
 		}
-		lo, hi := c.tailOff[i], c.tailOff[i+1]
-		cols, vals := c.tailCol[lo:hi], c.tailVal[lo:hi]
-		vals = vals[:len(cols)]
-		for k, col := range cols {
-			s -= vals[k] * x[col]
-		}
-		x[i] = s / c.diag[i]
+		x[i] = s / c.pivot(i)
 	}
 }
 

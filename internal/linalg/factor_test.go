@@ -148,26 +148,18 @@ func TestCholeskyProfileFactor(t *testing.T) {
 				nnz++
 			}
 		}
-		if ch.diag[i] != l.At(i, i) {
-			t.Fatalf("diag[%d] = %v, L[%d][%d] = %v", i, ch.diag[i], i, i, l.At(i, i))
-		}
 	}
 	for i := 0; i < n; i++ {
-		for r, v := range ch.run[ch.runOff[i]:ch.runOff[i+1]] {
-			if v == 0 || v != l.At(i+1+r, i) {
-				t.Fatalf("run of column %d at row %d: %v, L = %v", i, i+1+r, v, l.At(i+1+r, i))
-			}
-		}
-		prev := i + ch.runOff[i+1] - ch.runOff[i]
-		for k := ch.tailOff[i]; k < ch.tailOff[i+1]; k++ {
-			r := ch.tailCol[k]
-			if r <= prev || ch.tailVal[k] != l.At(r, i) {
-				t.Fatalf("tail of column %d: row %d after %d, value %v, L = %v", i, r, prev, ch.tailVal[k], l.At(r, i))
+		prev := i
+		for k := ch.utOff[i]; k < ch.utOff[i+1]; k++ {
+			r := ch.utRow[k]
+			if r <= prev || ch.utVal[k] == 0 || ch.utVal[k] != l.At(r, i) {
+				t.Fatalf("Lᵀ row %d: row %d after %d, value %v, L = %v", i, r, prev, ch.utVal[k], l.At(r, i))
 			}
 			prev = r
 		}
 	}
-	if stored := len(ch.run) + len(ch.tailVal); stored != nnz {
+	if stored := len(ch.utVal); stored != nnz {
 		t.Fatalf("Lᵀ rows hold %d entries, L has %d below-diagonal nonzeros", stored, nnz)
 	}
 }

@@ -141,7 +141,8 @@ func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 	// Crude but free, and exactly the data that degrades as A approaches
 	// indefiniteness.
 	mn, mx := math.Inf(1), 0.0
-	for _, d := range ch.diag {
+	for i := 0; i < n; i++ {
+		d := ch.pivot(i)
 		if d < mn {
 			mn = d
 		}
