@@ -18,13 +18,18 @@
 // against always runs in-process: result bytes are a pure function of the job
 // spec, which is the determinism contract the whole repo is built on.
 //
+// Every oracle-clean episode must also show that its faults landed on live
+// work (campaign.Landed): a restart that fires after the job has finished
+// tests nothing, so such an episode fails as "ineffective schedule: <fault>"
+// instead of passing.
+//
 // On the first oracle violation the crucible (unless -shrink=false)
 // delta-debugs the composite schedule down to a minimal still-failing repro
 // and writes it to -out as a corpus entry ready to commit under
 // testdata/crucible, where CI replays it forever.
 //
-// Exit status: 0 all episodes oracle-clean, 1 oracle violation, 2 usage or
-// infrastructure error.
+// Exit status: 0 all episodes oracle-clean with every fault landed, 1 oracle
+// violation, 2 usage or infrastructure error or an ineffective schedule.
 package main
 
 import (
@@ -150,7 +155,12 @@ func (r *runner) runCampaign(ctx context.Context, specPath string, seed int64, e
 			fatal(fmt.Errorf("episode %d: %w", ep, err))
 		}
 		r.saveHistory(dir, h)
-		vs := campaign.Evaluate(h, ref)
+		vs, err := campaign.Judge(spec.ForEpisode(ep), h, ref)
+		if err != nil {
+			// Faults that missed are an infrastructure verdict: never shrunk,
+			// never written out as a repro.
+			fatal(fmt.Errorf("episode %d: %w", ep, err))
+		}
 		if len(vs) == 0 {
 			log.Printf("episode %d: oracle-clean (%d calls, %d ready samples)", ep, len(h.Calls), len(h.Ready))
 			continue
@@ -163,7 +173,7 @@ func (r *runner) runCampaign(ctx context.Context, specPath string, seed int64, e
 		}
 		return 1
 	}
-	log.Printf("PASS: %d episodes oracle-clean", episodes)
+	log.Printf("PASS: %d episodes oracle-clean, every fault landed", episodes)
 	return 0
 }
 
@@ -189,7 +199,17 @@ func (r *runner) replayCorpus(ctx context.Context, dir string) int {
 				fatal(fmt.Errorf("%s episode %d: %w", e.Path, ep, err))
 			}
 			r.saveHistory(adir, h)
-			if vs := campaign.Evaluate(h, ref); len(vs) > 0 {
+			vs, err := campaign.Judge(e.Spec.ForEpisode(ep), h, ref)
+			if err != nil {
+				// An ineffective episode fails the replay, but a violation
+				// elsewhere is the finding the exit status reports.
+				log.Printf("%s episode %d: %v", e.Path, ep, err)
+				if code == 0 {
+					code = 2
+				}
+				continue
+			}
+			if len(vs) > 0 {
 				for _, v := range vs {
 					log.Printf("%s episode %d: VIOLATION %s", e.Path, ep, v)
 				}
@@ -200,7 +220,7 @@ func (r *runner) replayCorpus(ctx context.Context, dir string) int {
 		}
 	}
 	if code == 0 {
-		log.Printf("PASS: corpus replay oracle-clean")
+		log.Printf("PASS: corpus replay oracle-clean, every fault landed")
 	}
 	return code
 }
@@ -240,21 +260,11 @@ func (r *runner) minimize(ctx context.Context, spec campaign.Spec, ep int, ref m
 	pinned := spec.ForEpisode(ep)
 	log.Printf("minimizing the failing schedule (episode %d pinned)...", ep)
 	cand := 0
-	pred := func(pctx context.Context, s campaign.Spec) (bool, error) {
-		if err := pctx.Err(); err != nil {
-			return false, err
-		}
+	run := func(pctx context.Context, s campaign.Spec) (*campaign.History, error) {
 		cand++
-		h, err := r.episode(pctx, s, 0, filepath.Join(r.outDir, "shrink", fmt.Sprintf("cand%03d", cand)))
-		if err != nil {
-			// A candidate that cannot even finish an episode does not
-			// reproduce the oracle violation; keep the atoms it removed.
-			r.logf("shrink candidate %d errored (%v): treated as non-failing", cand, err)
-			return false, nil
-		}
-		return len(campaign.Evaluate(h, ref)) > 0, nil
+		return r.episode(pctx, s, 0, filepath.Join(r.outDir, "shrink", fmt.Sprintf("cand%03d", cand)))
 	}
-	min, stats, err := campaign.Minimize(ctx, pinned, pred)
+	min, stats, err := campaign.Minimize(ctx, pinned, campaign.EpisodePredicate(run, ref, r.logf))
 	if err != nil {
 		log.Printf("minimization aborted: %v (committing the un-minimized repro instead)", err)
 		min = pinned
@@ -293,8 +303,8 @@ func (r *runner) saveHistory(dir string, h *campaign.History) {
 
 // execEpisode runs one episode against spawned binaries: tecfand on a free
 // port (behind tecfan-netchaos when the spec has network faults),
-// tecfan-worker processes in pool mode, and a timeline goroutine delivering
-// the spec's proc actions as real signals.
+// tecfan-worker processes in pool mode (behind the same proxy), and a
+// timeline goroutine delivering the spec's proc actions as real signals.
 func (r *runner) execEpisode(ctx context.Context, spec campaign.Spec, ep int, dir string) (*campaign.History, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -342,8 +352,21 @@ func (r *runner) execEpisode(ctx context.Context, spec campaign.Spec, ep int, di
 		}
 		s.sampleReady()
 	}
+	// A job still unfinished after four fifths of the episode budget is
+	// stranded: record what the daemon says about it and let the
+	// bounded-liveness oracle judge it, rather than end the episode in a
+	// timeout that can be neither judged nor shrunk.
+	wctx := ctx
+	if dl, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		wctx, cancel = context.WithDeadline(ctx, dl.Add(-time.Until(dl)/5))
+		defer cancel()
+	}
 	for _, j := range eff.Jobs {
-		v, err := cl.Wait(ctx, j.ID, 100*time.Millisecond)
+		v, err := cl.Wait(wctx, j.ID, 100*time.Millisecond)
+		if err != nil && wctx.Err() != nil && ctx.Err() == nil {
+			v, err = direct.Job(ctx, j.ID)
+		}
 		if err != nil {
 			return s.rec.History(), fmt.Errorf("waiting for job %s: %w", j.ID, err)
 		}
@@ -378,6 +401,19 @@ func (r *runner) execEpisode(ctx context.Context, spec campaign.Spec, ep int, di
 type proc struct {
 	cmd *exec.Cmd
 	log *os.File
+	// exited is closed once the child has left the process table, whether a
+	// signal or its own exit (a disk power cut) took it there.
+	exited chan struct{}
+}
+
+// down reports whether the child has exited.
+func (p *proc) down() bool {
+	select {
+	case <-p.exited:
+		return true
+	default:
+		return false
+	}
 }
 
 type execStack struct {
@@ -386,10 +422,11 @@ type execStack struct {
 	dir string
 	rec *campaign.Recorder
 
-	mu      sync.Mutex
-	daemon  *proc
-	workers []*proc
-	proxy   *proc
+	mu            sync.Mutex
+	daemon        *proc
+	daemonStopped bool
+	workers       []*proc
+	proxy         *proc
 
 	daemonAddr string // host:port the daemon listens on (stable across restarts)
 	daemonURL  string
@@ -513,9 +550,11 @@ func (s *execStack) startDaemon(ctx context.Context) error {
 	return nil
 }
 
+// startWorker spawns worker i against the coordinator. Workers take the same
+// path as the client, so with a net schedule they sit behind the chaos proxy.
 func (s *execStack) startWorker(i int) (*proc, error) {
 	args := []string{
-		"-coordinator", s.daemonURL,
+		"-coordinator", s.clientURL,
 		"-name", fmt.Sprintf("crucible-w%d", i),
 		"-poll", "100ms",
 	}
@@ -543,7 +582,12 @@ func (s *execStack) spawn(bin, logName string, args ...string) (*proc, error) {
 		f.Close()
 		return nil, fmt.Errorf("starting %s: %w", bin, err)
 	}
-	return &proc{cmd: cmd, log: f}, nil
+	p := &proc{cmd: cmd, log: f, exited: make(chan struct{})}
+	go func() {
+		_ = cmd.Wait()
+		close(p.exited)
+	}()
+	return p, nil
 }
 
 // runTimeline delivers the spec's proc actions at their offsets, in order.
@@ -560,35 +604,107 @@ func (s *execStack) runTimeline(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		if err := s.apply(ctx, p); err != nil {
+		ev, err := s.apply(ctx, p)
+		if err != nil {
 			s.r.logf("timeline: %s %s: %v", p.Action, p.Target, err)
 			continue
 		}
-		s.rec.Proc(p.Target, p.Action)
+		s.rec.Proc(ev)
 	}
 }
 
 // apply delivers one timeline action as a real signal (restart = SIGKILL,
 // reap, respawn on the same address and state dir — the crash-recovery path
-// end to end).
-func (s *execStack) apply(ctx context.Context, a campaign.ProcAction) error {
+// end to end) and returns it as a history event carrying the evidence the
+// validity check needs: the coordinator's in-flight job count just before
+// the signal, or, for a restart of a daemon that was already down, the
+// in-flight count of the incarnation that replaced it.
+func (s *execStack) apply(ctx context.Context, a campaign.ProcAction) (campaign.ProcEvent, error) {
+	ev := campaign.ProcEvent{Target: a.Target, Action: a.Action}
 	target, respawn := s.resolve(a.Target)
 	if target == nil {
-		return fmt.Errorf("no such process")
+		return ev, fmt.Errorf("no such process")
+	}
+	isDaemon := a.Target == campaign.TargetDaemon
+	s.mu.Lock()
+	daemonDown := isDaemon && (s.daemonStopped || target.down())
+	s.mu.Unlock()
+	if a.Action != campaign.ActCont {
+		ev.InFlight = -1
+		if !daemonDown {
+			ev.InFlight = s.inFlight(ctx)
+		}
 	}
 	switch a.Action {
 	case campaign.ActStop:
-		return target.cmd.Process.Signal(syscall.SIGSTOP)
+		s.setDaemonStopped(isDaemon, true)
+		return ev, target.cmd.Process.Signal(syscall.SIGSTOP)
 	case campaign.ActCont:
-		return target.cmd.Process.Signal(syscall.SIGCONT)
+		s.setDaemonStopped(isDaemon, false)
+		return ev, target.cmd.Process.Signal(syscall.SIGCONT)
 	case campaign.ActKill:
 		reap(target)
-		return nil
+		return ev, nil
 	case campaign.ActRestart:
+		if isDaemon && target.down() && target.cmd.ProcessState.ExitCode() == powerCutExit {
+			// A power cut happens once: every later incarnation runs the
+			// same disk rules without the crash point.
+			ev.PowerCut = true
+			residual := *s.eff.Disk
+			residual.CrashAtOp = 0
+			file, err := s.writeSchedule("disk-residual.json", residual)
+			if err != nil {
+				return ev, err
+			}
+			s.diskFile = file
+		}
 		reap(target)
-		return respawn(ctx)
+		s.setDaemonStopped(isDaemon, false)
+		if err := respawn(ctx); err != nil {
+			return ev, err
+		}
+		if daemonDown {
+			ev.InFlight = s.inFlight(ctx)
+		}
+		return ev, nil
 	}
-	return fmt.Errorf("unknown action %q", a.Action)
+	return ev, fmt.Errorf("unknown action %q", a.Action)
+}
+
+// powerCutExit is tecfand's exit status when its disk schedule's crash_at_op
+// power cut fires.
+const powerCutExit = 3
+
+func (s *execStack) setDaemonStopped(isDaemon, stopped bool) {
+	if isDaemon {
+		s.mu.Lock()
+		s.daemonStopped = stopped
+		s.mu.Unlock()
+	}
+}
+
+// inFlight asks the coordinator how many jobs are still non-terminal. A
+// listing that fails counts as zero: an action whose landing cannot be shown
+// did not land.
+func (s *execStack) inFlight(ctx context.Context) int {
+	lctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(lctx, http.MethodGet, s.daemonURL+"/jobs", nil)
+	if err != nil {
+		return 0
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		s.r.logf("in-flight listing: %v", err)
+		return 0
+	}
+	defer resp.Body.Close()
+	var views []daemon.JobView
+	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
+		s.r.logf("in-flight listing: %v", err)
+		return 0
+	}
+	return campaign.InFlight(views)
 }
 
 // resolve maps a timeline target to its live process handle and its respawn
@@ -619,7 +735,7 @@ func (s *execStack) resolve(target string) (*proc, func(context.Context) error) 
 // terminates SIGSTOPped children, so teardown never leaks a frozen process.
 func reap(p *proc) {
 	_ = p.cmd.Process.Kill()
-	_, _ = p.cmd.Process.Wait()
+	<-p.exited
 }
 
 func (s *execStack) teardown() {
@@ -676,7 +792,7 @@ func (s *execStack) sampleReady() {
 }
 
 // freePort grabs an ephemeral port by binding and releasing it. The tiny
-// close-to-bind race is acceptable in a drill that owns the machine.
+// close-to-bind race is acceptable in a harness that owns the machine.
 func freePort() (int, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,22 +1,19 @@
 // Command tecfan-netchaos is the standalone network chaos proxy: it sits
 // between a client and the tecfand daemon and impairs traffic per a seeded
-// fault schedule, so control-plane resilience can be drilled against a real
-// daemon process (scripts/netchaos_drill.sh does exactly that).
+// fault schedule, so control-plane resilience can be tested against a real
+// daemon process (tecfan-crucible puts it in front of the daemon whenever a
+// campaign spec has a net schedule).
 //
-// Faults can be given inline:
-//
-//	tecfan-netchaos -listen 127.0.0.1:9023 -target 127.0.0.1:8023 \
-//	    -seed 42 -latency 5ms -jitter 10ms -drop 0.1 -reset 0.05 \
-//	    -partition 2s-2500ms -period 10s
-//
-// or as a JSON schedule file (see internal/netfault.Schedule):
+// Faults come from a JSON schedule file (see internal/netfault.Schedule):
 //
 //	tecfan-netchaos -listen 127.0.0.1:9023 -target 127.0.0.1:8023 \
 //	    -seed 42 -schedule faults.json
 //
-// The two forms are mutually exclusive. -partition takes comma-separated
-// from-to windows relative to proxy start (repeating every -period when one
-// is set). SIGINT/SIGTERM closes the listener and resets live connections.
+// A schedule holds a base fault (latency, jitter, drop, reset, bandwidth),
+// windows relative to proxy start that override it or partition the link
+// outright, and an optional repeat period. Without -schedule the proxy
+// forwards unimpaired. SIGINT/SIGTERM closes the listener and resets live
+// connections.
 package main
 
 import (
@@ -26,9 +23,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"tecfan/internal/cmdutil"
 	"tecfan/internal/netfault"
@@ -38,60 +33,23 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9023", "address the proxy listens on")
 	target := flag.String("target", "127.0.0.1:8023", "upstream daemon address")
 	seed := flag.Int64("seed", 1, "base seed for all probabilistic fault decisions")
-	schedFile := flag.String("schedule", "", "JSON schedule file (mutually exclusive with inline fault flags)")
-	latency := flag.Duration("latency", 0, "fixed latency added to each forwarded chunk")
-	jitter := flag.Duration("jitter", 0, "random extra latency in [0, jitter)")
-	drop := flag.Float64("drop", 0, "probability a new connection is blackholed")
-	reset := flag.Float64("reset", 0, "probability a connection is reset mid-stream")
-	bandwidth := flag.Int64("bandwidth", 0, "bandwidth cap in bytes/sec (0 = uncapped)")
-	partition := flag.String("partition", "", "comma-separated from-to windows of full partition, e.g. \"2s-2500ms,8s-9s\"")
-	period := flag.Duration("period", 0, "schedule repeats with this period (0 = one-shot windows)")
+	schedFile := flag.String("schedule", "", "JSON fault schedule file (empty = forward unimpaired)")
 	flag.Parse()
 
 	for _, err := range []error{
 		cmdutil.CheckAddr("listen", *listen),
 		cmdutil.CheckAddr("target", *target),
-		cmdutil.CheckNonNegativeDuration("latency", *latency),
-		cmdutil.CheckNonNegativeDuration("jitter", *jitter),
-		cmdutil.CheckNonNegativeDuration("period", *period),
-		cmdutil.CheckProbability("drop", *drop),
-		cmdutil.CheckProbability("reset", *reset),
 	} {
 		if err != nil {
 			fatal(err)
 		}
 	}
-	if *bandwidth < 0 {
-		fatal(fmt.Errorf("-bandwidth must be >= 0, got %d", *bandwidth))
-	}
 
 	var sched netfault.Schedule
 	if *schedFile != "" {
-		if *latency != 0 || *jitter != 0 || *drop != 0 || *reset != 0 || *bandwidth != 0 || *partition != "" || *period != 0 {
-			fatal(fmt.Errorf("-schedule is mutually exclusive with the inline fault flags"))
-		}
 		var err error
 		sched, err = netfault.ParseScheduleFile(*schedFile)
 		if err != nil {
-			fatal(err)
-		}
-	} else {
-		sched = netfault.Schedule{
-			Base: netfault.Fault{
-				Latency:      netfault.Duration(*latency),
-				Jitter:       netfault.Duration(*jitter),
-				Drop:         *drop,
-				Reset:        *reset,
-				BandwidthBPS: *bandwidth,
-			},
-			Period: netfault.Duration(*period),
-		}
-		windows, err := parsePartitions(*partition)
-		if err != nil {
-			fatal(err)
-		}
-		sched.Windows = windows
-		if err := sched.Validate(); err != nil {
 			fatal(err)
 		}
 	}
@@ -110,34 +68,6 @@ func main() {
 	if err := proxy.Close(); err != nil {
 		log.Printf("tecfan-netchaos: close: %v", err)
 	}
-}
-
-// parsePartitions turns "2s-2500ms,8s-9s" into partition windows.
-func parsePartitions(s string) ([]netfault.Window, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var windows []netfault.Window
-	for _, part := range strings.Split(s, ",") {
-		from, to, ok := strings.Cut(strings.TrimSpace(part), "-")
-		if !ok {
-			return nil, fmt.Errorf("-partition: %q is not from-to", part)
-		}
-		f, err := time.ParseDuration(from)
-		if err != nil {
-			return nil, fmt.Errorf("-partition: %q: %v", part, err)
-		}
-		t, err := time.ParseDuration(to)
-		if err != nil {
-			return nil, fmt.Errorf("-partition: %q: %v", part, err)
-		}
-		windows = append(windows, netfault.Window{
-			From:      netfault.Duration(f),
-			To:        netfault.Duration(t),
-			Partition: true,
-		})
-	}
-	return windows, nil
 }
 
 func fatal(err error) {

@@ -123,7 +123,7 @@ func main() {
 
 	// With a -diskfault-schedule every byte of daemon state flows through a
 	// seeded fault filesystem; a scheduled power cut kills the process with
-	// exit 3, the same contract the SIGKILL crash drill exercises.
+	// exit 3, which tecfan-crucible reads as the power cut having landed.
 	fsys := diskfault.OS
 	if *dfSchedule != "" {
 		sched, err := diskfault.ParseScheduleFile(*dfSchedule)
@@ -149,7 +149,7 @@ func main() {
 
 	// With a -numfault-schedule every trace job runs under seeded numerical
 	// corruption; the numguard auditor must catch every violation — that is
-	// what the numfault drill proves.
+	// what the crucible's numeric corpus entries prove.
 	var numSched *numfault.Schedule
 	if *nfSchedule != "" {
 		sched, err := numfault.ParseScheduleFile(*nfSchedule)
@@ -167,8 +167,8 @@ func main() {
 	// FaultClock under proc identity "daemon": its wall clock steps, drifts,
 	// and freezes per the schedule while the monotonic side — everything
 	// leases, watchdogs, and backoffs actually compare — stays truthful. The
-	// clockfault drill runs a skewed daemon against skewed workers and
-	// demands a byte-identical merged result.
+	// crucible's clock corpus entries run a skewed daemon against skewed
+	// workers and demand a byte-identical merged result.
 	var clk clockfault.Clock
 	if *cfSchedule != "" {
 		sched, err := clockfault.ParseScheduleFile(*cfSchedule)

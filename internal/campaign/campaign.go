@@ -1,16 +1,16 @@
-// Package campaign is the composable chaos layer on top of the repo's five
-// bespoke fault injectors. PRs 1–7 each hardened one failure axis — sensor
-// faults, crashes, network loss, pool fencing, disk corruption, numerical
-// upsets — with its own schedule format and its own drill; nothing exercised
-// *compound* faults, which is exactly where control-plane guarantees quietly
-// stop holding. A campaign Spec embeds all four schedule formats plus
-// process-level actions (kill/stop/restart of the daemon and workers) on one
-// shared timeline; episodes run the full daemon(+pool) stack end-to-end while
+// Package campaign is the composable chaos layer on top of the repo's fault
+// injectors. Each injector hardens one failure axis — sensor faults,
+// crashes, network loss, pool fencing, disk corruption, numerical upsets,
+// clock lies — with its own schedule format; compound faults are exactly
+// where control-plane guarantees quietly stop holding. A campaign Spec embeds
+// the four schedule formats plus process-level actions (kill/stop/restart of
+// the daemon and workers) on one shared timeline; episodes run the full daemon(+pool) stack end-to-end while
 // a Recorder captures the client-observed history; an oracle catalog judges
 // the history (exactly-once, byte-identical-or-refusal, sticky fail-safe,
-// no non-finite token, readiness consistency); and a delta-debugging shrinker
-// reduces any failing composite schedule to a minimal repro for the committed
-// testdata/crucible corpus.
+// no non-finite token, readiness consistency); a validity check (Landed)
+// rejects a clean episode whose faults did not land on live work; and a
+// delta-debugging shrinker reduces any failing composite schedule to a
+// minimal repro for the committed testdata/crucible corpus.
 //
 // This package is in the nondeterminism analyzer's scope and stays a pure
 // function of its inputs: seeds derive via splitmix64, episode pacing and all
@@ -277,6 +277,9 @@ func (s Spec) validateProcs() error {
 			st.stopped, st.dead = false, false
 		}
 	}
+	if s.Disk != nil && s.Disk.CrashAtOp > 0 && !restartsDaemon(s.Procs) {
+		return fmt.Errorf("campaign: disk.crash_at_op power-cuts the daemon: add a %q action for it, or no result can ever be fetched", ActRestart)
+	}
 	if st := states[TargetDaemon]; st != nil && (st.stopped || st.dead) {
 		return fmt.Errorf("campaign: the daemon ends the timeline %s: add a %q (or %q) action, or no result can ever be fetched",
 			stateWord(st.stopped), ActRestart, ActCont)
@@ -294,6 +297,15 @@ func (s Spec) validateProcs() error {
 		}
 	}
 	return nil
+}
+
+func restartsDaemon(procs []ProcAction) bool {
+	for _, p := range procs {
+		if p.Target == TargetDaemon && p.Action == ActRestart {
+			return true
+		}
+	}
+	return false
 }
 
 func stateWord(stopped bool) string {

@@ -234,4 +234,28 @@ func TestLoadCorpus(t *testing.T) {
 	if entries[0].Episodes != 1 {
 		t.Fatalf("episodes must default to 1, got %d", entries[0].Episodes)
 	}
+
+	// The committed corpus loads and validates entry by entry: CI replays
+	// exactly these.
+	committed, err := LoadCorpus(filepath.Join("..", "..", "testdata", "crucible"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, e := range committed {
+		names[strings.TrimSuffix(filepath.Base(e.Path), ".json")] = true
+	}
+	for _, want := range []string{
+		"clock-freeze-lease-expiry", "clock-skew-lease-safety",
+		"partition-idempotent-submit", "persistent-nan-failsafe",
+		"pool-partitioned-restart", "pool-worker-fencing", "power-cut-resume",
+		"restart-resume-identity", "transient-nan-recovery",
+	} {
+		if !names[want] {
+			t.Errorf("committed corpus lacks %s.json (have %v)", want, names)
+		}
+	}
+	if _, err := LoadSpec(filepath.Join("..", "..", "testdata", "crucible", "campaigns", "baseline.json")); err != nil {
+		t.Fatal(err)
+	}
 }

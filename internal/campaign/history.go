@@ -87,6 +87,16 @@ type ProcEvent struct {
 	Seq    int    `json:"seq"`
 	Target string `json:"target"`
 	Action string `json:"action"`
+	// InFlight is how many non-terminal jobs the coordinator's GET /jobs
+	// listed just before the signal — the evidence that the action landed
+	// on live work (see Landed). A restart of a daemon that was already down
+	// counts the jobs its new incarnation recovered non-terminal instead;
+	// -1 marks a kill or stop of a daemon an earlier action already took
+	// down, which that earlier action's evidence covers.
+	InFlight int `json:"in_flight"`
+	// PowerCut marks a daemon restart that found the daemon already exited
+	// on its disk schedule's crash_at_op power cut.
+	PowerCut bool `json:"power_cut,omitempty"`
 }
 
 // Recorder accumulates a History from concurrent observers: the client's
@@ -154,13 +164,15 @@ func (r *Recorder) Ready(ready bool, reasons []string) {
 	})
 }
 
-// Proc records an applied timeline action. A daemon restart bumps the
-// incarnation: sticky readiness state legitimately resets across it.
-func (r *Recorder) Proc(target, action string) {
+// Proc records an applied timeline action (its Seq is assigned here). A
+// daemon restart bumps the incarnation: sticky readiness state legitimately
+// resets across it.
+func (r *Recorder) Proc(e ProcEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.h.Procs = append(r.h.Procs, ProcEvent{Seq: r.next(), Target: target, Action: action})
-	if target == TargetDaemon && action == ActRestart {
+	e.Seq = r.next()
+	r.h.Procs = append(r.h.Procs, e)
+	if e.Target == TargetDaemon && e.Action == ActRestart {
 		r.incarnation++
 	}
 }

@@ -115,9 +115,10 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (
 		_ = srv.Shutdown(sctx)
 	}()
 
-	// The client reaches the daemon through the chaos proxy when the spec has
-	// one; workers and the post-episode inspection always go direct — network
-	// chaos models a flaky client path, not a corrupted state store.
+	// The client — and, in pool mode, every worker — reaches the daemon
+	// through the chaos proxy when the spec has one; readiness probes and the
+	// post-episode inspection always go direct — network chaos models flaky
+	// paths to the coordinator, not a corrupted state store.
 	baseURL := hs.URL
 	if eff.Net != nil {
 		proxy, err := netfault.New("127.0.0.1:0", strings.TrimPrefix(hs.URL, "http://"),
@@ -130,7 +131,7 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (
 	}
 
 	if eff.Pool != nil {
-		stop, err := startPoolWorkers(hs.URL, eff, clockFor, logf)
+		stop, err := startPoolWorkers(baseURL, eff, clockFor, logf)
 		if err != nil {
 			return nil, err
 		}

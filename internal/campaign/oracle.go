@@ -447,13 +447,6 @@ func checkLeaseSafety(h *History, _ map[string][]byte) []Violation {
 // correctly.
 func checkBoundedLiveness(h *History, _ map[string][]byte) []Violation {
 	var out []Violation
-	terminal := func(st daemon.JobState) bool {
-		switch st {
-		case daemon.StateDone, daemon.StateFailed, daemon.StateCanceled:
-			return true
-		}
-		return false
-	}
 	observed := map[string]bool{}
 	for _, r := range h.Results {
 		if terminal(daemon.JobState(r.State)) {
@@ -478,4 +471,13 @@ func checkBoundedLiveness(h *History, _ map[string][]byte) []Violation {
 		}
 	}
 	return out
+}
+
+// terminal reports whether a job state is final.
+func terminal(st daemon.JobState) bool {
+	switch st {
+	case daemon.StateDone, daemon.StateFailed, daemon.StateCanceled:
+		return true
+	}
+	return false
 }

@@ -227,7 +227,7 @@ func TestReadyConsistency(t *testing.T) {
 func TestRecorderIncarnation(t *testing.T) {
 	rec := NewRecorder("t", 0)
 	rec.Ready(false, []string{"numeric fail-safe: job a: nan"})
-	rec.Proc(TargetDaemon, ActRestart)
+	rec.Proc(ProcEvent{Target: TargetDaemon, Action: ActRestart, InFlight: 1})
 	rec.Ready(true, nil)
 	h := rec.History()
 	if h.Ready[0].Incarnation != 0 || h.Ready[1].Incarnation != 1 {

@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -470,11 +471,30 @@ func (s *Server) submit(spec JobSpec, requestID string) (string, error) {
 	s.order = append(s.order, spec.ID)
 	s.mu.Unlock()
 	// Persist the bare spec immediately: a crash before the first checkpoint
-	// must still resume (restart) the job, not forget it.
+	// must still resume (restart) the job, not forget it. A spec the disk
+	// would not take is a promise it cannot keep: while the job is still
+	// queued, withdraw it and refuse the submission retryably. A job an
+	// executor already picked up stays; its attempt persists again.
 	if err := s.persistJob(&persistedJob{Spec: spec}); err != nil {
 		s.cfg.Logf("daemon: persisting spec for %s: %v", spec.ID, err)
+		if s.withdrawQueued(spec.ID) {
+			return "", fmt.Errorf("%w: %v", ErrSpecNotPersisted, err)
+		}
 	}
 	return spec.ID, nil
+}
+
+// withdrawQueued forgets a job no executor has picked up yet; the executor
+// skips its queue entry. It reports whether the job was withdrawn.
+func (s *Server) withdrawQueued(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; !ok || j.state != StateQueued {
+		return false
+	}
+	delete(s.jobs, id)
+	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
+	return true
 }
 
 // sweepIdempotency drops tokens whose job left no trace on disk: the crash
@@ -496,9 +516,12 @@ func (s *Server) sweepIdempotency() {
 
 // Typed submission failures.
 var (
-	ErrQueueFull   = fmt.Errorf("daemon: queue full")
-	ErrDraining    = fmt.Errorf("daemon: draining")
-	ErrDuplicateID = fmt.Errorf("daemon: duplicate job id")
+	ErrQueueFull = fmt.Errorf("daemon: queue full")
+	// ErrSpecNotPersisted refuses a submission whose spec could not be
+	// written durably (torn write, EIO); retrying is safe.
+	ErrSpecNotPersisted = fmt.Errorf("daemon: job spec not persisted")
+	ErrDraining         = fmt.Errorf("daemon: draining")
+	ErrDuplicateID      = fmt.Errorf("daemon: duplicate job id")
 )
 
 func validateSpec(spec *JobSpec) error {

@@ -163,6 +163,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Retryable by design: degraded mode ends the moment space returns.
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, ErrSpecNotPersisted):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrDuplicateID):

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -258,4 +260,61 @@ func TestResumeFromFallbackGeneration(t *testing.T) {
 		t.Fatalf("corrupt head not quarantined: %v", err)
 	}
 	waitState(t, s2, "fall", StateDone)
+}
+
+// TestTornSpecWriteRefusesSubmission: a job whose spec never reached the disk
+// would vanish in a crash, taking an accepted submission with it. While the
+// job is still queued the daemon withdraws it and refuses retryably; once the
+// disk takes the write, the retry is accepted.
+func TestTornSpecWriteRefusesSubmission(t *testing.T) {
+	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
+		<-ctx.Done() // hold the executor until shutdown
+		return ctx.Err()
+	}
+	// Cleanups run last-in first-out: the server's shutdown (registered by
+	// newTestServer) stops its executor before the hook is cleared.
+	t.Cleanup(func() { testRunHook = nil })
+
+	ffs, err := diskfault.New(diskfault.Schedule{Rules: []diskfault.Rule{
+		{Action: diskfault.ActTear, Path: "torn.ckpt.tmp*"},
+	}}, &diskfault.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(t)
+	cfg.FS = ffs
+	cfg.Workers = 1
+	cfg.ScrubInterval = -1
+	s := newTestServer(t, cfg)
+
+	// Occupy the only executor so the next job stays queued.
+	if _, err := s.Submit(traceSpec("busy")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if v, _ := s.Job("busy"); v.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("busy job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := s.Submit(traceSpec("torn")); !errors.Is(err, ErrSpecNotPersisted) {
+		t.Fatalf("submit with a torn spec write = %v, want ErrSpecNotPersisted", err)
+	}
+	if _, ok := s.Job("torn"); ok {
+		t.Fatal("refused job is still listed")
+	}
+	for _, v := range s.Jobs() {
+		if v.ID == "torn" {
+			t.Fatal("refused job is still in the job table")
+		}
+	}
+	// A different id is not torn: the daemon keeps accepting work.
+	if _, err := s.Submit(traceSpec("whole")); err != nil {
+		t.Fatalf("submit after a refusal = %v", err)
+	}
 }

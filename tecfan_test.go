@@ -1,8 +1,15 @@
 package tecfan
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"tecfan/internal/floats"
+	"tecfan/internal/numguard"
+	"tecfan/internal/sim"
 )
 
 func TestNewAndListings(t *testing.T) {
@@ -151,5 +158,93 @@ func TestFacadeAblationWrappers(t *testing.T) {
 	prows, err := sys.PeriodAblation("lu", []float64{2e-3})
 	if err != nil || len(prows) != 1 {
 		t.Fatalf("PeriodAblation: %v (%d rows)", err, len(prows))
+	}
+}
+
+// TestTraceNumericRefusal pins, at the facade, the three ways a trace
+// answers scheduled numeric corruption. The simulator-level ladder (retry
+// from last-good, escalation to fail-safe, typed refusal with a finite
+// partial result) is covered by the TestNumGuard* tests in internal/sim;
+// this table checks that the facade carries it through unchanged: the error
+// type, the partial trace, and the NumericHealth block.
+func TestTraceNumericRefusal(t *testing.T) {
+	const (
+		transient  = `{"seed": 31337, "rules": [{"target": "temps", "action": "nan", "index": 0, "from_step": 40, "to_step": 41}]}`
+		persistent = `{"seed": 31337, "rules": [{"target": "temps", "action": "nan", "index": 0, "from_step": 40, "to_step": 60, "persistent": true}]}`
+	)
+	trace := func(schedule, policy string) ([]sim.TracePoint, *NumericHealth, error) {
+		t.Helper()
+		opts := []Option{}
+		if schedule != "" {
+			opts = append(opts, WithNumFaultSchedule([]byte(schedule), 0))
+		}
+		sys, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.TraceWithHealthContext(context.Background(), "cholesky", 16, policy, 0)
+	}
+	clean, _, err := trace("", "TECfan-FT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := func(tr []sim.TracePoint) bool {
+		for _, p := range tr {
+			if !floats.Finite(p.Time) || !floats.Finite(p.PeakTemp) ||
+				!floats.Finite(p.ChipPower) || !floats.Finite(p.MeanDVFS) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name, schedule, policy string
+		check                  func(t *testing.T, tr []sim.TracePoint, h *NumericHealth, err error)
+	}{
+		{"persistent NaN refuses under plain TECfan", persistent, "TECfan",
+			func(t *testing.T, tr []sim.TracePoint, h *NumericHealth, err error) {
+				var de *sim.DivergenceError
+				if !errors.As(err, &de) {
+					t.Fatalf("err = %v, want a *sim.DivergenceError", err)
+				}
+				if len(tr) == 0 || !finite(tr) {
+					t.Fatalf("refusal must return a non-empty, all-finite partial trace (%d points)", len(tr))
+				}
+				if h == nil || h.Violations == 0 {
+					t.Fatalf("refusal health counts no violation: %+v", h)
+				}
+			}},
+		{"persistent NaN latches fail-safe under TECfan-FT", persistent, "TECfan-FT",
+			func(t *testing.T, tr []sim.TracePoint, h *NumericHealth, err error) {
+				if err != nil {
+					t.Fatalf("TECfan-FT must ride out the divergence, got %v", err)
+				}
+				if h == nil || !h.FailSafe || h.Diagnosis == nil || h.HeldSteps < 1 {
+					t.Fatalf("want fail_safe with a diagnosis and held steps, got %+v", h)
+				}
+				if h.Diagnosis.Kind != numguard.KindNonFiniteTemp {
+					t.Fatalf("diagnosis kind = %s, want %s", h.Diagnosis.Kind, numguard.KindNonFiniteTemp)
+				}
+				if !finite(tr) {
+					t.Fatal("fail-safe trace carries a non-finite value")
+				}
+			}},
+		{"transient upset recovers to the fault-free trace", transient, "TECfan-FT",
+			func(t *testing.T, tr []sim.TracePoint, h *NumericHealth, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(tr, clean) {
+					t.Fatal("recovered trace differs from the fault-free one")
+				}
+				if h == nil || h.RecoveredSteps < 1 || h.FailSafe {
+					t.Fatalf("want recovered_steps >= 1 without fail-safe, got %+v", h)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, h, err := trace(tc.schedule, tc.policy)
+			tc.check(t, tr, h, err)
+		})
 	}
 }
