@@ -11,14 +11,14 @@ import (
 // function of their inputs: the simulators, experiment drivers, controller
 // core, policies, pool planning/merge, systolic estimator, thermal solver,
 // and the numeric-defense pair (invariant auditor + fault injector — a
-// nondeterministic injector would break the numfault drill's byte-identical
-// recovery proof), plus the campaign engine and shared schedule loader (the
-// crucible's seed derivation, shrinker, and oracles must replay a repro
-// bit-for-bit; wall-clock orchestration lives in cmd/tecfan-crucible, which
-// is deliberately outside this scope). One stray wall-clock read or
-// global-RNG draw here
-// silently breaks the bitwise-identical crash-resume proof (§10) and the
-// byte-identical pooled-vs-in-process merge proof (§12).
+// nondeterministic injector would break the byte-identical recovery the
+// crucible entry transient-nan-recovery pins), plus the campaign engine
+// and shared schedule loader (the crucible's seed derivation, shrinker, and
+// oracles must replay a repro bit-for-bit; wall-clock orchestration lives
+// in cmd/tecfan-crucible, which is deliberately outside this scope). One
+// stray wall-clock read or global-RNG draw here silently breaks the
+// bitwise-identical crash-resume proof (§10) and the byte-identical
+// pooled-vs-in-process merge proof (§12).
 var nondetScope = regexp.MustCompile(`(^|/)internal/(sim|exp|core|policy|pool|systolic|thermal|numguard|numfault|campaign|schedfile)(/|$)`)
 
 // wallClockFuncs are the time package entry points that read the wall

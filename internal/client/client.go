@@ -427,7 +427,7 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 }
 
 // Result fetches the durable result of a finished job as raw JSON bytes
-// (raw so drills can byte-compare against a reference run). An unfinished
+// (raw so callers can byte-compare against a reference run). An unfinished
 // job returns ErrNotDone.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	var data []byte

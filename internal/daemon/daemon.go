@@ -86,11 +86,12 @@ type Config struct {
 	// PoolChunk is how many sweep rows ride in one shard (default 2).
 	PoolChunk int
 	// FS is the filesystem seam every durable byte flows through (default
-	// the real filesystem; tests and the disk-chaos drill inject a
-	// diskfault.FaultFS).
+	// the real filesystem; tests and the crucible's disk-fault entries
+	// inject a diskfault.FaultFS).
 	FS diskfault.FS
 	// NumFaults, when non-nil, arms the numerical-chaos injector for every
-	// trace job this daemon runs — the numfault drill's seam, mirroring the
+	// trace job this daemon runs — the seam of the crucible entries
+	// transient-nan-recovery and persistent-nan-failsafe, mirroring the
 	// diskfault schedule flag.
 	NumFaults *numfault.Schedule
 	// CheckpointKeep is how many generations of each job checkpoint to
@@ -191,15 +192,15 @@ type JobKind string
 const (
 	// KindTrace runs one benchmark under one policy at a fixed fan level
 	// with trace recording — the checkpoint-heavy workhorse.
-	KindTrace JobKind = "trace"
+	KindTrace = JobKind(pool.KindTrace)
 	// KindChaos runs a chaos sweep, checkpointing per finished row.
-	KindChaos JobKind = "chaos"
+	KindChaos = JobKind(pool.KindChaos)
 	// KindTable1 reproduces the Table I base-scenario rows, checkpointing per
 	// finished row.
-	KindTable1 JobKind = "table1"
+	KindTable1 = JobKind(pool.KindTable1)
 	// KindFig4 reproduces the §V-B comparison over the Table I benchmarks,
 	// checkpointing per finished case.
-	KindFig4 JobKind = "fig4"
+	KindFig4 = JobKind(pool.KindFig4)
 )
 
 // JobSpec is the client-facing description of a job. The same spec always
@@ -858,12 +859,6 @@ func (s *Server) Handler() http.Handler {
 	return s.withReadyHeader(s.withRequestID(h))
 }
 
-// isSpecOnly reports whether a persisted record carries no progress yet.
-func isSpecOnly(rec *persistedJob) bool {
-	return rec.Snap == nil && len(rec.Rows) == 0 && rec.Threshold == 0 &&
-		len(rec.T1Rows) == 0 && len(rec.F4Cases) == 0 && rec.Pool == nil
-}
-
 // recover scans StateDir on startup: jobs with results load as done; jobs
 // with only a checkpoint re-enter the queue and resume where they left off.
 // Job ids are derived from head files AND rotated generations, so a job
@@ -901,7 +896,7 @@ func (s *Server) recover() error {
 		case s.queue <- id:
 			s.jobs[id] = j
 			s.order = append(s.order, id)
-			s.cfg.Logf("daemon: resuming job %s from checkpoint (progress: %v)", id, !isSpecOnly(rec))
+			s.cfg.Logf("daemon: resuming job %s from checkpoint (progress: %v)", id, rec.Progress != nil || rec.Pool != nil)
 		default:
 			return fmt.Errorf("daemon: %d interrupted jobs exceed queue depth %d", len(entries), s.cfg.QueueDepth)
 		}

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"tecfan/internal/checkpoint"
+	"tecfan/internal/exp"
+	"tecfan/internal/pool"
 )
 
 // fastConfig is a test-sized daemon: millisecond backoff, quiet logs.
@@ -167,7 +169,7 @@ func TestQueueSheddingHTTP(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	cfg := fastConfig(t)
 	cfg.Workers = 1
@@ -229,7 +231,7 @@ func TestSupervisorPanicRestart(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	s := newTestServer(t, fastConfig(t))
 	id, err := s.Submit(traceSpec("panicky"))
@@ -250,7 +252,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 		attempts.Add(1)
 		return errors.New("always broken")
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	cfg := fastConfig(t)
 	cfg.MaxAttempts = 3
@@ -279,7 +281,7 @@ func TestWatchdogRestartsStalledAttempt(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	cfg := fastConfig(t)
 	cfg.WatchdogTimeout = 50 * time.Millisecond
@@ -303,7 +305,7 @@ func TestDrainShedsAndCancels(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	s := newTestServer(t, fastConfig(t))
 	srv := httptest.NewServer(s.Handler())
@@ -373,7 +375,7 @@ func TestRestartResumesAndMatches(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		rec, err := s1.loadJob("drill")
-		if err == nil && rec.Snap != nil {
+		if err == nil && rec.Progress != nil && rec.Progress.Snap != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -427,6 +429,28 @@ func TestRecoverIgnoresCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesForeignShardResult: a table1 shard result an older build
+// wrote ({Rows []exp.Table1Row}) decodes into pool.ShardResult without error
+// but with no table rows. The merge must refuse it, not write an empty table.
+func TestMergeRefusesForeignShardResult(t *testing.T) {
+	type table1ShardResult struct{ Rows []exp.Table1Row }
+	old, err := pool.EncodePayload(table1ShardResult{Rows: []exp.Table1Row{{Workload: "lu", Threads: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r pool.ShardResult
+	if err := pool.DecodePayload(old, &r); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, fastConfig(t))
+	if err := s.writeJobResult("old", JobSpec{Kind: KindTable1}, []pool.ShardResult{r}); err == nil {
+		t.Fatal("merged a shard result that carries no kind")
+	}
+	if _, err := os.Stat(s.resultPath("old")); !os.IsNotExist(err) {
+		t.Fatalf("result file written for a refused merge: %v", err)
+	}
+}
+
 // TestChaosJobEndToEnd runs a tiny chaos sweep through the daemon and checks
 // the durable result parses with the expected rows.
 func TestChaosJobEndToEnd(t *testing.T) {
@@ -467,7 +491,7 @@ func TestDuplicateID(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 	s := newTestServer(t, fastConfig(t))
 	if _, err := s.Submit(traceSpec("dup")); err != nil {
 		t.Fatal(err)

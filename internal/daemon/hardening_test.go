@@ -66,7 +66,7 @@ func TestSupervisorBackoffInjectable(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	start := time.Now()
 	s := newTestServer(t, cfg)
@@ -109,7 +109,7 @@ func TestSubmitIdempotent(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	s := newTestServer(t, fastConfig(t))
 	spec := traceSpec("")
@@ -215,7 +215,7 @@ func TestIdempotentSubmitRollsBackOnRefusal(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	cfg := fastConfig(t)
 	cfg.Workers = 1
@@ -259,7 +259,7 @@ func TestReadyzGating(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	cfg := fastConfig(t)
 	cfg.Workers = 1
@@ -335,7 +335,7 @@ func TestSubmitRateLimit(t *testing.T) {
 		}
 		return nil
 	}
-	defer func() { testRunHook = nil }()
+	t.Cleanup(func() { testRunHook = nil })
 
 	clk := clockfault.NewManual(time.Unix(1000, 0))
 	cfg := fastConfig(t)

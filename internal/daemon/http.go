@@ -89,7 +89,8 @@ func (s *Server) withReadyHeader(next http.Handler) http.Handler {
 // handleReadyz is readiness: 503 with the reasons while the daemon cannot
 // usefully accept work — draining, admission queue full, or the checkpoint
 // state dir unwritable (a daemon that cannot checkpoint must not take jobs
-// it would lose). Load balancers and drill scripts gate on it.
+// it would lose). Load balancers and the crucible's ready-consistency
+// oracle gate on it.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	reasons := s.readyReasons(true)
 	if len(reasons) > 0 {
@@ -221,8 +222,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStorage serves the storage-robustness counters: degraded flag,
-// skipped checkpoints, quarantines, scrub activity. The diskfault drill
-// polls it to prove the scrubber repaired an injected corruption.
+// skipped checkpoints, quarantines, scrub activity.
 func (s *Server) handleStorage(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.StorageStats())
 }

@@ -15,6 +15,7 @@ import (
 
 	"tecfan/internal/checkpoint"
 	"tecfan/internal/diskfault"
+	"tecfan/internal/pool"
 )
 
 // enospcToggle wraps a real FS and, while tripped, refuses every file
@@ -207,7 +208,7 @@ func TestScrubRepairsThroughDaemon(t *testing.T) {
 	if err := s.persistJob(&persistedJob{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.persistJob(&persistedJob{Spec: spec, Threshold: 1}); err != nil {
+	if err := s.persistJob(&persistedJob{Spec: spec, Progress: &pool.Checkpoint{Threshold: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	g1 := s.ckptPath("scrubme") + ".g1"
@@ -238,7 +239,7 @@ func TestResumeFromFallbackGeneration(t *testing.T) {
 	if err := s.persistJob(&persistedJob{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.persistJob(&persistedJob{Spec: spec, Threshold: 42}); err != nil {
+	if err := s.persistJob(&persistedJob{Spec: spec, Progress: &pool.Checkpoint{Threshold: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	head := s.ckptPath("fall")

@@ -16,8 +16,7 @@ var ErrCrashed = fmt.Errorf("diskfault: filesystem dead after simulated power cu
 
 // Options tunes a FaultFS beyond the schedule.
 type Options struct {
-	// Logf receives per-operation fault decisions (default: silent). Drill
-	// scripts grep these lines for proof the schedule actually fired.
+	// Logf receives per-operation fault decisions (default: silent).
 	Logf func(format string, args ...any)
 	// OnCrash runs after a simulated power cut has rolled back all volatile
 	// bytes — tecfand uses it to exit the process, completing the
@@ -107,8 +106,8 @@ type decision struct {
 	rng       *rand.Rand
 }
 
-// opRNG derives the per-(operation, rule) random stream, so a drill's fault
-// pattern is reproducible given the same operation order.
+// opRNG derives the per-(operation, rule) random stream, so a schedule's
+// fault pattern is reproducible given the same operation order.
 func opRNG(seed, n, rule int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ (n * 0x9E3779B97F4A7C) ^ (rule << 40)))
 }

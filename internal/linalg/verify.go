@@ -48,8 +48,8 @@ func (e *NumError) Unwrap() error { return e.Err }
 
 // SafeFloat formats v for diagnostics without ever emitting the literal
 // tokens "NaN" or "Inf": diagnosis strings travel into results, checkpoints
-// and reports, and the numfault drill greps those for leaked non-finite
-// values. A diagnosis that *describes* a NaN must not trip that tripwire.
+// and reports, and the crucible's no-non-finite oracle searches those for
+// leaked non-finite values. A diagnosis that *describes* a NaN must not trip that tripwire.
 func SafeFloat(v float64) string {
 	switch {
 	case math.IsNaN(v):

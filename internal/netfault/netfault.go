@@ -1,6 +1,6 @@
 // Package netfault is a seeded, schedule-driven chaos proxy for exercising
 // the control plane under network failure. It sits between a client and a TCP
-// server (the tecfand daemon in every drill this repo runs) and impairs
+// server (the tecfand daemon, in the crucible's net-fault entries) and impairs
 // traffic according to a Schedule: added latency with jitter, probabilistic
 // connection blackholing, mid-stream connection resets, a bandwidth cap, and
 // timed full-partition windows during which no connection survives.
@@ -8,8 +8,8 @@
 // The proxy is usable two ways: in-process from tests (New on a 127.0.0.1:0
 // listener, point the client at Addr) and standalone via cmd/tecfan-netchaos.
 // All probabilistic decisions derive from a base seed plus a per-connection
-// sequence number, so a drill's fault pattern is reproducible given the same
-// connection order.
+// sequence number, so a schedule's fault pattern is reproducible given the
+// same connection order.
 package netfault
 
 import (

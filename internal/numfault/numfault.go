@@ -90,7 +90,8 @@ func (r *Rule) inWindow(step int) bool {
 	return step >= r.FromStep && (r.ToStep == 0 || step < r.ToStep)
 }
 
-// Schedule is the JSON document drills and flags feed in.
+// Schedule is the JSON document the -numfault-schedule flags and crucible
+// campaign specs feed in.
 type Schedule struct {
 	Seed  int64  `json:"seed"`
 	Rules []Rule `json:"rules"`

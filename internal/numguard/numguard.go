@@ -64,7 +64,7 @@ const (
 // actuator configuration. Float values are carried as strings (via
 // linalg.SafeFloat) so a diagnosis describing a NaN can be marshaled to
 // JSON — which rejects non-finite numbers — and never leaks the literal
-// tokens the drill greps output for.
+// tokens the crucible's no-non-finite oracle searches results for.
 type Violation struct {
 	Kind     Kind    `json:"kind"`
 	Step     int     `json:"step"`

@@ -67,8 +67,7 @@ type PersistedShard struct {
 	Result     []byte
 }
 
-// Stats is the coordinator's observable state, served at /pool/stats and
-// polled by the drill to pace its kills.
+// Stats is the coordinator's observable state, served at /pool/stats.
 type Stats struct {
 	WorkersLive   int   `json:"workers_live"`
 	Jobs          int   `json:"jobs"`

@@ -383,7 +383,7 @@ func TestPlanChaosShardsPreserveSweepOrder(t *testing.T) {
 	}
 	for i, w := range want {
 		sh := shards[i]
-		if sh.ID != w.id || sh.Policy != w.pol || fmt.Sprint(sh.Scenarios) != fmt.Sprint(w.scens) {
+		if sh.ID != w.id || fmt.Sprint(sh.Policies) != fmt.Sprint([]string{w.pol}) || fmt.Sprint(sh.Scenarios) != fmt.Sprint(w.scens) {
 			t.Fatalf("shard %d = %+v, want %+v", i, sh, w)
 		}
 		if sh.Bench != "cholesky" || sh.Threads != 16 || sh.Seed != 7 {

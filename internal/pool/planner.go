@@ -10,8 +10,7 @@ import (
 	"tecfan/internal/workload"
 )
 
-// Job kinds a sweep can be sharded into. Values match the daemon's JobKind
-// strings so specs round-trip without translation.
+// Job kinds a sweep can be sharded into.
 const (
 	KindTrace  = "trace"
 	KindChaos  = "chaos"
@@ -26,8 +25,8 @@ const (
 // a latency knob, not a correctness one.
 const DefaultChunk = 2
 
-// ShardSpec is one self-contained unit of work: a worker needs nothing but
-// this (plus the optional checkpoint from a previous holder) to execute it.
+// ShardSpec is one self-contained unit of work: Execute needs nothing but
+// this (plus the optional checkpoint from a previous holder) to run it.
 // Shard IDs are stable across replanning — same sweep, same shards — which
 // is what lets a restarted coordinator re-adopt live workers mid-shard.
 type ShardSpec struct {
@@ -45,10 +44,13 @@ type ShardSpec struct {
 	Scenario        string  `json:"scenario,omitempty"`
 	CheckpointEvery int     `json:"checkpoint_every,omitempty"`
 
-	// Chaos shards: one policy, a chunk of scenarios.
+	// Chaos shards: a planned shard carries one policy and a chunk of
+	// scenarios, the whole job every policy and scenario (empty = defaults).
+	Policies  []string `json:"policies,omitempty"`
 	Scenarios []string `json:"scenarios,omitempty"`
 
-	// Table1/Fig4 shards: benchmark indices into workload.Table1 order.
+	// Table1/Fig4 shards: benchmark indices into workload.Table1 order
+	// (nil = all).
 	Indices []int `json:"indices,omitempty"`
 }
 
@@ -70,6 +72,19 @@ type SweepSpec struct {
 	Chunk           int
 }
 
+// Whole is the unsplit job as one shard: the daemon's in-process path
+// executes it. An in-process chaos job thus runs its base scenario and each
+// policy's fan-level selection once, where planned shards repeat them.
+func Whole(s SweepSpec) ShardSpec {
+	return ShardSpec{
+		ID: s.Kind, Kind: s.Kind, Bench: s.Bench, Threads: s.Threads,
+		Scale: s.Scale, Seed: s.Seed,
+		Policy: s.Policy, FanLevel: s.FanLevel, Threshold: s.Threshold,
+		Scenario: s.Scenario, CheckpointEvery: s.CheckpointEvery,
+		Policies: s.Policies, Scenarios: s.Scenarios,
+	}
+}
+
 // Plan deterministically shards a sweep. The shard order is the merge order:
 // concatenating shard results in plan order must reproduce the row order of
 // the equivalent single-process run (per policy, per scenario for chaos;
@@ -88,14 +103,7 @@ func Plan(s SweepSpec) ([]ShardSpec, error) {
 	case KindTrace:
 		// A trace job is a single simulation: one shard, resumable through
 		// sim snapshots rather than row splits.
-		sh := base
-		sh.ID = "trace"
-		sh.Policy = s.Policy
-		sh.FanLevel = s.FanLevel
-		sh.Threshold = s.Threshold
-		sh.Scenario = s.Scenario
-		sh.CheckpointEvery = s.CheckpointEvery
-		return []ShardSpec{sh}, nil
+		return []ShardSpec{Whole(s)}, nil
 	case KindChaos:
 		pols := s.Policies
 		if len(pols) == 0 {
@@ -114,7 +122,7 @@ func Plan(s SweepSpec) ([]ShardSpec, error) {
 				}
 				sh := base
 				sh.ID = "chaos/" + p + "/" + strconv.Itoa(n)
-				sh.Policy = p
+				sh.Policies = []string{p}
 				sh.Scenarios = append([]string(nil), scens[i:end]...)
 				out = append(out, sh)
 			}

@@ -1,8 +1,8 @@
 // Package worker is the execution side of the tecfand worker pool: a
-// process that claims shard leases from a coordinator, executes them with
-// exactly the semantics the daemon's in-process path uses, streams progress
-// checkpoints back so its own death loses at most one checkpoint interval,
-// and renews its lease on a heartbeat loop.
+// process that claims shard leases from a coordinator, executes them through
+// pool.Execute — the function the daemon's in-process path calls too —
+// streams progress checkpoints back so its own death loses at most one
+// checkpoint interval, and renews its lease on a heartbeat loop.
 //
 // Fencing discipline: every write the worker makes carries the token from
 // its grant. When any call answers pool.ErrFenced or pool.ErrShardGone the
@@ -23,12 +23,8 @@ import (
 
 	"tecfan/internal/client"
 	"tecfan/internal/clockfault"
-	"tecfan/internal/exp"
-	"tecfan/internal/fault"
 	"tecfan/internal/numfault"
 	"tecfan/internal/pool"
-	"tecfan/internal/sim"
-	"tecfan/internal/workload"
 )
 
 // Config tunes a Worker.
@@ -242,9 +238,9 @@ func (l *lease) heartbeatLoop(ctx context.Context) {
 
 // upload ships a progress checkpoint under its own timeout, detached from
 // the shard context on purpose (see the package comment). A fencing
-// rejection cancels the shard.
-func (l *lease) upload(v any) {
-	data, err := pool.EncodePayload(v)
+// rejection cancels the shard; no upload fails it.
+func (l *lease) upload(cp *pool.Checkpoint) {
+	data, err := pool.EncodePayload(cp)
 	if err != nil {
 		l.w.cfg.Logf("worker %s: encoding checkpoint for %s/%s: %v",
 			l.w.cfg.Name, l.grant.JobID, l.grant.Shard.ID, err)
@@ -274,7 +270,7 @@ func (l *lease) upload(v any) {
 
 // complete reports the shard's result, also on an independent timeout —
 // completion is idempotent under our token, so the client may retry freely.
-func (l *lease) complete(result any) error {
+func (l *lease) complete(result *pool.ShardResult) error {
 	data, err := pool.EncodePayload(result)
 	if err != nil {
 		return fmt.Errorf("worker: encoding result: %w", err)
@@ -291,203 +287,18 @@ func (l *lease) complete(result any) error {
 	return err
 }
 
-// execute dispatches on the shard kind. Each kind reproduces the daemon's
-// in-process semantics exactly — same Env setup, same resume seams — which
-// is what makes the merged pooled result byte-identical to a single-process
-// run.
-func (l *lease) execute(ctx context.Context) (any, error) {
-	switch l.grant.Shard.Kind {
-	case pool.KindTrace:
-		return l.runTrace(ctx)
-	case pool.KindChaos:
-		return l.runChaos(ctx)
-	case pool.KindTable1:
-		return l.runTable1(ctx)
-	case pool.KindFig4:
-		return l.runFig4(ctx)
-	default:
-		return nil, fmt.Errorf("worker: unknown shard kind %q", l.grant.Shard.Kind)
-	}
-}
-
-// env builds the experiment environment the shard spec describes.
-func (l *lease) env() *exp.Env {
-	e := exp.NewEnv()
-	if l.grant.Shard.Scale > 0 {
-		e.Scale = l.grant.Shard.Scale
-	}
-	return e
-}
-
-func (l *lease) runChaos(ctx context.Context) (any, error) {
-	sh := l.grant.Shard
-	var ckpt pool.ChaosCheckpoint
+// execute runs the granted shard from the previous holder's checkpoint,
+// uploading every checkpoint it saves.
+func (l *lease) execute(ctx context.Context) (*pool.ShardResult, error) {
+	var from *pool.Checkpoint
 	if len(l.grant.Checkpoint) > 0 {
-		if err := pool.DecodePayload(l.grant.Checkpoint, &ckpt); err != nil {
+		from = new(pool.Checkpoint)
+		if err := pool.DecodePayload(l.grant.Checkpoint, from); err != nil {
 			return nil, err
 		}
 	}
-	rows := append([]exp.ChaosRow(nil), ckpt.Rows...)
-	res, err := l.env().ChaosContext(ctx, exp.ChaosOptions{
-		Bench: sh.Bench, Threads: sh.Threads,
-		Policies: []string{sh.Policy}, Scenarios: sh.Scenarios, Seed: sh.Seed,
-		Done: ckpt.Rows,
-		OnRow: func(row exp.ChaosRow) {
-			rows = upsertChaosRow(rows, row)
-			l.upload(pool.ChaosCheckpoint{Rows: rows})
-		},
+	return pool.Execute(ctx, l.grant.Shard, from, l.w.cfg.NumFaults, func(cp *pool.Checkpoint) error {
+		l.upload(cp)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return pool.ChaosShardResult{Threshold: res.Threshold, Rows: res.Rows}, nil
-}
-
-func (l *lease) runTable1(ctx context.Context) (any, error) {
-	var ckpt pool.Table1Checkpoint
-	if len(l.grant.Checkpoint) > 0 {
-		if err := pool.DecodePayload(l.grant.Checkpoint, &ckpt); err != nil {
-			return nil, err
-		}
-	}
-	rows := append([]exp.Table1Row(nil), ckpt.Rows...)
-	all, err := l.env().Table1Opt(ctx, exp.Table1Options{
-		Indices: l.grant.Shard.Indices,
-		Done:    ckpt.Rows,
-		OnRow: func(row exp.Table1Row) {
-			rows = upsertT1Row(rows, row)
-			l.upload(pool.Table1Checkpoint{Rows: rows})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pool.Table1ShardResult{Rows: all}, nil
-}
-
-func (l *lease) runFig4(ctx context.Context) (any, error) {
-	var ckpt pool.Fig4Checkpoint
-	if len(l.grant.Checkpoint) > 0 {
-		if err := pool.DecodePayload(l.grant.Checkpoint, &ckpt); err != nil {
-			return nil, err
-		}
-	}
-	cases := append([]exp.Fig4Case(nil), ckpt.Cases...)
-	all, err := l.env().Fig4Opt(ctx, exp.Fig4Options{
-		Indices: l.grant.Shard.Indices,
-		Done:    ckpt.Cases,
-		OnRow: func(c exp.Fig4Case) {
-			cases = upsertF4Case(cases, c)
-			l.upload(pool.Fig4Checkpoint{Cases: cases})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pool.Fig4ShardResult{Cases: all}, nil
-}
-
-// runTrace mirrors the daemon's runTrace: derive (or restore) the threshold,
-// pin it in the first checkpoint, then run — or resume — the simulation with
-// snapshot checkpoints uploaded at the shard's cadence.
-func (l *lease) runTrace(ctx context.Context) (any, error) {
-	sh := l.grant.Shard
-	env := l.env()
-	env.NumFaults = l.w.cfg.NumFaults
-	if sh.Scenario != "" {
-		sc, err := fault.ByName(sh.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		env.Faults = &sc
-		env.FaultSeed = sh.Seed
-	}
-	b, err := workload.ByName(sh.Bench, sh.Threads, env.Leak)
-	if err != nil {
-		return nil, err
-	}
-	sb := env.Scaled(b)
-
-	var ckpt pool.TraceCheckpoint
-	if len(l.grant.Checkpoint) > 0 {
-		if err := pool.DecodePayload(l.grant.Checkpoint, &ckpt); err != nil {
-			return nil, err
-		}
-	}
-	threshold := ckpt.Threshold
-	if threshold == 0 {
-		threshold = sh.Threshold
-	}
-	if threshold == 0 {
-		base, err := env.BaseScenarioContext(ctx, sb)
-		if err != nil {
-			return nil, fmt.Errorf("worker: trace base scenario: %w", err)
-		}
-		threshold = base.Metrics.PeakTemp
-	}
-	// Pin the threshold before simulating, same as the daemon: every future
-	// holder runs against the identical threshold.
-	l.upload(pool.TraceCheckpoint{Threshold: threshold, Snap: ckpt.Snap})
-
-	cfg := env.SimConfig(sb, threshold, sh.FanLevel)
-	cfg.RecordTrace = true
-	cfg.CheckpointEvery = sh.CheckpointEvery
-	cfg.OnCheckpoint = func(snap *sim.Snapshot) error {
-		l.upload(pool.TraceCheckpoint{Threshold: threshold, Snap: snap})
-		return ctx.Err() // a fenced shard stops at the next checkpoint
-	}
-	ctl := env.Controllers()[sh.Policy]
-	if ctl == nil {
-		return nil, fmt.Errorf("worker: unknown policy %q (valid: %v)", sh.Policy, exp.AllPolicies())
-	}
-	r, err := sim.NewRunner(cfg, ctl)
-	if err != nil {
-		return nil, err
-	}
-	var res *sim.Result
-	if ckpt.Snap != nil {
-		res, err = r.Resume(ctx, ckpt.Snap)
-	} else {
-		res, err = r.RunContext(ctx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return pool.TraceShardResult{
-		Threshold: threshold, Completed: res.Completed,
-		Metrics: res.Metrics, FinalTemps: res.FinalTemps, Trace: res.Trace,
-		Numeric: res.Numeric,
-	}, nil
-}
-
-// upsertChaosRow and friends keep the checkpoint free of duplicate cells:
-// the exp OnRow seams replay Done rows, and a cell must appear once.
-func upsertChaosRow(rows []exp.ChaosRow, row exp.ChaosRow) []exp.ChaosRow {
-	for i := range rows {
-		if rows[i].Scenario == row.Scenario && rows[i].Policy == row.Policy {
-			rows[i] = row
-			return rows
-		}
-	}
-	return append(rows, row)
-}
-
-func upsertT1Row(rows []exp.Table1Row, row exp.Table1Row) []exp.Table1Row {
-	for i := range rows {
-		if rows[i].Workload == row.Workload && rows[i].Threads == row.Threads {
-			rows[i] = row
-			return rows
-		}
-	}
-	return append(rows, row)
-}
-
-func upsertF4Case(cases []exp.Fig4Case, c exp.Fig4Case) []exp.Fig4Case {
-	for i := range cases {
-		if cases[i].Bench == c.Bench && cases[i].Threads == c.Threads {
-			cases[i] = c
-			return cases
-		}
-	}
-	return append(cases, c)
 }
