@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,7 @@ func TestKnobAblation(t *testing.T) {
 	if !strings.Contains(buf.String(), "TECfan (full)") {
 		t.Fatal("rendered ablation incomplete")
 	}
+	checkDigest(t, "knob-ablation", buf.Bytes())
 }
 
 func TestPeriodAblation(t *testing.T) {
@@ -78,6 +80,9 @@ func TestPeriodAblation(t *testing.T) {
 	if p2.Evals <= p8.Evals {
 		t.Errorf("2 ms period should evaluate more often than 8 ms: %d vs %d", p2.Evals, p8.Evals)
 	}
+	var buf bytes.Buffer
+	WriteAblation(&buf, "period ablation", rows)
+	checkDigest(t, "period-ablation", buf.Bytes())
 }
 
 func TestCurrentAblation(t *testing.T) {
@@ -113,6 +118,7 @@ func TestCurrentAblation(t *testing.T) {
 	if !strings.Contains(buf.String(), "sweep") {
 		t.Fatal("rendered sweep incomplete")
 	}
+	checkDigest(t, "current-ablation", buf.Bytes())
 }
 
 func TestPlacementAblation(t *testing.T) {
@@ -128,6 +134,7 @@ func TestPlacementAblation(t *testing.T) {
 	if aligned < uniform-0.1 {
 		t.Errorf("aligned placement relief %.2f worse than uniform %.2f", aligned, uniform)
 	}
+	checkDigest(t, "placement-ablation", []byte(fmt.Sprintf("%v %v", aligned, uniform)))
 }
 
 func TestMappingStudy(t *testing.T) {
@@ -163,6 +170,7 @@ func TestMappingStudy(t *testing.T) {
 	if !strings.Contains(buf.String(), "corner") {
 		t.Fatal("rendered study incomplete")
 	}
+	checkDigest(t, "mapping", buf.Bytes())
 }
 
 func TestMappingStudyUnknownBench(t *testing.T) {
@@ -214,6 +222,7 @@ func TestTimescales(t *testing.T) {
 	if !strings.Contains(buf.String(), "settle90") {
 		t.Fatal("rendered study incomplete")
 	}
+	checkDigest(t, "timescales", buf.Bytes())
 }
 
 func TestControllerScaling(t *testing.T) {
@@ -256,6 +265,13 @@ func TestControllerScaling(t *testing.T) {
 	if !strings.Contains(buf.String(), "Oracle space") {
 		t.Fatal("rendered study incomplete")
 	}
+	// The digest is of the nil-clock rendering: every Elapsed zero.
+	buf.Reset()
+	for i := range rows {
+		rows[i].Elapsed = 0
+	}
+	WriteScaling(&buf, rows)
+	checkDigest(t, "scaling", buf.Bytes())
 }
 
 func TestMixStudy(t *testing.T) {
@@ -288,6 +304,7 @@ func TestMixStudy(t *testing.T) {
 	if !strings.Contains(buf.String(), "attribution") {
 		t.Fatal("rendered study incomplete")
 	}
+	checkDigest(t, "mix", buf.Bytes())
 }
 
 func TestOracleGap(t *testing.T) {

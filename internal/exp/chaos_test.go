@@ -39,6 +39,9 @@ func TestChaosSweepSmall(t *testing.T) {
 			t.Fatalf("scenario %s errored: %s", row.Scenario, row.Err)
 		}
 	}
+	var buf bytes.Buffer
+	WriteChaos(&buf, res)
+	checkDigest(t, "chaos", buf.Bytes())
 }
 
 func TestChaosRejectsUnknownInputs(t *testing.T) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -49,6 +50,7 @@ func TestTable1Reproduction(t *testing.T) {
 	if !strings.Contains(buf.String(), "cholesky") {
 		t.Fatal("rendered table missing rows")
 	}
+	checkDigest(t, "table1", buf.Bytes())
 }
 
 func TestFig4Shape(t *testing.T) {
@@ -100,6 +102,9 @@ func TestFig4Shape(t *testing.T) {
 	if !strings.Contains(buf.String(), "cooling power") {
 		t.Fatal("rendered figure incomplete")
 	}
+	// The writer omits the time series, so the digest covers them too.
+	fmt.Fprintf(&buf, "%v", cases)
+	checkDigest(t, "fig4", buf.Bytes())
 }
 
 func TestFig56Shape(t *testing.T) {
@@ -182,6 +187,7 @@ func TestFig56Shape(t *testing.T) {
 	if !strings.Contains(buf.String(), "EDP") {
 		t.Fatal("rendered figures incomplete")
 	}
+	checkDigest(t, "fig56", buf.Bytes())
 }
 
 func TestFig7Shape(t *testing.T) {
