@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,11 +22,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sb := *b
-	sb.TotalInst *= env.Scale
-	sb.TargetTimeMS *= env.Scale
+	sb := env.Scaled(b)
 
-	base, err := env.BaseScenario(&sb)
+	ctx := context.Background()
+	base, err := env.BaseScenarioContext(ctx, sb)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,8 +40,11 @@ func main() {
 	for _, name := range exp.PolicyOrder {
 		fmt.Printf("%-9s", name)
 		for l := 0; l < env.Fan.NumLevels(); l++ {
-			ctl := env.Controllers()[name]
-			res, err := env.RunTraced(&sb, ctl, th, l)
+			ctl, err := env.Controller(name)
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := env.RunTracedContext(ctx, sb, ctl, th, l)
 			if err != nil {
 				log.Fatal(err)
 			}

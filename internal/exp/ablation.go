@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"tecfan/internal/core"
+	"tecfan/internal/floorplan"
 	"tecfan/internal/perf"
 	"tecfan/internal/sim"
 	"tecfan/internal/tec"
@@ -30,83 +32,56 @@ type AblationRow struct {
 	Completed bool
 }
 
-// tecfanVariant builds a configured TECfan controller plus its estimator.
-func (e *Env) tecfanVariant(period float64, mod func(*core.Controller)) (*core.Controller, *core.Estimator) {
-	est := core.NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, period)
-	ctl := core.NewController(est)
-	if mod != nil {
-		mod(ctl)
-	}
-	return ctl, est
-}
-
-// runVariant evaluates a TECfan variant with the §IV-C fan selection
-// (minimum-energy feasible level, as for stock TECfan).
-func (e *Env) runVariant(b *workload.Benchmark, threshold float64, base perf.Metrics,
-	name string, period float64, mod func(*core.Controller)) (AblationRow, error) {
-	bestLevel := 0
-	var bestRes *sim.Result
-	var evals int
-	for level := 0; level < e.Fan.NumLevels(); level++ {
-		ctl, est := e.tecfanVariant(period, mod)
-		cfg := e.config(b, threshold, level)
-		cfg.ControlPeriod = period
-		r, err := sim.NewRunner(cfg, ctl)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		res, err := r.Run()
-		if err != nil {
-			if timeCapped(err) {
-				break
+// variantRow runs one TECfan variant with the §IV-C fan selection
+// (minimum-energy feasible level, as for stock TECfan) against the base
+// scenario base.
+func (e *Env) variantRow(sb *workload.Benchmark, base perf.Metrics, name string, period float64, mod func(*core.Controller)) (AblationRow, error) {
+	level, res, ctl, err := e.selectFanLevel(context.Background(), sb, base.PeakTemp, candidate{
+		build: func() (sim.Controller, error) {
+			ctl := core.NewController(e.estimator(period))
+			if mod != nil {
+				mod(ctl)
 			}
-			return AblationRow{}, err
-		}
-		if !e.withinBudget(res) || !res.Completed {
-			break
-		}
-		if bestRes == nil || res.Metrics.Energy < bestRes.Metrics.Energy {
-			bestLevel, bestRes, evals = level, res, est.Evaluations
-		}
-	}
-	if bestRes == nil {
-		ctl, est := e.tecfanVariant(period, mod)
-		cfg := e.config(b, threshold, 0)
-		cfg.ControlPeriod = period
-		r, err := sim.NewRunner(cfg, ctl)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		res, err := r.Run()
-		if err != nil {
-			return AblationRow{}, err
-		}
-		bestRes, evals = res, est.Evaluations
+			return ctl, nil
+		},
+		period:      period,
+		leastEnergy: true,
+	})
+	if err != nil {
+		return AblationRow{}, err
 	}
 	return AblationRow{
 		Variant:   name,
-		Bench:     b.Name,
-		FanLevel:  bestLevel,
-		Metrics:   bestRes.Metrics,
-		Norm:      bestRes.Metrics.Normalize(base),
-		Evals:     evals,
-		Completed: bestRes.Completed,
+		Bench:     sb.Name,
+		FanLevel:  level,
+		Metrics:   res.Metrics,
+		Norm:      res.Metrics.Normalize(base),
+		Evals:     ctl.(*core.Controller).Est.Evaluations,
+		Completed: res.Completed,
 	}, nil
+}
+
+// ablationBase scales the 16-thread benchmark and runs its base scenario.
+func (e *Env) ablationBase(benchName string) (*workload.Benchmark, perf.Metrics, error) {
+	b, err := workload.ByName(benchName, 16, e.Leak)
+	if err != nil {
+		return nil, perf.Metrics{}, err
+	}
+	sb := e.Scaled(b)
+	base, err := e.BaseScenarioContext(context.Background(), sb)
+	if err != nil {
+		return nil, perf.Metrics{}, err
+	}
+	return sb, base.Metrics, nil
 }
 
 // KnobAblation removes one knob at a time from TECfan on the given
 // benchmark and reports the damage — the coordination claim, quantified.
 func (e *Env) KnobAblation(benchName string) ([]AblationRow, error) {
-	b, err := workload.ByName(benchName, 16, e.Leak)
+	sb, base, err := e.ablationBase(benchName)
 	if err != nil {
 		return nil, err
 	}
-	sb := e.scaled(b)
-	baseRes, err := e.BaseScenario(sb)
-	if err != nil {
-		return nil, err
-	}
-	threshold := baseRes.Metrics.PeakTemp
 	variants := []struct {
 		name string
 		mod  func(*core.Controller)
@@ -119,7 +94,7 @@ func (e *Env) KnobAblation(benchName string) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		row, err := e.runVariant(sb, threshold, baseRes.Metrics, v.name, 2e-3, v.mod)
+		row, err := e.variantRow(sb, base, v.name, 2e-3, v.mod)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
@@ -131,20 +106,13 @@ func (e *Env) KnobAblation(benchName string) ([]AblationRow, error) {
 // PeriodAblation sweeps the lower-level control period around the paper's
 // 2 ms choice.
 func (e *Env) PeriodAblation(benchName string, periods []float64) ([]AblationRow, error) {
-	b, err := workload.ByName(benchName, 16, e.Leak)
+	sb, base, err := e.ablationBase(benchName)
 	if err != nil {
 		return nil, err
 	}
-	sb := e.scaled(b)
-	baseRes, err := e.BaseScenario(sb)
-	if err != nil {
-		return nil, err
-	}
-	threshold := baseRes.Metrics.PeakTemp
 	var rows []AblationRow
 	for _, p := range periods {
-		row, err := e.runVariant(sb, threshold, baseRes.Metrics,
-			fmt.Sprintf("period %.0f ms", p*1000), p, nil)
+		row, err := e.variantRow(sb, base, fmt.Sprintf("period %.0f ms", p*1000), p, nil)
 		if err != nil {
 			return nil, fmt.Errorf("period ablation %v: %w", p, err)
 		}
@@ -167,16 +135,8 @@ type CurrentAblationRow struct {
 // I²R Joule heating eats the Peltier gain.
 func (e *Env) CurrentAblation(currents []float64) ([]CurrentAblationRow, error) {
 	// One core hot (lu-style), rest idle.
-	p := make([]float64, len(e.Chip.Components))
 	hot := e.Chip.NumCores() / 2
-	for _, i := range e.Chip.CoreComponents(hot) {
-		c := e.Chip.Components[i]
-		w := 6.0 * c.Area() / 9.36
-		if c.Name == "FPMul" {
-			w *= 4
-		}
-		p[i] = w
-	}
+	p := hotPower(e.Chip, 6, hot)
 	base, err := e.NW.Steady(p, 1, nil)
 	if err != nil {
 		return nil, err
@@ -208,16 +168,8 @@ func (e *Env) CurrentAblation(currents []float64) ([]CurrentAblationRow, error) 
 // uniform 3×3 grid over the logic region ([10]'s placement question).
 func (e *Env) PlacementAblation() (aligned, uniform float64, err error) {
 	// Hot core scenario as in CurrentAblation.
-	p := make([]float64, len(e.Chip.Components))
 	hot := e.Chip.NumCores() / 2
-	for _, i := range e.Chip.CoreComponents(hot) {
-		c := e.Chip.Components[i]
-		w := 6.0 * c.Area() / 9.36
-		if c.Name == "FPMul" {
-			w *= 4
-		}
-		p[i] = w
-	}
+	p := hotPower(e.Chip, 6, hot)
 	base, err := e.NW.Steady(p, 1, nil)
 	if err != nil {
 		return 0, 0, err
@@ -265,4 +217,29 @@ func WriteCurrentAblation(w io.Writer, rows []CurrentAblationRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8.1f %12.2f %12.2f\n", r.Current, r.PeakDrop, r.TECPower)
 	}
+}
+
+// refArea is the component area (mm²) that draws k W in hotPower.
+const refArea = 9.36
+
+// hotPower is the synthetic power map of the steady-state studies: every
+// component of the listed cores (all cores when none is listed) draws k W
+// per refArea of its area, and each FPMul hot spot four times that.
+func hotPower(chip *floorplan.Chip, k float64, cores ...int) []float64 {
+	if len(cores) == 0 {
+		for c := 0; c < chip.NumCores(); c++ {
+			cores = append(cores, c)
+		}
+	}
+	p := make([]float64, len(chip.Components))
+	for _, core := range cores {
+		for _, i := range chip.CoreComponents(core) {
+			c := chip.Components[i]
+			p[i] = k * c.Area() / refArea
+			if c.Name == "FPMul" {
+				p[i] *= 4
+			}
+		}
+	}
+	return p
 }

@@ -329,6 +329,14 @@ func TestOracleGap(t *testing.T) {
 		if r.Evaluations*100 > r.Configs {
 			t.Errorf("severity %v: TECfan used %d evals — not cheap vs %d", sev, r.Evaluations, r.Configs)
 		}
+		// The settled decision at severity 6 is the committed full-scale
+		// reproduction's: full DVFS throttle and 24 evaluations. A fixed
+		// point that retains the controller's reused decision buffers
+		// compares a buffer with itself, stops early and lands on DVFS 1.
+		if sev == 6 && (r.TECfanDVFS != 0 || r.Evaluations != 24) {
+			t.Errorf("severity 6: TECfan DVFS %d at %d evals, want DVFS 0 at 24",
+				r.TECfanDVFS, r.Evaluations)
+		}
 	}
 	r, _ := OracleGap(2)
 	var buf bytes.Buffer

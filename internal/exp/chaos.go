@@ -110,34 +110,32 @@ func (r *ChaosResult) Rejected() int {
 	return n
 }
 
-// Chaos sweeps scenario × policy under fault injection: every policy first
-// runs fault-free (with its §IV-C fan level), then once per scenario at the
-// same level with the scenario injected. Panics are caught per run; an
-// incomplete run surfaces as an explicit time-cap row. A row is accepted
+// Key identifies the row across resumed sweeps: its scenario and policy.
+func (r ChaosRow) Key() [2]any { return [2]any{r.Scenario, r.Policy} }
+
+// ChaosContext sweeps scenario × policy under fault injection: every policy
+// first runs fault-free (with its §IV-C fan level), then once per scenario
+// at the same level with the scenario injected. Panics are caught per run;
+// an incomplete run surfaces as an explicit time-cap row. A row is accepted
 // when the faulted violation ratio stays within 2× the fault-free ratio
 // plus ChaosAbsSlack, or when the controller demonstrably entered fail-safe.
-func (e *Env) Chaos(opt ChaosOptions) (*ChaosResult, error) {
-	return e.ChaosContext(context.Background(), opt)
-}
-
-// ChaosContext is Chaos under a context. On error — a failed baseline or
-// cancellation — the result holding every completed row returns alongside
-// it, never nil, so an interrupted sweep's rows survive for resume (see
-// ChaosOptions.Done) or reporting.
+//
+// On error — a failed baseline or cancellation — the result holding every
+// completed row returns alongside it, never nil, so an interrupted sweep's
+// rows survive for resume (see ChaosOptions.Done) or reporting.
 func (e *Env) ChaosContext(ctx context.Context, opt ChaosOptions) (*ChaosResult, error) {
 	b, err := workload.ByName(opt.Bench, opt.Threads, e.Leak)
 	if err != nil {
 		return nil, err
 	}
-	sb := e.scaled(b)
+	sb := e.Scaled(b)
 	policies := opt.Policies
 	if len(policies) == 0 {
 		policies = DefaultChaosPolicies()
 	}
-	known := e.Controllers()
 	for _, p := range policies {
-		if known[p] == nil {
-			return nil, fmt.Errorf("exp: unknown policy %q (valid: %v)", p, AllPolicies())
+		if _, err := e.Controller(p); err != nil {
+			return nil, err
 		}
 	}
 	names := opt.Scenarios
@@ -176,9 +174,9 @@ func (e *Env) ChaosContext(ctx context.Context, opt ChaosOptions) (*ChaosResult,
 	threshold := base.Metrics.PeakTemp
 	out.Threshold = threshold
 
-	done := map[[2]string]ChaosRow{}
+	done := map[[2]any]ChaosRow{}
 	for _, row := range opt.Done {
-		done[[2]string{row.Scenario, row.Policy}] = row
+		done[row.Key()] = row
 	}
 	emit := func(row ChaosRow) {
 		out.Rows = append(out.Rows, row)
@@ -187,28 +185,20 @@ func (e *Env) ChaosContext(ctx context.Context, opt ChaosOptions) (*ChaosResult,
 		}
 	}
 	for _, name := range policies {
-		// A policy whose every (scenario, policy) cell was already computed
-		// replays from Done without paying for fan-level selection again.
-		missing := 0
+		// The fault-free selection runs at the policy's first cell missing
+		// from Done, so a policy whose every cell was already computed
+		// replays without paying for it again.
+		var level int
+		var cleanRes *sim.Result
 		for _, sc := range scenarios {
-			if _, ok := done[[2]string{sc.Name, name}]; !ok {
-				missing++
-			}
-		}
-		if missing == 0 {
-			for _, sc := range scenarios {
-				emit(done[[2]string{sc.Name, name}])
-			}
-			continue
-		}
-		level, cleanRes, err := clean.SelectFanLevelContext(ctx, sb, name, threshold)
-		if err != nil {
-			return out, fmt.Errorf("chaos fault-free %s: %w", name, err)
-		}
-		for _, sc := range scenarios {
-			if row, ok := done[[2]string{sc.Name, name}]; ok {
+			if row, ok := done[[2]any{sc.Name, name}]; ok {
 				emit(row)
 				continue
+			}
+			if cleanRes == nil {
+				if level, cleanRes, err = clean.SelectFanLevelContext(ctx, sb, name, threshold); err != nil {
+					return out, fmt.Errorf("chaos fault-free %s: %w", name, err)
+				}
 			}
 			if err := ctx.Err(); err != nil {
 				return out, fmt.Errorf("chaos %s/%s: %w", sc.Name, name, err)
@@ -245,17 +235,16 @@ func (e *Env) chaosOne(ctx context.Context, b *workload.Benchmark, name string, 
 			row.PanicMsg = fmt.Sprint(r)
 		}
 	}()
-	ctl := e.Controllers()[name]
-	in := fault.NewInjector(sc, e.FaultLayout(b), seed)
-	sf := &fault.SimFaults{In: in}
-	cfg := e.config(b, threshold, level)
-	cfg.Sensors, cfg.Actuators = sf, sf
-	r, err := sim.NewRunner(cfg, ctl)
+	ctl, err := e.Controller(name)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
-	res, err := r.RunContext(ctx)
+	in := fault.NewInjector(sc, e.FaultLayout(b), seed)
+	res, err := e.runOne(ctx, b, ctl, threshold, level, func(cfg *sim.Config) {
+		sf := &fault.SimFaults{In: in}
+		cfg.Sensors, cfg.Actuators = sf, sf
+	})
 	if err != nil {
 		row.Err = err.Error()
 		row.TimeCapped = timeCapped(err)

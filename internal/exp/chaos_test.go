@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func chaosEnv() *Env {
 
 func TestChaosSweepSmall(t *testing.T) {
 	e := chaosEnv()
-	res, err := e.Chaos(ChaosOptions{
+	res, err := e.ChaosContext(context.Background(), ChaosOptions{
 		Bench: "cholesky", Threads: 16,
 		Policies:  []string{"TECfan-FT"},
 		Scenarios: []string{"sensor-dropout", "tec-fail-off"},
@@ -46,17 +47,17 @@ func TestChaosSweepSmall(t *testing.T) {
 
 func TestChaosRejectsUnknownInputs(t *testing.T) {
 	e := chaosEnv()
-	if _, err := e.Chaos(ChaosOptions{Bench: "cholesky", Threads: 16,
+	if _, err := e.ChaosContext(context.Background(), ChaosOptions{Bench: "cholesky", Threads: 16,
 		Policies: []string{"nope"}}); err == nil ||
 		!strings.Contains(err.Error(), "TECfan-FT") {
 		t.Fatalf("unknown policy error should list valid policies, got %v", err)
 	}
-	if _, err := e.Chaos(ChaosOptions{Bench: "cholesky", Threads: 16,
+	if _, err := e.ChaosContext(context.Background(), ChaosOptions{Bench: "cholesky", Threads: 16,
 		Scenarios: []string{"nope"}}); err == nil ||
 		!strings.Contains(err.Error(), "sensor-stuck") {
 		t.Fatalf("unknown scenario error should list valid scenarios, got %v", err)
 	}
-	if _, err := e.Chaos(ChaosOptions{Bench: "nope", Threads: 16}); err == nil {
+	if _, err := e.ChaosContext(context.Background(), ChaosOptions{Bench: "nope", Threads: 16}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

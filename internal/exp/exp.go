@@ -58,14 +58,14 @@ type Env struct {
 	FanPeriod float64
 
 	// Faults, when non-nil, injects the scenario into every run via the
-	// sim's sensor/actuator hooks; BaseScenario stays fault-free by
+	// sim's sensor/actuator hooks; BaseScenarioContext stays fault-free by
 	// definition. FaultSeed makes target selection reproducible.
 	Faults    *fault.Scenario
 	FaultSeed int64
 
 	// NumFaults, when non-nil, injects scheduled numerical corruption into
 	// every run via the sim's NumFaultInjector seam — the proof harness for
-	// the numguard invariant auditor. BaseScenario stays clean here too.
+	// the numguard invariant auditor. BaseScenarioContext stays clean too.
 	NumFaults *numfault.Schedule
 }
 
@@ -86,9 +86,9 @@ func NewEnv() *Env {
 	}
 }
 
-// scaled returns a copy of the benchmark with the instruction budget (and
-// hence run time) scaled.
-func (e *Env) scaled(b *workload.Benchmark) *workload.Benchmark {
+// Scaled returns a copy of the benchmark with the instruction budget (and
+// hence run time) shrunk by Scale — the scaling every driver applies.
+func (e *Env) Scaled(b *workload.Benchmark) *workload.Benchmark {
 	if floats.Same(e.Scale, 1) {
 		return b
 	}
@@ -98,8 +98,12 @@ func (e *Env) scaled(b *workload.Benchmark) *workload.Benchmark {
 	return &c
 }
 
-// config assembles a sim.Config for one run.
-func (e *Env) config(b *workload.Benchmark, threshold float64, fanLevel int) sim.Config {
+// SimConfig assembles the sim.Config this environment runs b under, with
+// the Env's fault and numerical-fault injectors installed. It is also the
+// seam the control-plane daemon uses to attach checkpointing before
+// building its own runner. The benchmark should already be scaled (see
+// Scaled).
+func (e *Env) SimConfig(b *workload.Benchmark, threshold float64, fanLevel int) sim.Config {
 	cfg := sim.Config{
 		Chip: e.Chip, Fan: e.Fan, Network: e.NW, DVFS: e.DVFS, Leak: e.Leak,
 		TECs: e.TECs, Bench: b, Threshold: threshold,
@@ -131,21 +135,14 @@ func (e *Env) FaultLayout(b *workload.Benchmark) fault.Layout {
 	}
 }
 
-// SimConfig assembles the sim.Config this environment would run b under —
-// the seam the control-plane daemon uses to attach checkpointing before
-// building its own runner. The benchmark should already be scaled (see
-// Scaled).
-func (e *Env) SimConfig(b *workload.Benchmark, threshold float64, fanLevel int) sim.Config {
-	return e.config(b, threshold, fanLevel)
-}
-
-// Scaled exposes the benchmark scaling used by every driver.
-func (e *Env) Scaled(b *workload.Benchmark) *workload.Benchmark { return e.scaled(b) }
-
-// runOne executes a single policy run at a fixed fan level.
-func (e *Env) runOne(ctx context.Context, b *workload.Benchmark, ctl sim.Controller, threshold float64, fanLevel int, trace bool) (*sim.Result, error) {
-	cfg := e.config(b, threshold, fanLevel)
-	cfg.RecordTrace = trace
+// runOne executes a single policy run at a fixed fan level — the one place
+// an experiment builds a sim.Runner. with, when non-nil, adjusts the config
+// first.
+func (e *Env) runOne(ctx context.Context, b *workload.Benchmark, ctl sim.Controller, threshold float64, fanLevel int, with func(*sim.Config)) (*sim.Result, error) {
+	cfg := e.SimConfig(b, threshold, fanLevel)
+	if with != nil {
+		with(&cfg)
+	}
 	r, err := sim.NewRunner(cfg, ctl)
 	if err != nil {
 		return nil, err
@@ -153,30 +150,50 @@ func (e *Env) runOne(ctx context.Context, b *workload.Benchmark, ctl sim.Control
 	return r.RunContext(ctx)
 }
 
-// RunTraced runs one policy at a fixed fan level with per-control-period
-// trace recording — the raw series behind the Fig. 4 panels.
-func (e *Env) RunTraced(b *workload.Benchmark, ctl sim.Controller, threshold float64, fanLevel int) (*sim.Result, error) {
-	return e.RunTracedContext(context.Background(), b, ctl, threshold, fanLevel)
-}
+// recordTrace turns on per-control-period trace recording.
+func recordTrace(cfg *sim.Config) { cfg.RecordTrace = true }
 
-// RunTracedContext is RunTraced under a context: cancellation surfaces within
-// one control period, with the partial result alongside the error.
+// RunTracedContext runs one policy at a fixed fan level with
+// per-control-period trace recording — the raw series behind the Fig. 4
+// panels. Cancellation surfaces within one control period, with the partial
+// result alongside the error.
 func (e *Env) RunTracedContext(ctx context.Context, b *workload.Benchmark, ctl sim.Controller, threshold float64, fanLevel int) (*sim.Result, error) {
-	return e.runOne(ctx, b, ctl, threshold, fanLevel, true)
+	return e.runOne(ctx, b, ctl, threshold, fanLevel, recordTrace)
 }
 
-// Controllers returns fresh instances of the §V-A baseline policies plus
-// TECfan, keyed by the paper's names.
-func (e *Env) Controllers() map[string]sim.Controller {
-	est := core.NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, 2e-3)
-	return map[string]sim.Controller{
-		"Fan-only":  policy.FanOnly{},
-		"Fan+TEC":   &policy.FanTEC{Placements: e.TECs},
-		"Fan+DVFS":  &policy.FanDVFS{Chip: e.Chip, DVFS: e.DVFS},
-		"DVFS+TEC":  &policy.DVFSTEC{Chip: e.Chip, DVFS: e.DVFS, Placements: e.TECs},
-		"TECfan":    core.NewController(est),
-		"TECfan-FT": core.NewFT(core.NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, 2e-3), core.FTConfig{}),
+// Controller returns a fresh instance of the named policy — one of
+// AllPolicies, keyed by the paper's names.
+func (e *Env) Controller(name string) (sim.Controller, error) {
+	switch name {
+	case "Fan-only":
+		return policy.FanOnly{}, nil
+	case "Fan+TEC":
+		return &policy.FanTEC{Placements: e.TECs}, nil
+	case "Fan+DVFS":
+		return &policy.FanDVFS{Chip: e.Chip, DVFS: e.DVFS}, nil
+	case "DVFS+TEC":
+		return &policy.DVFSTEC{Chip: e.Chip, DVFS: e.DVFS, Placements: e.TECs}, nil
+	case "TECfan":
+		return core.NewController(e.estimator(2e-3)), nil
+	case "TECfan-FT":
+		return core.NewFT(e.estimator(2e-3), core.FTConfig{}), nil
 	}
+	return nil, fmt.Errorf("exp: unknown policy %q (valid: %v)", name, AllPolicies())
+}
+
+// estimator builds a TECfan model estimator for the given control period.
+func (e *Env) estimator(period float64) *core.Estimator {
+	return core.NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, period)
+}
+
+// Controllers returns a fresh instance of every policy in AllPolicies, keyed
+// by name.
+func (e *Env) Controllers() map[string]sim.Controller {
+	out := map[string]sim.Controller{}
+	for _, name := range AllPolicies() {
+		out[name], _ = e.Controller(name)
+	}
+	return out
 }
 
 // PolicyOrder is the presentation order of Fig. 5/6 — the paper's five
@@ -187,54 +204,92 @@ var PolicyOrder = []string{"Fan-only", "Fan+TEC", "Fan+DVFS", "DVFS+TEC", "TECfa
 // AllPolicies lists every runnable policy: the paper's five plus TECfan-FT.
 func AllPolicies() []string { return append(append([]string(nil), PolicyOrder...), "TECfan-FT") }
 
-// SelectFanLevel reproduces §IV-C: run the policy at successively slower fan
-// levels and keep only levels whose violation ratio stays within budget.
-// Among feasible levels, the reactive baselines take the slowest fan (their
-// design goal is cooling with minimum fan power); TECfan takes the level
-// with the least total energy — that is what its higher-level loop, which
-// estimates energy before moving the fan, converges to. Returns the chosen
-// level and its run result.
-func (e *Env) SelectFanLevel(b *workload.Benchmark, name string, threshold float64) (int, *sim.Result, error) {
-	return e.SelectFanLevelContext(context.Background(), b, name, threshold)
+// candidate is what a §IV-C fan-level selection runs.
+type candidate struct {
+	// build returns a fresh controller for each level's run.
+	build func() (sim.Controller, error)
+	// period is the lower-level control period (0 = the sim's default).
+	period float64
+	// leastEnergy picks the feasible level with the least total energy
+	// instead of the slowest feasible level.
+	leastEnergy bool
 }
 
-// SelectFanLevelContext is SelectFanLevel under a context; cancellation
+// SelectFanLevelContext reproduces §IV-C: run the policy at successively
+// slower fan levels and keep only levels whose violation ratio stays within
+// budget. Among feasible levels, the reactive baselines take the slowest fan
+// (their design goal is cooling with minimum fan power); TECfan and
+// TECfan-FT take the level with the least total energy — that is what
+// TECfan's higher-level loop, which estimates energy before moving the fan,
+// converges to. Returns the chosen level and its run result; cancellation
 // aborts the sweep mid-level.
 func (e *Env) SelectFanLevelContext(ctx context.Context, b *workload.Benchmark, name string, threshold float64) (int, *sim.Result, error) {
+	level, res, _, err := e.selectFanLevel(ctx, b, threshold, candidate{
+		build:       func() (sim.Controller, error) { return e.Controller(name) },
+		leastEnergy: name == "TECfan" || name == "TECfan-FT",
+	})
+	return level, res, err
+}
+
+// selectFanLevel is the §IV-C selection loop behind SelectFanLevelContext
+// and the TECfan ablations. It also returns the controller of the chosen
+// run, so a caller can read what that run cost.
+func (e *Env) selectFanLevel(ctx context.Context, b *workload.Benchmark, threshold float64, c candidate) (int, *sim.Result, sim.Controller, error) {
+	run := func(level int) (*sim.Result, sim.Controller, error) {
+		ctl, err := c.build()
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := e.runOne(ctx, b, ctl, threshold, level, func(cfg *sim.Config) { cfg.ControlPeriod = c.period })
+		return res, ctl, err
+	}
 	chosen := 0
 	var chosenRes *sim.Result
+	var chosenCtl sim.Controller
 	for level := 0; level < e.Fan.NumLevels(); level++ {
-		ctl := e.Controllers()[name]
-		if ctl == nil {
-			return 0, nil, fmt.Errorf("exp: unknown policy %q", name)
-		}
-		res, err := e.runOne(ctx, b, ctl, threshold, level, false)
+		res, ctl, err := run(level)
 		if err != nil {
 			if timeCapped(err) {
 				break // this level over-throttles; slower ones only get worse
 			}
-			return 0, nil, err
+			return 0, nil, nil, err
 		}
-		if e.withinBudget(res) && res.Completed {
-			if chosenRes == nil ||
-				(name != "TECfan" && name != "TECfan-FT") ||
-				res.Metrics.Energy < chosenRes.Metrics.Energy {
-				chosen, chosenRes = level, res
-			}
-			continue
+		if !e.withinBudget(res) || !res.Completed {
+			break // slower levels only get worse
 		}
-		break // slower levels only get worse
+		if chosenRes == nil || !c.leastEnergy || res.Metrics.Energy < chosenRes.Metrics.Energy {
+			chosen, chosenRes, chosenCtl = level, res, ctl
+		}
 	}
 	if chosenRes == nil {
 		// Even the fastest fan violates: report level 0 anyway.
-		ctl := e.Controllers()[name]
-		res, err := e.runOne(ctx, b, ctl, threshold, 0, false)
+		res, ctl, err := run(0)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, nil, err
 		}
-		return 0, res, nil
+		return 0, res, ctl, nil
 	}
-	return chosen, chosenRes, nil
+	return chosen, chosenRes, chosenCtl, nil
+}
+
+// RunCell runs one §IV-C experiment cell: the named policy on b at its
+// selected fan level, against the base scenario whose metrics are base. T_th
+// is the base scenario's measured peak — the paper sets the threshold from
+// its own base runs, not from a fixed constant — and the cell's metrics are
+// normalized to base.
+func (e *Env) RunCell(ctx context.Context, b *workload.Benchmark, name string, base perf.Metrics) (PolicyRun, error) {
+	level, res, err := e.SelectFanLevelContext(ctx, b, name, base.PeakTemp)
+	if err != nil {
+		return PolicyRun{}, err
+	}
+	return PolicyRun{
+		Policy:    name,
+		Bench:     b.Name,
+		Threshold: base.PeakTemp,
+		FanLevel:  level,
+		Metrics:   res.Metrics,
+		Norm:      res.Metrics.Normalize(base),
+	}, nil
 }
 
 // timeCapped reports whether err is the sim's explicit MaxTimeFactor cap —
@@ -268,21 +323,17 @@ func (e *Env) withinBudget(res *sim.Result) bool {
 		res.Metrics.ViolationRatio*res.Metrics.Time <= ViolationTimeBudget
 }
 
-// BaseScenario runs a benchmark with everything maxed (fan level 1 = index
-// 0, max DVFS, TECs off) and returns its metrics — the Table I row and the
-// Fig. 6 normalization base. The temperature threshold used during the run
-// is the benchmark's own Table I peak (the base scenario defines it). The
-// base scenario is fault-free by definition, even on an Env with Faults set.
-func (e *Env) BaseScenario(b *workload.Benchmark) (*sim.Result, error) {
-	return e.BaseScenarioContext(context.Background(), b)
-}
-
-// BaseScenarioContext is BaseScenario under a context.
+// BaseScenarioContext runs a benchmark with everything maxed (fan level 1 =
+// index 0, max DVFS, TECs off) and returns its metrics — the Table I row and
+// the Fig. 6 normalization base. The temperature threshold used during the
+// run is the benchmark's own Table I peak (the base scenario defines it).
+// The base scenario is fault-free by definition, even on an Env with Faults
+// set.
 func (e *Env) BaseScenarioContext(ctx context.Context, b *workload.Benchmark) (*sim.Result, error) {
 	clean := *e
 	clean.Faults = nil
 	clean.NumFaults = nil
-	return clean.runOne(ctx, b, policy.FanOnly{}, b.TargetPeak, 0, false)
+	return clean.runOne(ctx, b, policy.FanOnly{}, b.TargetPeak, 0, nil)
 }
 
 // Metrics shorthand.

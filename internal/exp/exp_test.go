@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -24,7 +25,7 @@ func TestTable1Reproduction(t *testing.T) {
 		t.Skip("full Table I reproduction in -short mode")
 	}
 	e := testEnv()
-	rows, err := e.Table1()
+	rows, err := e.Table1Opt(context.Background(), RowOptions[Table1Row]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("Fig 4 reproduction in -short mode")
 	}
 	e := testEnv()
-	cases, err := e.Fig4()
+	cases, err := e.Fig4Opt(context.Background(), RowOptions[Fig4Case]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFig56Shape(t *testing.T) {
 		t.Skip("Fig 5/6 reproduction in -short mode")
 	}
 	e := testEnv()
-	r, err := e.Fig56()
+	r, err := e.Fig56Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig 7 reproduction in -short mode")
 	}
-	rows, err := Fig7(120) // 2-minute traces for the test
+	rows, err := Fig7Context(context.Background(), 120) // 2-minute traces for the test
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +266,10 @@ func TestHardwareCostReport(t *testing.T) {
 func TestSelectFanLevelUnknownPolicy(t *testing.T) {
 	e := testEnv()
 	bs := testBenchmarks(e)
-	if _, _, err := e.SelectFanLevel(bs[0], "NoSuch", 90); err == nil {
-		t.Fatal("unknown policy accepted")
+	_, _, err := e.SelectFanLevelContext(context.Background(), bs[0], "NoSuch", 90)
+	if err == nil || !strings.HasPrefix(err.Error(), "exp: unknown policy") ||
+		!strings.Contains(err.Error(), "TECfan-FT") {
+		t.Fatalf("unknown policy: got %v, want the exp error listing the valid policies", err)
 	}
 }
 
@@ -284,7 +287,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	e := testEnv()
 	var buf bytes.Buffer
-	if err := e.WriteReport(&buf, ReportOptions{TraceSeconds: 60, SkipSlow: true}); err != nil {
+	if err := e.WriteReportContext(context.Background(), &buf, ReportOptions{TraceSeconds: 60, SkipSlow: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

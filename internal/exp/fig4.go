@@ -31,83 +31,35 @@ type Fig4Case struct {
 	TECPowerAvg float64 // average TEC electrical power of the Fan+TEC run
 }
 
-// Fig4Options narrows and instruments a Fig. 4 reproduction for sharded
-// execution, mirroring Table1Options: Indices selects benchmarks (nil = all,
-// in Table I order), Done replays finished cases (matched by bench +
-// threads), OnRow observes every emitted case.
-type Fig4Options struct {
-	Indices []int
-	Done    []Fig4Case
-	OnRow   func(Fig4Case)
-}
+// Key identifies the case across resumed sweeps: its benchmark and threads.
+func (c Fig4Case) Key() [2]any { return [2]any{c.Bench, c.Threads} }
 
-// Fig4 reproduces §V-B over all Table I benchmarks.
-func (e *Env) Fig4() ([]Fig4Case, error) { return e.Fig4Context(context.Background()) }
-
-// Fig4Context is Fig4 under a context. On error — including cancellation —
-// the cases completed so far return alongside it.
-func (e *Env) Fig4Context(ctx context.Context) ([]Fig4Case, error) {
-	return e.Fig4Opt(ctx, Fig4Options{})
-}
-
-// Fig4Opt is Fig4Context with sharding and resume options.
-func (e *Env) Fig4Opt(ctx context.Context, opt Fig4Options) ([]Fig4Case, error) {
-	all := workload.Table1(e.Leak)
-	idx := opt.Indices
-	if idx == nil {
-		idx = make([]int, len(all))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	done := map[[2]any]Fig4Case{}
-	for _, c := range opt.Done {
-		done[[2]any{c.Bench, c.Threads}] = c
-	}
-	var out []Fig4Case
-	emit := func(c Fig4Case) {
-		out = append(out, c)
-		if opt.OnRow != nil {
-			opt.OnRow(c)
-		}
-	}
-	for _, i := range idx {
-		if i < 0 || i >= len(all) {
-			return out, fmt.Errorf("fig4: benchmark index %d out of range [0,%d)", i, len(all))
-		}
-		b := all[i]
-		if c, ok := done[[2]any{b.Name, b.Threads}]; ok {
-			emit(c)
-			continue
-		}
-		c, err := e.fig4One(ctx, b)
-		if err != nil {
-			return out, err
-		}
-		emit(c)
-	}
-	return out, nil
+// Fig4Opt reproduces §V-B over the selected Table I benchmarks (all by
+// default). On error — including cancellation — the cases completed so far
+// return alongside it.
+func (e *Env) Fig4Opt(ctx context.Context, opt RowOptions[Fig4Case]) ([]Fig4Case, error) {
+	return sweepRows(e, opt, func(b *workload.Benchmark) (Fig4Case, error) { return e.fig4One(ctx, b) })
 }
 
 // fig4One runs the four-simulation comparison for one benchmark.
 func (e *Env) fig4One(ctx context.Context, b *workload.Benchmark) (Fig4Case, error) {
-	sb := e.scaled(b)
+	sb := e.Scaled(b)
 	// First pass at level 1 establishes T_th = measured base peak.
-	pre, err := e.runOne(ctx, sb, policy.FanOnly{}, b.TargetPeak, 0, false)
+	pre, err := e.BaseScenarioContext(ctx, sb)
 	if err != nil {
 		return Fig4Case{}, fmt.Errorf("fig4 %s pre: %w", b.Name, err)
 	}
 	th := pre.Metrics.PeakTemp
 
-	l1, err := e.runOne(ctx, sb, policy.FanOnly{}, th, 0, true)
+	l1, err := e.runOne(ctx, sb, policy.FanOnly{}, th, 0, recordTrace)
 	if err != nil {
 		return Fig4Case{}, fmt.Errorf("fig4 %s L1: %w", b.Name, err)
 	}
-	l2, err := e.runOne(ctx, sb, policy.FanOnly{}, th, 1, true)
+	l2, err := e.runOne(ctx, sb, policy.FanOnly{}, th, 1, recordTrace)
 	if err != nil {
 		return Fig4Case{}, fmt.Errorf("fig4 %s L2: %w", b.Name, err)
 	}
-	ft, err := e.runOne(ctx, sb, &policy.FanTEC{Placements: e.TECs}, th, 1, true)
+	ft, err := e.runOne(ctx, sb, &policy.FanTEC{Placements: e.TECs}, th, 1, recordTrace)
 	if err != nil {
 		return Fig4Case{}, fmt.Errorf("fig4 %s Fan+TEC: %w", b.Name, err)
 	}

@@ -25,40 +25,27 @@ type Fig56Result struct {
 	Base map[string]perf.Metrics
 }
 
-// Fig56 reproduces the §V-C cooling-performance comparison (Fig. 5) and the
-// §V-D energy/performance comparison (Fig. 6) over the four 16-thread
-// benchmarks: each policy runs at its §IV-C fan level; metrics are
-// normalized to the base scenario.
-func (e *Env) Fig56() (*Fig56Result, error) { return e.Fig56Context(context.Background()) }
-
-// Fig56Context is Fig56 under a context. On error — a failed cell or
-// cancellation — the result holding every completed cell returns alongside
-// it, never nil, so partial sweeps stay renderable.
+// Fig56Context reproduces the §V-C cooling-performance comparison (Fig. 5)
+// and the §V-D energy/performance comparison (Fig. 6) over the four
+// 16-thread benchmarks: each policy runs as one RunCell against its
+// benchmark's base scenario. On error — a failed cell or cancellation — the
+// result holding every completed cell returns alongside it, never nil, so
+// partial sweeps stay renderable.
 func (e *Env) Fig56Context(ctx context.Context) (*Fig56Result, error) {
 	out := &Fig56Result{Base: map[string]perf.Metrics{}}
 	for _, b := range workload.Fig56Benchmarks(e.Leak) {
-		sb := e.scaled(b)
+		sb := e.Scaled(b)
 		base, err := e.BaseScenarioContext(ctx, sb)
 		if err != nil {
 			return out, fmt.Errorf("fig56 base %s: %w", b.Name, err)
 		}
 		out.Base[b.Name] = base.Metrics
-		// T_th is the measured base-scenario peak (§IV-C) — the paper sets
-		// the threshold from its own base runs, not from a fixed constant.
-		threshold := base.Metrics.PeakTemp
 		for _, name := range PolicyOrder {
-			level, res, err := e.SelectFanLevelContext(ctx, sb, name, threshold)
+			run, err := e.RunCell(ctx, sb, name, base.Metrics)
 			if err != nil {
 				return out, fmt.Errorf("fig56 %s/%s: %w", b.Name, name, err)
 			}
-			out.Runs = append(out.Runs, PolicyRun{
-				Policy:    name,
-				Bench:     b.Name,
-				Threshold: threshold,
-				FanLevel:  level,
-				Metrics:   res.Metrics,
-				Norm:      res.Metrics.Normalize(base.Metrics),
-			})
+			out.Runs = append(out.Runs, run)
 		}
 	}
 	return out, nil

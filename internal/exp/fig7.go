@@ -16,12 +16,9 @@ type Fig7Row struct {
 	Delay, Power, Energy, EDP float64
 }
 
-// Fig7 runs the 4-core server comparison. seconds is the per-core trace
-// length (600 = the paper's 10 minutes).
-func Fig7(seconds int) ([]Fig7Row, error) { return Fig7Context(context.Background(), seconds) }
-
-// Fig7Context is Fig7 under a context; cancellation aborts between policies
-// or at the next simulated control period.
+// Fig7Context runs the 4-core server comparison. seconds is the per-core
+// trace length (600 = the paper's 10 minutes); cancellation aborts between
+// policies or at the next simulated control period.
 func Fig7Context(ctx context.Context, seconds int) ([]Fig7Row, error) {
 	m := server.NewMachine()
 	traces := server.PaperTraces()

@@ -13,7 +13,7 @@ import (
 func testBenchmarks(e *Env) []*workload.Benchmark {
 	var out []*workload.Benchmark
 	for _, b := range workload.Table1(e.Leak) {
-		out = append(out, e.scaled(b))
+		out = append(out, e.Scaled(b))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -54,22 +55,22 @@ func (e *Env) MappingStudy(benchName, policyName string) ([]MappingRow, error) {
 	for _, m := range StandardMappings() {
 		mb := *b
 		mb.ActiveCores = append([]int(nil), m.Cores...)
-		sb := e.scaled(&mb)
-		base, err := e.BaseScenario(sb)
+		sb := e.Scaled(&mb)
+		base, err := e.BaseScenarioContext(context.Background(), sb)
 		if err != nil {
 			return nil, fmt.Errorf("mapping %s base: %w", m.Name, err)
 		}
-		level, res, err := e.SelectFanLevel(sb, policyName, base.Metrics.PeakTemp)
+		run, err := e.RunCell(context.Background(), sb, policyName, base.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("mapping %s policy: %w", m.Name, err)
 		}
 		rows = append(rows, MappingRow{
 			Mapping:  m.Name,
 			Policy:   policyName,
-			BasePeak: base.Metrics.PeakTemp,
-			FanLevel: level,
-			Metrics:  res.Metrics,
-			Norm:     res.Metrics.Normalize(base.Metrics),
+			BasePeak: run.Threshold,
+			FanLevel: run.FanLevel,
+			Metrics:  run.Metrics,
+			Norm:     run.Norm,
 		})
 	}
 	return rows, nil

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"tecfan/internal/perf"
 	"tecfan/internal/sim"
@@ -42,21 +44,24 @@ func (e *Env) MixStudy() (*MixResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sb := e.scaled(mixed)
+	sb := e.Scaled(mixed)
 
-	base, err := e.BaseScenario(sb)
+	ctx := context.Background()
+	base, err := e.BaseScenarioContext(ctx, sb)
 	if err != nil {
 		return nil, err
 	}
-	threshold := base.Metrics.PeakTemp
-
-	// Run TECfan with tracing so the per-side TEC duty can be split.
-	level, res, err := e.SelectFanLevel(sb, "TECfan", threshold)
+	run, err := e.RunCell(ctx, sb, "TECfan", base.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	ctl := e.Controllers()["TECfan"]
-	traced, err := e.RunTraced(sb, ctl, threshold, level)
+	// Rerun TECfan at the chosen level with tracing so the per-side TEC
+	// duty can be split.
+	ctl, err := e.Controller("TECfan")
+	if err != nil {
+		return nil, err
+	}
+	traced, err := e.RunTracedContext(ctx, sb, ctl, run.Threshold, run.FanLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -64,47 +69,33 @@ func (e *Env) MixStudy() (*MixResult, error) {
 
 	return &MixResult{
 		Bench:        mixed.Name,
-		Threshold:    threshold,
-		FanLevel:     level,
-		Metrics:      res.Metrics,
-		Norm:         res.Metrics.Normalize(base.Metrics),
+		Threshold:    run.Threshold,
+		FanLevel:     run.FanLevel,
+		Metrics:      run.Metrics,
+		Norm:         run.Norm,
 		DutyHotSide:  hotDuty,
 		DutyCoolSide: coolDuty,
 	}, nil
 }
 
 // tecDutySplit estimates per-side TEC duty from a run trace. TracePoint
-// carries only the total device count, so the split uses the recorded
-// final-period state as the spatial proxy when totals are flat; for the
-// purposes of this study, the controller's decisions are strongly
-// stationary, making the proxy adequate — the assertion tested is a large
-// hot/cool imbalance, not a precise ratio.
+// carries only the total device count, so each period's devices are
+// attributed to the side that holds that period's peak component. The
+// proxy is coarse, but the assertion it serves is a large hot/cool
+// imbalance, not a precise ratio.
 func (e *Env) tecDutySplit(res *sim.Result, hotSide []int) (hot, cool float64) {
-	hotSet := map[int]bool{}
-	for _, c := range hotSide {
-		hotSet[c] = true
-	}
-	// Approximate the split by weighting each trace point's device count
-	// with the steady spatial distribution inferred from the temperatures:
-	// hotter halves attract the reactive/heuristic TEC decisions. Without
-	// per-device traces we integrate the per-side peak-excess as the proxy.
-	var hotExcess, coolExcess float64
 	for _, p := range res.Trace {
-		if p.TECsOn == 0 {
-			continue
-		}
-		core := e.Chip.CoreOf(p.PeakComp)
-		if hotSet[core] {
-			hotExcess += float64(p.TECsOn)
+		if slices.Contains(hotSide, e.Chip.CoreOf(p.PeakComp)) {
+			hot += float64(p.TECsOn)
 		} else {
-			coolExcess += float64(p.TECsOn)
+			cool += float64(p.TECsOn)
 		}
 	}
-	total := hotExcess + coolExcess
+	total := hot + cool
 	if total == 0 {
 		return 0, 0
 	}
-	return hotExcess / total, coolExcess / total
+	return hot / total, cool / total
 }
 
 // WriteMixStudy renders the study.

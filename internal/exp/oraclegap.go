@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"tecfan/internal/core"
 	"tecfan/internal/fan"
@@ -55,14 +57,7 @@ func OracleGap(severity float64) (*OracleGapResult, error) {
 	est := core.NewEstimator(nw, table, leak, fm, placements, 2e-3)
 
 	// A concentrated hot workload on the single core.
-	nComp := len(chip.Components)
-	dyn := make([]float64, nComp)
-	for i, c := range chip.Components {
-		dyn[i] = 7.0 * c.Area() / 9.36
-		if c.Name == "FPMul" {
-			dyn[i] *= 4
-		}
-	}
+	dyn := hotPower(chip, 7)
 	temps, err := nw.Steady(dyn, 1, nil)
 	if err != nil {
 		return nil, err
@@ -94,10 +89,12 @@ func OracleGap(severity float64) (*OracleGapResult, error) {
 	for round := 0; round < 20; round++ {
 		dec := ctl.Control(&cur)
 		next := cur
-		next.DVFS = dec.DVFS
-		next.TECOn = dec.TECOn
+		// The decision's slices are the controller's buffers, reused by the
+		// next Control call: the loop retains them, so it keeps copies.
+		next.DVFS = append([]int(nil), dec.DVFS...)
+		next.TECOn = append([]bool(nil), dec.TECOn...)
 		next.FanLevel = ctl.FanControl(&next)
-		nc := core.Candidate{DVFS: dec.DVFS, TECOn: dec.TECOn, FanLevel: next.FanLevel}
+		nc := core.Candidate{DVFS: next.DVFS, TECOn: next.TECOn, FanLevel: next.FanLevel}
 		if sameCandidate(cand, nc) {
 			break
 		}
@@ -138,7 +135,7 @@ func OracleGap(severity float64) (*OracleGapResult, error) {
 				}
 				if se.EPI < res.OracleEPI {
 					res.OracleEPI = se.EPI
-					res.OracleTECs = countBits(mask)
+					res.OracleTECs = bits.OnesCount(uint(mask))
 					res.OracleDVFS = lvl
 					res.OracleFan = f
 				}
@@ -158,28 +155,7 @@ func OracleGap(severity float64) (*OracleGapResult, error) {
 
 // sameCandidate reports whether two candidates pick identical actuators.
 func sameCandidate(a, b core.Candidate) bool {
-	if len(a.DVFS) != len(b.DVFS) || len(a.TECOn) != len(b.TECOn) || a.FanLevel != b.FanLevel {
-		return false
-	}
-	for i := range a.DVFS {
-		if a.DVFS[i] != b.DVFS[i] {
-			return false
-		}
-	}
-	for i := range a.TECOn {
-		if a.TECOn[i] != b.TECOn[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func countBits(x int) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	return a.FanLevel == b.FanLevel && slices.Equal(a.DVFS, b.DVFS) && slices.Equal(a.TECOn, b.TECOn)
 }
 
 // WriteOracleGap renders the comparison.

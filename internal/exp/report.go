@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -38,14 +39,9 @@ func (opt ReportOptions) stage() func() string {
 	}
 }
 
-// WriteReport runs the experiments against the environment and renders
-// markdown to w.
-func (e *Env) WriteReport(w io.Writer, opt ReportOptions) error {
-	return e.WriteReportContext(context.Background(), w, opt)
-}
-
-// WriteReportContext is WriteReport under a context: cancellation aborts the
-// in-flight experiment within one of its control periods.
+// WriteReportContext runs the experiments against the environment and
+// renders markdown to w. Cancellation aborts the in-flight experiment within
+// one of its control periods.
 func (e *Env) WriteReportContext(ctx context.Context, w io.Writer, opt ReportOptions) error {
 	if opt.TraceSeconds == 0 {
 		opt.TraceSeconds = 600
@@ -55,7 +51,7 @@ func (e *Env) WriteReportContext(ctx context.Context, w io.Writer, opt ReportOpt
 
 	// Table I.
 	done := opt.stage()
-	rows, err := e.Table1Context(ctx)
+	rows, err := e.Table1Opt(ctx, RowOptions[Table1Row]{})
 	if err != nil {
 		return err
 	}
@@ -64,8 +60,8 @@ func (e *Env) WriteReportContext(ctx context.Context, w io.Writer, opt ReportOpt
 	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	for _, r := range rows {
 		verdict := "ok"
-		if abs(r.TimeMS-r.PaperTimeMS)/r.PaperTimeMS > 0.05 ||
-			abs(r.Power-r.PaperPower) > 4 || abs(r.PeakT-r.PaperPeakT) > 5 {
+		if math.Abs(r.TimeMS-r.PaperTimeMS)/r.PaperTimeMS > 0.05 ||
+			math.Abs(r.Power-r.PaperPower) > 4 || math.Abs(r.PeakT-r.PaperPeakT) > 5 {
 			verdict = "**deviates**"
 		}
 		fmt.Fprintf(w, "| %s | %d | %.2f→%.2f | %.1f→%.1f | %.2f→%.2f | %s |\n",
@@ -76,7 +72,7 @@ func (e *Env) WriteReportContext(ctx context.Context, w io.Writer, opt ReportOpt
 
 	// Fig. 4.
 	done = opt.stage()
-	cases, err := e.Fig4Context(ctx)
+	cases, err := e.Fig4Opt(ctx, RowOptions[Fig4Case]{})
 	if err != nil {
 		return err
 	}
@@ -143,11 +139,4 @@ func (e *Env) WriteReportContext(ctx context.Context, w io.Writer, opt ReportOpt
 	fmt.Fprintf(w, "%d multipliers, %.2f%% area / %.2f%% power of the paper's reference die (bound: <1.7%%); per-core G band kl=%d.\n\n",
 		hw.Paper.Multipliers, 100*hw.Paper.AreaOverhead, 100*hw.Paper.PowerOverhead, hw.KL)
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

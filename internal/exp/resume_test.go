@@ -207,7 +207,7 @@ func TestSweepPartialResults(t *testing.T) {
 			Scenarios: []string{"sensor-dropout", "tec-fail-off"},
 			Seed:      7,
 		}
-		full, err := chaosEnv().Chaos(opt)
+		full, err := chaosEnv().ChaosContext(context.Background(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestSweepPartialResults(t *testing.T) {
 		// uninterrupted one exactly.
 		ropt := opt
 		ropt.Done = partial.Rows
-		resumed, err := chaosEnv().Chaos(ropt)
+		resumed, err := chaosEnv().ChaosContext(context.Background(), ropt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestSweepPartialResults(t *testing.T) {
 		// Runs at this scale span several control periods, so the pre-canceled
 		// context is noticed inside the very first run of each sweep.
 		e := resumeEnv(t, "")
-		if _, err := e.Table1Context(ctx); err == nil {
+		if _, err := e.Table1Opt(ctx, RowOptions[Table1Row]{}); err == nil {
 			t.Fatal("table1 under canceled ctx returned no error")
 		}
 		if out, err := e.Fig56Context(ctx); err == nil || out == nil {

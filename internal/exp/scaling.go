@@ -60,18 +60,8 @@ func ControllerScaling(now func() time.Time, grids []int) ([]ScalingRow, error) 
 		// pinned well below the operating point so the hot iteration walks
 		// TECs and then DVFS — the bounded worst case of §V-A's complexity
 		// discussion.
-		nComp := len(chip.Components)
 		nCores := chip.NumCores()
-		dyn := make([]float64, nComp)
-		for c := 0; c < nCores; c++ {
-			for _, i := range chip.CoreComponents(c) {
-				comp := chip.Components[i]
-				dyn[i] = 6.5 * comp.Area() / 9.36
-				if comp.Name == "FPMul" {
-					dyn[i] *= 4
-				}
-			}
-		}
+		dyn := hotPower(chip, 6.5)
 		temps, err := nw.Steady(dyn, 1, nil)
 		if err != nil {
 			return nil, fmt.Errorf("scaling %d cores: %w", nCores, err)

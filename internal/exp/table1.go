@@ -25,29 +25,24 @@ type Table1Row struct {
 	PaperPeakT  float64
 }
 
-// Table1Options narrows and instruments a Table I reproduction for sharded
-// execution: Indices selects a subset of rows (nil = all, in table order),
-// Done replays rows already computed (matched by workload + threads), and
-// OnRow observes every emitted row — the same resume seams ChaosOptions
-// gives chaos sweeps.
-type Table1Options struct {
+// Key identifies the row across resumed sweeps: its workload and threads.
+func (r Table1Row) Key() [2]any { return [2]any{r.Workload, r.Threads} }
+
+// RowOptions narrows and instruments a sweep over the Table I benchmarks
+// for sharded execution: Indices selects rows (nil = all, in table order),
+// Done replays rows already computed (matched by Key), and OnRow observes
+// every emitted row, replayed ones included — the same resume seams
+// ChaosOptions gives chaos sweeps.
+type RowOptions[T interface{ Key() [2]any }] struct {
 	Indices []int
-	Done    []Table1Row
-	OnRow   func(Table1Row)
+	Done    []T
+	OnRow   func(T)
 }
 
-// Table1 reproduces the base scenario for all eight Table I rows.
-func (e *Env) Table1() ([]Table1Row, error) { return e.Table1Context(context.Background()) }
-
-// Table1Context is Table1 under a context. On error — a failed row or
-// cancellation — the rows completed so far return alongside it, so a caller
-// can still render or persist the partial table.
-func (e *Env) Table1Context(ctx context.Context) ([]Table1Row, error) {
-	return e.Table1Opt(ctx, Table1Options{})
-}
-
-// Table1Opt is Table1Context with sharding and resume options.
-func (e *Env) Table1Opt(ctx context.Context, opt Table1Options) ([]Table1Row, error) {
+// sweepRows runs one row per selected Table I benchmark, replaying Done
+// rows instead of recomputing them. On error the rows emitted so far return
+// alongside it.
+func sweepRows[T interface{ Key() [2]any }](e *Env, opt RowOptions[T], run func(*workload.Benchmark) (T, error)) ([]T, error) {
 	all := workload.Table1(e.Leak)
 	idx := opt.Indices
 	if idx == nil {
@@ -56,32 +51,42 @@ func (e *Env) Table1Opt(ctx context.Context, opt Table1Options) ([]Table1Row, er
 			idx[i] = i
 		}
 	}
-	done := map[[2]any]Table1Row{}
+	done := map[[2]any]T{}
 	for _, row := range opt.Done {
-		done[[2]any{row.Workload, row.Threads}] = row
+		done[row.Key()] = row
 	}
-	var rows []Table1Row
-	emit := func(row Table1Row) {
+	var rows []T
+	for _, i := range idx {
+		if i < 0 || i >= len(all) {
+			return rows, fmt.Errorf("exp: row index %d out of range [0,%d)", i, len(all))
+		}
+		b := all[i]
+		row, ok := done[[2]any{b.Name, b.Threads}]
+		if !ok {
+			var err error
+			if row, err = run(b); err != nil {
+				return rows, err
+			}
+		}
 		rows = append(rows, row)
 		if opt.OnRow != nil {
 			opt.OnRow(row)
 		}
 	}
-	for _, i := range idx {
-		if i < 0 || i >= len(all) {
-			return rows, fmt.Errorf("table1: row index %d out of range [0,%d)", i, len(all))
-		}
-		b := all[i]
-		if row, ok := done[[2]any{b.Name, b.Threads}]; ok {
-			emit(row)
-			continue
-		}
-		sb := e.scaled(b)
-		res, err := e.BaseScenarioContext(ctx, sb)
+	return rows, nil
+}
+
+// Table1Opt reproduces the base scenario for the selected Table I rows
+// (all eight by default). On error — a failed row or cancellation — the
+// rows completed so far return alongside it, so a caller can still render
+// or persist the partial table.
+func (e *Env) Table1Opt(ctx context.Context, opt RowOptions[Table1Row]) ([]Table1Row, error) {
+	return sweepRows(e, opt, func(b *workload.Benchmark) (Table1Row, error) {
+		res, err := e.BaseScenarioContext(ctx, e.Scaled(b))
 		if err != nil {
-			return rows, fmt.Errorf("table1 %s-%d: %w", b.Name, b.Threads, err)
+			return Table1Row{}, fmt.Errorf("table1 %s-%d: %w", b.Name, b.Threads, err)
 		}
-		emit(Table1Row{
+		return Table1Row{
 			Workload:  b.Name,
 			Inputfile: b.Input,
 			FFInst:    b.FFInst,
@@ -96,9 +101,8 @@ func (e *Env) Table1Opt(ctx context.Context, opt Table1Options) ([]Table1Row, er
 			PaperTimeMS: b.TargetTimeMS,
 			PaperPower:  b.TargetPower,
 			PaperPeakT:  b.TargetPeak,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // WriteTable1 renders the rows in the paper's layout plus the paper-reported

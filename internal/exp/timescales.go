@@ -29,19 +29,9 @@ type StepResponse struct {
 // Timescales runs the three step experiments on a hot quad-core scenario.
 func (e *Env) Timescales() ([]StepResponse, error) {
 	chip := e.Chip
-	nComp := len(chip.Components)
 
 	// Scenario: all cores moderately busy, one concentrated hot spot.
-	basePower := make([]float64, nComp)
-	for core := 0; core < chip.NumCores(); core++ {
-		for _, i := range chip.CoreComponents(core) {
-			c := chip.Components[i]
-			basePower[i] = 5.5 * c.Area() / 9.36
-			if c.Name == "FPMul" {
-				basePower[i] *= 4
-			}
-		}
-	}
+	basePower := hotPower(chip, 5.5)
 
 	// watchComp, when ≥ 0, selects the component whose response is timed
 	// (the actuated core's hot spot); −1 falls back to the global peak.

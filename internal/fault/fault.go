@@ -13,10 +13,9 @@
 //
 // A Scenario is a pure description; an Injector materializes it against a
 // concrete platform Layout with a seeded RNG, so identical (scenario, seed,
-// layout) triples corrupt identical runs identically. Adapters in sim.go
-// and server.go plug an Injector into the 16-core co-simulation
-// (sim.SensorModel / sim.ActuatorModel) and the §V-E server platform
-// (server.SensorModel / server.ActuatorModel).
+// layout) triples corrupt identical runs identically. The adapter in sim.go
+// plugs an Injector into the 16-core co-simulation's sensor and actuator
+// seams (sim.SensorModel / sim.ActuatorModel).
 package fault
 
 import (
@@ -268,24 +267,6 @@ func (in *Injector) FilterTEC(now float64, on []bool, amps []float64, failCurren
 							amps[l] = 0
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-// FilterBanks applies TEC faults at whole-bank granularity (the server
-// platform's actuation unit) in place.
-func (in *Injector) FilterBanks(now float64, banks []bool) {
-	for _, a := range in.faults {
-		if now < a.start {
-			continue
-		}
-		switch a.Kind {
-		case TECFailOff, TECFailOn:
-			for _, c := range a.cores {
-				if c < len(banks) {
-					banks[c] = a.Kind == TECFailOn
 				}
 			}
 		}

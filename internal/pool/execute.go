@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"tecfan/internal/exp"
 	"tecfan/internal/fault"
@@ -73,40 +74,22 @@ func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.S
 		env.NumFaults = nf
 		err = executeTrace(ctx, env, sh, from, save, out)
 	case KindChaos:
-		rows := append([]exp.ChaosRow(nil), from.Rows...)
+		rows := rowOptions(sh, from.Rows, save, func(r []exp.ChaosRow) *Checkpoint { return &Checkpoint{Rows: r} })
 		var res *exp.ChaosResult
 		res, err = env.ChaosContext(ctx, exp.ChaosOptions{
 			Bench: sh.Bench, Threads: sh.Threads,
 			Policies: sh.Policies, Scenarios: sh.Scenarios, Seed: sh.Seed,
-			Done: from.Rows,
-			OnRow: func(row exp.ChaosRow) {
-				rows = upsert(rows, row, func(r exp.ChaosRow) [2]any { return [2]any{r.Scenario, r.Policy} })
-				_ = save(&Checkpoint{Rows: rows})
-			},
+			Done: rows.Done, OnRow: rows.OnRow,
 		})
 		if err == nil {
 			out.Threshold, out.Rows = res.Threshold, res.Rows
 		}
 	case KindTable1:
-		rows := append([]exp.Table1Row(nil), from.T1Rows...)
-		out.T1Rows, err = env.Table1Opt(ctx, exp.Table1Options{
-			Indices: sh.Indices,
-			Done:    from.T1Rows,
-			OnRow: func(row exp.Table1Row) {
-				rows = upsert(rows, row, func(r exp.Table1Row) [2]any { return [2]any{r.Workload, r.Threads} })
-				_ = save(&Checkpoint{T1Rows: rows})
-			},
-		})
+		out.T1Rows, err = env.Table1Opt(ctx, rowOptions(sh, from.T1Rows, save,
+			func(r []exp.Table1Row) *Checkpoint { return &Checkpoint{T1Rows: r} }))
 	case KindFig4:
-		cases := append([]exp.Fig4Case(nil), from.Cases...)
-		out.Cases, err = env.Fig4Opt(ctx, exp.Fig4Options{
-			Indices: sh.Indices,
-			Done:    from.Cases,
-			OnRow: func(c exp.Fig4Case) {
-				cases = upsert(cases, c, func(c exp.Fig4Case) [2]any { return [2]any{c.Bench, c.Threads} })
-				_ = save(&Checkpoint{Cases: cases})
-			},
-		})
+		out.Cases, err = env.Fig4Opt(ctx, rowOptions(sh, from.Cases, save,
+			func(c []exp.Fig4Case) *Checkpoint { return &Checkpoint{Cases: c} }))
 	default:
 		err = fmt.Errorf("pool: unknown shard kind %q", sh.Kind)
 	}
@@ -155,9 +138,9 @@ func executeTrace(ctx context.Context, env *exp.Env, sh ShardSpec, from *Checkpo
 		_ = save(&Checkpoint{Threshold: threshold, Snap: snap})
 		return ctx.Err() // a canceled run stops at the checkpoint it just saved
 	}
-	ctl := env.Controllers()[sh.Policy]
-	if ctl == nil {
-		return fmt.Errorf("pool: unknown policy %q (valid: %v)", sh.Policy, exp.AllPolicies())
+	ctl, err := env.Controller(sh.Policy)
+	if err != nil {
+		return err
 	}
 	r, err := sim.NewRunner(cfg, ctl)
 	if err != nil {
@@ -177,18 +160,21 @@ func executeTrace(ctx context.Context, env *exp.Env, sh ShardSpec, from *Checkpo
 	return nil
 }
 
-// upsert adds row, replacing an earlier row with the same key: the exp
-// sweeps replay Done rows through OnRow, and a cell must appear once in a
-// checkpoint.
-func upsert[T any](rows []T, row T, key func(T) [2]any) []T {
-	k := key(row)
-	for i := range rows {
-		if key(rows[i]) == k {
+// rowOptions resumes a sweep shard from the rows its checkpoint holds and
+// saves a checkpoint, built by ckpt, after every emitted row. A row replaces
+// an earlier one with the same Key: the exp sweeps replay Done rows through
+// OnRow, and a cell must appear once in a checkpoint.
+func rowOptions[T interface{ Key() [2]any }](sh ShardSpec, done []T, save func(*Checkpoint) error, ckpt func([]T) *Checkpoint) exp.RowOptions[T] {
+	rows := append([]T(nil), done...)
+	return exp.RowOptions[T]{Indices: sh.Indices, Done: done, OnRow: func(row T) {
+		i := slices.IndexFunc(rows, func(r T) bool { return r.Key() == row.Key() })
+		if i < 0 {
+			rows = append(rows, row)
+		} else {
 			rows[i] = row
-			return rows
 		}
-	}
-	return append(rows, row)
+		_ = save(ckpt(rows))
+	}}
 }
 
 // EncodePayload gob-encodes a shard checkpoint or result (a struct or a

@@ -83,8 +83,8 @@ func TestOracleDecideAllocs(t *testing.T) {
 	}
 }
 
-// TestDecisionOwnsBanks scribbles on every returned Decision.Banks, as an
-// actuator fault filter does, and checks that the next decision and the
+// TestDecisionOwnsBanks scribbles on every returned Decision.Banks, as a
+// caller that edits a decision in place would, and checks that the next decision and the
 // Machine's shared bank vectors are unaffected.
 func TestDecisionOwnsBanks(t *testing.T) {
 	_, states := recordStates(t, TECfan{}, 20)

@@ -38,22 +38,6 @@ type Policy interface {
 	Decide(st *State, m *Machine) Decision
 }
 
-// SensorModel transforms each State before a policy sees it — the server
-// mirror of the co-simulation's fault-injection seam. The state's slices
-// are private copies, so mutation cannot corrupt the run.
-type SensorModel interface {
-	Observe(st *State)
-	Reset()
-}
-
-// ActuatorModel intercepts policy decisions before they reach the platform:
-// cur is the currently applied configuration, dec may be mutated in place
-// (a nil slice drops that request).
-type ActuatorModel interface {
-	Filter(now float64, cur Decision, dec *Decision)
-	Reset()
-}
-
 // Machine bundles the §V-E platform: quad chip, thermal network, TEC banks,
 // fan, and the utilization power model. It also exposes the model-based
 // predictions policies use (steady-state temperature and power per
@@ -311,13 +295,6 @@ type RunConfig struct {
 	Period    float64 // control period, s (default 1)
 	ThermalDT float64 // integration step, s (default 0.1)
 	Threshold float64 // 0 = machine default
-
-	// Sensors, when non-nil, corrupts every State before the policy reads
-	// it (fault injection).
-	Sensors SensorModel
-	// Actuators, when non-nil, intercepts every policy decision before it
-	// is applied (fault injection).
-	Actuators ActuatorModel
 }
 
 // Run simulates the four per-core traces under a policy and returns the
@@ -351,13 +328,6 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 		if len(tr) != traceLen {
 			return nil, fmt.Errorf("server: ragged traces")
 		}
-	}
-
-	if rc.Sensors != nil {
-		rc.Sensors.Reset()
-	}
-	if rc.Actuators != nil {
-		rc.Actuators.Reset()
 	}
 
 	dvfs := make([]int, nCores)
@@ -412,11 +382,10 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 		}
 
 		// Policy decision with the previous-interval state. Every slice is
-		// a private copy: policies (and sensor-fault models) may scribble
-		// on the state without corrupting the run.
-		now := float64(period) * rc.Period
+		// a private copy: policies may scribble on the state without
+		// corrupting the run.
 		st := &State{
-			Time:      now,
+			Time:      float64(period) * rc.Period,
 			Temps:     append([]float64(nil), temps...),
 			DVFS:      append([]int(nil), dvfs...),
 			Banks:     append([]bool(nil), banks...),
@@ -425,18 +394,7 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 			Backlog:   append([]float64(nil), backlog...),
 			Threshold: threshold,
 		}
-		if rc.Sensors != nil {
-			rc.Sensors.Observe(st)
-		}
 		dec := p.Decide(st, m)
-		if rc.Actuators != nil {
-			cur := Decision{
-				DVFS:     append([]int(nil), dvfs...),
-				Banks:    append([]bool(nil), banks...),
-				FanLevel: fanLevel,
-			}
-			rc.Actuators.Filter(now, cur, &dec)
-		}
 		if dec.DVFS != nil {
 			for c, l := range dec.DVFS {
 				dvfs[c] = m.Platform.DVFS.Clamp(l)

@@ -9,7 +9,6 @@ import (
 
 	"tecfan/internal/exp"
 	"tecfan/internal/fault"
-	"tecfan/internal/floats"
 	"tecfan/internal/numfault"
 	"tecfan/internal/numguard"
 	"tecfan/internal/perf"
@@ -163,13 +162,12 @@ func (s *System) RunContext(ctx context.Context, bench string, threads int, poli
 	if err != nil {
 		return nil, err
 	}
-	sb := s.scaled(b)
+	sb := s.env.Scaled(b)
 	base, err := s.env.BaseScenarioContext(ctx, sb)
 	if err != nil {
 		return nil, err
 	}
-	threshold := base.Metrics.PeakTemp
-	level, res, err := s.env.SelectFanLevelContext(ctx, sb, policyName, threshold)
+	run, err := s.env.RunCell(ctx, sb, policyName, base.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -177,22 +175,11 @@ func (s *System) RunContext(ctx context.Context, bench string, threads int, poli
 		Benchmark:  bench,
 		Threads:    threads,
 		Policy:     policyName,
-		FanLevel:   level,
-		Threshold:  threshold,
-		Metrics:    res.Metrics,
-		Normalized: res.Metrics.Normalize(base.Metrics),
+		FanLevel:   run.FanLevel,
+		Threshold:  run.Threshold,
+		Metrics:    run.Metrics,
+		Normalized: run.Norm,
 	}, nil
-}
-
-// scaled applies the system's scale to a benchmark.
-func (s *System) scaled(b *workload.Benchmark) *workload.Benchmark {
-	if floats.Same(s.env.Scale, 1) {
-		return b
-	}
-	c := *b
-	c.TotalInst *= s.env.Scale
-	c.TargetTimeMS *= s.env.Scale
-	return &c
 }
 
 // Trace runs one benchmark at a fixed fan level with trace recording and
@@ -224,14 +211,14 @@ func (s *System) TraceWithHealthContext(ctx context.Context, bench string, threa
 	if err != nil {
 		return nil, nil, err
 	}
-	sb := s.scaled(b)
-	base, err := s.env.BaseScenarioContext(ctx, sb)
+	ctl, err := s.env.Controller(policyName)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctl := s.env.Controllers()[policyName]
-	if ctl == nil {
-		return nil, nil, fmt.Errorf("tecfan: unknown policy %q", policyName)
+	sb := s.env.Scaled(b)
+	base, err := s.env.BaseScenarioContext(ctx, sb)
+	if err != nil {
+		return nil, nil, err
 	}
 	res, err := s.env.RunTracedContext(ctx, sb, ctl, base.Metrics.PeakTemp, fanLevel)
 	if err != nil {
@@ -244,25 +231,25 @@ func (s *System) TraceWithHealthContext(ctx context.Context, bench string, threa
 }
 
 // Table1 regenerates the paper's Table I.
-func (s *System) Table1() ([]exp.Table1Row, error) { return s.env.Table1() }
+func (s *System) Table1() ([]exp.Table1Row, error) { return s.Table1Context(context.Background()) }
 
 // Table1Context is Table1 under a context; completed rows return alongside
 // any error.
 func (s *System) Table1Context(ctx context.Context) ([]exp.Table1Row, error) {
-	return s.env.Table1Context(ctx)
+	return s.env.Table1Opt(ctx, exp.RowOptions[exp.Table1Row]{})
 }
 
 // Fig4 regenerates the §V-B comparison.
-func (s *System) Fig4() ([]exp.Fig4Case, error) { return s.env.Fig4() }
+func (s *System) Fig4() ([]exp.Fig4Case, error) { return s.Fig4Context(context.Background()) }
 
 // Fig4Context is Fig4 under a context; completed cases return alongside any
 // error.
 func (s *System) Fig4Context(ctx context.Context) ([]exp.Fig4Case, error) {
-	return s.env.Fig4Context(ctx)
+	return s.env.Fig4Opt(ctx, exp.RowOptions[exp.Fig4Case]{})
 }
 
 // Fig56 regenerates the §V-C/§V-D comparisons.
-func (s *System) Fig56() (*exp.Fig56Result, error) { return s.env.Fig56() }
+func (s *System) Fig56() (*exp.Fig56Result, error) { return s.Fig56Context(context.Background()) }
 
 // Fig56Context is Fig56 under a context; the partial result returns alongside
 // any error.
@@ -272,7 +259,7 @@ func (s *System) Fig56Context(ctx context.Context) (*exp.Fig56Result, error) {
 
 // Fig7 regenerates the §V-E server comparison; seconds is the per-core
 // trace length (600 = the paper's 10 minutes).
-func Fig7(seconds int) ([]exp.Fig7Row, error) { return exp.Fig7(seconds) }
+func Fig7(seconds int) ([]exp.Fig7Row, error) { return Fig7Context(context.Background(), seconds) }
 
 // Fig7Context is Fig7 under a context.
 func Fig7Context(ctx context.Context, seconds int) ([]exp.Fig7Row, error) {
@@ -334,7 +321,7 @@ func OracleGap(severity float64) (*exp.OracleGapResult, error) {
 // WriteReport runs the reproduction experiments and emits a markdown
 // paper-vs-measured report.
 func (s *System) WriteReport(w io.Writer, opt exp.ReportOptions) error {
-	return s.env.WriteReport(w, opt)
+	return s.WriteReportContext(context.Background(), w, opt)
 }
 
 // WriteReportContext is WriteReport under a context.
@@ -351,7 +338,7 @@ type ReportOptions = exp.ReportOptions
 // option fields take defaults (TECfan + TECfan-FT across every built-in
 // scenario).
 func (s *System) Chaos(opt exp.ChaosOptions) (*exp.ChaosResult, error) {
-	return s.env.Chaos(opt)
+	return s.ChaosContext(context.Background(), opt)
 }
 
 // ChaosContext is Chaos under a context; the partial result — every
