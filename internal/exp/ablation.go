@@ -35,8 +35,8 @@ type AblationRow struct {
 // variantRow runs one TECfan variant with the §IV-C fan selection
 // (minimum-energy feasible level, as for stock TECfan) against the base
 // scenario base.
-func (e *Env) variantRow(sb *workload.Benchmark, base perf.Metrics, name string, period float64, mod func(*core.Controller)) (AblationRow, error) {
-	level, res, ctl, err := e.selectFanLevel(context.Background(), sb, base.PeakTemp, candidate{
+func (e *Env) variantRow(ctx context.Context, sb *workload.Benchmark, base perf.Metrics, name string, period float64, mod func(*core.Controller)) (AblationRow, error) {
+	level, res, ctl, err := e.selectFanLevel(ctx, sb, base.PeakTemp, candidate{
 		build: func() (sim.Controller, error) {
 			ctl := core.NewController(e.estimator(period))
 			if mod != nil {
@@ -62,13 +62,13 @@ func (e *Env) variantRow(sb *workload.Benchmark, base perf.Metrics, name string,
 }
 
 // ablationBase scales the 16-thread benchmark and runs its base scenario.
-func (e *Env) ablationBase(benchName string) (*workload.Benchmark, perf.Metrics, error) {
+func (e *Env) ablationBase(ctx context.Context, benchName string) (*workload.Benchmark, perf.Metrics, error) {
 	b, err := workload.ByName(benchName, 16, e.Leak)
 	if err != nil {
 		return nil, perf.Metrics{}, err
 	}
 	sb := e.Scaled(b)
-	base, err := e.BaseScenarioContext(context.Background(), sb)
+	base, err := e.BaseScenarioContext(ctx, sb)
 	if err != nil {
 		return nil, perf.Metrics{}, err
 	}
@@ -77,8 +77,8 @@ func (e *Env) ablationBase(benchName string) (*workload.Benchmark, perf.Metrics,
 
 // KnobAblation removes one knob at a time from TECfan on the given
 // benchmark and reports the damage — the coordination claim, quantified.
-func (e *Env) KnobAblation(benchName string) ([]AblationRow, error) {
-	sb, base, err := e.ablationBase(benchName)
+func (e *Env) KnobAblation(ctx context.Context, benchName string) ([]AblationRow, error) {
+	sb, base, err := e.ablationBase(ctx, benchName)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func (e *Env) KnobAblation(benchName string) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		row, err := e.variantRow(sb, base, v.name, 2e-3, v.mod)
+		row, err := e.variantRow(ctx, sb, base, v.name, 2e-3, v.mod)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
@@ -105,14 +105,14 @@ func (e *Env) KnobAblation(benchName string) ([]AblationRow, error) {
 
 // PeriodAblation sweeps the lower-level control period around the paper's
 // 2 ms choice.
-func (e *Env) PeriodAblation(benchName string, periods []float64) ([]AblationRow, error) {
-	sb, base, err := e.ablationBase(benchName)
+func (e *Env) PeriodAblation(ctx context.Context, benchName string, periods []float64) ([]AblationRow, error) {
+	sb, base, err := e.ablationBase(ctx, benchName)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
 	for _, p := range periods {
-		row, err := e.variantRow(sb, base, fmt.Sprintf("period %.0f ms", p*1000), p, nil)
+		row, err := e.variantRow(ctx, sb, base, fmt.Sprintf("period %.0f ms", p*1000), p, nil)
 		if err != nil {
 			return nil, fmt.Errorf("period ablation %v: %w", p, err)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ func TestKnobAblation(t *testing.T) {
 		t.Skip("ablation in -short mode")
 	}
 	e := testEnv()
-	rows, err := e.KnobAblation("cholesky")
+	rows, err := e.KnobAblation(context.Background(), "cholesky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPeriodAblation(t *testing.T) {
 		t.Skip("ablation in -short mode")
 	}
 	e := testEnv()
-	rows, err := e.PeriodAblation("cholesky", []float64{2e-3, 8e-3})
+	rows, err := e.PeriodAblation(context.Background(), "cholesky", []float64{2e-3, 8e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestMappingStudy(t *testing.T) {
 		t.Skip("mapping study in -short mode")
 	}
 	e := testEnv()
-	rows, err := e.MappingStudy("cholesky", "TECfan")
+	rows, err := e.MappingStudy(context.Background(), "cholesky", "TECfan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestMappingStudy(t *testing.T) {
 
 func TestMappingStudyUnknownBench(t *testing.T) {
 	e := testEnv()
-	if _, err := e.MappingStudy("nosuch", "TECfan"); err == nil {
+	if _, err := e.MappingStudy(context.Background(), "nosuch", "TECfan"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -279,7 +280,7 @@ func TestMixStudy(t *testing.T) {
 		t.Skip("mix study in -short mode")
 	}
 	e := testEnv()
-	r, err := e.MixStudy()
+	r, err := e.MixStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ type MappingRow struct {
 // MappingStudy runs a 4-thread benchmark under every standard mapping,
 // reporting the base-scenario peak per placement and the chosen policy's
 // outcome (normalized to that placement's own base scenario).
-func (e *Env) MappingStudy(benchName, policyName string) ([]MappingRow, error) {
+func (e *Env) MappingStudy(ctx context.Context, benchName, policyName string) ([]MappingRow, error) {
 	b, err := workload.ByName(benchName, 4, e.Leak)
 	if err != nil {
 		return nil, err
@@ -56,11 +56,11 @@ func (e *Env) MappingStudy(benchName, policyName string) ([]MappingRow, error) {
 		mb := *b
 		mb.ActiveCores = append([]int(nil), m.Cores...)
 		sb := e.Scaled(&mb)
-		base, err := e.BaseScenarioContext(context.Background(), sb)
+		base, err := e.BaseScenarioContext(ctx, sb)
 		if err != nil {
 			return nil, fmt.Errorf("mapping %s base: %w", m.Name, err)
 		}
-		run, err := e.RunCell(context.Background(), sb, policyName, base.Metrics)
+		run, err := e.RunCell(ctx, sb, policyName, base.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("mapping %s policy: %w", m.Name, err)
 		}

@@ -29,7 +29,7 @@ type MixResult struct {
 }
 
 // MixStudy builds the lu+volrend half-chip mix and runs TECfan on it.
-func (e *Env) MixStudy() (*MixResult, error) {
+func (e *Env) MixStudy(ctx context.Context) (*MixResult, error) {
 	lu, err := workload.ByName("lu", 16, e.Leak)
 	if err != nil {
 		return nil, err
@@ -45,8 +45,6 @@ func (e *Env) MixStudy() (*MixResult, error) {
 		return nil, err
 	}
 	sb := e.Scaled(mixed)
-
-	ctx := context.Background()
 	base, err := e.BaseScenarioContext(ctx, sb)
 	if err != nil {
 		return nil, err

@@ -28,12 +28,17 @@ type Table1Row struct {
 // Key identifies the row across resumed sweeps: its workload and threads.
 func (r Table1Row) Key() [2]any { return [2]any{r.Workload, r.Threads} }
 
+// Row is a row of a resumable sweep. Its Key identifies it in Done and in
+// checkpoints; a Table I or Fig. 4 row's Key is its benchmark's name and
+// thread count.
+type Row interface{ Key() [2]any }
+
 // RowOptions narrows and instruments a sweep over the Table I benchmarks
 // for sharded execution: Indices selects rows (nil = all, in table order),
 // Done replays rows already computed (matched by Key), and OnRow observes
 // every emitted row, replayed ones included — the same resume seams
 // ChaosOptions gives chaos sweeps.
-type RowOptions[T interface{ Key() [2]any }] struct {
+type RowOptions[T Row] struct {
 	Indices []int
 	Done    []T
 	OnRow   func(T)
@@ -42,7 +47,7 @@ type RowOptions[T interface{ Key() [2]any }] struct {
 // sweepRows runs one row per selected Table I benchmark, replaying Done
 // rows instead of recomputing them. On error the rows emitted so far return
 // alongside it.
-func sweepRows[T interface{ Key() [2]any }](e *Env, opt RowOptions[T], run func(*workload.Benchmark) (T, error)) ([]T, error) {
+func sweepRows[T Row](e *Env, opt RowOptions[T], run func(*workload.Benchmark) (T, error)) ([]T, error) {
 	all := workload.Table1(e.Leak)
 	idx := opt.Indices
 	if idx == nil {

@@ -74,7 +74,7 @@ func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.S
 		env.NumFaults = nf
 		err = executeTrace(ctx, env, sh, from, save, out)
 	case KindChaos:
-		rows := rowOptions(sh, from.Rows, save, func(r []exp.ChaosRow) *Checkpoint { return &Checkpoint{Rows: r} })
+		rows := rowOptions(nil, from.Rows, save, func(r []exp.ChaosRow) *Checkpoint { return &Checkpoint{Rows: r} })
 		var res *exp.ChaosResult
 		res, err = env.ChaosContext(ctx, exp.ChaosOptions{
 			Bench: sh.Bench, Threads: sh.Threads,
@@ -85,10 +85,10 @@ func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.S
 			out.Threshold, out.Rows = res.Threshold, res.Rows
 		}
 	case KindTable1:
-		out.T1Rows, err = env.Table1Opt(ctx, rowOptions(sh, from.T1Rows, save,
+		out.T1Rows, err = env.Table1Opt(ctx, rowOptions(sh.Indices, from.T1Rows, save,
 			func(r []exp.Table1Row) *Checkpoint { return &Checkpoint{T1Rows: r} }))
 	case KindFig4:
-		out.Cases, err = env.Fig4Opt(ctx, rowOptions(sh, from.Cases, save,
+		out.Cases, err = env.Fig4Opt(ctx, rowOptions(sh.Indices, from.Cases, save,
 			func(c []exp.Fig4Case) *Checkpoint { return &Checkpoint{Cases: c} }))
 	default:
 		err = fmt.Errorf("pool: unknown shard kind %q", sh.Kind)
@@ -160,13 +160,14 @@ func executeTrace(ctx context.Context, env *exp.Env, sh ShardSpec, from *Checkpo
 	return nil
 }
 
-// rowOptions resumes a sweep shard from the rows its checkpoint holds and
-// saves a checkpoint, built by ckpt, after every emitted row. A row replaces
+// rowOptions runs a sweep shard's rows (indices) resuming from the rows its
+// checkpoint holds (done), and saves a checkpoint, built by ckpt, after
+// every emitted row. A row replaces
 // an earlier one with the same Key: the exp sweeps replay Done rows through
 // OnRow, and a cell must appear once in a checkpoint.
-func rowOptions[T interface{ Key() [2]any }](sh ShardSpec, done []T, save func(*Checkpoint) error, ckpt func([]T) *Checkpoint) exp.RowOptions[T] {
+func rowOptions[T exp.Row](indices []int, done []T, save func(*Checkpoint) error, ckpt func([]T) *Checkpoint) exp.RowOptions[T] {
 	rows := append([]T(nil), done...)
-	return exp.RowOptions[T]{Indices: sh.Indices, Done: done, OnRow: func(row T) {
+	return exp.RowOptions[T]{Indices: indices, Done: done, OnRow: func(row T) {
 		i := slices.IndexFunc(rows, func(r T) bool { return r.Key() == row.Key() })
 		if i < 0 {
 			rows = append(rows, row)

@@ -273,13 +273,13 @@ func (s *System) HardwareCost() (*exp.HardwareCostReport, error) { return s.env.
 // DVFS / binary current) on one benchmark — the coordination claim,
 // quantified.
 func (s *System) KnobAblation(bench string) ([]exp.AblationRow, error) {
-	return s.env.KnobAblation(bench)
+	return s.env.KnobAblation(context.Background(), bench)
 }
 
 // PeriodAblation sweeps the lower-level control period around the paper's
 // 2 ms choice.
 func (s *System) PeriodAblation(bench string, periods []float64) ([]exp.AblationRow, error) {
-	return s.env.PeriodAblation(bench, periods)
+	return s.env.PeriodAblation(context.Background(), bench, periods)
 }
 
 // CurrentAblation sweeps the TEC drive current on a hot-core scenario,
@@ -360,13 +360,13 @@ type (
 
 // MixStudy runs TECfan on a heterogeneous half-lu/half-volrend chip and
 // reports where the TEC duty concentrates — the local-cooling premise.
-func (s *System) MixStudy() (*exp.MixResult, error) { return s.env.MixStudy() }
+func (s *System) MixStudy() (*exp.MixResult, error) { return s.env.MixStudy(context.Background()) }
 
 // MappingStudy runs a 4-thread benchmark under the standard thread
 // placements (center/corner/spread/row) — the cooling-aware-scheduling
 // angle of the paper's related work.
 func (s *System) MappingStudy(bench, policyName string) ([]exp.MappingRow, error) {
-	return s.env.MappingStudy(bench, policyName)
+	return s.env.MappingStudy(context.Background(), bench, policyName)
 }
 
 // Writers for the regenerated artifacts.
