@@ -36,7 +36,7 @@ type AblationRow struct {
 // (minimum-energy feasible level, as for stock TECfan) against the base
 // scenario base.
 func (e *Env) variantRow(ctx context.Context, sb *workload.Benchmark, base perf.Metrics, name string, period float64, mod func(*core.Controller)) (AblationRow, error) {
-	level, res, ctl, err := e.selectFanLevel(ctx, sb, base.PeakTemp, candidate{
+	level, res, ctl, err := e.selectFanLevel(ctx, sb, base.PeakTemp, contender{
 		build: func() (sim.Controller, error) {
 			ctl := core.NewController(e.estimator(period))
 			if mod != nil {

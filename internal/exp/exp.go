@@ -204,8 +204,9 @@ var PolicyOrder = []string{"Fan-only", "Fan+TEC", "Fan+DVFS", "DVFS+TEC", "TECfa
 // AllPolicies lists every runnable policy: the paper's five plus TECfan-FT.
 func AllPolicies() []string { return append(append([]string(nil), PolicyOrder...), "TECfan-FT") }
 
-// candidate is what a §IV-C fan-level selection runs.
-type candidate struct {
+// contender is a policy under §IV-C fan-level selection: how to build it,
+// its control period and its choice rule.
+type contender struct {
 	// build returns a fresh controller for each level's run.
 	build func() (sim.Controller, error)
 	// period is the lower-level control period (0 = the sim's default).
@@ -224,7 +225,7 @@ type candidate struct {
 // converges to. Returns the chosen level and its run result; cancellation
 // aborts the sweep mid-level.
 func (e *Env) SelectFanLevelContext(ctx context.Context, b *workload.Benchmark, name string, threshold float64) (int, *sim.Result, error) {
-	level, res, _, err := e.selectFanLevel(ctx, b, threshold, candidate{
+	level, res, _, err := e.selectFanLevel(ctx, b, threshold, contender{
 		build:       func() (sim.Controller, error) { return e.Controller(name) },
 		leastEnergy: name == "TECfan" || name == "TECfan-FT",
 	})
@@ -234,7 +235,7 @@ func (e *Env) SelectFanLevelContext(ctx context.Context, b *workload.Benchmark, 
 // selectFanLevel is the §IV-C selection loop behind SelectFanLevelContext
 // and the TECfan ablations. It also returns the controller of the chosen
 // run, so a caller can read what that run cost.
-func (e *Env) selectFanLevel(ctx context.Context, b *workload.Benchmark, threshold float64, c candidate) (int, *sim.Result, sim.Controller, error) {
+func (e *Env) selectFanLevel(ctx context.Context, b *workload.Benchmark, threshold float64, c contender) (int, *sim.Result, sim.Controller, error) {
 	run := func(level int) (*sim.Result, sim.Controller, error) {
 		ctl, err := c.build()
 		if err != nil {
