@@ -132,9 +132,10 @@ func BenchmarkSteadySolve(b *testing.B) {
 	for i := range t {
 		t[i] = 70
 	}
+	sc := nw.NewSteadyScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := nw.SteadyInto(t, p, 0, nil); err != nil {
+		if err := nw.SteadyInto(t, p, 0, nil, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,10 +80,12 @@ type Estimator struct {
 	taus    []float64 // per-node RC constants for Eq. (5)
 	scratch struct {
 		pow, leak, steady []float64
+		solve             *thermal.SteadyScratch
 	}
 	// tecST is the reusable drive state tecState hands out: one State per
 	// estimator instead of one per evaluated candidate. Like the scratch
-	// buffers it makes the estimator not safe for concurrent use.
+	// buffers it makes the estimator not safe for concurrent use; estimators
+	// on different goroutines may share one Network.
 	tecST *tec.State
 	// peakEst is SteadyPeak's reusable estimate buffer.
 	peakEst Estimate
@@ -119,6 +121,7 @@ func NewEstimator(nw *thermal.Network, table *power.DVFSTable, leak power.Leakag
 	e.scratch.pow = make([]float64, nw.NumDie())
 	e.scratch.leak = make([]float64, nw.NumDie())
 	e.scratch.steady = make([]float64, n)
+	e.scratch.solve = nw.NewSteadyScratch()
 	return e
 }
 
@@ -179,7 +182,7 @@ func (e *Estimator) EstimateInto(est *Estimate, obs *sim.Observation, cand Candi
 	// current temperatures for fast Peltier convergence.
 	st := e.tecState(cand)
 	copy(e.scratch.steady, obs.Temps)
-	if err := nw.SteadyInto(e.scratch.steady, e.scratch.pow, cand.FanLevel, st); err != nil {
+	if err := nw.SteadyInto(e.scratch.steady, e.scratch.pow, cand.FanLevel, st, e.scratch.solve); err != nil {
 		// A solver failure marks the candidate infeasible rather than
 		// crashing the control loop.
 		est.Temps = est.Temps[:0]

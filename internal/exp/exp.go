@@ -18,6 +18,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"tecfan/internal/core"
 	"tecfan/internal/fan"
@@ -67,6 +69,14 @@ type Env struct {
 	// every run via the sim's NumFaultInjector seam — the proof harness for
 	// the numguard invariant auditor. BaseScenarioContext stays clean too.
 	NumFaults *numfault.Schedule
+
+	// Workers bounds how many independent sweep points — Table I and
+	// Fig. 4 rows, Fig. 5/6 base runs and cells — run at once; values below
+	// 1 mean 1. Results are assembled and emitted in plan order, so the
+	// output does not depend on it. NewEnv sets GOMAXPROCS; the job
+	// executor pins 1, one worker per job, so serving does not
+	// oversubscribe the host.
+	Workers int
 }
 
 // NewEnv builds the full-scale environment.
@@ -83,6 +93,7 @@ func NewEnv() *Env {
 		Scale:           1,
 		ViolationBudget: 0.08,
 		MaxWarmStarts:   3,
+		Workers:         runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -339,3 +350,64 @@ func (e *Env) BaseScenarioContext(ctx context.Context, b *workload.Benchmark) (*
 
 // Metrics shorthand.
 type Metrics = perf.Metrics
+
+// inOrder runs job(ctx, i) for every i in [0, n) on at most workers
+// goroutines (values below 1 mean 1) and hands each result to emit on the
+// calling goroutine in index order. It stops at the first error in
+// index order, and before the next emit once ctx is done, so an emit that
+// cancels leaves exactly the results emitted so far. A panic in a job is
+// raised again on the calling goroutine when its turn comes. Jobs still
+// running when it stops are canceled and waited for before it returns.
+func inOrder[T any](ctx context.Context, workers, n int, job func(context.Context, int) (T, error), emit func(int, T)) error {
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+
+	type slot struct {
+		v        T
+		err      error
+		panicked any
+		done     chan struct{}
+	}
+	slots := make([]slot, n)
+	idx := make(chan int, n) // holds every index, so filling it never blocks
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+		idx <- i
+	}
+	close(idx)
+	run := func(i int) {
+		s := &slots[i]
+		defer close(s.done)
+		defer func() { s.panicked = recover() }()
+		if s.err = ctx.Err(); s.err == nil {
+			s.v, s.err = job(ctx, i)
+		}
+	}
+	for w := 0; w < min(max(workers, 1), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				run(i)
+			}
+		}()
+	}
+
+	for i := range slots {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s := &slots[i]
+		<-s.done
+		if s.panicked != nil {
+			panic(s.panicked)
+		}
+		if s.err != nil {
+			return s.err
+		}
+		emit(i, s.v)
+	}
+	return nil
+}

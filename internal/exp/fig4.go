@@ -38,7 +38,7 @@ func (c Fig4Case) Key() [2]any { return [2]any{c.Bench, c.Threads} }
 // default). On error — including cancellation — the cases completed so far
 // return alongside it.
 func (e *Env) Fig4Opt(ctx context.Context, opt RowOptions[Fig4Case]) ([]Fig4Case, error) {
-	return sweepRows(e, opt, func(b *workload.Benchmark) (Fig4Case, error) { return e.fig4One(ctx, b) })
+	return sweepRows(ctx, e, opt, e.fig4One)
 }
 
 // fig4One runs the four-simulation comparison for one benchmark.

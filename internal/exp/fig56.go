@@ -28,27 +28,37 @@ type Fig56Result struct {
 // Fig56Context reproduces the §V-C cooling-performance comparison (Fig. 5)
 // and the §V-D energy/performance comparison (Fig. 6) over the four
 // 16-thread benchmarks: each policy runs as one RunCell against its
-// benchmark's base scenario. On error — a failed cell or cancellation — the
-// result holding every completed cell returns alongside it, never nil, so
+// benchmark's base scenario. The four base runs go first, then the cells,
+// each group on e.Workers goroutines and collected in plan order. On error
+// — a failed run or cancellation — the result holding every base and cell
+// completed before it in that order returns alongside it, never nil, so
 // partial sweeps stay renderable.
 func (e *Env) Fig56Context(ctx context.Context) (*Fig56Result, error) {
 	out := &Fig56Result{Base: map[string]perf.Metrics{}}
+	var benches []*workload.Benchmark
 	for _, b := range workload.Fig56Benchmarks(e.Leak) {
-		sb := e.Scaled(b)
-		base, err := e.BaseScenarioContext(ctx, sb)
-		if err != nil {
-			return out, fmt.Errorf("fig56 base %s: %w", b.Name, err)
-		}
-		out.Base[b.Name] = base.Metrics
-		for _, name := range PolicyOrder {
-			run, err := e.RunCell(ctx, sb, name, base.Metrics)
-			if err != nil {
-				return out, fmt.Errorf("fig56 %s/%s: %w", b.Name, name, err)
-			}
-			out.Runs = append(out.Runs, run)
-		}
+		benches = append(benches, e.Scaled(b))
 	}
-	return out, nil
+	err := inOrder(ctx, e.Workers, len(benches), func(ctx context.Context, i int) (perf.Metrics, error) {
+		base, err := e.BaseScenarioContext(ctx, benches[i])
+		if err != nil {
+			return perf.Metrics{}, fmt.Errorf("fig56 base %s: %w", benches[i].Name, err)
+		}
+		return base.Metrics, nil
+	}, func(i int, m perf.Metrics) { out.Base[benches[i].Name] = m })
+	if err != nil {
+		return out, err
+	}
+	np := len(PolicyOrder)
+	err = inOrder(ctx, e.Workers, len(benches)*np, func(ctx context.Context, i int) (PolicyRun, error) {
+		b, name := benches[i/np], PolicyOrder[i%np]
+		run, err := e.RunCell(ctx, b, name, out.Base[b.Name])
+		if err != nil {
+			return PolicyRun{}, fmt.Errorf("fig56 %s/%s: %w", b.Name, name, err)
+		}
+		return run, nil
+	}, func(_ int, run PolicyRun) { out.Runs = append(out.Runs, run) })
+	return out, err
 }
 
 // Cell returns the run for a (policy, bench) pair, or nil.

@@ -44,10 +44,11 @@ type RowOptions[T Row] struct {
 	OnRow   func(T)
 }
 
-// sweepRows runs one row per selected Table I benchmark, replaying Done
-// rows instead of recomputing them. On error the rows emitted so far return
-// alongside it.
-func sweepRows[T Row](e *Env, opt RowOptions[T], run func(*workload.Benchmark) (T, error)) ([]T, error) {
+// sweepRows runs one row per selected Table I benchmark on e.Workers
+// goroutines, replaying Done rows instead of recomputing them. Rows are
+// appended and OnRow is called on the calling goroutine in selection order.
+// On error the rows emitted so far return alongside it.
+func sweepRows[T Row](ctx context.Context, e *Env, opt RowOptions[T], run func(context.Context, *workload.Benchmark) (T, error)) ([]T, error) {
 	all := workload.Table1(e.Leak)
 	idx := opt.Indices
 	if idx == nil {
@@ -61,24 +62,24 @@ func sweepRows[T Row](e *Env, opt RowOptions[T], run func(*workload.Benchmark) (
 		done[row.Key()] = row
 	}
 	var rows []T
-	for _, i := range idx {
+	err := inOrder(ctx, e.Workers, len(idx), func(ctx context.Context, k int) (T, error) {
+		i := idx[k]
 		if i < 0 || i >= len(all) {
-			return rows, fmt.Errorf("exp: row index %d out of range [0,%d)", i, len(all))
+			var zero T
+			return zero, fmt.Errorf("exp: row index %d out of range [0,%d)", i, len(all))
 		}
 		b := all[i]
-		row, ok := done[[2]any{b.Name, b.Threads}]
-		if !ok {
-			var err error
-			if row, err = run(b); err != nil {
-				return rows, err
-			}
+		if row, ok := done[[2]any{b.Name, b.Threads}]; ok {
+			return row, nil
 		}
+		return run(ctx, b)
+	}, func(_ int, row T) {
 		rows = append(rows, row)
 		if opt.OnRow != nil {
 			opt.OnRow(row)
 		}
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // Table1Opt reproduces the base scenario for the selected Table I rows
@@ -86,7 +87,7 @@ func sweepRows[T Row](e *Env, opt RowOptions[T], run func(*workload.Benchmark) (
 // rows completed so far return alongside it, so a caller can still render
 // or persist the partial table.
 func (e *Env) Table1Opt(ctx context.Context, opt RowOptions[Table1Row]) ([]Table1Row, error) {
-	return sweepRows(e, opt, func(b *workload.Benchmark) (Table1Row, error) {
+	return sweepRows(ctx, e, opt, func(ctx context.Context, b *workload.Benchmark) (Table1Row, error) {
 		res, err := e.BaseScenarioContext(ctx, e.Scaled(b))
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("table1 %s-%d: %w", b.Name, b.Threads, err)

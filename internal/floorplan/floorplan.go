@@ -124,6 +124,10 @@ type Chip struct {
 	W, H               float64     // chip dimensions, mm
 	Components         []Component // all components, core-major order
 	index              map[string]int
+	// coreComps[core] lists the core's component indices in ascending
+	// order. Both constructors build it eagerly: a Chip is shared by
+	// concurrent runs, so it must not fill itself in lazily.
+	coreComps [][]int
 }
 
 // NewChip builds a tileRows×tileCols chip of canonical tiles. Cores are
@@ -154,6 +158,7 @@ func NewChip(tileRows, tileCols int) *Chip {
 			}
 		}
 	}
+	c.indexCores()
 	return c
 }
 
@@ -179,15 +184,30 @@ func (c *Chip) Lookup(core int, name string) int {
 	return i
 }
 
-// CoreComponents returns the global indices of all components of one core.
-func (c *Chip) CoreComponents(core int) []int {
-	out := make([]int, 0, ComponentsPerTile)
-	for i, comp := range c.Components {
-		if comp.Core == core {
-			out = append(out, i)
+// indexCores builds coreComps from Components: one backing array, sliced
+// per core with capacity clipped to length.
+func (c *Chip) indexCores() {
+	flat := make([]int, 0, len(c.Components))
+	c.coreComps = make([][]int, c.NumCores())
+	for core := range c.coreComps {
+		lo := len(flat)
+		for i, comp := range c.Components {
+			if comp.Core == core {
+				flat = append(flat, i)
+			}
 		}
+		c.coreComps[core] = flat[lo:len(flat):len(flat)]
 	}
-	return out
+}
+
+// CoreComponents returns the global indices of all components of one core,
+// in ascending order. The slice is shared by every caller and must not be
+// modified; its capacity equals its length, so an append copies.
+func (c *Chip) CoreComponents(core int) []int {
+	if core < 0 || core >= len(c.coreComps) {
+		return nil
+	}
+	return c.coreComps[core]
 }
 
 // CoreOf returns the owning core of global component index i.

@@ -3,6 +3,7 @@ package floorplan
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +130,33 @@ func TestCoreComponents(t *testing.T) {
 			if chip.Components[i].Core != core {
 				t.Fatalf("component %d not owned by core %d", i, core)
 			}
+		}
+	}
+	checkCoreComponents(t, chip)
+	checkCoreComponents(t, NewQuad())
+	if got := chip.CoreComponents(16); len(got) != 0 {
+		t.Errorf("core 16 of 16 lists %v", got)
+	}
+}
+
+// checkCoreComponents compares every core's precomputed list with a rescan
+// of the components, and checks that a caller's append cannot write into
+// the shared lists.
+func checkCoreComponents(t *testing.T, chip *Chip) {
+	t.Helper()
+	for core := 0; core < chip.NumCores(); core++ {
+		var want []int
+		for i, comp := range chip.Components {
+			if comp.Core == core {
+				want = append(want, i)
+			}
+		}
+		got := chip.CoreComponents(core)
+		if !slices.Equal(got, want) {
+			t.Fatalf("core %d: CoreComponents %v, rescan %v", core, got, want)
+		}
+		if grown := append(got, -1); &grown[0] == &got[0] {
+			t.Fatalf("core %d: an append wrote into the shared list", core)
 		}
 	}
 }

@@ -157,6 +157,7 @@ func ChipFromFLP(units []FLPUnit) (*Chip, error) {
 	for i, c := range chip.Components {
 		chip.index[c.ID()] = i
 	}
+	chip.indexCores()
 	return chip, nil
 }
 

@@ -119,6 +119,7 @@ router0	1.0e-03	2.0e-03	2.0e-03	0.0e+00
 	if chip.Overlaps() {
 		t.Fatal("imported floorplan overlaps")
 	}
+	checkCoreComponents(t, chip)
 }
 
 func TestChipFromFLPDuplicate(t *testing.T) {

@@ -11,13 +11,13 @@ func TestVerifiedCholeskySolveZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{1, 2, 3}
-	x := make([]float64, 3)
-	if _, err := v.Solve(b, x); err != nil {
+	x, r := make([]float64, 3), make([]float64, 3)
+	if _, err := v.Solve(b, x, r); err != nil {
 		t.Fatal(err)
 	}
 	var solveErr error
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := v.Solve(b, x); err != nil {
+		if _, err := v.Solve(b, x, r); err != nil {
 			solveErr = err
 		}
 	})

@@ -184,7 +184,8 @@ type LU struct {
 	sign int
 	// tmp is the permuted-rhs scratch for Solve, preallocated so per-step
 	// solves stay allocation-free. Solve is therefore not safe for
-	// concurrent use — same contract as the thermal.Network that owns it.
+	// concurrent use, unlike VerifiedCholesky, whose scratch is the
+	// caller's and which the thermal network shares across goroutines.
 	tmp []float64
 }
 

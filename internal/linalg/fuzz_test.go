@@ -99,7 +99,7 @@ func FuzzCholeskyResidual(f *testing.F) {
 			b[i] = float64(i + 1)
 		}
 		x := make([]float64, n)
-		_, serr := v.Solve(b, x)
+		_, serr := v.Solve(b, x, make([]float64, n))
 		checkSolveOutcome(t, serr, a, b, x)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tecfan/internal/fan"
@@ -309,7 +310,7 @@ func TestCholeskyMatchesDenseReference(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(100 + mi)))
 		b := make([]float64, n)
-		want, x, xp := make([]float64, n), make([]float64, n), make([]float64, n)
+		want, x, xp, r := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 		for trial := 0; trial < rhsPer; trial++ {
 			// Temperature-like right-hand sides, half of them with exact
 			// zeros where a node has no source (the spreader rows).
@@ -326,7 +327,7 @@ func TestCholeskyMatchesDenseReference(t *testing.T) {
 			if wantRefined || wantErr != nil {
 				t.Fatalf("%s: reference refined=%v err=%v on a finite rhs", m.name, wantRefined, wantErr)
 			}
-			refined, err := got.Solve(b, x)
+			refined, err := got.Solve(b, x, r)
 			if refined || err != nil {
 				t.Fatalf("%s: trial %d: refined=%v err=%v, reference clean", m.name, trial, refined, err)
 			}
@@ -357,14 +358,14 @@ func TestVerifiedCholeskyNonFiniteMatchesReference(t *testing.T) {
 		n := m.a.Rows
 		rng := rand.New(rand.NewSource(int64(200 + mi)))
 		b := make([]float64, n)
-		x, want := make([]float64, n), make([]float64, n)
+		x, want, r := make([]float64, n), make([]float64, n), make([]float64, n)
 		for trial := 0; trial < 12; trial++ {
 			for i := range b {
 				b[i] = 45 + 40*rng.Float64()
 			}
 			b[rng.Intn(n)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[trial%3]
 			wantRefined, wantErr := ref.Solve(b, want)
-			refined, err := got.Solve(b, x)
+			refined, err := got.Solve(b, x, r)
 			if refined != wantRefined || errors.Is(err, linalg.ErrDiverged) != errors.Is(wantErr, linalg.ErrDiverged) {
 				t.Fatalf("%s: trial %d: (refined=%v, err=%v), reference (refined=%v, err=%v)",
 					m.name, trial, refined, err, wantRefined, wantErr)
@@ -395,5 +396,113 @@ func TestCholeskyNonFiniteMatrixMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// hilbert returns the n×n Hilbert matrix: SPD, and from n = 8 so
+// ill-conditioned that every solve takes the refinement step.
+func hilbert(n int) *linalg.Dense {
+	a := linalg.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, 1/float64(i+j+1))
+		}
+	}
+	return a
+}
+
+// hilbertRHS is a right-hand side for hilbert(n) that varies with k.
+func hilbertRHS(n, k int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64((i+k)%3) - 0.7
+	}
+	return b
+}
+
+// TestVerifiedCholeskyRefinementMatchesReference: on Hilbert systems that
+// refine, the refinement solved in place in the caller's scratch gives the
+// reference's separate-buffer refinement bit for bit: the verdict, the
+// refused residual and the best-attempt x.
+func TestVerifiedCholeskyRefinementMatchesReference(t *testing.T) {
+	for n := 8; n <= 13; n++ {
+		ref, err := newRefVerifiedCholesky(hilbert(n), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := linalg.NewVerifiedCholesky(hilbert(n), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := hilbertRHS(n, 0)
+		want, x := make([]float64, n), make([]float64, n)
+		wantRefined, wantErr := ref.Solve(b, want)
+		if !wantRefined {
+			t.Fatalf("hilbert-%d: reference did not refine; the case checks nothing", n)
+		}
+		refined, err := got.Solve(b, x, make([]float64, n))
+		if refined != wantRefined || (err == nil) != (wantErr == nil) {
+			t.Fatalf("hilbert-%d: (refined=%v, err=%v), reference (refined=%v, err=%v)", n, refined, err, wantRefined, wantErr)
+		}
+		var ne, wantNE *linalg.NumError
+		if errors.As(wantErr, &wantNE) {
+			if !errors.As(err, &ne) || math.Float64bits(ne.Residual) != math.Float64bits(wantNE.Residual) {
+				t.Fatalf("hilbert-%d: err %v, reference %v", n, err, wantErr)
+			}
+		}
+		if i := sameBits(want, x); i >= 0 {
+			t.Fatalf("hilbert-%d: x[%d] = %v, reference %v", n, i, x[i], want[i])
+		}
+	}
+}
+
+// TestVerifiedCholeskyConcurrentSolves: a factor is read-only after
+// construction, so eight goroutines may solve through one at once, each
+// with its own scratch. Every outcome, refining and refused ones included,
+// equals the serial one bit for bit.
+func TestVerifiedCholeskyConcurrentSolves(t *testing.T) {
+	const workers, rhsPer = 8, 16
+	for _, m := range []namedMatrix{thermalMatrices()[0], {"hilbert-10", hilbert(10)}} {
+		v, err := linalg.NewVerifiedCholesky(m.a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := m.a.Rows
+		type outcome struct {
+			x       []float64
+			refined bool
+			err     error
+		}
+		solve := func(k int, r []float64) outcome {
+			o := outcome{x: make([]float64, n)}
+			o.refined, o.err = v.Solve(hilbertRHS(n, k), o.x, r)
+			return o
+		}
+		want := make([]outcome, rhsPer)
+		for k := range want {
+			want[k] = solve(k, make([]float64, n))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := make([]float64, n)
+				for j := 0; j < rhsPer; j++ {
+					k := (g + j) % rhsPer
+					got := solve(k, r)
+					if got.refined != want[k].refined || (got.err == nil) != (want[k].err == nil) {
+						t.Errorf("%s: goroutine %d, rhs %d: (refined=%v, err=%v), serial (refined=%v, err=%v)",
+							m.name, g, k, got.refined, got.err, want[k].refined, want[k].err)
+						return
+					}
+					if i := sameBits(want[k].x, got.x); i >= 0 {
+						t.Errorf("%s: goroutine %d, rhs %d: x[%d] = %v, serial %v", m.name, g, k, i, got.x[i], want[k].x[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

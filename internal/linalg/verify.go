@@ -108,14 +108,15 @@ func relResidual(r, b []float64) float64 {
 // the skipped terms are products with an exact zero, so the residual, and
 // with it the refinement verdict, is bitwise the dense one for finite x.
 // Each Solve therefore costs O(nnz(L) + nnz(A)).
+//
+// A VerifiedCholesky is read-only after construction, so one factor may
+// serve solves from several goroutines at once: the residual and
+// refinement scratch is the caller's, lent to each Solve.
 type VerifiedCholesky struct {
 	chol *Cholesky
 	a    *CSR
 	tol  float64
 	cond float64
-	// scratch for residual/refinement, sized n — reused so steady-state
-	// fixed-point loops and per-step transient solves stay allocation-free.
-	ax, r, d []float64
 }
 
 // NewVerifiedCholesky factors a and retains a CSR copy of it for residual
@@ -129,14 +130,7 @@ func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 		tol = DefaultResidualTol
 	}
 	n := ch.N()
-	v := &VerifiedCholesky{
-		chol: ch,
-		a:    csrFromDense(a),
-		tol:  tol,
-		ax:   make([]float64, n),
-		r:    make([]float64, n),
-		d:    make([]float64, n),
-	}
+	v := &VerifiedCholesky{chol: ch, a: csrFromDense(a), tol: tol}
 	// Condition estimate from the pivots: cond₂(A) ≈ (max lᵢᵢ / min lᵢᵢ)².
 	// Crude but free, and exactly the data that degrades as A approaches
 	// indefiniteness.
@@ -165,25 +159,28 @@ func (v *VerifiedCholesky) Cond() float64 { return v.cond }
 func (v *VerifiedCholesky) N() int { return v.chol.N() }
 
 // Solve computes x with A·x = b, verifies the residual, and refines once if
-// needed. refined reports whether a refinement step changed x (a fault-free
-// system never refines, keeping guarded runs byte-identical). On failure x
-// is left as the best attempt but err is a *NumError and callers must not
-// use x.
-func (v *VerifiedCholesky) Solve(b, x []float64) (refined bool, err error) {
+// needed. r is the caller's scratch, length n, that holds the residual and
+// then the refinement correction; callers keep one per goroutine so solves
+// stay allocation-free. refined reports whether a refinement step changed x
+// (a fault-free system never refines, keeping guarded runs
+// byte-identical). On failure x is left as the best attempt but err is a
+// *NumError and callers must not use x.
+func (v *VerifiedCholesky) Solve(b, x, r []float64) (refined bool, err error) {
 	v.chol.Solve(b, x)
-	res := v.residual(b, x)
+	res := v.residual(b, x, r)
 	if res <= v.tol && floats.AllFinite(x) {
 		return false, nil
 	}
 	// One step of iterative refinement: solve A·d = r, x += d. With a
 	// residual computed in working precision this recovers solves degraded
 	// by mild ill-conditioning; anything it cannot fix is genuinely
-	// divergent and must be refused, not retried forever.
-	v.chol.Solve(v.r, v.d)
+	// divergent and must be refused, not retried forever. The correction
+	// overwrites r in place (Cholesky.Solve allows x to alias b).
+	v.chol.Solve(r, r)
 	for i := range x {
-		x[i] += v.d[i]
+		x[i] += r[i]
 	}
-	res = v.residual(b, x)
+	res = v.residual(b, x, r)
 	if res <= v.tol && floats.AllFinite(x) {
 		return true, nil
 	}
@@ -191,13 +188,24 @@ func (v *VerifiedCholesky) Solve(b, x []float64) (refined bool, err error) {
 	return true, &NumError{Op: "cholesky", Residual: res, Tol: v.tol, Cond: v.cond, Refinements: 1, Err: ErrDiverged}
 }
 
-// residual fills v.r = b − A·x and returns the relative residual.
-func (v *VerifiedCholesky) residual(b, x []float64) float64 {
-	v.a.MulVec(x, v.ax)
-	for i := range v.r {
-		v.r[i] = b[i] - v.ax[i]
+// residual fills r = b − A·x row by row and returns the relative residual.
+// Each row sums in CSR.MulVec's order, so r is bitwise b − MulVec(x).
+func (v *VerifiedCholesky) residual(b, x, r []float64) float64 {
+	a := v.a
+	if len(b) != a.N || len(x) != a.N || len(r) != a.N {
+		panic(ErrShape)
 	}
-	return relResidual(v.r, b)
+	for i := range r {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.ColIdx[lo:hi], a.Vals[lo:hi]
+		vals = vals[:len(cols)]
+		var s float64
+		for k, c := range cols {
+			s += vals[k] * x[c]
+		}
+		r[i] = b[i] - s
+	}
+	return relResidual(r, b)
 }
 
 // VerifiedBandLU is the band-matrix counterpart of VerifiedCholesky. The

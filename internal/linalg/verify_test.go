@@ -90,7 +90,7 @@ func TestVerifiedCholeskyNoRefinementOnHealthySystem(t *testing.T) {
 	b := []float64{1, 2, 3}
 	xv := make([]float64, 3)
 	xp := make([]float64, 3)
-	refined, err := v.Solve(b, xv)
+	refined, err := v.Solve(b, xv, make([]float64, 3))
 	if err != nil {
 		t.Fatalf("verified solve: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestVerifiedCholeskyRejectsNonFiniteRHS(t *testing.T) {
 	}
 	b := []float64{1, math.NaN(), 3}
 	x := make([]float64, 3)
-	_, err = v.Solve(b, x)
+	_, err = v.Solve(b, x, make([]float64, 3))
 	var ne *NumError
 	if !errors.As(err, &ne) {
 		t.Fatalf("NaN rhs: err = %v, want *NumError", err)

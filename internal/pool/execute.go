@@ -64,6 +64,10 @@ func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.S
 		from = &Checkpoint{}
 	}
 	env := exp.NewEnv()
+	// One worker per job: the daemon's executor and each pool worker already
+	// run a job at a time, and sweep points fanned out inside one would
+	// oversubscribe the host.
+	env.Workers = 1
 	if sh.Scale > 0 {
 		env.Scale = sh.Scale
 	}

@@ -51,8 +51,7 @@ type Machine struct {
 	// Threshold is T_th for the server experiments.
 	Threshold float64
 
-	coreComps [][]int
-	tileArea  float64
+	tileArea float64
 	// Search state, built lazily and reused: a Machine is single-goroutine.
 	basisMap map[int]*steadyBasis
 	bankVecs [][]bool
@@ -74,7 +73,7 @@ type steadyBasis struct {
 func NewMachine() *Machine {
 	chip := floorplan.NewQuad()
 	fm := fan.DynatronR16()
-	m := &Machine{
+	return &Machine{
 		Platform:  I7Platform(),
 		Chip:      chip,
 		Fan:       fm,
@@ -83,11 +82,6 @@ func NewMachine() *Machine {
 		Threshold: 100,
 		tileArea:  floorplan.TileW * floorplan.TileH,
 	}
-	m.coreComps = make([][]int, chip.NumCores())
-	for c := 0; c < chip.NumCores(); c++ {
-		m.coreComps[c] = chip.CoreComponents(c)
-	}
-	return m
 }
 
 // componentPower spreads per-core powers uniformly (by area) over each
@@ -97,7 +91,7 @@ func (m *Machine) componentPower(corePower []float64, out []float64) {
 		out[i] = 0
 	}
 	for c, p := range corePower {
-		for _, i := range m.coreComps[c] {
+		for _, i := range m.Chip.CoreComponents(c) {
 			out[i] = p * m.Chip.Components[i].Area() / m.tileArea
 		}
 	}
@@ -158,7 +152,7 @@ func (m *Machine) Basis(banks []bool, fanLevel int) (*steadyBasis, error) {
 		for i := range unit {
 			unit[i] = 0
 		}
-		for _, i := range m.coreComps[c] {
+		for _, i := range m.Chip.CoreComponents(c) {
 			unit[i] = m.Chip.Components[i].Area() / m.tileArea
 		}
 		t, err := m.NW.Steady(unit, fanLevel, st)

@@ -50,16 +50,17 @@ func TestSteadyIntoZeroAllocs(t *testing.T) {
 	for i := range temps {
 		temps[i] = 75
 	}
+	sc := nw.NewSteadyScratch()
 	// Warm both factor-cache entries the alternation below touches.
 	for i := 0; i < 4; i++ {
-		if err := nw.SteadyInto(temps, p, i%2, ts); err != nil {
+		if err := nw.SteadyInto(temps, p, i%2, ts, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var solveErr error
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := nw.SteadyInto(temps, p, i%2, ts); err != nil {
+		if err := nw.SteadyInto(temps, p, i%2, ts, sc); err != nil {
 			solveErr = err
 		}
 		i++

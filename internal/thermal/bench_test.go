@@ -57,9 +57,10 @@ func BenchmarkSteadyWithTEC16(b *testing.B) {
 	for i := range t {
 		t[i] = 75
 	}
+	sc := nw.NewSteadyScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := nw.SteadyInto(t, p, 1, ts); err != nil {
+		if err := nw.SteadyInto(t, p, 1, ts, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,0 +1,119 @@
+package thermal
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"tecfan/internal/linalg"
+	"tecfan/internal/tec"
+)
+
+// concurrentJob is one goroutine's share of TestConcurrentNetworkMatchesSerial
+// on a network with the SCC16 chip: a warm steady solve with core g's TECs
+// engaged at fan level g%4, a cold Steady one level slower, and a short
+// transient at level g%4. It returns every field it computed, end to end,
+// and the factors it solved with.
+func concurrentJob(nw *Network, g int, p []float64) (out []float64, steadyF, transF *linalg.VerifiedCholesky, err error) {
+	level := g % 4
+	ts := tec.NewState(tec.Array(nw.Chip, tec.DefaultDevice()))
+	for _, l := range ts.CoreDevices(g) {
+		ts.Set(l, true)
+	}
+	ts.Advance(1)
+
+	t := make([]float64, nw.NumNodes())
+	for i := range t {
+		t[i] = 75
+	}
+	if err := nw.SteadyInto(t, p, level, ts, nw.NewSteadyScratch()); err != nil {
+		return nil, nil, nil, err
+	}
+	out = append(out, t...)
+	cold, err := nw.Steady(p, level+1, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	out = append(out, cold...)
+	tr, err := nw.NewTransient(level, 100e-6)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for step := 0; step < 20; step++ {
+		if err := tr.Step(t, p, ts); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	out = append(out, t...)
+	if steadyF, err = nw.steadyFactor(level); err != nil {
+		return nil, nil, nil, err
+	}
+	return out, steadyF, tr.factor, nil
+}
+
+// TestConcurrentNetworkMatchesSerial: eight goroutines solve on one shared
+// network at once, pairs of them on the same fan level. Every result must
+// equal a serial run on a fresh network bit for bit, and every goroutine
+// that asked for a steady or transient factor of one key must have been
+// handed the same one: the factor was built once and shared.
+func TestConcurrentNetworkMatchesSerial(t *testing.T) {
+	const workers = 8
+	nw, p := benchNetwork16()
+	serial, _ := benchNetwork16()
+	want := make([][]float64, workers)
+	for g := range want {
+		var err error
+		if want[g], _, _, err = concurrentJob(serial, g, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got := make([][]float64, workers)
+	steadyF := make([]*linalg.VerifiedCholesky, workers)
+	transF := make([]*linalg.VerifiedCholesky, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g], steadyF[g], transF[g], errs[g] = concurrentJob(nw, g, p)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	for g := 0; g < workers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if len(got[g]) != len(want[g]) {
+			t.Fatalf("goroutine %d: %d values, serial %d", g, len(got[g]), len(want[g]))
+		}
+		for i := range want[g] {
+			if math.Float64bits(got[g][i]) != math.Float64bits(want[g][i]) {
+				t.Fatalf("goroutine %d: value %d = %v, serial %v", g, i, got[g][i], want[g][i])
+			}
+		}
+		if other := g % 4; steadyF[g] != steadyF[other] || transF[g] != transF[other] {
+			t.Errorf("goroutines %d and %d share fan level %d but were handed different factors", g, other, other)
+		}
+		if g >= 4 {
+			continue
+		}
+		for _, h := range []int{(g + 1) % 4, (g + 2) % 4, (g + 3) % 4} {
+			if steadyF[g] == steadyF[h] || transF[g] == transF[h] {
+				t.Errorf("fan levels %d and %d share a factor", g, h)
+			}
+		}
+	}
+	// Levels 0–3 warm and 1–4 cold: five steady factors, four transient.
+	if n := len(nw.steadyCache.m); n != 5 {
+		t.Errorf("%d steady factors cached, want 5", n)
+	}
+	if n := len(nw.transientCache.m); n != 4 {
+		t.Errorf("%d transient factors cached, want 4", n)
+	}
+}

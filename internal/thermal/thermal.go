@@ -22,6 +22,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"tecfan/internal/fan"
 	"tecfan/internal/floorplan"
@@ -87,7 +88,10 @@ func DefaultParams() Params {
 	}
 }
 
-// Network is the assembled RC network for one chip and fan model.
+// Network is the assembled RC network for one chip and fan model. It is
+// safe for concurrent use: the model is immutable after NewNetwork, each
+// factor is built once and then only read, and every solve works in
+// scratch its caller owns (a SteadyScratch, a Transient).
 type Network struct {
 	Chip   *floorplan.Chip
 	Fan    *fan.Model
@@ -104,20 +108,50 @@ type Network struct {
 	// Cached factors are the verified kind: every solve through them is
 	// residual-checked, refined once when degraded, and refused with a
 	// typed linalg.NumError rather than returning garbage temperatures.
-	steadyCache    map[int]*linalg.VerifiedCholesky
-	transientCache map[transientKey]*linalg.VerifiedCholesky
+	steadyCache    factorCache[int]
+	transientCache factorCache[transientKey]
 
-	// Fixed-point scratch for SteadyInto, preallocated so per-candidate
-	// steady solves stay allocation-free. The Network is already not safe
-	// for concurrent use (shared factor caches); the scratch keeps that
-	// contract rather than tightening it.
-	steadyRHS  []float64
-	steadyNext []float64
+	// coldScratch lends Steady its SteadyScratch. Simulations call the
+	// cold solve once per run, and a fresh scratch for each call would
+	// cost three vectors per run.
+	coldScratch sync.Pool
 }
 
 type transientKey struct {
 	fanLevel int
 	dtNanos  int64
+}
+
+// factorCache builds each key's factor once and shares it. Concurrent
+// callers of one key wait while the first of them builds it; callers of
+// other keys do not. A warm lookup takes the mutex for one map read and
+// does not allocate. A failed build is kept too: the matrix is a pure
+// function of the key, so a retry would fail the same way.
+type factorCache[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]*cachedFactor
+}
+
+type cachedFactor struct {
+	once sync.Once
+	f    *linalg.VerifiedCholesky
+	err  error
+}
+
+// get returns key's factor, calling build if no caller has yet.
+func (c *factorCache[K]) get(key K, build func() (*linalg.VerifiedCholesky, error)) (*linalg.VerifiedCholesky, error) {
+	c.mu.Lock()
+	e := c.m[key]
+	if e == nil {
+		e = &cachedFactor{}
+		if c.m == nil {
+			c.m = map[K]*cachedFactor{}
+		}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.f, e.err = build() })
+	return e.f, e.err
 }
 
 // NewNetwork assembles the network for a chip. The fan model supplies the
@@ -126,18 +160,15 @@ func NewNetwork(chip *floorplan.Chip, fm *fan.Model, p Params) *Network {
 	nc := len(chip.Components)
 	cores := chip.NumCores()
 	nw := &Network{
-		Chip:           chip,
-		Fan:            fm,
-		Params:         p,
-		n:              nc + cores + 1,
-		spreaderBase:   nc,
-		sinkNode:       nc + cores,
-		capn:           make([]float64, nc+cores+1),
-		steadyCache:    map[int]*linalg.VerifiedCholesky{},
-		transientCache: map[transientKey]*linalg.VerifiedCholesky{},
-		steadyRHS:      make([]float64, nc+cores+1),
-		steadyNext:     make([]float64, nc+cores+1),
+		Chip:         chip,
+		Fan:          fm,
+		Params:       p,
+		n:            nc + cores + 1,
+		spreaderBase: nc,
+		sinkNode:     nc + cores,
+		capn:         make([]float64, nc+cores+1),
 	}
+	nw.coldScratch.New = func() any { return nw.NewSteadyScratch() }
 	nw.assemble()
 	return nw
 }
@@ -262,15 +293,13 @@ func (nw *Network) TransientMatrix(fanLevel int, dt float64) *linalg.Dense {
 
 // steadyFactor returns the cached verified Cholesky factor of G(fanLevel).
 func (nw *Network) steadyFactor(fanLevel int) (*linalg.VerifiedCholesky, error) {
-	if f, ok := nw.steadyCache[fanLevel]; ok {
+	return nw.steadyCache.get(fanLevel, func() (*linalg.VerifiedCholesky, error) {
+		f, err := linalg.NewVerifiedCholesky(nw.AssembleG(fanLevel), 0)
+		if err != nil {
+			return nil, fmt.Errorf("thermal: factoring G(fan=%d): %w", fanLevel, err)
+		}
 		return f, nil
-	}
-	f, err := linalg.NewVerifiedCholesky(nw.AssembleG(fanLevel), 0)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: factoring G(fan=%d): %w", fanLevel, err)
-	}
-	nw.steadyCache[fanLevel] = f
-	return f, nil
+	})
 }
 
 // peltierRHS adds the TEC source terms for the given temperature estimate to
@@ -324,6 +353,24 @@ func (nw *Network) baseRHS(rhs, power []float64, fanLevel int) error {
 // source iteration.
 const steadyTol = 1e-3
 
+// SteadyScratch is the working memory of SteadyInto: the fixed point's
+// right-hand side and next iterate, and the verified solve's residual. A
+// goroutine solving on a shared Network keeps its own, so per-candidate
+// steady solves stay allocation-free without tying the Network to one
+// caller.
+type SteadyScratch struct {
+	rhs, next, res []float64
+}
+
+// NewSteadyScratch returns a SteadyScratch sized for the network.
+func (nw *Network) NewSteadyScratch() *SteadyScratch {
+	return &SteadyScratch{
+		rhs:  make([]float64, nw.n),
+		next: make([]float64, nw.n),
+		res:  make([]float64, nw.n),
+	}
+}
+
 // Steady solves Eq. (1) for the steady-state temperature vector (°C). The
 // TEC Peltier terms, linear in T, are converged by a short fixed-point
 // iteration (they are small relative to the conduction terms, so 2–4 rounds
@@ -331,26 +378,28 @@ const steadyTol = 1e-3
 func (nw *Network) Steady(power []float64, fanLevel int, ts *tec.State) ([]float64, error) {
 	t := make([]float64, nw.n)
 	linalg.Fill(t, nw.Params.AmbientC)
-	if err := nw.SteadyInto(t, power, fanLevel, ts); err != nil {
+	sc := nw.coldScratch.Get().(*SteadyScratch)
+	defer nw.coldScratch.Put(sc)
+	if err := nw.SteadyInto(t, power, fanLevel, ts, sc); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // SteadyInto is Steady with a caller-provided initial guess/output vector,
-// enabling warm starts across control periods.
-func (nw *Network) SteadyInto(t, power []float64, fanLevel int, ts *tec.State) error {
+// enabling warm starts across control periods, and caller-owned scratch sc.
+func (nw *Network) SteadyInto(t, power []float64, fanLevel int, ts *tec.State, sc *SteadyScratch) error {
 	f, err := nw.steadyFactor(fanLevel)
 	if err != nil {
 		return err
 	}
-	rhs, next := nw.steadyRHS, nw.steadyNext
+	rhs, next := sc.rhs, sc.next
 	for iter := 0; iter < 50; iter++ {
 		if err := nw.baseRHS(rhs, power, fanLevel); err != nil {
 			return err
 		}
 		nw.peltierRHS(rhs, t, ts)
-		if _, err := f.Solve(rhs, next); err != nil {
+		if _, err := f.Solve(rhs, next, sc.res); err != nil {
 			//lint:tecfan-ignore allocfree -- solver refusal path: formats the diagnosis at most once per rejected solve
 			return fmt.Errorf("thermal: steady solve (fan=%d): %w", fanLevel, err) //lint:tecfan-ignore hotcall -- refusal path: fmt runs at most once per rejected solve
 		}
@@ -370,6 +419,8 @@ func (nw *Network) SteadyInto(t, power []float64, fanLevel int, ts *tec.State) e
 }
 
 // Transient is a backward-Euler integrator with a fixed fan level and step.
+// It owns its solve scratch, so it serves one goroutine at a time; the
+// Transients of one Network share its factors.
 type Transient struct {
 	nw       *Network
 	fanLevel int
@@ -377,6 +428,7 @@ type Transient struct {
 	factor   *linalg.VerifiedCholesky
 	rhs      []float64
 	next     []float64
+	res      []float64 // the verified solve's residual scratch
 	// refines counts iterative-refinement steps the verified solve needed,
 	// per Transient instance (the factor cache is shared across instances,
 	// so the counter cannot live there without leaking across runs).
@@ -392,14 +444,15 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 		return nil, fmt.Errorf("thermal: non-positive dt %v", dt)
 	}
 	key := transientKey{fanLevel: fanLevel, dtNanos: int64(dt * 1e9)}
-	f, ok := nw.transientCache[key]
-	if !ok {
-		var err error
-		f, err = linalg.NewVerifiedCholesky(nw.TransientMatrix(fanLevel, dt), 0)
+	f, err := nw.transientCache.get(key, func() (*linalg.VerifiedCholesky, error) {
+		f, err := linalg.NewVerifiedCholesky(nw.TransientMatrix(fanLevel, dt), 0)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 		}
-		nw.transientCache[key] = f
+		return f, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Transient{
 		nw:       nw,
@@ -408,6 +461,7 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 		factor:   f,
 		rhs:      make([]float64, nw.n),
 		next:     make([]float64, nw.n),
+		res:      make([]float64, nw.n),
 	}, nil
 }
 
@@ -431,7 +485,7 @@ func (tr *Transient) Step(t, power []float64, ts *tec.State) error {
 	for i := 0; i < nw.n; i++ {
 		tr.rhs[i] += nw.capn[i] / tr.dt * t[i]
 	}
-	refined, err := tr.factor.Solve(tr.rhs, tr.next)
+	refined, err := tr.factor.Solve(tr.rhs, tr.next, tr.res)
 	if refined {
 		tr.refines++
 	}

@@ -497,7 +497,7 @@ func TestSteadyIntoWarmStartFewerIterations(t *testing.T) {
 	// Warm start from the solution: SteadyInto must converge immediately
 	// and leave the answer unchanged.
 	warm := append([]float64(nil), cold...)
-	if err := nw.SteadyInto(warm, p, 1, ts); err != nil {
+	if err := nw.SteadyInto(warm, p, 1, ts, nw.NewSteadyScratch()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range warm {
