@@ -145,11 +145,6 @@ func WriteFileFS(fsys diskfault.FS, path string, payload []byte) error {
 	return nil
 }
 
-// WriteFile is WriteFileFS over the real filesystem.
-func WriteFile(path string, payload []byte) error {
-	return WriteFileFS(diskfault.OS, path, payload)
-}
-
 // ReadFileFS loads and verifies an enveloped file through the seam,
 // returning the payload.
 func ReadFileFS(fsys diskfault.FS, path string) ([]byte, error) {
@@ -169,9 +164,4 @@ func ReadFileFS(fsys diskfault.FS, path string) ([]byte, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return payload, nil
-}
-
-// ReadFile is ReadFileFS over the real filesystem.
-func ReadFile(path string) ([]byte, error) {
-	return ReadFileFS(diskfault.OS, path)
 }

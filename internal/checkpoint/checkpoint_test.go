@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tecfan/internal/diskfault"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -70,10 +72,10 @@ func TestEncodeRejectsOversize(t *testing.T) {
 func TestWriteReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.ckpt")
 	payload := []byte("durable state")
-	if err := WriteFile(path, payload); err != nil {
+	if err := WriteFileFS(diskfault.OS, path, payload); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(path)
+	got, err := ReadFileFS(diskfault.OS, path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
@@ -81,10 +83,10 @@ func TestWriteReadFile(t *testing.T) {
 		t.Fatalf("ReadFile = %q, want %q", got, payload)
 	}
 	// Overwrite is atomic: the new content fully replaces the old.
-	if err := WriteFile(path, []byte("v2")); err != nil {
+	if err := WriteFileFS(diskfault.OS, path, []byte("v2")); err != nil {
 		t.Fatalf("WriteFile overwrite: %v", err)
 	}
-	if got, err = ReadFile(path); err != nil || string(got) != "v2" {
+	if got, err = ReadFileFS(diskfault.OS, path); err != nil || string(got) != "v2" {
 		t.Fatalf("ReadFile after overwrite = %q, %v", got, err)
 	}
 	// No temporary files left behind.
@@ -106,7 +108,7 @@ func TestReadFileRejectsTorn(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadFileFS(diskfault.OS, path); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("ReadFile torn error = %v, want %v", err, ErrTruncated)
 	}
 }

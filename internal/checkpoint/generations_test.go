@@ -26,7 +26,7 @@ func TestGenStoreWriteRotateRead(t *testing.T) {
 	}
 	// Generations hold the prior snapshots, newest first.
 	for i, want := range []string{"snap-3", "snap-2"} {
-		p, err := ReadFile(g.Paths()[i+1])
+		p, err := ReadFileFS(diskfault.OS, g.Paths()[i+1])
 		if err != nil || string(p) != want {
 			t.Fatalf("gen %d = %q, %v (want %q)", i+1, p, err, want)
 		}
@@ -98,7 +98,7 @@ func TestGenStoreCorruptHeadNotRotated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The corrupt head must have been quarantined, not promoted to .g1.
-	if p, err := ReadFile(g.Path() + ".g1"); err == nil && string(p) == "rot" {
+	if p, err := ReadFileFS(diskfault.OS, g.Path()+".g1"); err == nil && string(p) == "rot" {
 		t.Fatal("corruption cycled into the generation chain")
 	}
 	if _, err := os.Stat(g.Path() + ".bad-1"); err != nil {
@@ -127,7 +127,7 @@ func TestGenStoreScrubRepairs(t *testing.T) {
 		t.Fatalf("Scrub = %d, %v (want 1 repair)", repaired, err)
 	}
 	// Repaired slot holds the newest good snapshot and verifies.
-	p, err := ReadFile(g.Path() + ".g1")
+	p, err := ReadFileFS(diskfault.OS, g.Path()+".g1")
 	if err != nil || string(p) != "three" {
 		t.Fatalf("repaired gen = %q, %v", p, err)
 	}

@@ -44,13 +44,9 @@ type idemPayload struct {
 	Seq     uint64               `json:"seq"`
 }
 
-// DefaultIdemMaxEntries caps the table when OpenIdemStore is given max <= 0.
+// DefaultIdemMaxEntries caps the table, evicting oldest-first beyond it,
+// when OpenIdemStoreFS is given max <= 0. The daemon always uses it.
 const DefaultIdemMaxEntries = 4096
-
-// OpenIdemStore is OpenIdemStoreFS over the real filesystem.
-func OpenIdemStore(path string, max int) (*IdemStore, error) {
-	return OpenIdemStoreFS(diskfault.OS, path, max, nil)
-}
 
 // OpenIdemStoreFS loads the table at path through the seam; the file need
 // not exist yet. An unreadable table (torn write that beat the atomic

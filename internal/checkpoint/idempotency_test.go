@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tecfan/internal/diskfault"
 )
 
 func TestIdemStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idem.idem")
-	s, err := OpenIdemStore(path, 0)
+	s, err := OpenIdemStoreFS(diskfault.OS, path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func TestIdemStoreRoundTrip(t *testing.T) {
 	}
 
 	// A fresh open on the same path sees the durable entry.
-	s2, err := OpenIdemStore(path, 0)
+	s2, err := OpenIdemStoreFS(diskfault.OS, path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestIdemStoreRoundTrip(t *testing.T) {
 	if err := s2.Delete("tok"); err != nil { // idempotent delete
 		t.Fatal(err)
 	}
-	s3, err := OpenIdemStore(path, 0)
+	s3, err := OpenIdemStoreFS(diskfault.OS, path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestIdemStoreRoundTrip(t *testing.T) {
 
 func TestIdemStoreEvictsOldest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idem.idem")
-	s, err := OpenIdemStore(path, 4)
+	s, err := OpenIdemStoreFS(diskfault.OS, path, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestIdemStoreQuarantinesCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not an envelope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenIdemStore(path, 0)
+	s, err := OpenIdemStoreFS(diskfault.OS, path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestIdemStoreQuarantinesCorrupt(t *testing.T) {
 	if err := s.Put("tok", "job-1"); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenIdemStore(path, 0)
+	s2, err := OpenIdemStoreFS(diskfault.OS, path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestIdemStoreQuarantinesCorrupt(t *testing.T) {
 }
 
 func TestIdemStoreAll(t *testing.T) {
-	s, err := OpenIdemStore(filepath.Join(t.TempDir(), "idem.idem"), 0)
+	s, err := OpenIdemStoreFS(diskfault.OS, filepath.Join(t.TempDir(), "idem.idem"), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,93 +10,70 @@ import (
 	"tecfan/internal/tec"
 )
 
-// FTConfig tunes the fault-tolerant controller's detection thresholds and
-// its degradation budget. Zero values are replaced by DefaultFTConfig.
-type FTConfig struct {
-	// TempMin/TempMax bound plausible die readings (°C); outside them a
+// The fault-tolerant controller's detection thresholds and its degradation
+// budget.
+const (
+	// ftTempMin/ftTempMax bound plausible die readings (°C); outside them a
 	// sensor is distrusted immediately.
-	TempMin, TempMax float64
-	// FreezeStreak is how many consecutive control periods a sensor may
+	ftTempMin, ftTempMax = 5, 130
+	// freezeStreak is how many consecutive control periods a sensor may
 	// repeat its reading bit-for-bit — while other trusted sensors move —
 	// before it is declared stuck.
-	FreezeStreak int
-	// JumpLimit is the |measured − predicted| residual (°C) that counts as
-	// a jump; JumpStreak consecutive jumps distrust the sensor.
-	JumpLimit  float64
-	JumpStreak int
-	// NoiseLimit distrusts a sensor whose EWMA of |differential residual|
+	freezeStreak = 12
+	// jumpLimit is the |measured − predicted| residual (°C) that counts as
+	// a jump; jumpStreak consecutive jumps distrust the sensor.
+	jumpLimit  = 8
+	jumpStreak = 3
+	// noiseLimit distrusts a sensor whose EWMA of |differential residual|
 	// exceeds it (°C). Residuals are scored after subtracting the median
 	// residual of all trusted sensors: model error (the power measurement
 	// lags one period, so ramps are mispredicted chip-wide) is common-mode,
 	// while a faulty sensor deviates from its peers. A healthy sensor tracks
 	// the prediction differentially to well under a degree; a noisy one
 	// cannot.
-	NoiseLimit float64
-	// ResponseMargin/ResponseWindow de-rate a TEC bank whose covered
-	// components sit more than ResponseMargin °C above prediction for
-	// ResponseWindow consecutive periods while the bank is commanded on —
+	noiseLimit = 2
+	// responseMargin/responseWindow de-rate a TEC bank whose covered
+	// components sit more than responseMargin °C above prediction for
+	// responseWindow consecutive periods while the bank is commanded on —
 	// cooling that never arrives.
-	ResponseMargin float64
-	ResponseWindow int
-	// MismatchStreak is how many net readback mismatches an actuator (TEC
+	responseMargin = 5
+	responseWindow = 15
+	// mismatchStreak is how many net readback mismatches an actuator (TEC
 	// drive, DVFS level, fan level) may accumulate before it is declared
 	// failed. A matching readback decays the count by one rather than
 	// clearing it: a partially-failed path (e.g. a DVFS rail that refuses
 	// only deep levels) reads back correctly between clamps, and a single
 	// good sample must not amnesty it.
-	MismatchStreak int
-	// SafeDVFS is the fail-safe chip-wide level; -1 means half of maximum.
-	SafeDVFS int
-	// Budget is the degradation score at which the controller abandons
+	mismatchStreak = 3
+	// budget is the degradation score at which the controller abandons
 	// optimization and enters fail-safe. Each distrusted sensor scores
-	// SensorWeight, each de-rated bank BankWeight, and a failed DVFS or fan
-	// actuator ActuatorWeight.
-	Budget         int
-	SensorWeight   int
-	BankWeight     int
-	ActuatorWeight int
-	// ExtraMargin widens the inner controller's safety band (°C): with
+	// sensorWeight, each de-rated bank bankWeight, and a failed DVFS or fan
+	// actuator actuatorWeight.
+	budget         = 4
+	sensorWeight   = 1
+	bankWeight     = 1
+	actuatorWeight = 4
+	// extraMargin widens the inner controller's safety band (°C): with
 	// substituted estimates standing in for distrusted sensors, predictions
 	// carry more error than the healthy controller assumes.
-	ExtraMargin float64
-	// DefensiveMargin widens the band further per detected fault (°C per
-	// degradation point, capped at DefensiveCap): a controller flying on
+	extraMargin = 1
+	// defensiveMargin widens the band further per detected fault (°C per
+	// degradation point, capped at defensiveCap): a controller flying on
 	// substituted readings or de-rated banks buys back the headroom the
 	// §IV-C fan selection traded away for energy.
-	DefensiveMargin float64
-	DefensiveCap    float64
-	// SubstMargin is added to every substituted reading (°C): an unobserved
+	defensiveMargin = 1.5
+	defensiveCap    = 6
+	// substMargin is added to every substituted reading (°C): an unobserved
 	// die must be assumed hotter than the model says, since prediction error
 	// accumulates with no measurement to correct it.
-	SubstMargin float64
-	// WarmupPeriods suspends the model-residual detectors (jump, noise,
+	substMargin = 3
+	// warmupPeriods suspends the model-residual detectors (jump, noise,
 	// thermal no-response) for the first control periods of each iteration:
 	// right after a (re)start the controller slews every actuator hard and
 	// the one-period prediction error transiently exceeds the fault limits.
 	// Hard checks — NaN/∞, range, freeze, actuator readback — stay live.
-	WarmupPeriods int
-}
-
-// DefaultFTConfig returns the thresholds used by the chaos harness.
-func DefaultFTConfig() FTConfig {
-	return FTConfig{
-		TempMin: 5, TempMax: 130,
-		FreezeStreak: 12,
-		JumpLimit:    8, JumpStreak: 3,
-		NoiseLimit:     2,
-		ResponseMargin: 5, ResponseWindow: 15,
-		MismatchStreak:  3,
-		SafeDVFS:        -1,
-		Budget:          4,
-		SensorWeight:    1,
-		BankWeight:      1,
-		ActuatorWeight:  4,
-		ExtraMargin:     1,
-		DefensiveMargin: 1.5, DefensiveCap: 6,
-		SubstMargin:   3,
-		WarmupPeriods: 5,
-	}
-}
+	warmupPeriods = 5
+)
 
 // FTStats exposes the detection and recovery telemetry of one run. Times are
 // simulation seconds; -1 means "never happened".
@@ -134,15 +111,16 @@ type FTStats struct {
 // readbacks are compared against issued commands: TEC banks that stop
 // responding (electrically or thermally) are de-rated out of the search via
 // Controller.Disabled, and failed DVFS or fan paths are flagged. When the
-// accumulated degradation crosses FTConfig.Budget, the controller abandons
+// accumulated degradation crosses the budget, the controller abandons
 // optimization for a sticky fail-safe: fan to maximum, DVFS to a safe
 // level, TECs off — minimum-heat, maximum-airflow, no reliance on any
 // distrusted input.
 type FT struct {
 	Inner *Controller
-	Cfg   FTConfig
 
 	nDie, nCores, nDev int
+	// safeDVFS is the fail-safe chip-wide level: half of maximum.
+	safeDVFS int
 
 	stats FTStats
 
@@ -168,7 +146,7 @@ type FT struct {
 	ptemps   []float64
 	estBuf   Estimate
 	// unpad holds this period's die temperatures with substitutions but
-	// without the SubstMargin padding — the predictor's input, so the
+	// without the substMargin padding — the predictor's input, so the
 	// padding doesn't compound through the prediction chain.
 	unpad []float64
 	// commonResid is this period's median raw−pred residual over trusted
@@ -192,7 +170,7 @@ type FT struct {
 	fanReqValid bool
 
 	// periods counts Control calls since the last Reset; the model-residual
-	// detectors stay disarmed until it passes Cfg.WarmupPeriods.
+	// detectors stay disarmed until it passes warmupPeriods.
 	periods int
 
 	baseMargin float64 // inner margin before any defensive widening
@@ -206,22 +184,15 @@ var (
 )
 
 // NewFT wraps a fresh TECfan controller in the fault-tolerance layer.
-func NewFT(est *Estimator, cfg FTConfig) *FT {
-	def := DefaultFTConfig()
-	if cfg == (FTConfig{}) {
-		cfg = def
-	}
-	if cfg.SafeDVFS < 0 {
-		cfg.SafeDVFS = est.DVFS.Max() / 2
-	}
+func NewFT(est *Estimator) *FT {
 	inner := NewController(est)
-	inner.Margin += cfg.ExtraMargin
+	inner.Margin += extraMargin
 	f := &FT{
 		Inner:      inner,
-		Cfg:        cfg,
 		nDie:       est.Network.NumDie(),
 		nCores:     est.Chip.NumCores(),
 		nDev:       len(est.Placements),
+		safeDVFS:   est.DVFS.Max() / 2,
 		baseMargin: inner.Margin,
 	}
 	f.alloc()
@@ -281,7 +252,7 @@ func (f *FT) Reset() {
 
 // armed reports whether the model-residual detectors are live: prediction
 // error right after a (re)start reflects actuator slew, not sensor faults.
-func (f *FT) armed() bool { return f.periods > f.Cfg.WarmupPeriods }
+func (f *FT) armed() bool { return f.periods > warmupPeriods }
 
 // Clear drops the persistent fault log too — the state a fresh controller
 // would have. NewFT calls it; tests may use it to reuse one instance.
@@ -392,11 +363,11 @@ func (f *FT) sanitize(s *sim.Observation, raw []float64) {
 	for i := 0; i < f.nDie; i++ {
 		if !f.distrust[i] {
 			switch {
-			case !finite(raw[i]) || raw[i] < f.Cfg.TempMin || raw[i] > f.Cfg.TempMax:
+			case !finite(raw[i]) || raw[i] < ftTempMin || raw[i] > ftTempMax:
 				f.distrustSensor(i, s.Time)
 			case f.haveRaw && floats.Same(raw[i], f.lastRaw[i]) && moved:
 				f.freeze[i]++
-				if f.freeze[i] >= f.Cfg.FreezeStreak {
+				if f.freeze[i] >= freezeStreak {
 					f.distrustSensor(i, s.Time)
 				}
 			default:
@@ -406,12 +377,12 @@ func (f *FT) sanitize(s *sim.Observation, raw []float64) {
 		if !f.distrust[i] && f.predValid && f.armed() {
 			resid := math.Abs(raw[i] - f.pred[i] - f.commonResid)
 			f.residEW[i] = 0.9*f.residEW[i] + 0.1*resid
-			if resid > f.Cfg.JumpLimit {
+			if resid > jumpLimit {
 				f.jumps[i]++
 			} else {
 				f.jumps[i] = 0
 			}
-			if f.jumps[i] >= f.Cfg.JumpStreak || f.residEW[i] > f.Cfg.NoiseLimit {
+			if f.jumps[i] >= jumpStreak || f.residEW[i] > noiseLimit {
 				f.distrustSensor(i, s.Time)
 			}
 		}
@@ -419,14 +390,14 @@ func (f *FT) sanitize(s *sim.Observation, raw []float64) {
 		case f.distrust[i]:
 			v := f.substitute(i, raw)
 			f.unpad[i] = v
-			// The optimizer sees the stand-in padded by SubstMargin: an
+			// The optimizer sees the stand-in padded by substMargin: an
 			// unobserved die must be assumed hotter than the model says.
-			s.Temps[i] = v + f.Cfg.SubstMargin
+			s.Temps[i] = v + substMargin
 			f.stats.Substitutions++
 		case f.jumps[i] > 0 && f.predValid && finite(f.pred[i]):
 			// A jump pending confirmation reads as the model prediction, so
 			// the predictor doesn't re-anchor to a step-biased sensor and
-			// erase the residual before JumpStreak can confirm it.
+			// erase the residual before jumpStreak can confirm it.
 			s.Temps[i] = f.pred[i]
 			f.unpad[i] = f.pred[i]
 			f.stats.Substitutions++
@@ -452,7 +423,7 @@ func (f *FT) distrustSensor(i int, t float64) {
 
 // substitute returns the unpadded stand-in value for a distrusted sensor:
 // the RC prediction when available, else the last good reading, else the
-// mean of the trusted sensors. Control-path consumers add SubstMargin on
+// mean of the trusted sensors. Control-path consumers add substMargin on
 // top; the predictor must use the unpadded value or the margin would
 // compound period over period.
 func (f *FT) substitute(i int, raw []float64) float64 {
@@ -497,7 +468,7 @@ func (f *FT) checkActuators(s *sim.Observation) {
 		}
 		if mismatch {
 			f.dvfsMismatch++
-			if f.dvfsMismatch >= f.Cfg.MismatchStreak {
+			if f.dvfsMismatch >= mismatchStreak {
 				f.stats.DVFSFailed = true
 				f.mark(s.Time)
 			}
@@ -528,7 +499,7 @@ func (f *FT) checkActuators(s *sim.Observation) {
 			}
 			if mismatch {
 				f.tecMismatch[c]++
-				if f.tecMismatch[c] >= f.Cfg.MismatchStreak {
+				if f.tecMismatch[c] >= mismatchStreak {
 					f.derate(c, s.Time)
 				}
 			} else if f.tecMismatch[c] > 0 {
@@ -548,7 +519,7 @@ func (f *FT) checkFan(obs *sim.Observation) {
 	}
 	if obs.FanLevel != f.fanReq {
 		f.fanMismatch++
-		if f.fanMismatch >= f.Cfg.MismatchStreak {
+		if f.fanMismatch >= mismatchStreak {
 			f.stats.FanFailed = true
 			f.mark(obs.Time)
 		}
@@ -589,9 +560,9 @@ func (f *FT) checkResponse(s *sim.Observation, raw []float64) {
 				}
 			}
 		}
-		if driven && n > 0 && residSum/float64(n) > f.Cfg.ResponseMargin {
+		if driven && n > 0 && residSum/float64(n) > responseMargin {
 			f.bankNoResp[c]++
-			if f.bankNoResp[c] >= f.Cfg.ResponseWindow {
+			if f.bankNoResp[c] >= responseWindow {
 				f.derate(c, s.Time)
 			}
 		} else {
@@ -621,13 +592,13 @@ func (f *FT) derate(c int, t float64) {
 // degradation is the current degradation score: the same weighting the
 // fail-safe budget uses.
 func (f *FT) degradation() int {
-	d := f.Cfg.SensorWeight*f.stats.DistrustedSensors +
-		f.Cfg.BankWeight*f.stats.DeratedBanks
+	d := sensorWeight*f.stats.DistrustedSensors +
+		bankWeight*f.stats.DeratedBanks
 	if f.stats.DVFSFailed {
-		d += f.Cfg.ActuatorWeight
+		d += actuatorWeight
 	}
 	if f.stats.FanFailed {
-		d += f.Cfg.ActuatorWeight
+		d += actuatorWeight
 	}
 	return d
 }
@@ -636,9 +607,9 @@ func (f *FT) degradation() int {
 // score: substituted readings and de-rated banks mean the optimizer is
 // partially blind, so it must stop farther from the threshold.
 func (f *FT) applyDefensiveMargin() {
-	extra := f.Cfg.DefensiveMargin * float64(f.degradation())
-	if extra > f.Cfg.DefensiveCap {
-		extra = f.Cfg.DefensiveCap
+	extra := defensiveMargin * float64(f.degradation())
+	if extra > defensiveCap {
+		extra = defensiveCap
 	}
 	f.Inner.Margin = f.baseMargin + extra
 }
@@ -649,7 +620,7 @@ func (f *FT) score(s *sim.Observation) {
 		return
 	}
 	score := f.degradation()
-	if score >= f.Cfg.Budget {
+	if score >= budget {
 		f.failSafe = true
 		f.stats.FailSafe = true
 		f.stats.FailSafeAt = s.Time
@@ -677,7 +648,7 @@ func (f *FT) trackRecovery(s *sim.Observation) {
 func (f *FT) failSafeDecision() sim.Decision {
 	dec := sim.Decision{DVFS: make([]int, f.nCores)}
 	for c := range dec.DVFS {
-		dec.DVFS[c] = f.Cfg.SafeDVFS
+		dec.DVFS[c] = f.safeDVFS
 	}
 	if f.nDev > 0 {
 		if f.Inner.usingCurrents() {
@@ -756,7 +727,7 @@ func (f *FT) predict(s *sim.Observation, dec sim.Decision) {
 	default:
 		cand.TECOn, cand.TECAmps = nil, nil
 	}
-	// Project from the unpadded temperatures: the SubstMargin padding is a
+	// Project from the unpadded temperatures: the substMargin padding is a
 	// control-side safety device, not a state estimate.
 	p := *s
 	f.ptemps = append(f.ptemps[:0], s.Temps...)
@@ -778,7 +749,7 @@ func (f *FT) FanControl(obs *sim.Observation) int {
 	s := cloneObs(obs)
 	for i := 0; i < f.nDie && i < len(s.Temps); i++ {
 		if f.distrust[i] || !finite(s.Temps[i]) {
-			s.Temps[i] = f.substitute(i, s.Temps[:f.nDie]) + f.Cfg.SubstMargin
+			s.Temps[i] = f.substitute(i, s.Temps[:f.nDie]) + substMargin
 		}
 	}
 	req := 0 // fail-safe: maximum airflow

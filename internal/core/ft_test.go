@@ -28,7 +28,7 @@ func ftRun(t *testing.T, sc fault.Scenario, hot bool, threshold float64) (*sim.R
 	// iteration would begin from the already-degraded state and blur the
 	// single-fault assertions below.
 	cfg.MaxWarmStarts = 1
-	ft := NewFT(NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, cfg.ControlPeriod), FTConfig{})
+	ft := NewFT(NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, cfg.ControlPeriod))
 	if len(sc.Faults) > 0 {
 		in := fault.NewInjector(sc, fault.Layout{
 			Sensors:        e.NW.NumDie(),
@@ -38,8 +38,7 @@ func ftRun(t *testing.T, sc fault.Scenario, hot bool, threshold float64) (*sim.R
 			MaxDVFS:        e.DVFS.Max(),
 			Horizon:        b.TargetTimeMS / 1000,
 		}, 11)
-		sf := &fault.SimFaults{In: in}
-		cfg.Sensors, cfg.Actuators = sf, sf
+		cfg.Faults = in
 	}
 	r, err := sim.NewRunner(cfg, ft)
 	if err != nil {
@@ -180,7 +179,7 @@ func (n *nanTemps) CorruptTemps(step int, retry bool, temps []float64) bool {
 // divergence and keep the first diagnosis even as later ones arrive.
 func TestFTEscalateNumericUnit(t *testing.T) {
 	e := testenv.NewQuad()
-	ft := NewFT(NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, 2e-3), FTConfig{})
+	ft := NewFT(NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, 2e-3))
 	v1 := numguard.Violation{Kind: numguard.KindNonFiniteTemp, Step: 9, Time: 0.9e-3, Node: 2}
 	v2 := numguard.Violation{Kind: numguard.KindEnergyDrift, Step: 12, Time: 1.2e-3, Node: -1}
 	ft.EscalateNumeric(v1)
@@ -205,7 +204,7 @@ func TestFTCompletesUnderPersistentNumFault(t *testing.T) {
 	cfg := e.Config(b, 95)
 	cfg.MaxWarmStarts = 1
 	cfg.NumFaults = &nanTemps{step: 5}
-	ft := NewFT(NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, cfg.ControlPeriod), FTConfig{})
+	ft := NewFT(NewEstimator(e.NW, e.DVFS, e.Leak, e.Fan, e.TECs, cfg.ControlPeriod))
 	r, err := sim.NewRunner(cfg, ft)
 	if err != nil {
 		t.Fatal(err)

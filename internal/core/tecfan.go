@@ -12,17 +12,11 @@ import (
 // the higher level.
 type Controller struct {
 	Est *Estimator
-	// FanGuard is the margin (°C) below threshold required before the fan
-	// loop probes a slower level, preventing level flapping.
-	FanGuard float64
 	// Margin is the safety band (°C) subtracted from the threshold in the
 	// controller's own feasibility checks: predictions carry model error
 	// (linear vs quadratic leakage, last-interval power under activity
 	// jitter), and the paper's <0.5 % violation ratio implies conservatism.
 	Margin float64
-	// MaxIterations bounds one control period's down-hill walk; the default
-	// is the paper's NL + NM (all TECs plus all DVFS steps).
-	MaxIterations int
 	// ChipLevelDVFS restricts DVFS to a single chip-wide level (§III-E:
 	// "TECfan does not rely on per-core DVFS ... can be integrated with
 	// chip-level DVFS seamlessly"). Hot iterations lower and cool
@@ -57,15 +51,20 @@ type Controller struct {
 	}
 }
 
+// fanGuard is the margin (°C) below threshold required before the fan loop
+// probes a slower level, preventing level flapping.
+const fanGuard = 1.0
+
 // NewController builds a TECfan controller over an estimator.
 func NewController(est *Estimator) *Controller {
-	n := est.Chip.NumCores()
-	return &Controller{
-		Est:           est,
-		FanGuard:      1.0,
-		Margin:        1.0,
-		MaxIterations: n*len(est.Placements) + n*est.DVFS.Num(),
-	}
+	return &Controller{Est: est, Margin: 1.0}
+}
+
+// maxIterations bounds one control period's down-hill walk: the paper's
+// NL + NM (all TECs plus all DVFS steps).
+func (c *Controller) maxIterations() int {
+	n := c.Est.Chip.NumCores()
+	return n*len(c.Est.Placements) + n*c.Est.DVFS.Num()
 }
 
 // Name implements sim.Controller.
@@ -115,7 +114,7 @@ func (c *Controller) Control(obs *sim.Observation) sim.Decision {
 // read cand only).
 func (c *Controller) hotIteration(obs *sim.Observation, cand *Candidate, est *Estimate) {
 	trial, te, bestEst := &c.scratch.trial, &c.scratch.te, &c.scratch.bestEst
-	for iter := 0; iter < c.MaxIterations; iter++ {
+	for iter, maxIter := 0, c.maxIterations(); iter < maxIter; iter++ {
 		if est.Feasible {
 			return
 		}
@@ -203,7 +202,7 @@ func (c *Controller) offTECOverHottestSpot(cand *Candidate, est *Estimate, thres
 func (c *Controller) coolIteration(obs *sim.Observation, cand *Candidate, est *Estimate) {
 	trial, te, bestEst := &c.scratch.trial, &c.scratch.te, &c.scratch.bestEst
 	maxLevel := c.Est.DVFS.Max()
-	for iter := 0; iter < c.MaxIterations; iter++ {
+	for iter, maxIter := 0, c.maxIterations(); iter < maxIter; iter++ {
 		allMax := true
 		for _, l := range cand.DVFS {
 			if l < maxLevel {
@@ -337,7 +336,7 @@ func (c *Controller) FanControl(obs *sim.Observation) int {
 	// Cool: probe one level slower.
 	if obs.FanLevel+1 < c.Est.Fan.NumLevels() {
 		cand.FanLevel = obs.FanLevel + 1
-		if c.Est.SteadyPeak(&m, *cand) <= obs.Threshold-c.FanGuard {
+		if c.Est.SteadyPeak(&m, *cand) <= obs.Threshold-fanGuard {
 			return obs.FanLevel + 1
 		}
 	}

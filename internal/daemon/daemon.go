@@ -73,9 +73,6 @@ type Config struct {
 	// RequestTimeout bounds each HTTP request's handling (default 30 s;
 	// < 0 disables).
 	RequestTimeout time.Duration
-	// IdemMaxEntries caps the durable idempotency table (default 4096,
-	// evicting oldest-first beyond it).
-	IdemMaxEntries int
 	// PoolEnabled switches execution from in-process to the worker pool: the
 	// daemon becomes a coordinator that shards jobs, leases the shards to
 	// tecfan-worker processes under fencing tokens, and merges their results.
@@ -151,9 +148,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.IdemMaxEntries <= 0 {
-		c.IdemMaxEntries = checkpoint.DefaultIdemMaxEntries
 	}
 	if c.PoolLeaseTTL <= 0 {
 		c.PoolLeaseTTL = pool.DefaultLeaseTTL
@@ -331,7 +325,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.FS.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	idem, err := checkpoint.OpenIdemStoreFS(cfg.FS, filepath.Join(cfg.StateDir, "idempotency.idem"), cfg.IdemMaxEntries, cfg.Logf)
+	idem, err := checkpoint.OpenIdemStoreFS(cfg.FS, filepath.Join(cfg.StateDir, "idempotency.idem"), checkpoint.DefaultIdemMaxEntries, cfg.Logf)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}

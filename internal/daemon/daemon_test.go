@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tecfan/internal/checkpoint"
+	"tecfan/internal/diskfault"
 	"tecfan/internal/exp"
 	"tecfan/internal/pool"
 )
@@ -465,7 +466,7 @@ func TestChaosJobEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, id, StateDone)
-	data, err := checkpoint.ReadFile(s.resultPath(id))
+	data, err := checkpoint.ReadFileFS(diskfault.OS, s.resultPath(id))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func TestScrubRepairsThroughDaemon(t *testing.T) {
 	if n := s.ScrubNow(); n != 1 {
 		t.Fatalf("ScrubNow repaired %d generations, want 1", n)
 	}
-	if _, err := checkpoint.ReadFile(g1); err != nil {
+	if _, err := checkpoint.ReadFileFS(diskfault.OS, g1); err != nil {
 		t.Fatalf("repaired generation does not verify: %v", err)
 	}
 	st := s.StorageStats()

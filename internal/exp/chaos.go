@@ -55,7 +55,7 @@ type ChaosRow struct {
 	FanLevel int // §IV-C level chosen on the fault-free run
 
 	// Failure modes. A panic anywhere in the run is caught and recorded; a
-	// MaxTimeFactor cap arrives as an explicit TimeCapError, never as
+	// time cap arrives as an explicit sim.TimeCapError, never as
 	// silent truncation.
 	Panicked   bool
 	PanicMsg   string
@@ -241,10 +241,7 @@ func (e *Env) chaosOne(ctx context.Context, b *workload.Benchmark, name string, 
 		return row
 	}
 	in := fault.NewInjector(sc, e.FaultLayout(b), seed)
-	res, err := e.runOne(ctx, b, ctl, threshold, level, func(cfg *sim.Config) {
-		sf := &fault.SimFaults{In: in}
-		cfg.Sensors, cfg.Actuators = sf, sf
-	})
+	res, err := e.runOne(ctx, b, ctl, threshold, level, func(cfg *sim.Config) { cfg.Faults = in })
 	if err != nil {
 		row.Err = err.Error()
 		row.TimeCapped = timeCapped(err)

@@ -123,8 +123,7 @@ func (e *Env) SimConfig(b *workload.Benchmark, threshold float64, fanLevel int) 
 		FanPeriod:     e.FanPeriod,
 	}
 	if e.Faults != nil && len(e.Faults.Faults) > 0 {
-		sf := &fault.SimFaults{In: fault.NewInjector(*e.Faults, e.FaultLayout(b), e.FaultSeed)}
-		cfg.Sensors, cfg.Actuators = sf, sf
+		cfg.Faults = fault.NewInjector(*e.Faults, e.FaultLayout(b), e.FaultSeed)
 	}
 	if e.NumFaults != nil && len(e.NumFaults.Rules) > 0 {
 		cfg.NumFaults = numfault.NewInjector(*e.NumFaults)
@@ -187,7 +186,7 @@ func (e *Env) Controller(name string) (sim.Controller, error) {
 	case "TECfan":
 		return core.NewController(e.estimator(2e-3)), nil
 	case "TECfan-FT":
-		return core.NewFT(e.estimator(2e-3), core.FTConfig{}), nil
+		return core.NewFT(e.estimator(2e-3)), nil
 	}
 	return nil, fmt.Errorf("exp: unknown policy %q (valid: %v)", name, AllPolicies())
 }
@@ -304,7 +303,7 @@ func (e *Env) RunCell(ctx context.Context, b *workload.Benchmark, name string, b
 	}, nil
 }
 
-// timeCapped reports whether err is the sim's explicit MaxTimeFactor cap —
+// timeCapped reports whether err is the sim's explicit time cap —
 // the one run failure a fan-level sweep treats as "infeasible level" rather
 // than a fatal error.
 func timeCapped(err error) bool {

@@ -267,19 +267,25 @@ func TestSweepPartialResults(t *testing.T) {
 // TestResumeRejectsMismatchedSnapshot pins snapshot validation: a snapshot
 // from a different configuration must be refused, not silently mis-restored.
 func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
-	e := resumeEnv(t, "")
-	cfg := resumeConfig(t, e)
-	var snap *sim.Snapshot
-	cfg.CheckpointEvery = 1
-	stop := errors.New("stop")
-	cfg.OnCheckpoint = func(s *sim.Snapshot) error { snap = s; return stop }
-	r, err := sim.NewRunner(cfg, e.Controllers()["TECfan"])
-	if err != nil {
-		t.Fatal(err)
+	// firstSnapshot runs TECfan under scenario until its first checkpoint
+	// and returns the runner with that snapshot.
+	firstSnapshot := func(scenario string) (*sim.Runner, *sim.Snapshot) {
+		e := resumeEnv(t, scenario)
+		cfg := resumeConfig(t, e)
+		var snap *sim.Snapshot
+		cfg.CheckpointEvery = 1
+		stop := errors.New("stop")
+		cfg.OnCheckpoint = func(s *sim.Snapshot) error { snap = s; return stop }
+		r, err := sim.NewRunner(cfg, e.Controllers()["TECfan"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); !errors.Is(err, stop) {
+			t.Fatal(err)
+		}
+		return r, snap
 	}
-	if _, err := r.Run(); !errors.Is(err, stop) {
-		t.Fatal(err)
-	}
+	r, snap := firstSnapshot("")
 	bad := *snap
 	bad.Temps = bad.Temps[:len(bad.Temps)-1]
 	if _, err := r.Resume(context.Background(), &bad); err == nil ||
@@ -290,5 +296,23 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 	bad2.FanLevel = 99
 	if _, err := r.Resume(context.Background(), &bad2); err == nil {
 		t.Fatal("out-of-range fan level accepted")
+	}
+
+	// The fault injector's state must travel with the snapshot: a faulted
+	// run refuses a snapshot without it, and a fault-free run refuses one
+	// that carries it.
+	fr, fsnap := firstSnapshot("sensor-stuck")
+	if fsnap.Faults == nil {
+		t.Fatal("faulted run's snapshot carries no fault state")
+	}
+	bad3 := *fsnap
+	bad3.Faults = nil
+	if _, err := fr.Resume(context.Background(), &bad3); err == nil ||
+		!strings.Contains(err.Error(), "faults") {
+		t.Fatalf("faulted snapshot without fault state accepted: %v", err)
+	}
+	if _, err := r.Resume(context.Background(), fsnap); err == nil ||
+		!strings.Contains(err.Error(), "faults") {
+		t.Fatalf("fault state accepted by a fault-free runner: %v", err)
 	}
 }

@@ -13,9 +13,9 @@
 //
 // A Scenario is a pure description; an Injector materializes it against a
 // concrete platform Layout with a seeded RNG, so identical (scenario, seed,
-// layout) triples corrupt identical runs identically. The adapter in sim.go
-// plugs an Injector into the 16-core co-simulation's sensor and actuator
-// seams (sim.SensorModel / sim.ActuatorModel).
+// layout) triples corrupt identical runs identically. An Injector plugs into
+// the 16-core co-simulation as its fault seam: it implements sim.Faults and
+// sim.StateCodec, so a run installs one with cfg.Faults = in.
 package fault
 
 import (
@@ -25,6 +25,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"tecfan/internal/sim"
+	"tecfan/internal/tec"
 )
 
 // Kind enumerates the supported fault types.
@@ -127,6 +130,10 @@ type active struct {
 // Injector applies a materialized scenario. It is not safe for concurrent
 // use; every run gets its own Injector (see NewInjector) so corruption
 // stays deterministic.
+//
+// It implements sim.Faults: its per-run noise-stream position and
+// stuck-sensor memory are the only mutable state, checkpointed through
+// sim.StateCodec.
 type Injector struct {
 	scenario Scenario
 	layout   Layout
@@ -157,6 +164,11 @@ func NewInjector(sc Scenario, layout Layout, seed int64) *Injector {
 	in.Reset()
 	return in
 }
+
+var (
+	_ sim.Faults     = (*Injector)(nil)
+	_ sim.StateCodec = (*Injector)(nil)
+)
 
 // pickTargets draws count distinct indices from [0, n); count 0 means one,
 // -1 means all.
@@ -241,6 +253,27 @@ func (in *Injector) CorruptTemps(now float64, temps []float64) {
 	}
 }
 
+// Observe implements sim.Faults: the active sensor faults corrupt the
+// observation's temperatures.
+func (in *Injector) Observe(obs *sim.Observation) {
+	in.CorruptTemps(obs.Time, obs.Temps)
+}
+
+// FilterDecision implements sim.Faults. TEC faults need a vector to act on:
+// when the controller left the TEC state unchanged (nil request) and a TEC
+// fault is live, the current drive vector is materialized first so a
+// stuck-on device can override held state.
+func (in *Injector) FilterDecision(now float64, cur sim.ActuatorState, dec *sim.Decision) {
+	dec.DVFS = in.FilterDVFS(now, dec.DVFS)
+	if cur.TECAmps == nil {
+		return // no TECs in this run
+	}
+	if dec.TECAmps == nil && dec.TECOn == nil && in.TECFaultActive(now) {
+		dec.TECAmps = append([]float64(nil), cur.TECAmps...)
+	}
+	in.FilterTEC(now, dec.TECOn, dec.TECAmps, tec.DriveCurrent)
+}
+
 // FilterTEC applies TEC actuator faults to per-device drive vectors in
 // place; either slice may be nil. Device indices follow the core-major
 // layout of tec.Array (core c owns [c·dpc, (c+1)·dpc)).
@@ -274,7 +307,7 @@ func (in *Injector) FilterTEC(now float64, on []bool, amps []float64, failCurren
 }
 
 // TECFaultActive reports whether a TEC fault is live at time now — used by
-// adapters to decide whether a nil (unchanged) TEC request must be
+// FilterDecision to decide whether a nil (unchanged) TEC request must be
 // materialized so a persistent fault can overwrite the held state.
 func (in *Injector) TECFaultActive(now float64) bool {
 	for _, a := range in.faults {
@@ -314,7 +347,8 @@ func (in *Injector) FilterDVFS(now float64, req []int) []int {
 	return req
 }
 
-// FilterFan maps a requested fan level to the applied one.
+// FilterFan implements sim.Faults: it maps a requested fan level to the
+// applied one.
 func (in *Injector) FilterFan(now float64, level int) int {
 	for _, a := range in.faults {
 		if now < a.start {
@@ -362,8 +396,8 @@ type injectorState struct {
 	Frozen map[int]float64
 }
 
-// MarshalState captures the injector's per-run state (sim.StateCodec form;
-// the sim adapter delegates here).
+// MarshalState implements sim.StateCodec: it captures the injector's
+// per-run state.
 func (in *Injector) MarshalState() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(injectorState{Draws: in.draws, Frozen: in.frozen})

@@ -22,30 +22,15 @@ import (
 	"tecfan/internal/linalg"
 )
 
-// Config bounds the physical envelope and tolerances. The envelope is
+// The physical envelope and the energy tolerance. The envelope is
 // deliberately wide — it catches numerical divergence, not control-quality
 // problems (the FT controller's own sensor plausibility window is the tight
 // one): silicon at 500 °C is a solver blow-up, not a policy mistake.
-type Config struct {
-	TempMin   float64 // °C, below = non-physical (default -60)
-	TempMax   float64 // °C, above = non-physical (default 500)
-	EnergyTol float64 // relative ∫power·dt vs metrics drift (default 1e-6)
-}
-
-// DefaultConfig returns the standard envelope.
-func DefaultConfig() Config {
-	return Config{TempMin: -60, TempMax: 500, EnergyTol: 1e-6}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.TempMin == 0 && c.TempMax == 0 {
-		c.TempMin, c.TempMax = d.TempMin, d.TempMax
-	}
-	if c.EnergyTol == 0 {
-		c.EnergyTol = d.EnergyTol
-	}
-}
+const (
+	tempMin   float64 = -60  // °C, below = non-physical
+	tempMax   float64 = 500  // °C, above = non-physical
+	energyTol float64 = 1e-6 // relative ∫power·dt vs metrics drift
+)
 
 // Kind names the violated invariant.
 type Kind string
@@ -122,15 +107,11 @@ type Health struct {
 
 // Auditor runs the per-step audits and accumulates State.
 type Auditor struct {
-	cfg Config
-	st  State
+	st State
 }
 
-// New builds an auditor; zero-value Config fields take defaults.
-func New(cfg Config) *Auditor {
-	cfg.fillDefaults()
-	return &Auditor{cfg: cfg}
-}
+// New builds an auditor.
+func New() *Auditor { return &Auditor{} }
 
 // BeginIteration resets the per-iteration energy integral. Counters and the
 // diagnosis survive: they describe the whole run, not one warm start.
@@ -205,9 +186,9 @@ func (a *Auditor) CheckTemps(step int, time float64, temps []float64) *Violation
 		if !floats.Finite(v) {
 			return violation(KindNonFiniteTemp, step, time, i, v, "temperature is not a finite number")
 		}
-		if v < a.cfg.TempMin || v > a.cfg.TempMax {
+		if v < tempMin || v > tempMax {
 			return violation(KindTempEnvelope, step, time, i, v,
-				fmt.Sprintf("temperature outside physical envelope [%g, %g] °C", a.cfg.TempMin, a.cfg.TempMax))
+				fmt.Sprintf("temperature outside physical envelope [%g, %g] °C", tempMin, tempMax))
 		}
 	}
 	return nil
@@ -239,7 +220,7 @@ func (a *Auditor) CheckChipPower(step int, time, chipPower float64) *Violation {
 
 // CheckEnergy compares the auditor's independent energy integral against
 // the metrics accumulator's energy. They follow the same floating-point op
-// sequence, so on a healthy run they agree exactly; EnergyTol is the
+// sequence, so on a healthy run they agree exactly; energyTol is the
 // relative drift above which the metrics pipeline is declared corrupt.
 func (a *Auditor) CheckEnergy(step int, time, accEnergy float64) *Violation {
 	if !floats.Finite(accEnergy) {
@@ -256,10 +237,10 @@ func (a *Auditor) CheckEnergy(step int, time, accEnergy float64) *Violation {
 	if scale < 1 {
 		scale = 1
 	}
-	if diff > a.cfg.EnergyTol*scale {
+	if diff > energyTol*scale {
 		return violation(KindEnergyDrift, step, time, -1, accEnergy,
 			fmt.Sprintf("metrics energy drifted from ∫power·dt=%s by more than %g relative",
-				linalg.SafeFloat(a.st.EnergyInt), a.cfg.EnergyTol))
+				linalg.SafeFloat(a.st.EnergyInt), energyTol))
 	}
 	return nil
 }

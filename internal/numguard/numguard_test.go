@@ -10,7 +10,7 @@ import (
 )
 
 func TestCheckTemps(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	if v := a.CheckTemps(3, 0.5, []float64{45, 80, 95}); v != nil {
 		t.Errorf("healthy temps flagged: %v", v)
 	}
@@ -29,7 +29,7 @@ func TestCheckTemps(t *testing.T) {
 }
 
 func TestCheckChipPower(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	if v := a.CheckChipPower(0, 0, 42.5); v != nil {
 		t.Errorf("healthy power flagged: %v", v)
 	}
@@ -42,7 +42,7 @@ func TestCheckChipPower(t *testing.T) {
 }
 
 func TestCheckEnergyAgreesExactly(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	// Mirror the accumulator's op sequence: identical adds must agree
 	// exactly, not just within tolerance.
 	var acc float64
@@ -63,7 +63,7 @@ func TestCheckEnergyAgreesExactly(t *testing.T) {
 }
 
 func TestCheckActuators(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	if v := a.CheckActuators(0, 0, 3, 9, []int{0, 5, 9}, 9); v != nil {
 		t.Errorf("healthy actuators flagged: %v", v)
 	}
@@ -76,7 +76,7 @@ func TestCheckActuators(t *testing.T) {
 }
 
 func TestCountersAndDiagnosis(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	v1 := a.CheckTemps(5, 0.1, []float64{math.Inf(1)})
 	v2 := a.CheckTemps(9, 0.2, []float64{math.NaN()})
 	a.NoteRecovered()
@@ -96,7 +96,7 @@ func TestCountersAndDiagnosis(t *testing.T) {
 
 // The run snapshot is gob-encoded; auditor state must round-trip exactly.
 func TestStateGobRoundTrip(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	a.AddEnergy(1e-4, 40)
 	a.Confirm(a.CheckTemps(2, 0.01, []float64{math.NaN()}))
 	a.SetFailSafe()
@@ -120,7 +120,7 @@ func TestStateGobRoundTrip(t *testing.T) {
 // BeginIteration resets only the per-iteration integral; run-level counters
 // survive across warm starts.
 func TestBeginIterationKeepsCounters(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	a.AddEnergy(1, 10)
 	a.NoteRecovered()
 	a.BeginIteration()
@@ -132,7 +132,7 @@ func TestBeginIterationKeepsCounters(t *testing.T) {
 // Violations describing non-finite values must marshal to JSON (which
 // rejects NaN/Inf) and must not contain the literal grep tokens.
 func TestViolationJSONSafe(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	v := a.CheckTemps(1, 0.5, []float64{math.NaN()})
 	v.FanLevel, v.TECsOn = 2, 4
 	raw, err := json.Marshal(v)

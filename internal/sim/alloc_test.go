@@ -22,7 +22,7 @@ func newTestStepLoop(t testing.TB, ctl Controller) *stepLoop {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guard := numguard.New(numguard.DefaultConfig())
+	guard := numguard.New()
 	s, err := r.newStepLoop(init, nil, nil, 0, math.Inf(1), nil, guard)
 	if err != nil {
 		t.Fatal(err)

@@ -64,22 +64,8 @@ type Controller interface {
 	Reset()
 }
 
-// SensorModel transforms each Observation before a controller sees it — the
-// fault-injection seam for stuck, noisy, dropped-out, or biased sensors. The
-// observation's slices are private copies of the live state, so a model may
-// mutate them freely without corrupting the simulation. The copies live in
-// buffers the runner reuses across boundaries, though: an Observation is
-// valid only for the duration of the call it is handed to, and a model (or
-// controller) that retains measurements across periods must deep-copy them.
-type SensorModel interface {
-	Observe(obs *Observation)
-	// Reset clears internal state (stuck-value memory, noise streams)
-	// between warm-start iterations.
-	Reset()
-}
-
 // ActuatorState describes the currently applied actuator configuration,
-// handed to an ActuatorModel so persistent faults (a device stuck on, a
+// handed to Faults.FilterDecision so persistent faults (a device stuck on, a
 // dropped request) can be expressed relative to what is physically in
 // effect. Slices are private copies.
 type ActuatorState struct {
@@ -88,18 +74,30 @@ type ActuatorState struct {
 	FanLevel int
 }
 
-// ActuatorModel intercepts controller requests before they reach the
-// physical actuators — the fault-injection seam for failed TEC devices,
-// a stuck fan, or ignored DVFS requests.
-type ActuatorModel interface {
-	// FilterDecision may mutate dec in place; setting a slice to nil drops
-	// that request entirely (the actuator keeps its current state). It is
-	// also invoked once at t = 0 with an empty decision so always-on faults
-	// apply from the first step.
+// Faults is the fault-injection seam between the controller and the chip
+// (implemented by fault.Injector): it corrupts what the controller sees and
+// intercepts what it asks for.
+type Faults interface {
+	// Observe transforms each Observation before the controller sees it —
+	// stuck, noisy, dropped-out, or biased sensors. The observation's
+	// slices are private copies of the live state, so it may mutate them
+	// freely without corrupting the simulation. The copies live in buffers
+	// the runner reuses across boundaries, though: an Observation is valid
+	// only for the duration of the call it is handed to, and a fault model
+	// (or controller) that retains measurements across periods must
+	// deep-copy them.
+	Observe(obs *Observation)
+	// FilterDecision intercepts a controller request before it reaches the
+	// physical actuators — failed TEC devices, ignored DVFS requests. It may
+	// mutate dec in place; setting a slice to nil drops that request
+	// entirely (the actuator keeps its current state). It is also invoked
+	// once at t = 0 with an empty decision so always-on faults apply from
+	// the first step.
 	FilterDecision(now float64, cur ActuatorState, dec *Decision)
 	// FilterFan maps a requested fan level to the level actually applied.
 	FilterFan(now float64, level int) int
-	// Reset clears internal state between warm-start iterations.
+	// Reset clears internal state (stuck-value memory, noise streams)
+	// between warm-start iterations.
 	Reset()
 }
 
@@ -133,8 +131,8 @@ type NumericEscalator interface {
 	EscalateNumeric(v numguard.Violation)
 }
 
-// StateCodec is optionally implemented by controllers, sensor models, and
-// actuator models whose internal state must survive checkpoint/restore.
+// StateCodec is optionally implemented by controllers and fault models whose
+// internal state must survive checkpoint/restore.
 // MarshalState captures the complete mutable state; UnmarshalState replaces
 // the receiver's state wholesale (no merging), so a restored run continues
 // bitwise-identically to the uninterrupted one. Stateless components simply
@@ -160,32 +158,19 @@ type Config struct {
 	ControlPeriod float64 // lower-level period, s (default 2 ms)
 	FanPeriod     float64 // higher-level period, s (default 1 s)
 
-	// InitDVFS is the starting per-core level (default: max).
-	InitDVFS int
-	// MaxTimeFactor caps the run at factor × the base execution time
-	// (default 4): a safety net against livelocked controllers.
-	MaxTimeFactor float64
 	// RecordTrace enables per-control-period trace capture.
 	RecordTrace bool
-	// WarmStartTol is the paper's convergence criterion on consecutive
-	// peak temperatures (default 0.5 °C).
-	WarmStartTol float64
 	// MaxWarmStarts bounds the convergence loop (default 5).
 	MaxWarmStarts int
 
-	// Sensors, when non-nil, corrupts every observation before the
-	// controller reads it.
-	Sensors SensorModel
-	// Actuators, when non-nil, intercepts every controller request before
-	// it is applied.
-	Actuators ActuatorModel
+	// Faults, when non-nil, corrupts every observation before the
+	// controller reads it and intercepts every controller request before it
+	// is applied.
+	Faults Faults
 	// NumFaults, when non-nil, injects scheduled numerical corruption into
 	// the step loop — the proof harness for the always-on invariant
 	// auditor.
 	NumFaults NumFaultInjector
-	// Guard overrides the numguard envelope and tolerances; nil selects
-	// numguard.DefaultConfig(). The auditor itself is always on.
-	Guard *numguard.Config
 
 	// CheckpointEvery takes a state snapshot every N control periods
 	// (0 = never). Snapshots are also taken once at the cancellation point
@@ -207,19 +192,19 @@ func (c *Config) fillDefaults() {
 	if c.FanPeriod == 0 {
 		c.FanPeriod = 1.0
 	}
-	if c.MaxTimeFactor == 0 {
-		c.MaxTimeFactor = 4
-	}
-	if c.WarmStartTol == 0 {
-		c.WarmStartTol = 0.5
-	}
 	if c.MaxWarmStarts == 0 {
 		c.MaxWarmStarts = 5
 	}
-	if c.InitDVFS == 0 {
-		c.InitDVFS = c.DVFS.Max()
-	}
 }
+
+const (
+	// maxTimeFactor caps a run at factor × the base execution time: a
+	// safety net against livelocked controllers.
+	maxTimeFactor = 4
+	// warmStartTol is the paper's convergence criterion on consecutive
+	// peak temperatures (§IV-B), °C.
+	warmStartTol = 0.5
+)
 
 // TracePoint is one control-period sample of the run.
 type TracePoint struct {
@@ -239,10 +224,10 @@ type Result struct {
 	FinalTemps []float64
 	WarmStarts int
 	// Completed reports whether every active core retired its budget
-	// before the MaxTimeFactor cap. An incomplete run is also reported as
+	// before the maxTimeFactor cap. An incomplete run is also reported as
 	// a *TimeCapError from Run, so truncation is never silent.
 	Completed bool
-	// Converged reports whether the warm-start loop met WarmStartTol
+	// Converged reports whether the warm-start loop met warmStartTol
 	// before MaxWarmStarts ran out.
 	Converged bool
 	// Numeric is the NumericHealth block: refinement and recovery counters
@@ -254,7 +239,7 @@ type Result struct {
 	finalAmps []float64
 }
 
-// TimeCapError reports that a run was stopped by the MaxTimeFactor safety
+// TimeCapError reports that a run was stopped by the maxTimeFactor safety
 // net before the workload completed — a livelocked or over-throttling
 // controller. The partial Result is still returned alongside it.
 type TimeCapError struct {
@@ -311,12 +296,10 @@ type Snapshot struct {
 	// existed; resume then seeds the energy integral from Acc.
 	Numeric *numguard.State
 
-	// Serialized StateCodec blobs; nil when the component is stateless (or
-	// absent). Sensors and Actuators may hold identical blobs when one
-	// object implements both seams — restoring both is then idempotent.
+	// Serialized StateCodec blobs of the controller and of Config.Faults;
+	// nil when the component is stateless (or absent).
 	Controller []byte
-	Sensors    []byte
-	Actuators  []byte
+	Faults     []byte
 }
 
 // Runner executes simulation runs for one configuration.
@@ -364,7 +347,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 // Resume continues a run from a Snapshot previously emitted through
 // Config.OnCheckpoint. The Runner must be configured identically to the one
 // that produced the snapshot (same chip, benchmark, thresholds, periods) and
-// hold fresh controller/sensor/actuator instances of the same types; their
+// hold fresh controller and fault instances of the same types; their
 // serialized state is restored before simulation restarts. The continued run
 // is bitwise-identical to the uninterrupted one.
 func (r *Runner) Resume(ctx context.Context, snap *Snapshot) (*Result, error) {
@@ -377,10 +360,7 @@ func (r *Runner) Resume(ctx context.Context, snap *Snapshot) (*Result, error) {
 	if err := restoreCodec("controller", r.ctl, snap.Controller); err != nil {
 		return nil, err
 	}
-	if err := restoreCodec("sensors", r.cfg.Sensors, snap.Sensors); err != nil {
-		return nil, err
-	}
-	if err := restoreCodec("actuators", r.cfg.Actuators, snap.Actuators); err != nil {
+	if err := restoreCodec("faults", r.cfg.Faults, snap.Faults); err != nil {
 		return nil, err
 	}
 	return r.run(ctx, snap)
@@ -471,22 +451,15 @@ func (r *Runner) run(ctx context.Context, snap *Snapshot) (*Result, error) {
 	}
 	// One auditor per run: its counters and diagnosis describe the whole
 	// warm-start loop, and it rides in every checkpoint.
-	gcfg := numguard.DefaultConfig()
-	if cfg.Guard != nil {
-		gcfg = *cfg.Guard
-	}
-	guard := numguard.New(gcfg)
+	guard := numguard.New()
 	var res *Result
 	var err error
 	for ws := ws0; ws < cfg.MaxWarmStarts; ws++ {
 		if snap == nil {
 			// A resumed iteration restores state instead of resetting it.
 			r.ctl.Reset()
-			if cfg.Sensors != nil {
-				cfg.Sensors.Reset()
-			}
-			if cfg.Actuators != nil {
-				cfg.Actuators.Reset()
+			if cfg.Faults != nil {
+				cfg.Faults.Reset()
 			}
 		}
 		res, err = r.runOnce(ctx, init, initDVFS, initAmps, ws, prevPeak, snap, guard)
@@ -507,7 +480,7 @@ func (r *Runner) run(ctx context.Context, snap *Snapshot) (*Result, error) {
 			return nil, err
 		}
 		res.WarmStarts = ws + 1
-		if math.Abs(res.Metrics.PeakTemp-prevPeak) < cfg.WarmStartTol {
+		if math.Abs(res.Metrics.PeakTemp-prevPeak) < warmStartTol {
 			res.Converged = true
 			return res, nil
 		}
@@ -524,7 +497,7 @@ func (r *Runner) initialTemps() ([]float64, error) {
 	cfg := &r.cfg
 	nComp := len(cfg.Chip.Components)
 	p := make([]float64, nComp)
-	scale := cfg.DVFS.ScaleFromMax(cfg.InitDVFS)
+	scale := cfg.DVFS.ScaleFromMax(cfg.DVFS.Max())
 	for core := 0; core < cfg.Chip.NumCores(); core++ {
 		cfg.Bench.AddDynPower(cfg.Chip, core, 0.5, scale, p)
 	}
@@ -677,7 +650,7 @@ func (r *Runner) newStepLoop(init []float64, initDVFS []int, initAmps []float64,
 		guard.BeginIteration()
 		s.temps = append([]float64(nil), init...)
 		for i := range s.dvfs {
-			s.dvfs[i] = cfg.InitDVFS
+			s.dvfs[i] = cfg.DVFS.Max()
 		}
 		if initDVFS != nil {
 			copy(s.dvfs, initDVFS)
@@ -689,12 +662,12 @@ func (r *Runner) newStepLoop(init []float64, initDVFS []int, initAmps []float64,
 				s.ts.SetCurrent(l, amps)
 			}
 		}
-		if cfg.Actuators != nil {
+		if cfg.Faults != nil {
 			// Persistent actuator faults (a stuck fan, a device failed on)
 			// apply from the very first step, not the first control boundary.
-			s.fanLevel = cfg.Fan.Clamp(cfg.Actuators.FilterFan(0, s.fanLevel))
+			s.fanLevel = cfg.Fan.Clamp(cfg.Faults.FilterFan(0, s.fanLevel))
 			dec := Decision{}
-			cfg.Actuators.FilterDecision(0, r.actuatorState(s.dvfs, s.ts, s.fanLevel), &dec)
+			cfg.Faults.FilterDecision(0, r.actuatorState(s.dvfs, s.ts, s.fanLevel), &dec)
 			if err := r.applyDecision(dec, s.dvfs, s.ts); err != nil {
 				return nil, err
 			}
@@ -715,7 +688,7 @@ func (r *Runner) newStepLoop(init []float64, initDVFS []int, initAmps []float64,
 
 	// Cap generously: the base time stretched by the worst-case frequency
 	// ratio, times the safety factor.
-	s.maxTime = cfg.MaxTimeFactor * (s.bench.TargetTimeMS / 1000) / cfg.DVFS.FreqRatio(cfg.DVFS.Max(), 0)
+	s.maxTime = maxTimeFactor * (s.bench.TargetTimeMS / 1000) / cfg.DVFS.FreqRatio(cfg.DVFS.Max(), 0)
 
 	s.stepsPerCtl = int(math.Round(cfg.ControlPeriod / cfg.Step))
 	if s.stepsPerCtl < 1 {
@@ -754,10 +727,7 @@ func (s *stepLoop) snapshot() (*Snapshot, error) {
 	if snap.Controller, err = marshalCodec("controller", s.r.ctl); err != nil {
 		return nil, err
 	}
-	if snap.Sensors, err = marshalCodec("sensors", s.cfg.Sensors); err != nil {
-		return nil, err
-	}
-	if snap.Actuators, err = marshalCodec("actuators", s.cfg.Actuators); err != nil {
+	if snap.Faults, err = marshalCodec("faults", s.cfg.Faults); err != nil {
 		return nil, err
 	}
 	return snap, nil
@@ -943,7 +913,7 @@ func (s *stepLoop) step() error {
 }
 
 // fillObs populates the reusable boundary observation from the live state.
-// The slices are copies (a sensor model may corrupt them freely without
+// The slices are copies (a fault model may corrupt them freely without
 // touching the simulation), but the backing buffers are REUSED across
 // boundaries: an Observation is valid only for the duration of the
 // controller call it is handed to, and controllers that retain
@@ -983,12 +953,12 @@ func (s *stepLoop) boundaries(ctx context.Context) (*Result, error) {
 	// Lower-level control boundary.
 	if s.stepIdx%s.stepsPerCtl == 0 {
 		obs := s.fillObs(true)
-		if cfg.Sensors != nil {
-			cfg.Sensors.Observe(obs)
+		if cfg.Faults != nil {
+			cfg.Faults.Observe(obs)
 		}
 		dec := r.ctl.Control(obs)
-		if cfg.Actuators != nil {
-			cfg.Actuators.FilterDecision(s.now, r.actuatorState(s.dvfs, s.ts, s.fanLevel), &dec)
+		if cfg.Faults != nil {
+			cfg.Faults.FilterDecision(s.now, r.actuatorState(s.dvfs, s.ts, s.fanLevel), &dec)
 		}
 		if err := r.applyDecision(dec, s.dvfs, s.ts); err != nil {
 			return nil, err
@@ -1032,12 +1002,12 @@ func (s *stepLoop) boundaries(ctx context.Context) (*Result, error) {
 	// Higher-level fan boundary.
 	if fc, ok := r.ctl.(FanController); ok && s.stepsPerFan > 0 && s.stepIdx%s.stepsPerFan == 0 {
 		obs := s.fillObs(false)
-		if cfg.Sensors != nil {
-			cfg.Sensors.Observe(obs)
+		if cfg.Faults != nil {
+			cfg.Faults.Observe(obs)
 		}
 		req := fc.FanControl(obs)
-		if cfg.Actuators != nil {
-			req = cfg.Actuators.FilterFan(s.now, req)
+		if cfg.Faults != nil {
+			req = cfg.Faults.FilterFan(s.now, req)
 		}
 		if nl := cfg.Fan.Clamp(req); nl != s.fanLevel {
 			s.fanLevel = nl
@@ -1077,7 +1047,7 @@ func (s *stepLoop) boundaries(ctx context.Context) (*Result, error) {
 }
 
 // actuatorState snapshots the currently applied actuator configuration for
-// an ActuatorModel.
+// Faults.FilterDecision.
 func (r *Runner) actuatorState(dvfs []int, ts *tec.State, fanLevel int) ActuatorState {
 	st := ActuatorState{
 		DVFS:     append([]int(nil), dvfs...),

@@ -372,15 +372,16 @@ func TestObservationMutationIsHarmless(t *testing.T) {
 	}
 }
 
-// A deliberately livelocked run (the cap set below even the full-speed
-// runtime stands in for a controller that never lets the workload finish)
-// must hit MaxTimeFactor and report it as an explicit *TimeCapError, never
-// as silent truncation.
+// A deliberately livelocked run (a benchmark whose nominal time understates
+// its work tenfold, so the cap falls below even the full-speed runtime,
+// stands in for a controller that never lets the workload finish) must hit
+// the time cap and report it as an explicit *TimeCapError, never as silent
+// truncation.
 func TestMaxTimeFactorCap(t *testing.T) {
 	e := newEnv()
 	b := testBench(2.0)
+	b.TargetTimeMS = 0.2 // the work takes 2 ms at full speed
 	cfg := e.config(b, 120)
-	cfg.MaxTimeFactor = 0.4 // cap below even the full-speed runtime
 	cfg.MaxWarmStarts = 1
 	r, _ := NewRunner(cfg, &noop{})
 	res, err := r.Run()
@@ -424,9 +425,12 @@ func (f *flipFlop) Control(obs *Observation) Decision {
 func TestWarmStartNonConvergence(t *testing.T) {
 	e := newEnv()
 	b := testBench(3.0)
+	// Ten times the work: long enough that the flip-flop's throttled and
+	// full-speed iterations peak more than the 0.5 °C tolerance apart.
+	b.TotalInst *= 10
+	b.TargetTimeMS *= 10
 	cfg := e.config(b, 120)
 	cfg.MaxWarmStarts = 3
-	cfg.WarmStartTol = 0.01 // tighter than the flip-flop's peak swing
 	r, _ := NewRunner(cfg, &flipFlop{resets: -1})
 	res, err := r.Run()
 	if err != nil {
@@ -459,7 +463,9 @@ func (s *recordingSensors) Observe(obs *Observation) {
 	s.calls++
 	obs.Temps[0] = 33.25
 }
-func (s *recordingSensors) Reset() { s.resets++ }
+func (s *recordingSensors) FilterDecision(float64, ActuatorState, *Decision) {}
+func (s *recordingSensors) FilterFan(now float64, level int) int             { return level }
+func (s *recordingSensors) Reset()                                           { s.resets++ }
 
 // markerReader verifies the controller sees the sensor model's output.
 type markerReader struct{ sawMarker bool }
@@ -478,7 +484,7 @@ func TestSensorModelInterceptsObservations(t *testing.T) {
 	b := testBench(2.0)
 	cfg := e.config(b, 120)
 	s := &recordingSensors{}
-	cfg.Sensors = s
+	cfg.Faults = s
 	mr := &markerReader{}
 	r, _ := NewRunner(cfg, mr)
 	clean, errClean := NewRunner(e.config(b, 120), &noop{})
@@ -523,6 +529,7 @@ func (a *vetoActuators) FilterDecision(now float64, cur ActuatorState, dec *Deci
 		}
 	}
 }
+func (a *vetoActuators) Observe(*Observation)                 {}
 func (a *vetoActuators) FilterFan(now float64, level int) int { return level }
 func (a *vetoActuators) Reset()                               {}
 
@@ -531,7 +538,7 @@ func TestActuatorModelVetoesDecisions(t *testing.T) {
 	b := testBench(2.0)
 	cfg := e.config(b, 120)
 	va := &vetoActuators{}
-	cfg.Actuators = va
+	cfg.Faults = va
 	// The throttler asks for minimum DVFS every period; with requests
 	// dropped the run must finish at full speed.
 	r, _ := NewRunner(cfg, throttler{})
@@ -556,6 +563,7 @@ func TestActuatorModelVetoesDecisions(t *testing.T) {
 // stuckFan pins the physical fan to one level regardless of requests.
 type stuckFan struct{ level int }
 
+func (s stuckFan) Observe(*Observation)                                         {}
 func (s stuckFan) FilterDecision(now float64, cur ActuatorState, dec *Decision) {}
 func (s stuckFan) FilterFan(now float64, level int) int                         { return s.level }
 func (s stuckFan) Reset()                                                       {}
@@ -567,7 +575,7 @@ func TestActuatorModelSticksFan(t *testing.T) {
 	cfg.FanPeriod = 500e-6
 	cfg.RecordTrace = true
 	cfg.MaxWarmStarts = 1
-	cfg.Actuators = stuckFan{level: 4}
+	cfg.Faults = stuckFan{level: 4}
 	fs := &fanStepper{}
 	r, _ := NewRunner(cfg, fs)
 	res, err := r.Run()

@@ -27,6 +27,10 @@ import (
 	"tecfan/internal/pool"
 )
 
+// uploadTimeout bounds each checkpoint upload / completion attempt
+// independently of the shard context.
+const uploadTimeout = 10 * time.Second
+
 // Config tunes a Worker.
 type Config struct {
 	// Client is the hardened transport to the coordinator. Required.
@@ -36,9 +40,6 @@ type Config struct {
 	// Poll is the idle wait between claim attempts when no work is available
 	// (default 500 ms).
 	Poll time.Duration
-	// UploadTimeout bounds each checkpoint upload / completion attempt
-	// independently of the shard context (default 10 s).
-	UploadTimeout time.Duration
 	// OnClaim, when non-nil, observes every grant before execution starts —
 	// the breadcrumb seam tecfan-worker uses.
 	OnClaim func(grant *pool.ClaimResponse)
@@ -65,9 +66,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Poll <= 0 {
 		c.Poll = 500 * time.Millisecond
-	}
-	if c.UploadTimeout <= 0 {
-		c.UploadTimeout = 10 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -246,7 +244,7 @@ func (l *lease) upload(cp *pool.Checkpoint) {
 			l.w.cfg.Name, l.grant.JobID, l.grant.Shard.ID, err)
 		return
 	}
-	uctx, ucancel := clockfault.WithTimeout(context.Background(), l.w.cfg.Clock, l.w.cfg.UploadTimeout)
+	uctx, ucancel := clockfault.WithTimeout(context.Background(), l.w.cfg.Clock, uploadTimeout)
 	defer ucancel()
 	err = l.w.cfg.Client.PoolCheckpoint(uctx, &pool.CheckpointUpload{
 		Worker: l.w.cfg.Name, JobID: l.grant.JobID,
@@ -275,7 +273,7 @@ func (l *lease) complete(result *pool.ShardResult) error {
 	if err != nil {
 		return fmt.Errorf("worker: encoding result: %w", err)
 	}
-	cctx, ccancel := clockfault.WithTimeout(context.Background(), l.w.cfg.Clock, l.w.cfg.UploadTimeout)
+	cctx, ccancel := clockfault.WithTimeout(context.Background(), l.w.cfg.Clock, uploadTimeout)
 	defer ccancel()
 	err = l.w.cfg.Client.PoolComplete(cctx, &pool.CompleteRequest{
 		Worker: l.w.cfg.Name, JobID: l.grant.JobID,
