@@ -35,6 +35,7 @@ import (
 	"tecfan/internal/checkpoint"
 	"tecfan/internal/clockfault"
 	"tecfan/internal/diskfault"
+	"tecfan/internal/exp"
 	"tecfan/internal/numfault"
 	"tecfan/internal/numguard"
 	"tecfan/internal/pool"
@@ -283,6 +284,8 @@ type Server struct {
 	// pool is the worker-pool coordinator; nil when PoolEnabled is false
 	// (execution stays in-process).
 	pool *pool.Coordinator
+	// exec runs every in-process job over one shared model.
+	exec *pool.Executor
 
 	// beats records the last liveness signal per running job for the
 	// watchdog; attemptCancel the per-attempt cancel it may fire.
@@ -339,6 +342,7 @@ func New(cfg Config) (*Server, error) {
 		beats:         map[string]clockfault.Mono{},
 		attemptCancel: map[string]context.CancelFunc{},
 		genStores:     map[string]*checkpoint.GenStore{},
+		exec:          pool.NewExecutor(cfg.NumFaults),
 		rootCtx:       ctx,
 		rootStop:      stop,
 	}
@@ -539,11 +543,21 @@ func validateSpec(spec *JobSpec) error {
 	if spec.Scale < 0 {
 		return fmt.Errorf("daemon: scale must be non-negative")
 	}
-	if spec.Kind == KindTrace && spec.Policy == "" {
-		spec.Policy = "TECfan"
+	if spec.Kind == KindTrace {
+		if spec.Policy == "" {
+			spec.Policy = "TECfan"
+		}
+		// Refused here, not by the runner: an attempt at a level the fan
+		// does not have fails the same way on every retry.
+		if spec.FanLevel < 0 || spec.FanLevel >= fanLevels {
+			return fmt.Errorf("daemon: fan_level %d out of range [0, %d)", spec.FanLevel, fanLevels)
+		}
 	}
 	return nil
 }
+
+// fanLevels is the level count of the fan every job runs under.
+var fanLevels = exp.FanModel().NumLevels()
 
 func (s *Server) newID() string {
 	// Collision-proof within the map we hold the lock on.

@@ -73,19 +73,38 @@ func waitState(t *testing.T, s *Server, id string, want JobState) JobView {
 	return v
 }
 
+// TestSubmitValidation refuses each bad spec, in Submit and with 400 over
+// HTTP.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, fastConfig(t))
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
 	bad := []JobSpec{
 		{},                                     // no kind
 		{Kind: "nope", Bench: "x", Threads: 1}, // unknown kind
 		{Kind: KindTrace, Threads: 1},          // no bench
 		{Kind: KindTrace, Bench: "x"},          // no threads
-		{Kind: KindTrace, Bench: "x", Threads: 1, ID: "bad id!"}, // invalid id
+		{Kind: KindTrace, Bench: "x", Threads: 1, ID: "bad id!"},       // invalid id
+		{Kind: KindTrace, Bench: "x", Threads: 1, FanLevel: -1},        // fan level below the fastest
+		{Kind: KindTrace, Bench: "x", Threads: 1, FanLevel: fanLevels}, // past the slowest
 	}
 	for _, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted", spec)
 		}
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	slowest := JobSpec{Kind: KindTrace, Bench: "x", Threads: 1, FanLevel: fanLevels - 1}
+	if err := validateSpec(&slowest); err != nil {
+		t.Errorf("slowest fan level refused: %v", err)
 	}
 }
 

@@ -121,7 +121,7 @@ func (s *Server) runAttempt(ctx context.Context, id string, spec JobSpec) (err e
 		}
 		return err
 	}
-	res, err := pool.Execute(ctx, pool.Whole(sweep), rec.Progress, s.cfg.NumFaults, save)
+	res, err := s.exec.Execute(ctx, pool.Whole(sweep), rec.Progress, save)
 	if err != nil {
 		// A refused divergence is deterministic — restarting from the
 		// checkpoint replays the identical fault — so record it for /readyz

@@ -79,10 +79,14 @@ type Env struct {
 	Workers int
 }
 
+// FanModel returns the fan every NewEnv runs under, the paper's Dynatron
+// R16.
+func FanModel() *fan.Model { return fan.DynatronR16() }
+
 // NewEnv builds the full-scale environment.
 func NewEnv() *Env {
 	chip := floorplan.NewSCC16()
-	fm := fan.DynatronR16()
+	fm := FanModel()
 	return &Env{
 		Chip:            chip,
 		Fan:             fm,

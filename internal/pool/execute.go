@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 
 	"tecfan/internal/exp"
 	"tecfan/internal/fault"
@@ -48,22 +49,46 @@ type ShardResult struct {
 	Cases      []exp.Fig4Case
 }
 
+// Executor runs shards. It is the only place a job kind turns into a
+// simulation: the daemon executes Whole(sweep) through it in-process, and a
+// pool worker executes each Plan(sweep) shard it is granted, which is what
+// makes the merged pooled result byte-identical to the in-process one.
+//
+// One Executor serves every job of a process, from any number of
+// goroutines. It builds its model (an exp.Env: chip, fan, DVFS table, TEC
+// placements and the thermal network with its factor cache) once, at the
+// first shard, and gives each shard a value copy with the shard's own scale
+// and faults. It also keeps each benchmark's derived threshold: the base
+// scenario is fault-free by definition, so every job of one (bench,
+// threads, scale) derives the same value.
+type Executor struct {
+	numFaults *numfault.Schedule
+
+	envOnce sync.Once
+	env     *exp.Env
+
+	thresholds thresholdMemo
+}
+
+// NewExecutor returns an executor that arms nf, which may be nil, for
+// numerical chaos in every trace shard. It builds nothing yet.
+func NewExecutor(nf *numfault.Schedule) *Executor {
+	return &Executor{numFaults: nf}
+}
+
 // Execute runs one shard, resuming from a checkpoint when from is non-nil.
-// It is the only place a job kind turns into a simulation: the daemon
-// executes Whole(sweep) through it in-process, and a pool worker executes
-// each Plan(sweep) shard it is granted, which is what makes the merged
-// pooled result byte-identical to the in-process one.
 //
 // save receives every checkpoint. A trace shard first saves its threshold,
 // derived from the base scenario unless given, so every later attempt runs
 // against the same one; an error from that save fails the run. Every later
 // save is progress only: its error is the caller's to report, and the run
-// goes on. nf arms numerical chaos for trace shards.
-func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.Schedule, save func(*Checkpoint) error) (*ShardResult, error) {
+// goes on.
+func (x *Executor) Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, save func(*Checkpoint) error) (*ShardResult, error) {
 	if from == nil {
 		from = &Checkpoint{}
 	}
-	env := exp.NewEnv()
+	x.envOnce.Do(func() { x.env = exp.NewEnv() })
+	env := *x.env
 	// One worker per job: the daemon's executor and each pool worker already
 	// run a job at a time, and sweep points fanned out inside one would
 	// oversubscribe the host.
@@ -75,8 +100,8 @@ func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.S
 	var err error
 	switch sh.Kind {
 	case KindTrace:
-		env.NumFaults = nf
-		err = executeTrace(ctx, env, sh, from, save, out)
+		env.NumFaults = x.numFaults
+		err = x.executeTrace(ctx, &env, sh, from, save, out)
 	case KindChaos:
 		rows := rowOptions(nil, from.Rows, save, func(r []exp.ChaosRow) *Checkpoint { return &Checkpoint{Rows: r} })
 		var res *exp.ChaosResult
@@ -105,7 +130,7 @@ func Execute(ctx context.Context, sh ShardSpec, from *Checkpoint, nf *numfault.S
 
 // executeTrace derives (or restores) the threshold, pins it, then runs — or
 // resumes — the simulation with snapshot checkpoints at the shard's cadence.
-func executeTrace(ctx context.Context, env *exp.Env, sh ShardSpec, from *Checkpoint, save func(*Checkpoint) error, out *ShardResult) error {
+func (x *Executor) executeTrace(ctx context.Context, env *exp.Env, sh ShardSpec, from *Checkpoint, save func(*Checkpoint) error, out *ShardResult) error {
 	if sh.Scenario != "" {
 		sc, err := fault.ByName(sh.Scenario)
 		if err != nil {
@@ -125,11 +150,17 @@ func executeTrace(ctx context.Context, env *exp.Env, sh ShardSpec, from *Checkpo
 		threshold = sh.Threshold
 	}
 	if threshold == 0 {
-		base, err := env.BaseScenarioContext(ctx, sb)
+		key := thresholdKey{bench: sh.Bench, threads: sh.Threads, scale: env.Scale}
+		threshold, err = x.thresholds.get(ctx, key, func(ctx context.Context) (float64, error) {
+			base, err := env.BaseScenarioContext(ctx, sb)
+			if err != nil {
+				return 0, err
+			}
+			return base.Metrics.PeakTemp, nil
+		})
 		if err != nil {
 			return fmt.Errorf("pool: trace base scenario: %w", err)
 		}
-		threshold = base.Metrics.PeakTemp
 	}
 	if err := save(&Checkpoint{Threshold: threshold, Snap: from.Snap}); err != nil {
 		return err

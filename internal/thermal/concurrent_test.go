@@ -117,3 +117,25 @@ func TestConcurrentNetworkMatchesSerial(t *testing.T) {
 		t.Errorf("%d transient factors cached, want 4", n)
 	}
 }
+
+// TestFactorCachePanicIsKept panics in a key's build: the panic reaches the
+// caller that ran the build, and every later caller of the key gets an
+// error instead of a nil factor.
+func TestFactorCachePanicIsKept(t *testing.T) {
+	var c factorCache[int]
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("building caller recovered %v, want the build's panic", r)
+			}
+		}()
+		_, _ = c.get(1, func() (*linalg.VerifiedCholesky, error) { panic("boom") })
+	}()
+	f, err := c.get(1, func() (*linalg.VerifiedCholesky, error) {
+		t.Fatal("a panicked key was built again")
+		return nil, nil
+	})
+	if err == nil || f != nil {
+		t.Fatalf("second get = (%v, %v), want a nil factor and an error", f, err)
+	}
+}

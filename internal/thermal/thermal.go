@@ -126,7 +126,9 @@ type transientKey struct {
 // callers of one key wait while the first of them builds it; callers of
 // other keys do not. A warm lookup takes the mutex for one map read and
 // does not allocate. A failed build is kept too: the matrix is a pure
-// function of the key, so a retry would fail the same way.
+// function of the key, so a retry would fail the same way. A build that
+// panics is kept as the key's error, and the panic goes on up the caller
+// that ran it; every later caller gets the error, never a nil factor.
 type factorCache[K comparable] struct {
 	mu sync.Mutex
 	m  map[K]*cachedFactor
@@ -150,7 +152,15 @@ func (c *factorCache[K]) get(key K, build func() (*linalg.VerifiedCholesky, erro
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.f, e.err = build() })
+	e.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("thermal: factor build panicked: %v", r)
+				panic(r)
+			}
+		}()
+		e.f, e.err = build()
+	})
 	return e.f, e.err
 }
 

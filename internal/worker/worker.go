@@ -1,8 +1,10 @@
 // Package worker is the execution side of the tecfand worker pool: a
 // process that claims shard leases from a coordinator, executes them through
-// pool.Execute — the function the daemon's in-process path calls too —
-// streams progress checkpoints back so its own death loses at most one
-// checkpoint interval, and renews its lease on a heartbeat loop.
+// its one pool.Executor — the executor the daemon's in-process path uses
+// too, so every shard a worker runs shares one thermal model and one memo
+// of derived thresholds — streams progress checkpoints back so its own
+// death loses at most one checkpoint interval, and renews its lease on a
+// heartbeat loop.
 //
 // Fencing discipline: every write the worker makes carries the token from
 // its grant. When any call answers pool.ErrFenced or pool.ErrShardGone the
@@ -85,7 +87,8 @@ type Stats struct {
 
 // Worker runs the claim → execute → complete loop against one coordinator.
 type Worker struct {
-	cfg Config
+	cfg  Config
+	exec *pool.Executor // runs every shard this worker is granted
 
 	done      atomic.Int64
 	abandoned atomic.Int64
@@ -99,7 +102,7 @@ func New(cfg Config) (*Worker, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	return &Worker{cfg: cfg}, nil
+	return &Worker{cfg: cfg, exec: pool.NewExecutor(cfg.NumFaults)}, nil
 }
 
 // Stats snapshots the counters.
@@ -295,7 +298,7 @@ func (l *lease) execute(ctx context.Context) (*pool.ShardResult, error) {
 			return nil, err
 		}
 	}
-	return pool.Execute(ctx, l.grant.Shard, from, l.w.cfg.NumFaults, func(cp *pool.Checkpoint) error {
+	return l.w.exec.Execute(ctx, l.grant.Shard, from, func(cp *pool.Checkpoint) error {
 		l.upload(cp)
 		return nil
 	})
