@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -64,7 +65,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8023", "HTTP listen address")
 	stateDir := flag.String("state-dir", "tecfand-state", "directory for job checkpoints and results")
-	workers := flag.Int("workers", 1, "concurrent job executors")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent job executors, one per CPU by default; all share one model")
 	queueDepth := flag.Int("queue", 8, "admission queue depth (beyond it, 429)")
 	ckptEvery := flag.Int("checkpoint-every", 25, "checkpoint cadence in control periods")
 	maxAttempts := flag.Int("max-attempts", 3, "supervisor attempts per job before it fails")

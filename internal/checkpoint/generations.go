@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"sync"
 	"sync/atomic"
 
 	"tecfan/internal/diskfault"
@@ -39,14 +40,16 @@ func Quarantine(fsys diskfault.FS, path string) (string, error) {
 // verifies, quarantining what failed. Scrub re-verifies every generation in
 // place and repairs the corrupt ones from the newest good copy.
 //
-// GenStore methods are not internally locked — the daemon serializes all
-// access to one job's checkpoint (checkpoint writes happen on the worker
-// goroutine; the scrubber takes the daemon's storage mutex).
+// GenStore is safe for concurrent use. Write, Read, Scrub and RemoveAll take
+// the store's own mutex, so a scrub repair never lands in the middle of a
+// rotation, while stores of different checkpoints never wait on each other.
 type GenStore struct {
 	fs   diskfault.FS
 	path string
 	keep int
 	logf func(format string, args ...any)
+
+	mu sync.Mutex // serializes the generation chain's file operations
 
 	quarantined atomic.Int64
 }
@@ -102,6 +105,8 @@ func (g *GenStore) Paths() []string {
 // chain. The moment with no head on disk is harmless: Read falls back to
 // .g1, which holds exactly the bytes the head held.
 func (g *GenStore) Write(payload []byte) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.rotate()
 	return WriteFileFS(g.fs, g.path, payload)
 }
@@ -140,6 +145,8 @@ func (g *GenStore) rotate() {
 // fs.ErrNotExist when no generation exists at all, ErrNoGeneration when
 // files existed but none verified.
 func (g *GenStore) Read() ([]byte, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	sawAny := false
 	for i := 0; i < g.keep; i++ {
 		payload, err := ReadFileFS(g.fs, g.genPath(i))
@@ -183,6 +190,8 @@ func (g *GenStore) quarantineGen(i int, cause error) {
 // generation left nothing can be repaired; corrupt files are still
 // quarantined so the next read fails fast and clean.
 func (g *GenStore) Scrub() (repaired int, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	type state struct {
 		payload []byte
 		bad     bool
@@ -227,6 +236,8 @@ func (g *GenStore) Scrub() (repaired int, err error) {
 // RemoveAll deletes every generation (job finished, checkpoint obsolete).
 // Quarantined .bad-N files are deliberately left for post-mortem.
 func (g *GenStore) RemoveAll() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	var first error
 	for i := 0; i < g.keep; i++ {
 		if err := g.fs.Remove(g.genPath(i)); err != nil && !errors.Is(err, fs.ErrNotExist) {

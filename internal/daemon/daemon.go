@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -46,8 +47,10 @@ type Config struct {
 	// StateDir holds job checkpoints (<id>.ckpt) and results
 	// (<id>.result — the same atomic checkpoint envelope). Required.
 	StateDir string
-	// Workers is the number of concurrent job executors (default 1: the
-	// simulations are CPU-bound and single-threaded).
+	// Workers is the number of concurrent job executors (default
+	// runtime.GOMAXPROCS(0): every job is a CPU-bound simulation on one
+	// goroutine, so one executor per CPU fills the host without
+	// oversubscribing it). All executors share the daemon's one model.
 	Workers int
 	// QueueDepth bounds the admission queue; submissions beyond it are shed
 	// with 429 (default 8).
@@ -121,7 +124,7 @@ func (c *Config) fillDefaults() error {
 		return fmt.Errorf("daemon: StateDir is required")
 	}
 	if c.Workers <= 0 {
-		c.Workers = 1
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
@@ -293,10 +296,10 @@ type Server struct {
 	attemptCancel map[string]context.CancelFunc
 
 	// genStores caches the per-job generational checkpoint stores (guarded
-	// by mu); ioMu serializes generation rotation against the scrubber so a
-	// repair never clobbers a checkpoint landing at the same instant.
+	// by mu). Each store serializes its own file operations, so one job's
+	// rotation is kept apart from the scrubber without making two jobs'
+	// checkpoints wait on each other.
 	genStores map[string]*checkpoint.GenStore
-	ioMu      sync.Mutex
 
 	// diverged records jobs whose run confirmed a numeric divergence; the
 	// record is sticky (like the FT controller's fail-safe) and surfaces as
@@ -761,10 +764,7 @@ func (s *Server) finish(id string, j *job, st JobState, msg string) {
 	if st == StateDone {
 		// The result file is durable; the checkpoint (all generations) has
 		// served its purpose. Quarantined .bad-N files stay for post-mortem.
-		g := s.gens(id)
-		s.ioMu.Lock()
-		_ = g.RemoveAll()
-		s.ioMu.Unlock()
+		_ = s.gens(id).RemoveAll()
 		s.dropGens(id)
 	}
 	if rid != "" {

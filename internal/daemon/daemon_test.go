@@ -536,3 +536,107 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("empty StateDir accepted")
 	}
 }
+
+// TestConcurrentExecutorsByteIdentical: a job's result does not depend on
+// how many executors share the daemon's model. Six trace jobs with derived
+// thresholds run on one executor and on two; each result file must match
+// byte for byte (both daemons use the same job ids, so the whole file
+// compares). Then a daemon is drained while both its executors are inside a
+// job's snapshot checkpoint, and a second incarnation on the same state dir
+// resumes both jobs to the same bytes.
+func TestConcurrentExecutorsByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation")
+	}
+	var specs []JobSpec
+	for _, b := range []struct {
+		name    string
+		threads int
+	}{{"cholesky", 16}, {"lu", 4}} {
+		for _, p := range []string{"TECfan-FT", "TECfan", "Fan-only"} {
+			specs = append(specs, JobSpec{ID: b.name + "-" + p, Kind: KindTrace,
+				Bench: b.name, Threads: b.threads, Policy: p, Scale: 0.2})
+		}
+	}
+	result := func(s *Server, id string) []byte {
+		b, err := os.ReadFile(s.resultPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	run := func(workers int) map[string][]byte {
+		cfg := fastConfig(t)
+		cfg.Workers = workers
+		cfg.QueueDepth = len(specs)
+		s := newTestServer(t, cfg)
+		for _, sp := range specs {
+			if _, err := s.Submit(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := map[string][]byte{}
+		for _, sp := range specs {
+			waitState(t, s, sp.ID, StateDone)
+			out[sp.ID] = result(s, sp.ID)
+		}
+		return out
+	}
+	want := run(1)
+	got := run(2)
+	for _, sp := range specs {
+		if !bytes.Equal(got[sp.ID], want[sp.ID]) {
+			t.Errorf("%s: result on two executors differs from one executor's (%d vs %d bytes)",
+				sp.ID, len(got[sp.ID]), len(want[sp.ID]))
+		}
+	}
+
+	// Hold each job's first snapshot checkpoint in its fsync, so both
+	// executors are mid-job when the drain begins.
+	busy := []JobSpec{specs[0], specs[3]}
+	gate := newSyncGate(func(id string, rec *persistedJob) bool {
+		return rec.Progress != nil && rec.Progress.Snap != nil
+	})
+	cfg := fastConfig(t)
+	cfg.Workers = 2
+	cfg.FS = gate
+	s1 := newTestServer(t, cfg)
+	t.Cleanup(gate.open) // before the server's shutdown: cleanups run last-in first-out
+	for _, sp := range busy {
+		if _, err := s1.Submit(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate.waitHeld(t, len(busy))
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		drained <- s1.Shutdown(ctx)
+	}()
+	waitCond(t, "drain to begin", s1.Draining)
+	gate.open()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range busy {
+		if v, _ := s1.Job(sp.ID); v.State != StateCanceled {
+			t.Fatalf("%s drained in state %s, want canceled", sp.ID, v.State)
+		}
+		rec, err := s1.loadJob(sp.ID)
+		if err != nil || rec.Progress == nil || rec.Progress.Snap == nil {
+			t.Fatalf("%s: no snapshot checkpoint after the drain (%v)", sp.ID, err)
+		}
+	}
+
+	cfg.FS = nil
+	s2 := newTestServer(t, cfg)
+	for _, sp := range busy {
+		if v := waitState(t, s2, sp.ID, StateDone); !v.Resumed {
+			t.Fatalf("%s: restarted job not marked resumed", sp.ID)
+		}
+		if !bytes.Equal(result(s2, sp.ID), want[sp.ID]) {
+			t.Errorf("%s: resumed result differs from the uninterrupted run", sp.ID)
+		}
+	}
+}

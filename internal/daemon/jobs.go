@@ -48,10 +48,7 @@ func (s *Server) persistJob(rec *persistedJob) error {
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return fmt.Errorf("daemon: encoding job %s: %w", rec.Spec.ID, err)
 	}
-	g := s.gens(rec.Spec.ID)
-	s.ioMu.Lock()
-	err := g.Write(buf.Bytes())
-	s.ioMu.Unlock()
+	err := s.gens(rec.Spec.ID).Write(buf.Bytes())
 	if err != nil {
 		s.noteStorageError(err)
 	}
@@ -61,10 +58,7 @@ func (s *Server) persistJob(rec *persistedJob) error {
 // loadJob reads the newest verifiable checkpoint generation, falling back
 // (and quarantining) past corrupt or truncated ones.
 func (s *Server) loadJob(id string) (*persistedJob, error) {
-	g := s.gens(id)
-	s.ioMu.Lock()
-	payload, err := g.Read()
-	s.ioMu.Unlock()
+	payload, err := s.gens(id).Read()
 	if err != nil {
 		return nil, err
 	}

@@ -113,34 +113,25 @@ func (s *Server) scrubber() {
 	}
 }
 
-// ScrubNow runs one scrub pass over every job with checkpoint files in the
-// state dir, returning how many generations were repaired. Degraded mode
-// skips the pass: repairs are writes, and writes are what is failing.
+// ScrubNow runs one scrub pass over every checkpoint store the daemon holds,
+// returning how many generations were repaired. It never creates a store:
+// a job that finishes mid-pass has dropped its store and removed its files,
+// and a checkpoint file no job owns is not the scrubber's to repair.
+// Degraded mode skips the pass: repairs are writes, and writes are what is
+// failing.
 func (s *Server) ScrubNow() int {
 	if s.degraded.Load() {
 		return 0
 	}
-	entries, err := s.cfg.FS.ReadDir(s.cfg.StateDir)
-	if err != nil {
-		s.cfg.Logf("daemon: scrub: listing state dir: %v", err)
-		return 0
+	s.mu.Lock()
+	stores := make([]*checkpoint.GenStore, 0, len(s.genStores))
+	for _, g := range s.genStores {
+		stores = append(stores, g)
 	}
-	seen := map[string]bool{}
-	var ids []string
-	for _, e := range entries {
-		m := ckptFileRe.FindStringSubmatch(e.Name())
-		if m == nil || seen[m[1]] {
-			continue
-		}
-		seen[m[1]] = true
-		ids = append(ids, m[1])
-	}
+	s.mu.Unlock()
 	total := 0
-	for _, id := range ids {
-		g := s.gens(id)
-		s.ioMu.Lock()
+	for _, g := range stores {
 		n, serr := g.Scrub()
-		s.ioMu.Unlock()
 		total += n
 		if serr != nil {
 			s.noteStorageError(serr)

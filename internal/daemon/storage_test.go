@@ -1,13 +1,16 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -45,6 +48,95 @@ func (f *enospcToggle) Create(name string) (diskfault.File, error) {
 		return nil, f.enospc("create", name)
 	}
 	return f.FS.Create(name)
+}
+
+// syncGate wraps the real FS and holds the fsync of a job's checkpoint
+// write until open is called: a disk stalled under one write. It holds at
+// most one write per job, the first one hold picks from the decoded record.
+type syncGate struct {
+	diskfault.FS
+	hold func(id string, rec *persistedJob) bool
+	held chan struct{}
+	rel  chan struct{}
+
+	mu     sync.Mutex
+	seen   map[string]bool
+	opened sync.Once
+}
+
+func newSyncGate(hold func(id string, rec *persistedJob) bool) *syncGate {
+	return &syncGate{FS: diskfault.OS, hold: hold, held: make(chan struct{}, 16),
+		rel: make(chan struct{}), seen: map[string]bool{}}
+}
+
+// open releases every held fsync, now and from then on.
+func (g *syncGate) open() { g.opened.Do(func() { close(g.rel) }) }
+
+// waitHeld waits until n writes are held.
+func (g *syncGate) waitHeld(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-g.held:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%d of %d checkpoint writes held", i, n)
+		}
+	}
+}
+
+func (g *syncGate) CreateTemp(dir, pattern string) (diskfault.File, error) {
+	f, err := g.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	id, ok := strings.CutSuffix(pattern, ".ckpt.tmp*")
+	if !ok {
+		return f, nil
+	}
+	return &gatedFile{File: f, gate: g, id: id}, nil
+}
+
+type gatedFile struct {
+	diskfault.File
+	gate *syncGate
+	id   string
+	data []byte
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	f.data = append(f.data, p...)
+	return f.File.Write(p)
+}
+
+func (f *gatedFile) Sync() error {
+	g := f.gate
+	g.mu.Lock()
+	hold := false
+	if !g.seen[f.id] {
+		if rec := decodeJob(f.data); rec != nil && g.hold(f.id, rec) {
+			g.seen[f.id], hold = true, true
+		}
+	}
+	g.mu.Unlock()
+	if hold {
+		g.held <- struct{}{}
+		<-g.rel
+	}
+	return f.File.Sync()
+}
+
+// decodeJob decodes the job record in a checkpoint file's bytes, or returns
+// nil.
+func decodeJob(data []byte) *persistedJob {
+	payload, err := checkpoint.Decode(data)
+	if err != nil {
+		return nil
+	}
+	var rec persistedJob
+	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec) != nil {
+		return nil
+	}
+	return &rec
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -318,4 +410,87 @@ func TestTornSpecWriteRefusesSubmission(t *testing.T) {
 	if _, err := s.Submit(traceSpec("whole")); err != nil {
 		t.Fatalf("submit after a refusal = %v", err)
 	}
+}
+
+// TestScrubOnlyHeldStores: the scrubber scrubs the stores the daemon holds
+// and never creates one. A checkpoint no job owns — here a stray file with a
+// rotten generation, like the files of a job that finished mid-pass — is
+// neither repaired nor given a store that would never be dropped.
+func TestScrubOnlyHeldStores(t *testing.T) {
+	cfg := fastConfig(t)
+	cfg.ScrubInterval = -1
+	s := newTestServer(t, cfg)
+	head := s.ckptPath("stray")
+	if err := checkpoint.WriteFileFS(diskfault.OS, head, []byte("orphan")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(head+".g1", []byte("bit rot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.ScrubNow(); n != 0 {
+		t.Fatalf("ScrubNow repaired %d generations of a checkpoint no job owns", n)
+	}
+	s.mu.Lock()
+	_, cached := s.genStores["stray"]
+	s.mu.Unlock()
+	if cached {
+		t.Fatal("scrub created a store for a checkpoint no job owns")
+	}
+}
+
+// TestJobCheckpointNeverWaitsOnAnother: checkpoint I/O is serialized per
+// job, not per daemon. While job a's checkpoint is stuck in fsync, job b is
+// accepted (its spec persists), checkpoints and finishes on the other
+// executor.
+func TestJobCheckpointNeverWaitsOnAnother(t *testing.T) {
+	var s *Server
+	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
+		for i := 1; i <= 3; i++ {
+			cp := &pool.Checkpoint{Threshold: float64(i)}
+			if err := s.persistJob(&persistedJob{Spec: spec, Progress: cp}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	t.Cleanup(func() { testRunHook = nil })
+	gate := newSyncGate(func(id string, rec *persistedJob) bool {
+		return id == "a" && rec.Progress != nil
+	})
+	cfg := fastConfig(t)
+	cfg.FS = gate
+	cfg.Workers = 2
+	cfg.ScrubInterval = -1
+	s = newTestServer(t, cfg)
+	t.Cleanup(gate.open) // before the server's shutdown: cleanups run last-in first-out
+
+	if _, err := s.Submit(JobSpec{ID: "a", Kind: KindTrace, Bench: "cholesky", Threads: 16}); err != nil {
+		t.Fatal(err)
+	}
+	gate.waitHeld(t, 1)
+
+	done := make(chan error, 1)
+	go func() {
+		if _, err := s.Submit(JobSpec{ID: "b", Kind: KindTrace, Bench: "cholesky", Threads: 16}); err != nil {
+			done <- err
+			return
+		}
+		done <- s.Wait(context.Background(), "b")
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("job b waited on job a's checkpoint fsync")
+	}
+	if v, _ := s.Job("b"); v.State != StateDone {
+		t.Fatalf("job b state = %s (%s), want done", v.State, v.Error)
+	}
+	if v, _ := s.Job("a"); v.State != StateRunning {
+		t.Fatalf("job a state = %s while its checkpoint is held, want running", v.State)
+	}
+	gate.open()
+	waitState(t, s, "a", StateDone)
 }
