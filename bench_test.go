@@ -173,8 +173,8 @@ func BenchmarkSystolic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := make([]float64, floorplan.ComponentsPerTile)
-	q := make([]float64, floorplan.ComponentsPerTile)
+	x := make([]float64, len(floorplan.TileComponents()))
+	q := make([]float64, len(floorplan.TileComponents()))
 	for i := range x {
 		x[i] = 70 + float64(i)
 	}
@@ -291,7 +291,7 @@ func BenchmarkBandEstimatorEval(b *testing.B) {
 	for i := range temps {
 		temps[i] = 75
 	}
-	out := make([]float64, floorplan.ComponentsPerTile)
+	out := make([]float64, len(floorplan.TileComponents()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := be.EvalCore(i%16, p, temps, out); err != nil {

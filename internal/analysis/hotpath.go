@@ -39,7 +39,6 @@ var defaultHotpath = map[string]bool{
 
 	// linalg: every solve the loop reaches.
 	"tecfan/internal/linalg.(*Cholesky).Solve":            true,
-	"tecfan/internal/linalg.(*LU).Solve":                  true,
 	"tecfan/internal/linalg.(*VerifiedCholesky).Solve":    true,
 	"tecfan/internal/linalg.(*VerifiedCholesky).residual": true,
 	"tecfan/internal/linalg.(*BandLU).Solve":              true,

@@ -127,16 +127,6 @@ func LoadSpec(path string) (Spec, error) {
 	return s, nil
 }
 
-// ParseSpec decodes and validates a spec from bytes, labeling errors with
-// name (same contract as LoadSpec).
-func ParseSpec(name string, data []byte) (Spec, error) {
-	var s Spec
-	if err := schedfile.Parse(name, data, &s, func() error { return s.Validate() }); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
 // jobIDRe mirrors the daemon's job-id rule.
 var jobIDRe = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 

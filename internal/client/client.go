@@ -469,12 +469,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (daemo
 	}
 }
 
-// Live reports daemon liveness (GET /livez).
-func (c *Client) Live(ctx context.Context) error {
-	_, err := c.call(ctx, http.MethodGet, "/livez", nil, nil, nil)
-	return err
-}
-
 // Ready reports daemon readiness (GET /readyz): nil only when the daemon is
 // accepting work.
 func (c *Client) Ready(ctx context.Context) error {

@@ -135,27 +135,10 @@ func CheckPositiveDuration(flagName string, d time.Duration) error {
 	return nil
 }
 
-// CheckNonNegativeDuration rejects negative durations for flags where zero
-// means "disabled".
-func CheckNonNegativeDuration(flagName string, d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("-%s must be >= 0, got %v", flagName, d)
-	}
-	return nil
-}
-
 // CheckPositiveInt rejects values below 1 for counts that must exist.
 func CheckPositiveInt(flagName string, n int) error {
 	if n < 1 {
 		return fmt.Errorf("-%s must be >= 1, got %d", flagName, n)
-	}
-	return nil
-}
-
-// CheckProbability rejects values outside [0, 1].
-func CheckProbability(flagName string, p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("-%s must be within [0, 1], got %g", flagName, p)
 	}
 	return nil
 }
@@ -175,16 +158,6 @@ func CheckPackagePattern(flagName, pattern string) error {
 		return fmt.Errorf("%s: package pattern %q contains whitespace", flagName, pattern)
 	}
 	return nil
-}
-
-// CheckOneOf validates an enum-valued flag against its allowed values.
-func CheckOneOf(flagName, got string, valid ...string) error {
-	for _, v := range valid {
-		if got == v {
-			return nil
-		}
-	}
-	return fmt.Errorf("-%s must be one of %s, got %q", flagName, strings.Join(valid, ", "), got)
 }
 
 // PrintLists prints the valid benchmarks and policies — the body of every

@@ -126,7 +126,7 @@ func TestScaledEngineAgainstFloat(t *testing.T) {
 	want := make([]float64, 18)
 	m.EvalTemp(tRel, want)
 
-	for _, q := range []systolic.Q{systolic.Q16, systolic.Q8} {
+	for _, q := range []systolic.Q{systolic.Q{Bits: 16, Frac: 7}, systolic.Q8} {
 		eng, err := m.Engine(q)
 		if err != nil {
 			t.Fatalf("Engine(%d-bit): %v", q.Bits, err)

@@ -170,9 +170,11 @@ func (c *Controller) hotIteration(obs *sim.Observation, cand *Candidate, est *Es
 // offTECOverHottestSpot returns the index of a TEC with cooling headroom
 // covering the hottest component whose predicted temperature violates the
 // threshold, or -1 when every violating component's TECs are maxed. Among a
-// component's devices, the one with the largest coverage engages first.
+// component's devices, the one with the largest coverage engages first. An
+// estimate the solver refused has no temperatures and names no hot spot, so
+// it also returns -1 and the walk falls through to throttling.
 func (c *Controller) offTECOverHottestSpot(cand *Candidate, est *Estimate, threshold float64) int {
-	if c.NoTEC {
+	if c.NoTEC || len(est.Temps) == 0 {
 		return -1
 	}
 	bestL := -1

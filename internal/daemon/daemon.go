@@ -27,7 +27,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -275,6 +274,9 @@ type Server struct {
 
 	queue    chan string
 	draining bool
+	// reserved holds the ids of submissions still persisting their spec;
+	// each also holds one queue slot.
+	reserved map[string]bool
 
 	// idem is the durable idempotency table; idemMu serializes tokened
 	// submissions so two concurrent retries of the same POST cannot both
@@ -340,6 +342,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:           cfg,
 		jobs:          map[string]*job{},
 		queue:         make(chan string, cfg.QueueDepth),
+		reserved:      map[string]bool{},
 		idem:          idem,
 		admit:         newTokenBucket(cfg.SubmitRate, cfg.SubmitBurst, cfg.Clock),
 		beats:         map[string]clockfault.Mono{},
@@ -396,11 +399,12 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 // into the job log.
 //
 // Ordering is the exactly-once argument: the token is recorded durably
-// BEFORE the job is enqueued and its spec persisted. A crash between the two
-// leaves a token pointing at a job that never existed; startup sweeps such
-// orphans (sweepIdempotency), so the client's retry submits afresh — one
-// run, not zero, not two. The reverse order would leave a persisted job the
-// retry could not be matched to, and the retry would enqueue a duplicate.
+// BEFORE the job's spec is persisted and the job enqueued. A crash between
+// the two leaves a token pointing at a job that never existed; startup
+// sweeps such orphans (sweepIdempotency), so the client's retry submits
+// afresh — one run, not zero, not two. The reverse order would leave a
+// persisted job the retry could not be matched to, and the retry would
+// enqueue a duplicate.
 func (s *Server) SubmitIdempotent(spec JobSpec, token, requestID string) (id string, dup bool, err error) {
 	if token == "" {
 		id, err = s.submit(spec, requestID)
@@ -458,45 +462,51 @@ func (s *Server) submit(spec JobSpec, requestID string) (string, error) {
 	if spec.ID == "" {
 		spec.ID = s.newID()
 	}
-	if _, exists := s.jobs[spec.ID]; exists {
+	if _, exists := s.jobs[spec.ID]; exists || s.reserved[spec.ID] {
 		s.mu.Unlock()
 		return "", fmt.Errorf("%w: %s", ErrDuplicateID, spec.ID)
 	}
-	j := &job{spec: spec, state: StateQueued, requestID: requestID, done: make(chan struct{})}
-	select {
-	case s.queue <- spec.ID:
-	default:
+	if s.queueFullLocked() {
 		s.mu.Unlock()
 		return "", ErrQueueFull
 	}
-	s.jobs[spec.ID] = j
+	s.reserved[spec.ID] = true
+	s.mu.Unlock()
+	// Persist the bare spec before any executor can see the job: a crash
+	// before the first checkpoint must still resume (restart) the job, and
+	// a spec write that landed after the job's first progress checkpoint
+	// would replace it as the head generation. A spec the disk would not
+	// take is a promise it cannot keep; refuse the submission retryably.
+	err := s.persistJob(&persistedJob{Spec: spec})
+	if err != nil {
+		s.cfg.Logf("daemon: persisting spec for %s: %v", spec.ID, err)
+		err = fmt.Errorf("%w: %v", ErrSpecNotPersisted, err)
+	}
+	s.mu.Lock()
+	delete(s.reserved, spec.ID)
+	if err == nil && s.draining {
+		err = ErrDraining // the queue closed during the write
+	}
+	if err != nil {
+		s.mu.Unlock()
+		// The reservation kept every other submission of this id out, so
+		// the store holds only what this one wrote.
+		_ = s.gens(spec.ID).RemoveAll()
+		s.dropGens(spec.ID)
+		return "", err
+	}
+	// Cannot block: the reservation held a queue slot.
+	s.queue <- spec.ID
+	s.jobs[spec.ID] = &job{spec: spec, state: StateQueued, requestID: requestID, done: make(chan struct{})}
 	s.order = append(s.order, spec.ID)
 	s.mu.Unlock()
-	// Persist the bare spec immediately: a crash before the first checkpoint
-	// must still resume (restart) the job, not forget it. A spec the disk
-	// would not take is a promise it cannot keep: while the job is still
-	// queued, withdraw it and refuse the submission retryably. A job an
-	// executor already picked up stays; its attempt persists again.
-	if err := s.persistJob(&persistedJob{Spec: spec}); err != nil {
-		s.cfg.Logf("daemon: persisting spec for %s: %v", spec.ID, err)
-		if s.withdrawQueued(spec.ID) {
-			return "", fmt.Errorf("%w: %v", ErrSpecNotPersisted, err)
-		}
-	}
 	return spec.ID, nil
 }
 
-// withdrawQueued forgets a job no executor has picked up yet; the executor
-// skips its queue entry. It reports whether the job was withdrawn.
-func (s *Server) withdrawQueued(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; !ok || j.state != StateQueued {
-		return false
-	}
-	delete(s.jobs, id)
-	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
-	return true
+// queueFullLocked reports whether every queue slot is taken, counting the
+// slots reserved by submissions still persisting their spec. s.mu is held.
+func (s *Server) queueFullLocked() bool {
+	return len(s.queue)+len(s.reserved) >= cap(s.queue)
 }
 
 // sweepIdempotency drops tokens whose job left no trace on disk: the crash

@@ -41,7 +41,10 @@ func (s *Server) readyReasons(probeDisk bool) []string {
 	if s.Draining() {
 		reasons = append(reasons, "draining")
 	}
-	if len(s.queue) >= cap(s.queue) {
+	s.mu.Lock()
+	full := s.queueFullLocked()
+	s.mu.Unlock()
+	if full {
 		reasons = append(reasons, "queue full")
 	}
 	if s.StorageDegraded() {

@@ -88,8 +88,8 @@ func (s *Server) runAttempt(ctx context.Context, id string, spec JobSpec) (err e
 	}
 	rec, lerr := s.loadJob(id)
 	if lerr != nil {
-		// First run after a crash that beat the spec persist, or a corrupt
-		// checkpoint: start from the spec we hold in memory.
+		// A spec write skipped in degraded mode, or a corrupt checkpoint:
+		// start from the spec we hold in memory.
 		rec = &persistedJob{Spec: spec}
 	}
 	sweep := pool.SweepSpec{

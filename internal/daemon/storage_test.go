@@ -494,3 +494,46 @@ func TestJobCheckpointNeverWaitsOnAnother(t *testing.T) {
 	gate.open()
 	waitState(t, s, "a", StateDone)
 }
+
+// TestSpecPersistedBeforeExecutorStarts holds job a's spec write in fsync.
+// Until that write lands, the job must be neither listed nor started by an
+// idle executor: an executor that ran first could checkpoint progress that
+// the late spec write would then replace as the head generation.
+func TestSpecPersistedBeforeExecutorStarts(t *testing.T) {
+	var s *Server
+	var startedEarly atomic.Bool
+	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
+		if _, err := s.loadJob(id); err != nil {
+			startedEarly.Store(true)
+		}
+		return nil
+	}
+	t.Cleanup(func() { testRunHook = nil })
+	gate := newSyncGate(func(id string, rec *persistedJob) bool {
+		return id == "a" && rec.Progress == nil
+	})
+	cfg := fastConfig(t)
+	cfg.FS = gate
+	cfg.Workers = 1
+	cfg.ScrubInterval = -1
+	s = newTestServer(t, cfg)
+	t.Cleanup(gate.open)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(JobSpec{ID: "a", Kind: KindTrace, Bench: "cholesky", Threads: 16})
+		done <- err
+	}()
+	gate.waitHeld(t, 1)
+	if v, ok := s.Job("a"); ok {
+		t.Fatalf("job a is listed (%s) before its spec is persisted", v.State)
+	}
+	gate.open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, "a", StateDone)
+	if startedEarly.Load() {
+		t.Fatal("an executor started job a before its spec was persisted")
+	}
+}

@@ -45,6 +45,27 @@ func TestChaosSweepSmall(t *testing.T) {
 	checkDigest(t, "chaos", buf.Bytes())
 }
 
+// Plain TECfan has no sensor validation, so a NaN sensor makes the steady
+// solver refuse its estimates. The controller must then hold or throttle,
+// never index the empty estimate and panic. The dropout starts late enough
+// that the run must be longer than chaosEnv's.
+func TestChaosPlainTECfanRefusedEstimate(t *testing.T) {
+	e := chaosEnv()
+	e.Scale = 0.05
+	res, err := e.ChaosContext(context.Background(), ChaosOptions{
+		Bench: "cholesky", Threads: 16,
+		Policies:  []string{"TECfan"},
+		Scenarios: []string{"sensor-dropout"},
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Panics(); n != 0 {
+		t.Fatalf("%d runs panicked: %+v", n, res.Rows)
+	}
+}
+
 func TestChaosRejectsUnknownInputs(t *testing.T) {
 	e := chaosEnv()
 	if _, err := e.ChaosContext(context.Background(), ChaosOptions{Bench: "cholesky", Threads: 16,

@@ -67,11 +67,6 @@ func (m *Model) Conductance(level int) float64 {
 	return m.ConvRef * math.Pow(m.Levels[level].CFM/m.CFMRef, 0.8)
 }
 
-// TimeConstant returns the heat-sink time constant (s) at the given level.
-func (m *Model) TimeConstant(level int) float64 {
-	return m.SinkCapacity / m.Conductance(level)
-}
-
 // check panics on an out-of-range level; controllers clamp before calling.
 func (m *Model) check(level int) {
 	if level < 0 || level >= len(m.Levels) {
@@ -88,25 +83,4 @@ func (m *Model) Clamp(level int) int {
 		return len(m.Levels) - 1
 	}
 	return level
-}
-
-// CubicFit reports how well the level powers follow P = c·RPM³: it returns
-// the best-fit coefficient c and the maximum relative deviation. The paper
-// leans on this cubic dependence ([3], [4]) to argue that TEC-assisted slower
-// fan speeds save large amounts of cooling power.
-func (m *Model) CubicFit() (c float64, maxRelErr float64) {
-	var num, den float64
-	for _, l := range m.Levels {
-		r3 := l.RPM * l.RPM * l.RPM
-		num += l.Power * r3
-		den += r3 * r3
-	}
-	c = num / den
-	for _, l := range m.Levels {
-		pred := c * l.RPM * l.RPM * l.RPM
-		if rel := math.Abs(pred-l.Power) / l.Power; rel > maxRelErr {
-			maxRelErr = rel
-		}
-	}
-	return c, maxRelErr
 }

@@ -55,19 +55,30 @@ func TestTimeConstantInPaperRange(t *testing.T) {
 	// The paper cites a heat-sink thermal constant of 15–30 s [4]. Our
 	// level range should straddle that band.
 	for l := 0; l < m.NumLevels(); l++ {
-		tc := m.TimeConstant(l)
+		tc := m.SinkCapacity / m.Conductance(l)
 		if tc < 10 || tc > 80 {
 			t.Fatalf("level %d time constant %.1f s outside plausible range", l, tc)
 		}
 	}
-	if m.TimeConstant(0) > 30 {
-		t.Fatalf("fastest-fan time constant %.1f s, want ≤ 30 s", m.TimeConstant(0))
+	if tc := m.SinkCapacity / m.Conductance(0); tc > 30 {
+		t.Fatalf("fastest-fan time constant %.1f s, want ≤ 30 s", tc)
 	}
 }
 
 func TestCubicFit(t *testing.T) {
 	m := DynatronR16()
-	c, maxRel := m.CubicFit()
+	// Least-squares fit of P = c·RPM³ over the levels.
+	var num, den float64
+	for _, l := range m.Levels {
+		r3 := l.RPM * l.RPM * l.RPM
+		num += l.Power * r3
+		den += r3 * r3
+	}
+	c := num / den
+	var maxRel float64
+	for _, l := range m.Levels {
+		maxRel = math.Max(maxRel, math.Abs(c*l.RPM*l.RPM*l.RPM-l.Power)/l.Power)
+	}
 	if c <= 0 {
 		t.Fatalf("cubic coefficient %v", c)
 	}

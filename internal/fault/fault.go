@@ -368,25 +368,6 @@ func (in *Injector) FilterFan(now float64, level int) int {
 	return level
 }
 
-// Describe returns one human-readable line per materialized fault.
-func (in *Injector) Describe() []string {
-	var out []string
-	for _, a := range in.faults {
-		line := fmt.Sprintf("%s from t=%.3gs", a.Kind, a.start)
-		switch a.Kind {
-		case SensorStuck, SensorNoise, SensorDropout, SensorOffset:
-			line += fmt.Sprintf(" on sensors %v", a.sensors)
-		case TECFailOff, TECFailOn:
-			line += fmt.Sprintf(" on cores %v", a.cores)
-		}
-		if a.Param != 0 {
-			line += fmt.Sprintf(" (param %g)", a.Param)
-		}
-		out = append(out, line)
-	}
-	return out
-}
-
 // injectorState is the serialized per-run state of an Injector: the noise
 // stream position (as a draw count to replay from the seed) and the captured
 // stuck-sensor readings. The materialized scenario itself is configuration,

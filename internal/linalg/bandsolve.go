@@ -4,44 +4,8 @@ import "fmt"
 
 // Band-system solvers. The §III-E hardware discussion notes that when the
 // thermal resistance matrix is used directly, the per-core temperature
-// update is a band solve rather than a band multiply; these kernels provide
-// that path in O(n·w²) instead of dense O(n³).
-
-// SolveTridiag solves a tridiagonal system in place with the Thomas
-// algorithm: lower[i]·x[i-1] + diag[i]·x[i] + upper[i]·x[i+1] = rhs[i].
-// lower[0] and upper[n-1] are ignored. Inputs are not modified; the result
-// is written into x (len n). The algorithm is stable for the diagonally
-// dominant systems thermal chains produce; a vanishing pivot returns
-// ErrSingular.
-func SolveTridiag(lower, diag, upper, rhs, x []float64) error {
-	n := len(diag)
-	if len(lower) != n || len(upper) != n || len(rhs) != n || len(x) != n {
-		return ErrShape
-	}
-	if n == 0 {
-		return nil
-	}
-	cp := make([]float64, n) // modified upper
-	dp := make([]float64, n) // modified rhs
-	if !finiteNonzero(diag[0]) {
-		return ErrSingular
-	}
-	cp[0] = upper[0] / diag[0]
-	dp[0] = rhs[0] / diag[0]
-	for i := 1; i < n; i++ {
-		den := diag[i] - lower[i]*cp[i-1]
-		if !finiteNonzero(den) {
-			return ErrSingular
-		}
-		cp[i] = upper[i] / den
-		dp[i] = (rhs[i] - lower[i]*dp[i-1]) / den
-	}
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
-	}
-	return nil
-}
+// update is a band solve rather than a band multiply; BandLU provides that
+// path in O(n·w²) instead of dense O(n³).
 
 // BandLU is an LU factorization of a band matrix without pivoting, valid
 // for the diagonally dominant conductance systems this library assembles.

@@ -25,78 +25,6 @@ func randomDominantBanded(rng *rand.Rand, n, kl, ku int) *Banded {
 	return b
 }
 
-func TestSolveTridiagKnown(t *testing.T) {
-	// [2 -1 0; -1 2 -1; 0 -1 2] x = [1 0 1] → x = [1 1 1].
-	lower := []float64{0, -1, -1}
-	diag := []float64{2, 2, 2}
-	upper := []float64{-1, -1, 0}
-	x := make([]float64, 3)
-	if err := SolveTridiag(lower, diag, upper, []float64{1, 0, 1}, x); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range x {
-		if !almostEqual(v, 1, 1e-12) {
-			t.Fatalf("x[%d] = %v, want 1", i, v)
-		}
-	}
-}
-
-func TestSolveTridiagEdgeCases(t *testing.T) {
-	if err := SolveTridiag(nil, nil, nil, nil, nil); err != nil {
-		t.Fatalf("empty system: %v", err)
-	}
-	// Singular pivot.
-	if err := SolveTridiag([]float64{0}, []float64{0}, []float64{0}, []float64{1}, make([]float64, 1)); err != ErrSingular {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-	// Shape mismatch.
-	if err := SolveTridiag([]float64{0}, []float64{1, 2}, []float64{0}, []float64{1}, make([]float64, 1)); err != ErrShape {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
-// Property: Thomas algorithm matches dense LU on dominant tridiagonals.
-func TestSolveTridiagProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		b := randomDominantBanded(rng, n, 1, 1)
-		lower := make([]float64, n)
-		diag := make([]float64, n)
-		upper := make([]float64, n)
-		rhs := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				lower[i] = b.At(i, i-1)
-			}
-			diag[i] = b.At(i, i)
-			if i < n-1 {
-				upper[i] = b.At(i, i+1)
-			}
-			rhs[i] = rng.NormFloat64() * 5
-		}
-		x := make([]float64, n)
-		if err := SolveTridiag(lower, diag, upper, rhs, x); err != nil {
-			return false
-		}
-		lu, err := NewLU(b.Dense())
-		if err != nil {
-			return false
-		}
-		ref := make([]float64, n)
-		lu.Solve(rhs, ref)
-		for i := range x {
-			if !almostEqual(x[i], ref[i], 1e-8*(1+math.Abs(ref[i]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: BandLU matches dense LU on dominant band systems.
 func TestBandLUProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -41,17 +41,6 @@ func BenchmarkCholeskySolve305(b *testing.B) {
 	}
 }
 
-func BenchmarkLUFactor305(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomDiagDominant(rng, 305)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewLU(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCGGridScale(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomLaplacian(rng, 3700)

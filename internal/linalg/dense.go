@@ -1,6 +1,7 @@
 // Package linalg provides the small dense, banded, and sparse linear-algebra
-// kernels used by the TECfan thermal and control models: Cholesky and LU
-// factorizations for steady-state thermal solves, a conjugate-gradient solver
+// kernels used by the TECfan thermal and control models: a Cholesky
+// factorization for steady-state thermal solves, a band LU for per-core band
+// systems, a conjugate-gradient solver
 // for large symmetric positive-definite networks, and parallel matrix-vector
 // products for the transient integrator.
 //
@@ -39,30 +40,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// DenseFromRows builds a matrix from a slice of equal-length rows.
-func DenseFromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		panic("linalg: empty row set")
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -96,65 +73,6 @@ func (m *Dense) MulVec(x, y []float64) {
 		}
 		y[i] = s
 	}
-}
-
-// Mul returns M·B as a new matrix.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		panic(ErrShape)
-	}
-	out := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, a := range arow {
-			if a == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns Mᵀ.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// IsSymmetric reports whether |m[i][j]-m[j][i]| <= tol for all pairs.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Dot returns the inner product of two equal-length vectors.
@@ -198,17 +116,6 @@ func Norm2(v []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// NormInf returns the max-absolute-value norm of v.
-func NormInf(v []float64) float64 {
-	var mx float64
-	for _, x := range v {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Scale multiplies every element of v by alpha in place.

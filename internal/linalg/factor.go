@@ -173,109 +173,3 @@ func (c *Cholesky) Solve(b, x []float64) {
 
 // N returns the system size.
 func (c *Cholesky) N() int { return c.n }
-
-// LU holds an LU factorization with partial pivoting, P·A = L·U. It handles
-// the mildly non-symmetric systems that arise when the Peltier term of an
-// active TEC is folded into the conductance matrix.
-type LU struct {
-	n    int
-	lu   *Dense
-	piv  []int
-	sign int
-	// tmp is the permuted-rhs scratch for Solve, preallocated so per-step
-	// solves stay allocation-free. Solve is therefore not safe for
-	// concurrent use, unlike VerifiedCholesky, whose scratch is the
-	// caller's and which the thermal network shares across goroutines.
-	tmp []float64
-}
-
-// NewLU factors the square matrix a with partial pivoting.
-func NewLU(a *Dense) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	n := a.Rows
-	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n), sign: 1, tmp: make([]float64, n)}
-	lu := f.lu
-	for i := range f.piv {
-		f.piv[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// Pivot: largest magnitude in this column at or below the diagonal.
-		p := col
-		mx := math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(lu.At(r, col)); a > mx {
-				mx, p = a, r
-			}
-		}
-		if !finiteNonzero(mx) {
-			return nil, ErrSingular
-		}
-		if p != col {
-			ri, rp := lu.Row(col), lu.Row(p)
-			for j := range ri {
-				ri[j], rp[j] = rp[j], ri[j]
-			}
-			f.piv[col], f.piv[p] = f.piv[p], f.piv[col]
-			f.sign = -f.sign
-		}
-		d := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			m := lu.At(r, col) / d
-			lu.Set(r, col, m)
-			if m == 0 {
-				continue
-			}
-			rrow, crow := lu.Row(r), lu.Row(col)
-			for j := col + 1; j < n; j++ {
-				rrow[j] -= m * crow[j]
-			}
-		}
-	}
-	return f, nil
-}
-
-// Solve computes x such that A·x = b. x must have length n; b is untouched
-// unless x aliases it. Not safe for concurrent use (shared scratch).
-func (f *LU) Solve(b, x []float64) {
-	if len(b) != f.n || len(x) != f.n {
-		panic(ErrShape)
-	}
-	tmp := f.tmp
-	for i, p := range f.piv {
-		tmp[i] = b[p]
-	}
-	lu := f.lu
-	// Forward: L·y = P·b (unit diagonal).
-	for i := 0; i < f.n; i++ {
-		s := tmp[i]
-		row := lu.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * tmp[k]
-		}
-		tmp[i] = s
-	}
-	// Backward: U·x = y.
-	for i := f.n - 1; i >= 0; i-- {
-		s := tmp[i]
-		row := lu.Row(i)
-		for k := i + 1; k < f.n; k++ {
-			s -= row[k] * tmp[k]
-		}
-		tmp[i] = s / row[i]
-	}
-	copy(x, tmp)
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// N returns the system size.
-func (f *LU) N() int { return f.n }

@@ -182,12 +182,3 @@ func (l Leakage) PerComponent(chip *floorplan.Chip, temps []float64, m Model, ou
 		out[i] = p * c.Area() / area
 	}
 }
-
-// ChipTotal implements Eq. (8): core power + TEC power + fan power.
-func ChipTotal(corePower []float64, tecPower, fanPower float64) float64 {
-	var s float64
-	for _, p := range corePower {
-		s += p
-	}
-	return s + tecPower + fanPower
-}

@@ -184,13 +184,3 @@ func TestPerComponentPanics(t *testing.T) {
 	}()
 	l.PerComponent(chip, make([]float64, 100), ModelQuad, make([]float64, 3))
 }
-
-func TestChipTotalEq8(t *testing.T) {
-	got := ChipTotal([]float64{10, 20, 30}, 2.5, 14.4)
-	if got != 76.9 {
-		t.Fatalf("ChipTotal = %v, want 76.9", got)
-	}
-	if ChipTotal(nil, 0, 0) != 0 {
-		t.Fatal("empty total should be 0")
-	}
-}

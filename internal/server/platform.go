@@ -67,11 +67,6 @@ func (p *Platform) CorePower(level int, u float64) float64 {
 	return idle + (busy-idle)*u
 }
 
-// MaxCorePower returns the peak per-core power (top level, u = 1).
-func (p *Platform) MaxCorePower() float64 {
-	return p.CorePower(p.DVFS.Max(), 1)
-}
-
 // ServeStep advances one core's work queue by dt seconds: demand is the
 // arriving work (in max-capacity seconds), backlog the queued work. It
 // returns the work served and the new backlog.

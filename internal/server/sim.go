@@ -169,21 +169,10 @@ func (m *Machine) Basis(banks []bool, fanLevel int) (*steadyBasis, error) {
 	return b, nil
 }
 
-// PredictSteadyFast evaluates the steady temperatures via the superposition
+// PredictSteadyInto evaluates the steady temperatures via the superposition
 // basis — exact for this linear model, orders of magnitude cheaper than a
-// solve. The returned slice is freshly allocated.
-func (m *Machine) PredictSteadyFast(dvfs []int, util []float64, banks []bool, fanLevel int) ([]float64, error) {
-	b, err := m.Basis(banks, fanLevel)
-	if err != nil {
-		return nil, err
-	}
-	t := make([]float64, len(b.base))
-	m.predictInto(t, b, dvfs, util)
-	return t, nil
-}
-
-// PredictSteadyInto is PredictSteadyFast writing into a caller buffer of
-// NumNodes length — the zero-allocation path for exhaustive searches.
+// solve — into a caller buffer of NumNodes length, without allocating, for
+// exhaustive searches.
 func (m *Machine) PredictSteadyInto(t []float64, dvfs []int, util []float64, banks []bool, fanLevel int) error {
 	b, err := m.Basis(banks, fanLevel)
 	if err != nil {
@@ -263,11 +252,6 @@ func (m *Machine) ConfigPower(dvfs []int, util []float64, banks []bool, fanLevel
 	total += m.Fan.Power(fanLevel)
 	total += m.NW.TECPower(temps, m.bankState(banks))
 	return total
-}
-
-// CoolingPower is the OFTEC objective: fan power plus TEC electrical power.
-func (m *Machine) CoolingPower(banks []bool, fanLevel int, temps []float64) float64 {
-	return m.Fan.Power(fanLevel) + m.NW.TECPower(temps, m.bankState(banks))
 }
 
 // Result aggregates a §V-E run.

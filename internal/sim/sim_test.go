@@ -21,7 +21,7 @@ func testBench(coreDyn float64) *workload.Benchmark {
 		Threads:      4,
 		TotalInst:    4 * 2e6, // 2 ms per core at 1 GIPS
 		ActiveCores:  []int{0, 1, 2, 3},
-		Weights:      workload.WeightsFromDensity(workload.UniformMults()),
+		Weights:      workload.WeightsFromDensity(workload.DensityMults{Logic: 1, Array: 1, Wire: 1, VR: 1}),
 		CoreDyn:      coreDyn,
 		IdleDyn:      0.3,
 		BaseIPS:      1e9,

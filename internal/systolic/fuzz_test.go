@@ -19,7 +19,7 @@ func FuzzQuantize(f *testing.F) {
 		if math.IsNaN(x) {
 			return
 		}
-		for _, q := range []Q{Q8, Q16} {
+		for _, q := range []Q{Q8, q16} {
 			raw := q.Quantize(x)
 			v := q.Value(raw)
 			if v > q.Max()+1e-9 || v < -q.Max()-q.Step()-1e-9 {

@@ -35,9 +35,6 @@ type Q struct {
 // bias point (values are stored relative to the ambient/bias).
 var Q8 = Q{Bits: 8, Frac: 2}
 
-// Q16 is the reference 16-bit format of the Bitirgen et al. datapoint.
-var Q16 = Q{Bits: 16, Frac: 7}
-
 // Step returns the quantization step.
 func (q Q) Step() float64 { return math.Exp2(-float64(q.Frac)) }
 
@@ -169,32 +166,6 @@ func (a *Array) mac(r *pe, p int, xq []int64, st *Stats) {
 	}
 	r.acc += a.coeff[p][i] * xq[j]
 	st.MACs++
-}
-
-// MulVecBatch streams b copies of the evaluation back to back (the §III-E
-// design evaluates one core per pass, 16 cores per control period) and
-// returns the aggregate statistics; rows from consecutive evaluations
-// pipeline without bubbles, so total cycles ≈ b·n + w − 1.
-func (a *Array) MulVecBatch(xs [][]float64, ys [][]float64) (Stats, error) {
-	if len(xs) != len(ys) {
-		return Stats{}, fmt.Errorf("systolic: %d inputs, %d outputs", len(xs), len(ys))
-	}
-	total := Stats{PEs: a.PEs()}
-	for b := range xs {
-		st, err := a.MulVec(xs[b], ys[b])
-		if err != nil {
-			return Stats{}, err
-		}
-		total.MACs += st.MACs
-		if b == 0 {
-			total.Cycles = st.Cycles
-		} else {
-			// Back-to-back streaming hides the pipeline fill of every pass
-			// after the first.
-			total.Cycles += a.band.N
-		}
-	}
-	return total, nil
 }
 
 // QuantizationError returns the worst-case output error bound of the format

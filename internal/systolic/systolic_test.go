@@ -9,6 +9,10 @@ import (
 	"tecfan/internal/linalg"
 )
 
+// q16 is the 16-bit reference format of the Bitirgen et al. datapoint, the
+// wide comparison point for the paper's 8-bit claim.
+var q16 = Q{Bits: 16, Frac: 7}
+
 func tridiag(n int, lo, di, hi float64) *linalg.Banded {
 	b := linalg.NewBanded(n, 1, 1)
 	for i := 0; i < n; i++ {
@@ -60,13 +64,13 @@ func TestQuantizeRounding(t *testing.T) {
 func TestArrayMatchesFloatMulVec(t *testing.T) {
 	n := 18 // the paper's M
 	b := tridiag(n, -0.5, 1.25, -0.75)
-	a, err := New(b, Q16)
+	a, err := New(b, q16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, n)
 	for i := range x {
-		x[i] = float64(i%7) - 3 // exactly representable in Q16
+		x[i] = float64(i%7) - 3 // exactly representable in q16
 	}
 	want := make([]float64, n)
 	b.MulVec(x, want)
@@ -145,49 +149,12 @@ func TestArraySaturationRejected(t *testing.T) {
 
 func TestMulVecShapeErrors(t *testing.T) {
 	b := tridiag(5, -1, 2, -1)
-	a, _ := New(b, Q16)
+	a, _ := New(b, q16)
 	if _, err := a.MulVec(make([]float64, 3), make([]float64, 5)); err == nil {
 		t.Fatal("short input accepted")
 	}
 	if _, err := a.MulVec(make([]float64, 5), make([]float64, 3)); err == nil {
 		t.Fatal("short output accepted")
-	}
-}
-
-func TestBatchPipelining(t *testing.T) {
-	// The §III-E usage: 16 cores' evaluations streamed back to back.
-	n, cores := 18, 16
-	b := tridiag(n, -0.5, 1.5, -0.5)
-	a, _ := New(b, Q16)
-	xs := make([][]float64, cores)
-	ys := make([][]float64, cores)
-	for c := range xs {
-		xs[c] = make([]float64, n)
-		ys[c] = make([]float64, n)
-		for i := range xs[c] {
-			xs[c][i] = float64((c+i)%9) - 4
-		}
-	}
-	st, err := a.MulVecBatch(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCycles := cores*n + a.PEs() - 1
-	if st.Cycles != wantCycles {
-		t.Fatalf("batch cycles = %d, want %d (b·n + w − 1)", st.Cycles, wantCycles)
-	}
-	// Each pass is correct.
-	want := make([]float64, n)
-	for c := range xs {
-		b.MulVec(xs[c], want)
-		for i := range want {
-			if math.Abs(ys[c][i]-want[i]) > 1e-9 {
-				t.Fatalf("batch %d row %d wrong", c, i)
-			}
-		}
-	}
-	if _, err := a.MulVecBatch(xs, ys[:3]); err == nil {
-		t.Fatal("mismatched batch accepted")
 	}
 }
 

@@ -69,26 +69,6 @@ func (d Device) Power(i, dTheta float64) float64 {
 	return d.JouleHeat(i) + d.Seebeck*i*dTheta
 }
 
-// ColdSideHeat returns Qc, the net heat absorbed at the cold side (W), for
-// cold/hot side temperatures in °C.
-func (d Device) ColdSideHeat(i, coldC, hotC float64) float64 {
-	tc := coldC + 273.15
-	return d.Seebeck*i*tc - 0.5*d.JouleHeat(i) - d.Conductance*(hotC-coldC)
-}
-
-// HotSideHeat returns Qh, the heat released at the hot side (W).
-func (d Device) HotSideHeat(i, coldC, hotC float64) float64 {
-	th := hotC + 273.15
-	return d.Seebeck*i*th + 0.5*d.JouleHeat(i) - d.Conductance*(hotC-coldC)
-}
-
-// MaxDeltaT returns the classical maximum steady temperature differential
-// the device can sustain at current i with zero heat load:
-// ΔTmax = (S·I·Tc − ½I²R)/K (taking Tc at the given cold temperature, °C).
-func (d Device) MaxDeltaT(i, coldC float64) float64 {
-	return (d.Seebeck*i*(coldC+273.15) - 0.5*d.JouleHeat(i)) / d.Conductance
-}
-
 // ArrayDim is the paper's per-core TEC array: 3×3 devices.
 const ArrayDim = 3
 
@@ -283,9 +263,6 @@ func (s *State) Reset() {
 // Current returns device l's drive current (A), 0 when off.
 func (s *State) Current(l int) float64 { return s.current[l] }
 
-// On reports whether device l is switched on (drawing power).
-func (s *State) On(l int) bool { return s.current[l] > 0 }
-
 // Engaged reports whether device l is actively pumping heat (on and past its
 // engagement delay).
 func (s *State) Engaged(l int) bool {
@@ -314,18 +291,8 @@ func (s *State) CoreDevices(core int) []int {
 	return out
 }
 
-// OnMask returns a copy of the on/off vector.
-func (s *State) OnMask() []bool {
-	out := make([]bool, len(s.current))
-	for i, v := range s.current {
-		out[i] = v > 0
-	}
-	return out
-}
-
 // OnMaskInto writes the on/off vector into dst, growing it only when dst is
-// too small, and returns the filled slice — the reusable-buffer counterpart
-// of OnMask.
+// too small, and returns the filled slice.
 func (s *State) OnMaskInto(dst []bool) []bool {
 	if cap(dst) < len(s.current) {
 		dst = make([]bool, len(s.current))

@@ -8,6 +8,25 @@ import (
 	"tecfan/internal/floorplan"
 )
 
+// The package comment's device equations for Qc and Qh, and the classical
+// ΔTmax, evaluated at cold/hot side temperatures in °C. The thermal model
+// applies the same terms as a Peltier pump, Joule heat and a conductance;
+// here they check that the device parameters make a working cooler.
+
+func coldSideHeat(d Device, i, coldC, hotC float64) float64 {
+	return d.Seebeck*i*(coldC+273.15) - 0.5*d.JouleHeat(i) - d.Conductance*(hotC-coldC)
+}
+
+func hotSideHeat(d Device, i, coldC, hotC float64) float64 {
+	return d.Seebeck*i*(hotC+273.15) + 0.5*d.JouleHeat(i) - d.Conductance*(hotC-coldC)
+}
+
+// maxDeltaT is the largest steady ΔT the device sustains at current i with
+// zero heat load: (S·I·Tc − ½I²R)/K.
+func maxDeltaT(d Device, i, coldC float64) float64 {
+	return (d.Seebeck*i*(coldC+273.15) - 0.5*d.JouleHeat(i)) / d.Conductance
+}
+
 func TestPowerMatchesEq9(t *testing.T) {
 	d := DefaultDevice()
 	// Eq. (9): P = r·I² + α·I·Δθ.
@@ -24,8 +43,8 @@ func TestEnergyConservation(t *testing.T) {
 	f := func(coldC, hotC float64) bool {
 		coldC = 20 + math.Mod(math.Abs(coldC), 80)
 		hotC = 20 + math.Mod(math.Abs(hotC), 80)
-		qc := d.ColdSideHeat(DriveCurrent, coldC, hotC)
-		qh := d.HotSideHeat(DriveCurrent, coldC, hotC)
+		qc := coldSideHeat(d, DriveCurrent, coldC, hotC)
+		qh := hotSideHeat(d, DriveCurrent, coldC, hotC)
 		p := d.Power(DriveCurrent, hotC-coldC)
 		return math.Abs((qh-qc)-p) < 1e-9
 	}
@@ -38,33 +57,33 @@ func TestColdSideHeatPositiveAtSmallDeltaT(t *testing.T) {
 	d := DefaultDevice()
 	// The device must actually cool (absorb heat) when both sides are at
 	// similar temperature — otherwise it is useless as a cooler.
-	if q := d.ColdSideHeat(DriveCurrent, 80, 80); q <= 0 {
+	if q := coldSideHeat(d, DriveCurrent, 80, 80); q <= 0 {
 		t.Fatalf("Qc = %v at ΔT=0; device cannot cool", q)
 	}
 	// And pumping must defeat backflow up to a few kelvin of adverse ΔT.
-	if q := d.ColdSideHeat(DriveCurrent, 80, 83); q <= 0 {
+	if q := coldSideHeat(d, DriveCurrent, 80, 83); q <= 0 {
 		t.Fatalf("Qc = %v at ΔT=3 K; too weak", q)
 	}
 }
 
 func TestMaxDeltaTPlausible(t *testing.T) {
 	d := DefaultDevice()
-	dt := d.MaxDeltaT(DriveCurrent, 80)
+	dt := maxDeltaT(d, DriveCurrent, 80)
 	// Thin-film superlattice coolers manage single-digit to low-double-digit
 	// ΔTmax at moderate current.
 	if dt < 2 || dt > 20 {
 		t.Fatalf("ΔTmax = %.2f K, outside the plausible 2–20 K band", dt)
 	}
 	// Consistency: at ΔT = ΔTmax the cold side absorbs ~zero heat.
-	if q := d.ColdSideHeat(DriveCurrent, 80, 80+dt); math.Abs(q) > 1e-9 {
+	if q := coldSideHeat(d, DriveCurrent, 80, 80+dt); math.Abs(q) > 1e-9 {
 		t.Fatalf("Qc at ΔTmax = %v, want 0", q)
 	}
 }
 
 func TestHigherCurrentPumpsMore(t *testing.T) {
 	d := DefaultDevice()
-	q4 := d.ColdSideHeat(4, 80, 80)
-	q6 := d.ColdSideHeat(6, 80, 80)
+	q4 := coldSideHeat(d, 4, 80, 80)
+	q6 := coldSideHeat(d, 6, 80, 80)
 	if q6 <= q4 {
 		t.Fatalf("Qc(6A)=%v should exceed Qc(4A)=%v in this regime", q6, q4)
 	}
@@ -133,7 +152,7 @@ func TestStateSwitchingAndEngagement(t *testing.T) {
 	}
 	st.Advance(1.0)
 	st.Set(3, true)
-	if !st.On(3) {
+	if st.Current(3) == 0 {
 		t.Fatal("device 3 should be on")
 	}
 	if st.Engaged(3) {
@@ -149,7 +168,7 @@ func TestStateSwitchingAndEngagement(t *testing.T) {
 		t.Fatal("re-set restarted the engagement clock")
 	}
 	st.Set(3, false)
-	if st.On(3) || st.Engaged(3) {
+	if st.Current(3) > 0 || st.Engaged(3) {
 		t.Fatal("device 3 should be fully off")
 	}
 	if st.CountOn() != 0 {
@@ -166,16 +185,16 @@ func TestStateMaskRoundTrip(t *testing.T) {
 	if st.CountOn() != 3 {
 		t.Fatalf("CountOn = %d, want 3", st.CountOn())
 	}
-	got := st.OnMask()
+	got := st.OnMaskInto(nil)
 	for i := range mask {
 		if got[i] != mask[i] {
 			t.Fatalf("mask mismatch at %d", i)
 		}
 	}
-	// OnMask must be a copy, not a view.
+	// The mask must be a copy, not a view.
 	got[0] = false
-	if !st.On(0) {
-		t.Fatal("OnMask leaked internal state")
+	if st.Current(0) == 0 {
+		t.Fatal("OnMaskInto leaked internal state")
 	}
 }
 
@@ -210,10 +229,10 @@ func TestClone(t *testing.T) {
 	st.Set(1, true)
 	c := st.Clone()
 	c.Set(2, true)
-	if st.On(2) {
+	if st.Current(2) > 0 {
 		t.Fatal("clone mutated original")
 	}
-	if !c.On(1) || c.Now() != 5 {
+	if c.Current(1) == 0 || c.Now() != 5 {
 		t.Fatal("clone lost state")
 	}
 }
@@ -222,8 +241,8 @@ func TestSetCurrentGraded(t *testing.T) {
 	st := NewState(Array(floorplan.NewQuad(), DefaultDevice()))
 	st.Advance(0.5)
 	st.SetCurrent(2, 4)
-	if !st.On(2) || st.Current(2) != 4 {
-		t.Fatalf("current = %v, on = %v", st.Current(2), st.On(2))
+	if st.Current(2) != 4 {
+		t.Fatalf("current = %v, want 4", st.Current(2))
 	}
 	if st.Engaged(2) {
 		t.Fatal("engaged before the delay")

@@ -65,7 +65,7 @@ func MiniBench(nActive int, coreDyn, durMS float64) *workload.Benchmark {
 		Threads:      nActive,
 		TotalInst:    float64(nActive) * 1e9 * durMS / 1000,
 		ActiveCores:  active,
-		Weights:      workload.WeightsFromDensity(workload.UniformMults()),
+		Weights:      workload.WeightsFromDensity(workload.DensityMults{Logic: 1, Array: 1, Wire: 1, VR: 1}),
 		CoreDyn:      coreDyn,
 		IdleDyn:      0.3,
 		BaseIPS:      1e9,

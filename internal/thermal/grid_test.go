@@ -255,7 +255,7 @@ func TestGridTransientMatchesCompactSink(t *testing.T) {
 			t.Fatal(err)
 		}
 		if step%100 == 0 {
-			d := math.Abs(ct[nw.SinkNode()] - gt[g.sinkNode])
+			d := math.Abs(ct[nw.sinkNode] - gt[g.sinkNode])
 			if d > 0.3 {
 				t.Fatalf("sink trajectories diverge by %.3f °C at step %d", d, step)
 			}

@@ -252,14 +252,8 @@ func (nw *Network) NumNodes() int { return nw.n }
 // NumDie returns the number of die (component) nodes.
 func (nw *Network) NumDie() int { return nw.spreaderBase }
 
-// DieNode returns the node index of floorplan component comp (identity).
-func (nw *Network) DieNode(comp int) int { return comp }
-
 // SpreaderNode returns the node index of core's spreader region.
 func (nw *Network) SpreaderNode(core int) int { return nw.spreaderBase + core }
-
-// SinkNode returns the heat-sink node index.
-func (nw *Network) SinkNode() int { return nw.sinkNode }
 
 // Capacity returns the heat capacity of node i (J/K).
 func (nw *Network) Capacity(i int) float64 { return nw.capn[i] }
@@ -475,9 +469,6 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 	}, nil
 }
 
-// DT returns the integration step in seconds.
-func (tr *Transient) DT() float64 { return tr.dt }
-
 // FanLevel returns the fan level the integrator was factored for.
 func (tr *Transient) FanLevel() int { return tr.fanLevel }
 
@@ -572,19 +563,4 @@ func (nw *Network) TECPower(t []float64, ts *tec.State) float64 {
 func RCInterp(ts, tPrev, tauSeconds, dtSeconds float64) float64 {
 	beta := math.Exp(-dtSeconds / tauSeconds)
 	return (1-beta)*ts + beta*tPrev
-}
-
-// DieTimeConstant returns a representative die-node RC time constant for the
-// controller's Eq. (5): node capacity divided by its total conductance.
-func (nw *Network) DieTimeConstant(comp int) float64 {
-	var g float64
-	for _, c := range nw.cond {
-		if c.Row == comp && c.Col == comp {
-			g += c.Val
-		}
-	}
-	if g <= 0 {
-		return 1e-3
-	}
-	return nw.capn[comp] / g
 }

@@ -16,13 +16,6 @@ type DensityMults struct {
 	Overrides              map[string]float64
 }
 
-// UniformMults returns density multipliers of 1 everywhere: weights equal
-// to floorplan area fractions (uniform power density), useful for synthetic
-// workloads and tests.
-func UniformMults() DensityMults {
-	return DensityMults{Logic: 1, Array: 1, Wire: 1, VR: 1}
-}
-
 // WeightsFromDensity converts density multipliers into per-component weight
 // fractions over the canonical tile: w_i ∝ areaFrac_i · mult_i, normalized
 // to sum to 1.

