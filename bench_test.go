@@ -266,7 +266,7 @@ func BenchmarkAblation(b *testing.B) {
 	sys := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := sys.KnobAblation("cholesky")
+		rows, _, err := sys.Ablations("cholesky", nil)
 		if err != nil {
 			b.Fatal(err)
 		}

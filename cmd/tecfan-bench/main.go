@@ -210,15 +210,11 @@ func main() {
 		return nil
 	})
 	run("ablate", func() error {
-		rows, err := sys.KnobAblation("cholesky")
+		rows, prows, err := sys.Ablations("cholesky", []float64{1e-3, 2e-3, 4e-3, 8e-3})
 		if err != nil {
 			return err
 		}
 		tecfan.WriteAblation(w, "knob ablation (cholesky/16, normalized to base)", rows)
-		prows, err := sys.PeriodAblation("cholesky", []float64{1e-3, 2e-3, 4e-3, 8e-3})
-		if err != nil {
-			return err
-		}
 		tecfan.WriteAblation(w, "\ncontrol-period ablation (cholesky/16)", prows)
 		crows, err := sys.CurrentAblation([]float64{2, 4, 6, 8})
 		if err != nil {

@@ -71,8 +71,9 @@ func main() {
 		fatal(err)
 	}
 	p := make([]float64, len(chip.Components))
+	pm := b.PowerMap(chip)
 	for core := 0; core < chip.NumCores(); core++ {
-		b.AddDynPower(chip, core, 0.5, 1.0, p)
+		pm.AddDynPower(core, 0.5, 1.0, p)
 	}
 	// One leakage refinement pass at a nominal temperature.
 	lk := make([]float64, len(p))

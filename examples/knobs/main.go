@@ -19,7 +19,7 @@ func main() {
 	}
 
 	fmt.Println("Controller-variant ablation on cholesky/16 (normalized to base):")
-	rows, err := sys.KnobAblation("cholesky")
+	rows, _, err := sys.Ablations("cholesky", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

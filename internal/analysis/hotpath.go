@@ -73,8 +73,8 @@ var leafFuncs = map[string]bool{
 	"tecfan/internal/power.Leakage.PerComponent":      true,
 
 	// workload trace evaluation.
-	"tecfan/internal/workload.(*Benchmark).AddDynPower": true,
-	"tecfan/internal/workload.(*Benchmark).IPS":         true,
+	"tecfan/internal/workload.(*PowerMap).AddDynPower": true,
+	"tecfan/internal/workload.(*Benchmark).IPS":        true,
 
 	// perf accumulation.
 	"tecfan/internal/perf.(*Accumulator).Add": true,

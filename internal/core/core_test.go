@@ -18,7 +18,7 @@ func obsFor(t *testing.T, e *testenv.Env, b *workload.Benchmark, threshold float
 	nComp := len(e.Chip.Components)
 	dyn := make([]float64, nComp)
 	for core := 0; core < e.Chip.NumCores(); core++ {
-		b.AddDynPower(e.Chip, core, 0.5, 1.0, dyn)
+		b.PowerMap(e.Chip).AddDynPower(core, 0.5, 1.0, dyn)
 	}
 	// Temperatures include leakage (refined over two passes) so the
 	// estimator's own leakage model sees a consistent starting point.

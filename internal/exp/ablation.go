@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 
 	"tecfan/internal/core"
+	"tecfan/internal/floats"
 	"tecfan/internal/floorplan"
 	"tecfan/internal/perf"
 	"tecfan/internal/sim"
@@ -34,8 +36,8 @@ type AblationRow struct {
 
 // variantRow runs one TECfan variant with the §IV-C fan selection
 // (minimum-energy feasible level, as for stock TECfan) against the base
-// scenario base.
-func (e *Env) variantRow(ctx context.Context, sb *workload.Benchmark, base perf.Metrics, name string, period float64, mod func(*core.Controller)) (AblationRow, error) {
+// scenario base. The caller names the row.
+func (e *Env) variantRow(ctx context.Context, sb *workload.Benchmark, base perf.Metrics, period float64, mod func(*core.Controller)) (AblationRow, error) {
 	level, res, ctl, err := e.selectFanLevel(ctx, sb, base.PeakTemp, contender{
 		build: func() (sim.Controller, error) {
 			ctl := core.NewController(e.estimator(period))
@@ -51,7 +53,6 @@ func (e *Env) variantRow(ctx context.Context, sb *workload.Benchmark, base perf.
 		return AblationRow{}, err
 	}
 	return AblationRow{
-		Variant:   name,
 		Bench:     sb.Name,
 		FanLevel:  level,
 		Metrics:   res.Metrics,
@@ -61,64 +62,104 @@ func (e *Env) variantRow(ctx context.Context, sb *workload.Benchmark, base perf.
 	}, nil
 }
 
-// ablationBase scales the 16-thread benchmark and runs its base scenario.
-func (e *Env) ablationBase(ctx context.Context, benchName string) (*workload.Benchmark, perf.Metrics, error) {
+// knobPeriod is the knob ablation's control period, the paper's 2 ms.
+const knobPeriod = 2e-3
+
+// knobVariants are the knob ablation's TECfan variants in row order: the
+// full controller first, then one knob removed or refined at a time.
+// reduced marks a variant with a knob removed, which searches fewer
+// candidates per control period.
+var knobVariants = []struct {
+	name    string
+	mod     func(*core.Controller)
+	reduced bool
+}{
+	{"TECfan (full)", nil, false},
+	{"no TEC knob", func(c *core.Controller) { c.NoTEC = true }, true},
+	{"no DVFS knob", func(c *core.Controller) { c.NoDVFS = true }, true},
+	{"chip-level DVFS", func(c *core.Controller) { c.ChipLevelDVFS = true }, true},
+	{"graded current", func(c *core.Controller) { c.CurrentLevels = core.DefaultCurrentLevels }, false},
+}
+
+// Ablations runs the knob ablation — one knob removed from TECfan at a
+// time, the coordination claim quantified — and the sweep of the
+// lower-level control period around the paper's 2 ms on one 16-thread
+// benchmark, as one plan. The base scenario runs once, then each distinct
+// §IV-C selection runs once on the worker set: the full controller at
+// 2 ms serves both the "TECfan (full)" row and a "period 2 ms" row. The
+// knob rows come back in knobVariants order and the period rows in the
+// order of periods; neither depends on Workers.
+func (e *Env) Ablations(ctx context.Context, benchName string, periods []float64) (knob, period []AblationRow, err error) {
 	b, err := workload.ByName(benchName, 16, e.Leak)
 	if err != nil {
-		return nil, perf.Metrics{}, err
+		return nil, nil, err
 	}
 	sb := e.Scaled(b)
-	base, err := e.BaseScenarioContext(ctx, sb)
+	baseRun, err := e.BaseScenarioContext(ctx, sb)
 	if err != nil {
-		return nil, perf.Metrics{}, err
+		return nil, nil, err
 	}
-	return sb, base.Metrics, nil
-}
-
-// KnobAblation removes one knob at a time from TECfan on the given
-// benchmark and reports the damage — the coordination claim, quantified.
-func (e *Env) KnobAblation(ctx context.Context, benchName string) ([]AblationRow, error) {
-	sb, base, err := e.ablationBase(ctx, benchName)
-	if err != nil {
-		return nil, err
+	base := baseRun.Metrics
+	type selection struct {
+		label   string
+		period  float64
+		mod     func(*core.Controller)
+		reduced bool
 	}
-	variants := []struct {
-		name string
-		mod  func(*core.Controller)
-	}{
-		{"TECfan (full)", nil},
-		{"no TEC knob", func(c *core.Controller) { c.NoTEC = true }},
-		{"no DVFS knob", func(c *core.Controller) { c.NoDVFS = true }},
-		{"chip-level DVFS", func(c *core.Controller) { c.ChipLevelDVFS = true }},
-		{"graded current", func(c *core.Controller) { c.CurrentLevels = core.DefaultCurrentLevels }},
+	var plan []selection
+	for _, v := range knobVariants {
+		plan = append(plan, selection{"ablation " + v.name, knobPeriod, v.mod, v.reduced})
 	}
-	var rows []AblationRow
-	for _, v := range variants {
-		row, err := e.variantRow(ctx, sb, base, v.name, 2e-3, v.mod)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
+	plain := map[float64]int{knobPeriod: 0} // period -> plan index of the stock controller
+	periodSel := make([]int, len(periods))
+	for i, p := range periods {
+		j, ok := plain[p]
+		if !ok {
+			j = len(plan)
+			plain[p] = j
+			plan = append(plan, selection{fmt.Sprintf("period ablation %v", p), p, nil, false})
 		}
-		rows = append(rows, row)
+		periodSel[i] = j
 	}
-	return rows, nil
-}
 
-// PeriodAblation sweeps the lower-level control period around the paper's
-// 2 ms choice.
-func (e *Env) PeriodAblation(ctx context.Context, benchName string, periods []float64) ([]AblationRow, error) {
-	sb, base, err := e.ablationBase(ctx, benchName)
-	if err != nil {
-		return nil, err
+	// Longest first, so the last selection to start is a short one: a
+	// shorter period runs more control periods, and a reduced variant
+	// searches fewer candidates in each.
+	order := make([]int, len(plan))
+	for i := range order {
+		order[i] = i
 	}
-	var rows []AblationRow
-	for _, p := range periods {
-		row, err := e.variantRow(ctx, sb, base, fmt.Sprintf("period %.0f ms", p*1000), p, nil)
-		if err != nil {
-			return nil, fmt.Errorf("period ablation %v: %w", p, err)
+	sort.SliceStable(order, func(a, b int) bool {
+		x, y := plan[order[a]], plan[order[b]]
+		if !floats.Same(x.period, y.period) {
+			return x.period < y.period
 		}
-		rows = append(rows, row)
+		return !x.reduced && y.reduced
+	})
+	rows := make([]AblationRow, len(plan))
+	err = inOrder(ctx, e.Workers, len(order), func(ctx context.Context, k int) (AblationRow, error) {
+		s := plan[order[k]]
+		row, err := e.variantRow(ctx, sb, base, s.period, s.mod)
+		if err != nil {
+			return AblationRow{}, fmt.Errorf("%s: %w", s.label, err)
+		}
+		return row, nil
+	}, func(k int, row AblationRow) { rows[order[k]] = row })
+	if err != nil {
+		return nil, nil, err
 	}
-	return rows, nil
+
+	for i, v := range knobVariants {
+		r := rows[i]
+		r.Variant = v.name
+		knob = append(knob, r)
+	}
+	for i, p := range periods {
+		r := rows[periodSel[i]]
+		r.Variant = fmt.Sprintf("period %.0f ms", p*1000)
+		period = append(period, r)
+	}
+	return knob, period, nil
 }
 
 // CurrentAblationRow reports one drive current's steady cooling effect and

@@ -5,19 +5,27 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// testAblations runs the knob and period ablation plan on cholesky once
+// for the tests that read it.
+var testAblations = sync.OnceValues(func() ([2][]AblationRow, error) {
+	knob, period, err := testEnv().Ablations(context.Background(), "cholesky", []float64{2e-3, 8e-3})
+	return [2][]AblationRow{knob, period}, err
+})
 
 func TestKnobAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation in -short mode")
 	}
-	e := testEnv()
-	rows, err := e.KnobAblation(context.Background(), "cholesky")
+	plan, err := testAblations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := plan[0]
 	if len(rows) != 5 {
 		t.Fatalf("%d variants, want 5", len(rows))
 	}
@@ -62,11 +70,11 @@ func TestPeriodAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation in -short mode")
 	}
-	e := testEnv()
-	rows, err := e.PeriodAblation(context.Background(), "cholesky", []float64{2e-3, 8e-3})
+	plan, err := testAblations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := plan[1]
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}

@@ -115,7 +115,9 @@ func (r ChaosRow) Key() [2]any { return [2]any{r.Scenario, r.Policy} }
 
 // ChaosContext sweeps scenario × policy under fault injection: every policy
 // first runs fault-free (with its §IV-C fan level), then once per scenario
-// at the same level with the scenario injected. Panics are caught per run;
+// at the same level with the scenario injected. The fault-free selections
+// run on the worker set, then the faulted cells do; rows are emitted, and
+// OnRow sees them, in policy-major plan order at any Workers. Panics are caught per run;
 // an incomplete run surfaces as an explicit time-cap row. A row is accepted
 // when the faulted violation ratio stays within 2× the fault-free ratio
 // plus ChaosAbsSlack, or when the controller demonstrably entered fail-safe.
@@ -178,48 +180,80 @@ func (e *Env) ChaosContext(ctx context.Context, opt ChaosOptions) (*ChaosResult,
 	for _, row := range opt.Done {
 		done[row.Key()] = row
 	}
-	emit := func(row ChaosRow) {
+
+	// Phase 1: the fault-free selection of every policy with a cell missing
+	// from Done, so a policy whose every cell was already computed replays
+	// without paying for it again.
+	type selection struct {
+		level int
+		res   *sim.Result
+	}
+	var need []string
+	for _, name := range policies {
+		for _, sc := range scenarios {
+			if _, ok := done[[2]any{sc.Name, name}]; !ok {
+				need = append(need, name)
+				break
+			}
+		}
+	}
+	sels := map[string]selection{}
+	selErr := inOrder(ctx, e.Workers, len(need), func(ctx context.Context, i int) (selection, error) {
+		level, res, err := clean.SelectFanLevelContext(ctx, sb, need[i], threshold)
+		if err != nil {
+			return selection{}, fmt.Errorf("chaos fault-free %s: %w", need[i], err)
+		}
+		return selection{level, res}, nil
+	}, func(i int, s selection) { sels[need[i]] = s })
+
+	// Phase 2: every cell in plan order, policy-major. A Done cell replays
+	// as given; a missing one runs at its policy's selected level. The plan
+	// ends at the first missing cell whose selection failed.
+	type cell struct {
+		policy string
+		sc     fault.Scenario
+	}
+	var plan []cell
+planning:
+	for _, name := range policies {
+		for _, sc := range scenarios {
+			_, replay := done[[2]any{sc.Name, name}]
+			if _, ok := sels[name]; !replay && !ok {
+				break planning
+			}
+			plan = append(plan, cell{name, sc})
+		}
+	}
+	err = inOrder(ctx, e.Workers, len(plan), func(ctx context.Context, i int) (ChaosRow, error) {
+		c := plan[i]
+		if row, ok := done[[2]any{c.sc.Name, c.policy}]; ok {
+			return row, nil
+		}
+		sel := sels[c.policy]
+		row := env.chaosOne(ctx, sb, c.policy, c.sc, threshold, sel.level, opt.Seed)
+		row.BaseViolation = sel.res.Metrics.ViolationRatio
+		row.BaseEPI = sel.res.Metrics.EPI
+		row.Accepted, row.Reason = chaosAccept(row)
+		if row.Err != "" && ctx.Err() != nil {
+			// The row failed because the sweep was canceled, not because
+			// the scenario misbehaved: stop instead of cascading spurious
+			// failure rows, and drop the poisoned row — before emit, so
+			// OnRow never checkpoints a row the result disowns (a
+			// persisted poisoned row would be replayed verbatim into the
+			// resumed sweep's output).
+			return ChaosRow{}, fmt.Errorf("chaos %s/%s: %w", c.sc.Name, c.policy, ctx.Err())
+		}
+		return row, nil
+	}, func(_ int, row ChaosRow) {
 		out.Rows = append(out.Rows, row)
 		if opt.OnRow != nil {
 			opt.OnRow(row)
 		}
+	})
+	if selErr != nil {
+		return out, selErr
 	}
-	for _, name := range policies {
-		// The fault-free selection runs at the policy's first cell missing
-		// from Done, so a policy whose every cell was already computed
-		// replays without paying for it again.
-		var level int
-		var cleanRes *sim.Result
-		for _, sc := range scenarios {
-			if row, ok := done[[2]any{sc.Name, name}]; ok {
-				emit(row)
-				continue
-			}
-			if cleanRes == nil {
-				if level, cleanRes, err = clean.SelectFanLevelContext(ctx, sb, name, threshold); err != nil {
-					return out, fmt.Errorf("chaos fault-free %s: %w", name, err)
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return out, fmt.Errorf("chaos %s/%s: %w", sc.Name, name, err)
-			}
-			row := env.chaosOne(ctx, sb, name, sc, threshold, level, opt.Seed)
-			row.BaseViolation = cleanRes.Metrics.ViolationRatio
-			row.BaseEPI = cleanRes.Metrics.EPI
-			row.Accepted, row.Reason = chaosAccept(row)
-			if row.Err != "" && ctx.Err() != nil {
-				// The row failed because the sweep was canceled, not because
-				// the scenario misbehaved: stop instead of cascading spurious
-				// failure rows, and drop the poisoned row — before emit, so
-				// OnRow never checkpoints a row the result disowns (a
-				// persisted poisoned row would be replayed verbatim into the
-				// resumed sweep's output).
-				return out, fmt.Errorf("chaos %s/%s: %w", sc.Name, name, ctx.Err())
-			}
-			emit(row)
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // chaosOne executes one faulted run, converting panics into a recorded

@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"tecfan/internal/floats"
 )
 
 // chaosEnv is a millisecond-scale environment for sweep tests.
@@ -15,8 +17,14 @@ func chaosEnv() *Env {
 	return e
 }
 
+// TestChaosSweepSmall runs two scenarios at a scale, and with the warm
+// starts, at which both faults leave a mark. In chaosEnv's runs (scale
+// 0.001, one warm start) neither fault starts before the run ends, so
+// every row equals its fault-free base; at scale 0.05 with one warm start
+// the tec-fail-off row still does.
 func TestChaosSweepSmall(t *testing.T) {
-	e := chaosEnv()
+	e := NewEnv()
+	e.Scale = 0.05
 	res, err := e.ChaosContext(context.Background(), ChaosOptions{
 		Bench: "cholesky", Threads: 16,
 		Policies:  []string{"TECfan-FT"},
@@ -38,6 +46,9 @@ func TestChaosSweepSmall(t *testing.T) {
 		}
 		if row.Err != "" && !row.TimeCapped {
 			t.Fatalf("scenario %s errored: %s", row.Scenario, row.Err)
+		}
+		if row.DetectionLatency < 0 && floats.Same(row.EPI, row.BaseEPI) {
+			t.Errorf("scenario %s left no trace: no detection, and EPI %v equals the fault-free run's", row.Scenario, row.EPI)
 		}
 	}
 	var buf bytes.Buffer

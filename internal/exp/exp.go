@@ -71,8 +71,9 @@ type Env struct {
 	NumFaults *numfault.Schedule
 
 	// Workers bounds how many independent sweep points — Table I and
-	// Fig. 4 rows, Fig. 5/6 base runs and cells — run at once; values below
-	// 1 mean 1. Results are assembled and emitted in plan order, so the
+	// Fig. 4 rows, Fig. 5/6 base runs and cells, the report's Fig. 7
+	// contenders, ablation selections, mapping rows, chaos selections and
+	// cells — run at once; values below 1 mean 1. Results are assembled and emitted in plan order, so the
 	// output does not depend on it. NewEnv sets GOMAXPROCS; the job
 	// executor pins 1, one worker per job, so serving does not
 	// oversubscribe the host.

@@ -235,6 +235,7 @@ func TestFig7Shape(t *testing.T) {
 	if !strings.Contains(buf.String(), "OFTEC") {
 		t.Fatal("rendered figure incomplete")
 	}
+	checkDigest(t, "fig7", buf.Bytes())
 }
 
 func TestHardwareCostReport(t *testing.T) {

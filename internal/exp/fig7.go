@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"tecfan/internal/server"
 )
@@ -18,8 +19,15 @@ type Fig7Row struct {
 
 // Fig7Context runs the 4-core server comparison. seconds is the per-core
 // trace length (600 = the paper's 10 minutes); cancellation aborts between
-// policies or at the next simulated control period.
+// policies or at the next simulated control period. The contenders run at
+// once, up to GOMAXPROCS of them, over one shared Machine.
 func Fig7Context(ctx context.Context, seconds int) ([]Fig7Row, error) {
+	return fig7(ctx, runtime.GOMAXPROCS(0), seconds)
+}
+
+// fig7 is Fig7Context on at most workers goroutines; the rows come back in
+// the same order, with the same bytes, at any count.
+func fig7(ctx context.Context, workers, seconds int) ([]Fig7Row, error) {
 	m := server.NewMachine()
 	traces := server.PaperTraces()
 	if seconds < len(traces[0]) {
@@ -34,18 +42,20 @@ func Fig7Context(ctx context.Context, seconds int) ([]Fig7Row, error) {
 		server.NewOracle(),
 		server.NewOracleP(),
 	}
-	var rows []Fig7Row
-	var base *server.Result
-	for _, p := range policies {
-		res, err := m.RunContext(ctx, traces, p, server.RunConfig{})
+	rows := make([]Fig7Row, len(policies))
+	err := inOrder(ctx, workers, len(policies), func(ctx context.Context, i int) (*server.Result, error) {
+		res, err := m.RunContext(ctx, traces, policies[i], server.RunConfig{})
 		if err != nil {
-			return nil, fmt.Errorf("fig7 %s: %w", p.Name(), err)
+			return nil, fmt.Errorf("fig7 %s: %w", policies[i].Name(), err)
 		}
-		if p.Name() == "OFTEC" {
-			base = res
-		}
-		rows = append(rows, Fig7Row{Policy: p.Name(), Raw: *res})
+		return res, nil
+	}, func(i int, res *server.Result) {
+		rows[i] = Fig7Row{Policy: policies[i].Name(), Raw: *res}
+	})
+	if err != nil {
+		return nil, err
 	}
+	base := rows[1].Raw // policies[1], OFTEC, is Fig. 7's normalization base
 	for i := range rows {
 		r := &rows[i]
 		r.Delay = r.Raw.Delay / base.Delay

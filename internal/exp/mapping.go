@@ -45,33 +45,40 @@ type MappingRow struct {
 
 // MappingStudy runs a 4-thread benchmark under every standard mapping,
 // reporting the base-scenario peak per placement and the chosen policy's
-// outcome (normalized to that placement's own base scenario).
+// outcome (normalized to that placement's own base scenario). The
+// placements run on the worker set; rows come back in StandardMappings
+// order.
 func (e *Env) MappingStudy(ctx context.Context, benchName, policyName string) ([]MappingRow, error) {
 	b, err := workload.ByName(benchName, 4, e.Leak)
 	if err != nil {
 		return nil, err
 	}
-	var rows []MappingRow
-	for _, m := range StandardMappings() {
+	mappings := StandardMappings()
+	rows := make([]MappingRow, 0, len(mappings))
+	err = inOrder(ctx, e.Workers, len(mappings), func(ctx context.Context, i int) (MappingRow, error) {
+		m := mappings[i]
 		mb := *b
 		mb.ActiveCores = append([]int(nil), m.Cores...)
 		sb := e.Scaled(&mb)
 		base, err := e.BaseScenarioContext(ctx, sb)
 		if err != nil {
-			return nil, fmt.Errorf("mapping %s base: %w", m.Name, err)
+			return MappingRow{}, fmt.Errorf("mapping %s base: %w", m.Name, err)
 		}
 		run, err := e.RunCell(ctx, sb, policyName, base.Metrics)
 		if err != nil {
-			return nil, fmt.Errorf("mapping %s policy: %w", m.Name, err)
+			return MappingRow{}, fmt.Errorf("mapping %s policy: %w", m.Name, err)
 		}
-		rows = append(rows, MappingRow{
+		return MappingRow{
 			Mapping:  m.Name,
 			Policy:   policyName,
 			BasePeak: run.Threshold,
 			FanLevel: run.FanLevel,
 			Metrics:  run.Metrics,
 			Norm:     run.Norm,
-		})
+		}, nil
+	}, func(_ int, row MappingRow) { rows = append(rows, row) })
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

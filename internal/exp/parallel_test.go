@@ -22,7 +22,8 @@ func workersEnv(n int) *Env {
 }
 
 // TestWorkersSameBytes: each parallel driver renders the same bytes at
-// Workers 1 and 4.
+// Workers 1 and 4. Fig. 7 takes its worker count from the Env here, as the
+// report does.
 func TestWorkersSameBytes(t *testing.T) {
 	ctx := context.Background()
 	drivers := []struct {
@@ -48,6 +49,45 @@ func TestWorkersSameBytes(t *testing.T) {
 			WriteFig5(&buf, r)
 			WriteFig6(&buf, r)
 			return buf.Bytes(), err
+		}},
+		{"fig7", func(e *Env) ([]byte, error) {
+			rows, err := fig7(ctx, e.Workers, 60)
+			var buf bytes.Buffer
+			WriteFig7(&buf, rows)
+			fmt.Fprintf(&buf, "%v", rows) // the writer omits the raw results
+			return buf.Bytes(), err
+		}},
+		{"ablations", func(e *Env) ([]byte, error) {
+			knob, period, err := e.Ablations(ctx, "cholesky", []float64{2e-3, 8e-3})
+			var buf bytes.Buffer
+			WriteAblation(&buf, "knob", knob)
+			WriteAblation(&buf, "period", period)
+			return buf.Bytes(), err
+		}},
+		{"mapping", func(e *Env) ([]byte, error) {
+			rows, err := e.MappingStudy(ctx, "cholesky", "Fan+TEC")
+			var buf bytes.Buffer
+			WriteMappingStudy(&buf, "cholesky", rows)
+			fmt.Fprintf(&buf, "%v", rows) // the writer omits most metrics
+			return buf.Bytes(), err
+		}},
+		{"chaos", func(e *Env) ([]byte, error) {
+			var seen []ChaosRow
+			r, err := e.ChaosContext(ctx, ChaosOptions{
+				Bench: "cholesky", Threads: 16,
+				Scenarios: []string{"sensor-dropout", "tec-fail-off"},
+				Seed:      7,
+				OnRow:     func(row ChaosRow) { seen = append(seen, row) },
+			})
+			if err != nil {
+				return nil, err
+			}
+			if !slices.Equal(seen, r.Rows) {
+				return nil, fmt.Errorf("OnRow saw %v, sweep returned %v", seen, r.Rows)
+			}
+			var buf bytes.Buffer
+			WriteChaos(&buf, r)
+			return buf.Bytes(), nil
 		}},
 	}
 	for _, d := range drivers {

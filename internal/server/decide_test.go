@@ -27,7 +27,7 @@ func recordStates(tb testing.TB, p Policy, seconds int) (*Machine, []*State) {
 	if _, err := m.Run(shortTraces(seconds), rec, RunConfig{}); err != nil {
 		tb.Fatal(err)
 	}
-	for _, banks := range m.bankVectors() {
+	for _, banks := range m.bankVecs {
 		for f := 0; f < m.Fan.NumLevels(); f++ {
 			if _, err := m.Basis(banks, f); err != nil {
 				tb.Fatal(err)
@@ -106,7 +106,7 @@ func TestDecisionOwnsBanks(t *testing.T) {
 			if got := p.Decide(cloneState(st), m); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s state %d: decision after scribbling %+v, want %+v", p.Name(), i, got, want)
 			}
-			if !reflect.DeepEqual(m.bankVectors(), enumBanks(m.Chip.NumCores())) {
+			if !reflect.DeepEqual(m.bankVecs, enumBanks(m.Chip.NumCores())) {
 				t.Fatalf("%s state %d: scribbling reached the shared bank vectors", p.Name(), i)
 			}
 		}

@@ -214,7 +214,7 @@ func TestOracleEPIBitIdentical(t *testing.T) {
 		for i := 0; i < len(states); i += 4 {
 			st := states[i]
 			o.Decide(st, m)
-			s := m.oracleScratch()
+			s := o.searchScratch(m)
 			for cfg, scored := range s.ok {
 				x, ok := cfg, true
 				var throughput float64
@@ -237,7 +237,7 @@ func TestOracleEPIBitIdentical(t *testing.T) {
 				if !scored {
 					continue
 				}
-				for _, banks := range m.bankVectors() {
+				for _, banks := range m.bankVecs {
 					nOn := countOn(banks)
 					for f := 0; f < m.Fan.NumLevels(); f++ {
 						want := m.SearchPower(dvfs, util, nOn, f) / throughput

@@ -54,7 +54,7 @@ func (OFTEC) Decide(st *State, m *Machine) Decision {
 		// Max DVFS ⇒ achieved utilization equals demand (capacity 1).
 		util[c] = clamp01(st.Demand[c] + st.Backlog[c])
 	}
-	bankVecs := m.bankVectors()
+	bankVecs := m.bankVecs
 	bestBank, bestFan := -1, st.FanLevel
 	bestCost := math.Inf(1)
 	temps := make([]float64, m.NW.NumNodes())
@@ -101,6 +101,9 @@ func (OFTEC) Decide(st *State, m *Machine) Decision {
 // the last bit of an EPI and flip a near-tie. With the same sums and the
 // strict improvement rule (the first minimum in enumeration order wins),
 // decisions, and so the Fig. 7 rows, match the direct per-candidate loop.
+//
+// The tables live in the Oracle value, so one Oracle serves one run at a
+// time; concurrent runs each take their own.
 type Oracle struct {
 	// MinPerfRatio, when positive, additionally requires every core's
 	// capacity to cover that fraction of its pending demand — the Oracle-P
@@ -108,6 +111,7 @@ type Oracle struct {
 	// which degrades nothing).
 	MinPerfRatio float64
 	name         string
+	scratch      *oracleScratch
 }
 
 // NewOracle returns the unconstrained Oracle.
@@ -133,17 +137,18 @@ type oracleScratch struct {
 	cfgUtil, temps      []float64
 }
 
-// oracleScratch returns the Machine's Oracle scratch, built on first use.
-func (m *Machine) oracleScratch() *oracleScratch {
-	if m.oracle != nil {
-		return m.oracle
+// searchScratch returns the Oracle's search scratch, sized for m and built
+// on first use.
+func (o *Oracle) searchScratch(m *Machine) *oracleScratch {
+	if o.scratch != nil {
+		return o.scratch
 	}
 	n, levels := m.Chip.NumCores(), m.Platform.DVFS.Num()
 	nConfigs := 1
 	for i := 0; i < n; i++ {
 		nConfigs *= levels
 	}
-	m.oracle = &oracleScratch{
+	o.scratch = &oracleScratch{
 		served:  make([]float64, n*levels),
 		util:    make([]float64, n*levels),
 		power:   make([]float64, n*levels),
@@ -155,7 +160,7 @@ func (m *Machine) oracleScratch() *oracleScratch {
 		cfgUtil: make([]float64, n),
 		temps:   make([]float64, m.NW.NumNodes()),
 	}
-	return m.oracle
+	return o.scratch
 }
 
 // epi scores configuration cfg at a fan power and a bank Joule power:
@@ -168,7 +173,7 @@ func (s *oracleScratch) epi(cfg int, fanP, joule float64) float64 {
 func (o *Oracle) Decide(st *State, m *Machine) Decision {
 	n := m.Chip.NumCores()
 	levels := m.Platform.DVFS.Num()
-	s := m.oracleScratch()
+	s := o.searchScratch(m)
 
 	// Per core and level.
 	for c := 0; c < n; c++ {
@@ -223,7 +228,7 @@ func (o *Oracle) Decide(st *State, m *Machine) Decision {
 	}
 
 	// The sweep: three flops per candidate.
-	bankVecs := m.bankVectors()
+	bankVecs := m.bankVecs
 	bestCfg, bestBank, bestFan := -1, -1, -1
 	bestEPI := math.Inf(1)
 	for bi, banks := range bankVecs {
@@ -321,7 +326,7 @@ func (tf TECfan) Decide(st *State, m *Machine) Decision {
 		throughput += util[c] * m.Platform.Capacity(dvfs[c])
 	}
 	temps := make([]float64, m.NW.NumNodes())
-	for _, banks := range m.bankVectors() {
+	for _, banks := range m.bankVecs {
 		nOn := countOn(banks)
 		for df := -1; df <= 1; df++ {
 			f := m.Fan.Clamp(st.FanLevel + df)

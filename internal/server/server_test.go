@@ -2,6 +2,8 @@ package server
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -373,5 +375,48 @@ func TestRunThresholdOverride(t *testing.T) {
 	if tight.Metrics.AvgPower < loose.Metrics.AvgPower-3 {
 		t.Fatalf("tight threshold somehow used far less power: %.2f vs %.2f",
 			tight.Metrics.AvgPower, loose.Metrics.AvgPower)
+	}
+}
+
+// fig7Policies returns one fresh value of each §V-E contender.
+func fig7Policies() []Policy {
+	return []Policy{&PIDFan{}, OFTEC{}, TECfan{}, NewOracle(), NewOracleP()}
+}
+
+// TestConcurrentMachineRuns runs the five §V-E contenders at once on one
+// Machine, so they race to build the shared superposition bases, and
+// requires every Result to equal the one a sequential run on its own
+// Machine returns.
+func TestConcurrentMachineRuns(t *testing.T) {
+	traces := shortTraces(40)
+	var want []*Result
+	for _, p := range fig7Policies() {
+		res, err := NewMachine().Run(traces, p, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+
+	m := NewMachine()
+	policies := fig7Policies()
+	got := make([]*Result, len(policies))
+	errs := make([]error, len(policies))
+	var wg sync.WaitGroup
+	for i, p := range policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = m.Run(traces, p, RunConfig{})
+		}()
+	}
+	wg.Wait()
+	for i, p := range policies {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", p.Name(), errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s on a shared Machine:\n got  %+v\n want %+v", p.Name(), got[i], want[i])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"tecfan/internal/fan"
 	"tecfan/internal/floorplan"
@@ -42,6 +43,13 @@ type Policy interface {
 // fan, and the utilization power model. It also exposes the model-based
 // predictions policies use (steady-state temperature and power per
 // configuration).
+//
+// A Machine is safe for concurrent runs: everything on it is read-only once
+// NewMachine returns, except the superposition bases, which Basis builds
+// once per (banks, fan) key under a lock and then shares. What belongs to
+// one run lives with that run: its temperatures, queues and transient
+// integrator in RunContext, and any search scratch in the Policy value —
+// a Policy value serves one run at a time.
 type Machine struct {
 	Platform *Platform
 	Chip     *floorplan.Chip
@@ -52,10 +60,20 @@ type Machine struct {
 	Threshold float64
 
 	tileArea float64
-	// Search state, built lazily and reused: a Machine is single-goroutine.
-	basisMap map[int]*steadyBasis
+	// bankVecs lists every per-core bank vector in mask order. The vectors
+	// are read-only: a Decision carrying one must copy it.
 	bankVecs [][]bool
-	oracle   *oracleScratch
+
+	basisMu sync.Mutex
+	bases   map[int]*cachedBasis
+}
+
+// cachedBasis is one (banks, fan) key's basis, built by the first caller
+// that asks for it.
+type cachedBasis struct {
+	once sync.Once
+	b    *steadyBasis
+	err  error
 }
 
 // steadyBasis exploits the linearity of the steady thermal system for a
@@ -81,6 +99,8 @@ func NewMachine() *Machine {
 		TECs:      tec.Array(chip, tec.DefaultDevice()),
 		Threshold: 100,
 		tileArea:  floorplan.TileW * floorplan.TileH,
+		bankVecs:  enumBanks(chip.NumCores()),
+		bases:     map[int]*cachedBasis{},
 	}
 }
 
@@ -109,16 +129,6 @@ func (m *Machine) bankState(banks []bool) *tec.State {
 	return st
 }
 
-// bankVectors returns every per-core bank vector in mask order, built once
-// per Machine and shared by the searches. The vectors are read-only: a
-// Decision carrying one must copy it.
-func (m *Machine) bankVectors() [][]bool {
-	if m.bankVecs == nil {
-		m.bankVecs = enumBanks(m.Chip.NumCores())
-	}
-	return m.bankVecs
-}
-
 // banksMask packs a bank vector into a cache key.
 func banksMask(banks []bool) int {
 	mask := 0
@@ -130,16 +140,32 @@ func banksMask(banks []bool) int {
 	return mask
 }
 
-// Basis returns (building and caching on first use) the superposition basis
-// for a (banks, fan) pair.
+// Basis returns the superposition basis for a (banks, fan) pair, building
+// it on the first call for that pair; concurrent callers share one build.
 func (m *Machine) Basis(banks []bool, fanLevel int) (*steadyBasis, error) {
-	if m.basisMap == nil {
-		m.basisMap = map[int]*steadyBasis{}
-	}
 	key := banksMask(banks)<<8 | fanLevel
-	if b, ok := m.basisMap[key]; ok {
-		return b, nil
+	m.basisMu.Lock()
+	e := m.bases[key]
+	if e == nil {
+		e = &cachedBasis{}
+		m.bases[key] = e
 	}
+	m.basisMu.Unlock()
+	e.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("server: basis build panicked: %v", r)
+				panic(r)
+			}
+		}()
+		e.b, e.err = m.buildBasis(banks, fanLevel)
+	})
+	return e.b, e.err
+}
+
+// buildBasis solves the base and per-core unit responses for a (banks,
+// fan) pair.
+func (m *Machine) buildBasis(banks []bool, fanLevel int) (*steadyBasis, error) {
 	st := m.bankState(banks)
 	zero := make([]float64, len(m.Chip.Components))
 	base, err := m.NW.Steady(zero, fanLevel, st)
@@ -165,7 +191,6 @@ func (m *Machine) Basis(banks []bool, fanLevel int) (*steadyBasis, error) {
 		}
 		b.resp[c] = resp
 	}
-	m.basisMap[key] = b
 	return b, nil
 }
 

@@ -306,6 +306,9 @@ type Snapshot struct {
 type Runner struct {
 	cfg Config
 	ctl Controller
+	// powerMap is cfg.Bench's power map on cfg.Chip, resolved once per
+	// runner.
+	powerMap *workload.PowerMap
 }
 
 // NewRunner validates the configuration and builds a runner.
@@ -323,7 +326,7 @@ func NewRunner(cfg Config, ctl Controller) (*Runner, error) {
 	if ctl == nil {
 		return nil, fmt.Errorf("sim: nil controller")
 	}
-	return &Runner{cfg: cfg, ctl: ctl}, nil
+	return &Runner{cfg: cfg, ctl: ctl, powerMap: cfg.Bench.PowerMap(cfg.Chip)}, nil
 }
 
 // Run performs the warm-start loop and returns the converged run's result.
@@ -499,7 +502,7 @@ func (r *Runner) initialTemps() ([]float64, error) {
 	p := make([]float64, nComp)
 	scale := cfg.DVFS.ScaleFromMax(cfg.DVFS.Max())
 	for core := 0; core < cfg.Chip.NumCores(); core++ {
-		cfg.Bench.AddDynPower(cfg.Chip, core, 0.5, scale, p)
+		r.powerMap.AddDynPower(core, 0.5, scale, p)
 	}
 	// One leakage pass at a fixed nominal temperature is close enough for
 	// an initial guess; the warm-start loop refines. (Deliberately not tied
@@ -800,7 +803,7 @@ func (s *stepLoop) step() error {
 	}
 	for core := 0; core < s.nCores; core++ {
 		scale := cfg.DVFS.ScaleFromMax(s.dvfs[core])
-		s.bench.AddDynPower(cfg.Chip, core, s.progress[core], scale, s.dyn)
+		s.r.powerMap.AddDynPower(core, s.progress[core], scale, s.dyn)
 	}
 	cfg.Leak.PerComponent(cfg.Chip, s.temps, power.ModelQuad, s.leak)
 	for i := range s.total {

@@ -99,8 +99,9 @@ func (e *Env) Config(b *workload.Benchmark, threshold float64) sim.Config {
 // threshold rule of §IV.
 func (e *Env) BasePeak(b *workload.Benchmark, fanLevel int) (float64, error) {
 	p := make([]float64, len(e.Chip.Components))
+	pm := b.PowerMap(e.Chip)
 	for core := 0; core < e.Chip.NumCores(); core++ {
-		b.AddDynPower(e.Chip, core, 0.5, 1.0, p)
+		pm.AddDynPower(core, 0.5, 1.0, p)
 	}
 	leak := make([]float64, len(e.Chip.Components))
 	temps := make([]float64, e.NW.NumNodes())

@@ -66,8 +66,8 @@ func TestMergePerCoreDelegation(t *testing.T) {
 	// signature; core 8's follows volrend's uniform one.
 	outA := make([]float64, len(chip.Components))
 	outB := make([]float64, len(chip.Components))
-	m.AddDynPower(chip, 0, 0.5, 1.0, outA)
-	m.AddDynPower(chip, 8, 0.5, 1.0, outB)
+	m.PowerMap(chip).AddDynPower(0, 0.5, 1.0, outA)
+	m.PowerMap(chip).AddDynPower(8, 0.5, 1.0, outB)
 	fpA := outA[chip.Lookup(0, "FPMul")] / sum(outA)
 	fpB := outB[chip.Lookup(8, "FPMul")] / sum(outB)
 	if fpA <= fpB {

@@ -154,13 +154,50 @@ func (b *Benchmark) IPS(core int, progress float64) float64 {
 	return baseIPS * (0.85 + 0.15*a)
 }
 
+// PowerMap is a benchmark's dynamic-power map resolved against one chip:
+// each core's activity state, calibrated power and component weights,
+// laid out in CoreComponents order, so evaluating a step looks no name up.
+// It reflects the benchmark as it was when built, and it is read-only, so
+// concurrent runs may share one.
+type PowerMap struct {
+	b       *Benchmark
+	chip    *floorplan.Chip
+	active  []bool
+	coreDyn []float64
+	weights [][]float64 // per core, in CoreComponents order; an unweighted name is 0
+}
+
+// PowerMap resolves the benchmark's per-core power parameters for chip.
+func (b *Benchmark) PowerMap(chip *floorplan.Chip) *PowerMap {
+	n := chip.NumCores()
+	m := &PowerMap{
+		b: b, chip: chip,
+		active:  make([]bool, n),
+		coreDyn: make([]float64, n),
+		weights: make([][]float64, n),
+	}
+	for core := 0; core < n; core++ {
+		m.active[core] = b.IsActive(core)
+		weights, coreDyn, _ := b.profileFor(core)
+		m.coreDyn[core] = coreDyn
+		comps := chip.CoreComponents(core)
+		w := make([]float64, len(comps))
+		for k, i := range comps {
+			w[k] = weights[chip.Components[i].Name]
+		}
+		m.weights[core] = w
+	}
+	return m
+}
+
 // AddDynPower accumulates the benchmark's dynamic power map for one core at
 // the given progress into out (indexed by global component index), scaled by
 // the DVFS factor scale (1 = max level). Idle cores draw IdleDyn spread
 // uniformly by area (clock and mesh background), unaffected by progress.
-func (b *Benchmark) AddDynPower(chip *floorplan.Chip, core int, progress, scale float64, out []float64) {
+func (m *PowerMap) AddDynPower(core int, progress, scale float64, out []float64) {
+	b, chip := m.b, m.chip
 	comps := chip.CoreComponents(core)
-	if !b.IsActive(core) {
+	if !m.active[core] {
 		tileArea := floorplan.TileW * floorplan.TileH
 		for _, i := range comps {
 			out[i] += b.IdleDyn * scale * chip.Components[i].Area() / tileArea
@@ -168,9 +205,9 @@ func (b *Benchmark) AddDynPower(chip *floorplan.Chip, core int, progress, scale 
 		return
 	}
 	a := b.Activity(core, progress)
-	weights, coreDyn, _ := b.profileFor(core)
-	for _, i := range comps {
-		out[i] += coreDyn * a * weights[chip.Components[i].Name] * scale
+	coreDyn, w := m.coreDyn[core], m.weights[core]
+	for k, i := range comps {
+		out[i] += coreDyn * a * w[k] * scale
 	}
 }
 

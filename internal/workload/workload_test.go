@@ -201,7 +201,7 @@ func TestAddDynPowerTotals(t *testing.T) {
 		// core's total equals CoreDyn·Activity and an idle core's equals
 		// IdleDyn.
 		active := b.ActiveCores[0]
-		b.AddDynPower(chip, active, 0.4, 1.0, out)
+		b.PowerMap(chip).AddDynPower(active, 0.4, 1.0, out)
 		var sum float64
 		for _, i := range chip.CoreComponents(active) {
 			sum += out[i]
@@ -212,7 +212,7 @@ func TestAddDynPowerTotals(t *testing.T) {
 		}
 		if b.Threads == 4 {
 			out2 := make([]float64, len(chip.Components))
-			b.AddDynPower(chip, 0, 0.4, 1.0, out2) // core 0 is idle in 4t runs
+			b.PowerMap(chip).AddDynPower(0, 0.4, 1.0, out2) // core 0 is idle in 4t runs
 			var idleSum float64
 			for _, i := range chip.CoreComponents(0) {
 				idleSum += out2[i]
@@ -223,7 +223,7 @@ func TestAddDynPowerTotals(t *testing.T) {
 		}
 		// DVFS scale passes straight through.
 		out3 := make([]float64, len(chip.Components))
-		b.AddDynPower(chip, active, 0.4, 0.25, out3)
+		b.PowerMap(chip).AddDynPower(active, 0.4, 0.25, out3)
 		var scaled float64
 		for _, i := range chip.CoreComponents(active) {
 			scaled += out3[i]

@@ -269,17 +269,13 @@ func Fig7Context(ctx context.Context, seconds int) ([]exp.Fig7Row, error) {
 // HardwareCost regenerates the §III-E systolic cost analysis.
 func (s *System) HardwareCost() (*exp.HardwareCostReport, error) { return s.env.HardwareCost() }
 
-// KnobAblation removes one TECfan knob at a time (TEC / DVFS / per-core
+// Ablations removes one TECfan knob at a time (TEC / DVFS / per-core
 // DVFS / binary current) on one benchmark — the coordination claim,
-// quantified.
-func (s *System) KnobAblation(bench string) ([]exp.AblationRow, error) {
-	return s.env.KnobAblation(context.Background(), bench)
-}
-
-// PeriodAblation sweeps the lower-level control period around the paper's
-// 2 ms choice.
-func (s *System) PeriodAblation(bench string, periods []float64) ([]exp.AblationRow, error) {
-	return s.env.PeriodAblation(context.Background(), bench, periods)
+// quantified — and sweeps the lower-level control period around the
+// paper's 2 ms choice. The two share the base scenario and the full
+// controller's 2 ms run; pass no periods for the knob rows alone.
+func (s *System) Ablations(bench string, periods []float64) (knob, period []exp.AblationRow, err error) {
+	return s.env.Ablations(context.Background(), bench, periods)
 }
 
 // CurrentAblation sweeps the TEC drive current on a hot-core scenario,

@@ -151,13 +151,9 @@ func TestFacadeAblationWrappers(t *testing.T) {
 	if err != nil || len(mrows) != 4 {
 		t.Fatalf("MappingStudy: %v (%d rows)", err, len(mrows))
 	}
-	krows, err := sys.KnobAblation("lu")
-	if err != nil || len(krows) != 5 {
-		t.Fatalf("KnobAblation: %v (%d rows)", err, len(krows))
-	}
-	prows, err := sys.PeriodAblation("lu", []float64{2e-3})
-	if err != nil || len(prows) != 1 {
-		t.Fatalf("PeriodAblation: %v (%d rows)", err, len(prows))
+	krows, prows, err := sys.Ablations("lu", []float64{2e-3})
+	if err != nil || len(krows) != 5 || len(prows) != 1 {
+		t.Fatalf("Ablations: %v (%d knob rows, %d period rows)", err, len(krows), len(prows))
 	}
 }
 
