@@ -19,6 +19,7 @@ import (
 	"tecfan/internal/exp"
 	"tecfan/internal/fan"
 	"tecfan/internal/floorplan"
+	"tecfan/internal/linalg"
 	"tecfan/internal/server"
 	"tecfan/internal/sim"
 	"tecfan/internal/thermal"
@@ -139,6 +140,43 @@ func BenchmarkSteadySolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSteadyBatch measures the block form of BenchmarkSteadySolve: a
+// full block of linalg.BlockWidth candidates on the 16-core network, one
+// lockstep fixed point per op, as the down-hill walk's per-core DVFS trials
+// run it. It reports the cost per candidate; a warm block lease allocates
+// nothing.
+func BenchmarkSteadyBatch(b *testing.B) {
+	chip := floorplan.NewSCC16()
+	nw := thermal.NewNetwork(chip, fan.DynatronR16(), thermal.DefaultParams())
+	p := make([]float64, nw.NumDie())
+	for i, c := range chip.Components {
+		p[i] = 120 * c.Area() / chip.Area()
+	}
+	// Warm-start every column at the solution, as BenchmarkSteadySolve's
+	// reused vector is after its first op: one solve per candidate.
+	warm, err := nw.Steady(p, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := nw.LeaseSteadyBlock()
+		for j := 0; j < linalg.BlockWidth; j++ {
+			copy(blk.Power[j], p)
+			copy(blk.T[j], warm)
+		}
+		nw.SteadyBatch(blk, linalg.BlockWidth, 0, nil)
+		for _, err := range blk.Err {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		nw.ReturnSteadyBlock(blk)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*linalg.BlockWidth), "ns/candidate")
 }
 
 // BenchmarkTransientStep measures one backward-Euler step of the 16-core

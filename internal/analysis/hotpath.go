@@ -28,30 +28,40 @@ const HotpathDirective = "//tecfan:hotpath"
 // by funcKey). Editing the hot set is a reviewed change to this file, not a
 // drive-by comment deletion.
 var defaultHotpath = map[string]bool{
-	// thermal: the per-step integrator and the per-candidate steady solve.
-	"tecfan/internal/thermal.(*Transient).Step":     true,
-	"tecfan/internal/thermal.(*Network).SteadyInto": true,
-	"tecfan/internal/thermal.(*Network).baseRHS":    true,
-	"tecfan/internal/thermal.(*Network).peltierRHS": true,
-	"tecfan/internal/thermal.(*Network).TECPower":   true,
-	"tecfan/internal/thermal.(*Network).PeakDie":    true,
-	"tecfan/internal/thermal.RCInterp":              true,
+	// thermal: the per-step integrator, the per-candidate steady solve and
+	// the lockstep fixed point that runs a block of candidates at once.
+	"tecfan/internal/thermal.(*Transient).Step":         true,
+	"tecfan/internal/thermal.(*Network).SteadyInto":     true,
+	"tecfan/internal/thermal.(*Network).SteadyBatch":    true,
+	"tecfan/internal/thermal.(*Network).steadyLockstep": true,
+	"tecfan/internal/thermal.(*Network).baseRHS":        true,
+	"tecfan/internal/thermal.(*Network).peltierRHS":     true,
+	"tecfan/internal/thermal.(*Network).TECPower":       true,
+	"tecfan/internal/thermal.(*Network).PeakDie":        true,
+	"tecfan/internal/thermal.RCInterp":                  true,
 
 	// linalg: every solve the loop reaches.
-	"tecfan/internal/linalg.(*Cholesky).Solve":            true,
-	"tecfan/internal/linalg.(*VerifiedCholesky).Solve":    true,
-	"tecfan/internal/linalg.(*VerifiedCholesky).residual": true,
-	"tecfan/internal/linalg.(*BandLU).Solve":              true,
-	"tecfan/internal/linalg.(*VerifiedBandLU).Solve":      true,
-	"tecfan/internal/linalg.(*VerifiedBandLU).residual":   true,
-	"tecfan/internal/linalg.(*CSR).MulVec":                true,
-	"tecfan/internal/linalg.(*Banded).MulVec":             true,
-	"tecfan/internal/linalg.relResidual":                  true,
-	"tecfan/internal/linalg.Fill":                         true,
+	"tecfan/internal/linalg.(*Cholesky).Solve":              true,
+	"tecfan/internal/linalg.(*Cholesky).SolveBlock":         true,
+	"tecfan/internal/linalg.(*VerifiedCholesky).Solve":      true,
+	"tecfan/internal/linalg.(*VerifiedCholesky).SolveBlock": true,
+	"tecfan/internal/linalg.(*VerifiedCholesky).verify":     true,
+	"tecfan/internal/linalg.(*VerifiedCholesky).residual":   true,
+	"tecfan/internal/linalg.(*BandLU).Solve":                true,
+	"tecfan/internal/linalg.(*VerifiedBandLU).Solve":        true,
+	"tecfan/internal/linalg.(*VerifiedBandLU).residual":     true,
+	"tecfan/internal/linalg.(*CSR).MulVec":                  true,
+	"tecfan/internal/linalg.(*Banded).MulVec":               true,
+	"tecfan/internal/linalg.relResidual":                    true,
+	"tecfan/internal/linalg.Fill":                           true,
 
-	// core: the per-candidate model evaluation and the per-core band solve.
-	"tecfan/internal/core.(*Estimator).EstimateInto": true,
-	"tecfan/internal/core.(*BandEstimator).EvalCore": true,
+	// core: the per-candidate model evaluation, its batched form over a
+	// block of DVFS trials, and the per-core band solve.
+	"tecfan/internal/core.(*Estimator).EstimateInto":   true,
+	"tecfan/internal/core.(*Estimator).EstimateBatch":  true,
+	"tecfan/internal/core.(*Estimator).finish":         true,
+	"tecfan/internal/core.(*Estimator).candidatePower": true,
+	"tecfan/internal/core.(*BandEstimator).EvalCore":   true,
 
 	// sim: the extracted steady-state step kernel.
 	"tecfan/internal/sim.(*stepLoop).step":        true,
@@ -119,6 +129,12 @@ var leafFuncs = map[string]bool{
 	// per actuator configuration — a map hit on the steady path, an
 	// allocation only when the fan level first appears (cold, amortized).
 	"tecfan/internal/thermal.(*Network).steadyFactor": true,
+
+	// thermal block lease: a free-list pop or push under a mutex. A lease
+	// allocates only when the list is empty, once per concurrent batch
+	// (cold, amortized).
+	"tecfan/internal/thermal.(*Network).LeaseSteadyBlock":  true,
+	"tecfan/internal/thermal.(*Network).ReturnSteadyBlock": true,
 
 	// thermal accessors reached from hot callers.
 	"tecfan/internal/thermal.(*Network).NumDie":            true,

@@ -34,21 +34,42 @@ func TestEstimateIntoZeroAllocs(t *testing.T) {
 // TestControlSteadyStateZeroAllocs proves one full lower-level control
 // period — candidate construction, the hot/cool iteration's trial loop,
 // the decision — allocates nothing once the controller's scratch buffers
-// are warm.
+// are warm. Each period must reach its per-core DVFS trial set: the hot one
+// (a threshold nothing meets) engages every TEC and then throttles, the
+// cool one (a threshold nothing reaches, every core at level 0) raises,
+// and the Evaluations delta shows the trials ran.
 func TestControlSteadyStateZeroAllocs(t *testing.T) {
 	e := testenv.NewQuad()
 	b := testenv.MiniBench(4, 3.0, 2)
-	obs := obsFor(t, e, b, 100, 1)
-	est := newEstimator(e)
-	ctl := NewController(est)
-	for i := 0; i < 3; i++ {
-		ctl.Control(obs) // warm the scratch candidates and estimates
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, tc := range []struct {
+		name      string
+		threshold float64
+		level     int
+		minEvals  int // more than the single estimates of the period
+	}{
+		{"hot", -1000, e.DVFS.Max(), 1 + len(e.TECs) + e.Chip.NumCores()},
+		{"cool", 1000, 0, 1 + e.Chip.NumCores()},
+	} {
+		obs := obsFor(t, e, b, tc.threshold, 1)
+		for core := range obs.DVFS {
+			obs.DVFS[core] = tc.level
+		}
+		est := newEstimator(e)
+		ctl := NewController(est)
+		for i := 0; i < 3; i++ {
+			ctl.Control(obs) // warm the scratch candidates and estimates
+		}
+		before := est.Evaluations
 		ctl.Control(obs)
-	})
-	if allocs != 0 {
-		t.Fatalf("Control allocates %.1f per period in steady state", allocs)
+		if d := est.Evaluations - before; d < tc.minEvals {
+			t.Fatalf("%s: %d evaluations per period, want at least %d: the DVFS trial set was not reached", tc.name, d, tc.minEvals)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			ctl.Control(obs)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Control allocates %.1f per period in steady state", tc.name, allocs)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"tecfan/internal/fan"
 	"tecfan/internal/floorplan"
+	"tecfan/internal/linalg"
 	"tecfan/internal/perf"
 	"tecfan/internal/power"
 	"tecfan/internal/sim"
@@ -89,8 +90,9 @@ type Estimator struct {
 	tecST *tec.State
 	// peakEst is SteadyPeak's reusable estimate buffer.
 	peakEst Estimate
-	// Evaluations counts Estimate calls — the complexity metric backing
-	// the O(NL + N²M) claim.
+	// Evaluations counts evaluated candidates, one per EstimateInto call
+	// and one per candidate of an EstimateBatch — the complexity metric
+	// backing the O(NL + N²M) claim.
 	Evaluations int
 }
 
@@ -163,20 +165,9 @@ func (e *Estimator) tecState(cand Candidate) *tec.State {
 func (e *Estimator) EstimateInto(est *Estimate, obs *sim.Observation, cand Candidate) {
 	e.Evaluations++
 	nw := e.Network
-	nDie := nw.NumDie()
-
-	// Eq. (7): scale measured dynamic power to the candidate levels.
-	for i := 0; i < nDie; i++ {
-		core := e.Chip.CoreOf(i)
-		e.scratch.pow[i] = obs.DynPower[i] * e.DVFS.DynScale(obs.DVFS[core], cand.DVFS[core])
-	}
 	// Eq. (6): linear leakage at the previous-interval temperatures.
 	e.Leak.PerComponent(e.Chip, obs.Temps, power.ModelLinear, e.scratch.leak)
-	var chipPower float64
-	for i := 0; i < nDie; i++ {
-		e.scratch.pow[i] += e.scratch.leak[i]
-		chipPower += e.scratch.pow[i]
-	}
+	chipPower := e.candidatePower(e.scratch.pow, obs, cand.DVFS)
 
 	// Eq. (1): steady state under the candidate, warm-started from the
 	// current temperatures for fast Peltier convergence.
@@ -185,14 +176,94 @@ func (e *Estimator) EstimateInto(est *Estimate, obs *sim.Observation, cand Candi
 	if err := nw.SteadyInto(e.scratch.steady, e.scratch.pow, cand.FanLevel, st, e.scratch.solve); err != nil {
 		// A solver failure marks the candidate infeasible rather than
 		// crashing the control loop.
-		est.Temps = est.Temps[:0]
-		est.PeakComp, est.PeakTemp = -1, math.Inf(1)
-		est.ChipPower, est.ChipIPS = 0, 0
-		est.EPI = math.Inf(1)
-		est.Feasible = false
+		refused(est)
 		return
 	}
+	e.finish(est, obs, cand.DVFS, cand.FanLevel, st, e.scratch.steady, chipPower)
+}
 
+// EstimateBatch is EstimateInto for the k = len(dvfs) ≤ linalg.BlockWidth
+// candidates that differ from base only in their DVFS levels: ests[j]
+// receives, bit for bit, what EstimateInto writes for base with its DVFS
+// levels replaced by dvfs[j]. The candidates share base's fan level and TEC
+// drive, so Eq. (7) runs per candidate, the Eq. (6) leakage once, and Eq.
+// (1) as one lockstep block of steady solves, before EstimateInto's tail
+// runs per candidate. It leases its block from the Network, so it is as
+// allocation-free as EstimateInto once the block exists and each
+// Estimate's Temps has grown.
+//
+//tecfan:hotpath
+func (e *Estimator) EstimateBatch(ests []Estimate, obs *sim.Observation, base Candidate, dvfs [][]int) {
+	k := len(dvfs)
+	if k > linalg.BlockWidth || len(ests) != k {
+		panic("core: EstimateBatch takes one estimate per candidate, at most linalg.BlockWidth")
+	}
+	e.Evaluations += k
+	nw := e.Network
+	blk := nw.LeaseSteadyBlock()
+
+	// Eq. (6) once: the leakage depends only on the previous-interval
+	// temperatures, which every candidate shares.
+	e.Leak.PerComponent(e.Chip, obs.Temps, power.ModelLinear, e.scratch.leak)
+	var chipPower [linalg.BlockWidth]float64
+	for j, levels := range dvfs {
+		chipPower[j] = e.candidatePower(blk.Power[j], obs, levels)
+		copy(blk.T[j], obs.Temps)
+	}
+
+	// Eq. (1) for the whole set in one block.
+	st := e.tecState(base)
+	nw.SteadyBatch(blk, k, base.FanLevel, st)
+	for j, levels := range dvfs {
+		if blk.Err[j] != nil {
+			refused(&ests[j])
+			continue
+		}
+		e.finish(&ests[j], obs, levels, base.FanLevel, st, blk.T[j], chipPower[j])
+	}
+	nw.ReturnSteadyBlock(blk)
+}
+
+// candidatePower fills pow with a candidate's die power, the Eq. (7)
+// dynamic power at its DVFS levels plus the leakage in e.scratch.leak, and
+// returns the chip total, summed in component order.
+//
+//tecfan:hotpath
+func (e *Estimator) candidatePower(pow []float64, obs *sim.Observation, levels []int) float64 {
+	nDie := e.Network.NumDie()
+	for i := 0; i < nDie; i++ {
+		core := e.Chip.CoreOf(i)
+		pow[i] = obs.DynPower[i] * e.DVFS.DynScale(obs.DVFS[core], levels[core])
+	}
+	var chipPower float64
+	for i := 0; i < nDie; i++ {
+		pow[i] += e.scratch.leak[i]
+		chipPower += pow[i]
+	}
+	return chipPower
+}
+
+// refused marks est as a candidate the steady solver refused: infeasible,
+// with empty Temps.
+//
+//tecfan:hotpath
+func refused(est *Estimate) {
+	est.Temps = est.Temps[:0]
+	est.PeakComp, est.PeakTemp = -1, math.Inf(1)
+	est.ChipPower, est.ChipIPS = 0, 0
+	est.EPI = math.Inf(1)
+	est.Feasible = false
+}
+
+// finish is the tail EstimateInto and EstimateBatch share once a
+// candidate's steady field is solved: the Eq. (5) interpolation, Eq. (8)
+// and (9) chip power on top of the die power chipPower, and the Eq. (10)
+// and (11) EPI. levels and fanLevel are the candidate's, st its TEC drive.
+//
+//tecfan:hotpath
+func (e *Estimator) finish(est *Estimate, obs *sim.Observation, levels []int, fanLevel int, st *tec.State, steady []float64, chipPower float64) {
+	nw := e.Network
+	nDie := nw.NumDie()
 	// Eq. (5): interpolate one period toward the steady state.
 	if cap(est.Temps) < nDie {
 		//lint:tecfan-ignore allocfree -- first-use growth of the caller's reusable buffer (cold, amortized)
@@ -201,23 +272,23 @@ func (e *Estimator) EstimateInto(est *Estimate, obs *sim.Observation, cand Candi
 	est.Temps = est.Temps[:nDie]
 	est.PeakComp, est.PeakTemp = -1, math.Inf(-1)
 	for i := 0; i < nDie; i++ {
-		t := thermal.RCInterp(e.scratch.steady[i], obs.Temps[i], e.taus[i], e.Period)
+		t := thermal.RCInterp(steady[i], obs.Temps[i], e.taus[i], e.Period)
 		est.Temps[i] = t
 		if t > est.PeakTemp {
 			est.PeakComp, est.PeakTemp = i, t
 		}
 	}
 
-	// Eq. (8)+(9): chip power including TEC and fan. The steady field the
-	// TEC power is priced at still sits in e.scratch.steady.
-	chipPower += nw.TECPower(e.scratch.steady, st)
-	chipPower += e.Fan.Power(cand.FanLevel)
+	// Eq. (8)+(9): chip power including TEC and fan, the TEC power priced
+	// at the steady field.
+	chipPower += nw.TECPower(steady, st)
+	chipPower += e.Fan.Power(fanLevel)
 	est.ChipPower = chipPower
 
 	// Eq. (10)+(11): IPS prediction from the previous interval.
 	var ips float64
 	for core, prev := range obs.CoreIPS {
-		ips += perf.ScaleIPS(prev, e.DVFS.FreqRatio(obs.DVFS[core], cand.DVFS[core]))
+		ips += perf.ScaleIPS(prev, e.DVFS.FreqRatio(obs.DVFS[core], levels[core]))
 	}
 	est.ChipIPS = ips
 	est.EPI = perf.EPI(chipPower, ips)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"tecfan/internal/floats"
+	"tecfan/internal/linalg"
 	"tecfan/internal/sim"
 )
 
@@ -48,6 +49,12 @@ type Controller struct {
 	scratch struct {
 		cand, trial      Candidate
 		est, te, bestEst Estimate
+		// One block of a per-core DVFS trial set: trial j moves core
+		// trialCore[j] to the levels trialDVFS[j] and is estimated into
+		// trialEst[j].
+		trialDVFS [linalg.BlockWidth][]int
+		trialCore [linalg.BlockWidth]int
+		trialEst  [linalg.BlockWidth]Estimate
 	}
 }
 
@@ -113,7 +120,7 @@ func (c *Controller) Control(obs *sim.Observation) sim.Decision {
 // updated in place (est may be left pointing at stale contents — callers
 // read cand only).
 func (c *Controller) hotIteration(obs *sim.Observation, cand *Candidate, est *Estimate) {
-	trial, te, bestEst := &c.scratch.trial, &c.scratch.te, &c.scratch.bestEst
+	bestEst := &c.scratch.bestEst
 	for iter, maxIter := 0, c.maxIterations(); iter < maxIter; iter++ {
 		if est.Feasible {
 			return
@@ -144,27 +151,59 @@ func (c *Controller) hotIteration(obs *sim.Observation, cand *Candidate, est *Es
 			c.Est.EstimateInto(est, obs, *cand)
 			continue
 		}
-		bestCore := -1
-		bestEPI := math.Inf(1)
-		for core := range cand.DVFS {
-			if cand.DVFS[core] == 0 {
-				continue
-			}
-			trial.copyFrom(cand)
-			trial.DVFS[core]--
-			c.Est.EstimateInto(te, obs, *trial)
-			if te.EPI < bestEPI {
-				bestEPI, bestCore = te.EPI, core
-				// Keep the winner, hand the loser's buffers to the next trial.
-				bestEst, te = te, bestEst
-			}
-		}
+		bestCore := c.bestDVFSStep(obs, cand, -1, bestEst)
 		if bestCore < 0 {
 			return // every knob exhausted; apply best effort
 		}
 		cand.DVFS[bestCore]--
 		est, bestEst = bestEst, est
 	}
+}
+
+// bestDVFSStep evaluates the single-step DVFS move of every core that can
+// take one (step −1 throttles a core above level 0, +1 raises a core below
+// the maximum) and returns the core whose move has the smallest estimated
+// EPI, or -1 when no core can move. The trials go to the estimator in
+// blocks of linalg.BlockWidth and are scanned in core order with a strict
+// <, so the winner, and its estimate left in *bestEst, are the ones a scan
+// of single estimates would pick.
+func (c *Controller) bestDVFSStep(obs *sim.Observation, cand *Candidate, step int, bestEst *Estimate) int {
+	s := &c.scratch
+	maxLevel := c.Est.DVFS.Max()
+	bestCore, bestEPI := -1, math.Inf(1)
+	k := 0
+	for core, l := range cand.DVFS {
+		if (step < 0 && l == 0) || (step > 0 && l >= maxLevel) {
+			continue
+		}
+		s.trialDVFS[k] = append(s.trialDVFS[k][:0], cand.DVFS...)
+		s.trialDVFS[k][core] += step
+		s.trialCore[k] = core
+		if k++; k == linalg.BlockWidth {
+			bestCore, bestEPI = c.scanTrials(obs, cand, k, bestCore, bestEPI, bestEst)
+			k = 0
+		}
+	}
+	if k > 0 {
+		bestCore, _ = c.scanTrials(obs, cand, k, bestCore, bestEPI, bestEst)
+	}
+	return bestCore
+}
+
+// scanTrials estimates the first k trials of the block and folds them into
+// the running best, moving a new winner's estimate into *bestEst and
+// handing the loser's buffers to the trial slot.
+func (c *Controller) scanTrials(obs *sim.Observation, cand *Candidate, k, bestCore int, bestEPI float64, bestEst *Estimate) (int, float64) {
+	s := &c.scratch
+	ests := s.trialEst[:k]
+	c.Est.EstimateBatch(ests, obs, *cand, s.trialDVFS[:k])
+	for j := range ests {
+		if ests[j].EPI < bestEPI {
+			bestEPI, bestCore = ests[j].EPI, s.trialCore[j]
+			*bestEst, ests[j] = ests[j], *bestEst
+		}
+	}
+	return bestCore, bestEPI
 }
 
 // offTECOverHottestSpot returns the index of a TEC with cooling headroom
@@ -233,22 +272,8 @@ func (c *Controller) coolIteration(obs *sim.Observation, cand *Candidate, est *E
 				continue
 			}
 			// Raise the best core by one step.
-			bestCore := -1
-			bestEPI := math.Inf(1)
-			bestFeasible := false
-			for core := range cand.DVFS {
-				if cand.DVFS[core] >= maxLevel {
-					continue
-				}
-				trial.copyFrom(cand)
-				trial.DVFS[core]++
-				c.Est.EstimateInto(te, obs, *trial)
-				if te.EPI < bestEPI {
-					bestEPI, bestCore, bestFeasible = te.EPI, core, te.Feasible
-					bestEst, te = te, bestEst
-				}
-			}
-			if bestCore < 0 || !bestFeasible {
+			bestCore := c.bestDVFSStep(obs, cand, +1, bestEst)
+			if bestCore < 0 || !bestEst.Feasible {
 				return // raising anything would violate: stop
 			}
 			cand.DVFS[bestCore]++

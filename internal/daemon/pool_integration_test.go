@@ -7,6 +7,7 @@ package daemon_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,6 +19,8 @@ import (
 
 	"tecfan/internal/client"
 	"tecfan/internal/daemon"
+	"tecfan/internal/exp"
+	"tecfan/internal/floats"
 	"tecfan/internal/pool"
 	"tecfan/internal/worker"
 )
@@ -117,10 +120,14 @@ func runJob(t *testing.T, cl *client.Client, spec daemon.JobSpec) []byte {
 	return data
 }
 
+// chaosCmpSpec is a three-shard chaos sweep at the smallest scale where
+// each of its faults leaves a mark on its row (at 0.05 the fan-stuck-slow
+// row still equals its fault-free base), so a shard merge that mishandled
+// a faulted run would show.
 func chaosCmpSpec() daemon.JobSpec {
 	return daemon.JobSpec{
 		ID: "pool-cmp", Kind: daemon.KindChaos,
-		Bench: "cholesky", Threads: 16, Scale: 0.001,
+		Bench: "cholesky", Threads: 16, Scale: 0.1,
 		Policies:  []string{"TECfan-FT"},
 		Scenarios: []string{"sensor-dropout", "tec-fail-off", "fan-stuck-slow"},
 		Seed:      7,
@@ -129,8 +136,9 @@ func chaosCmpSpec() daemon.JobSpec {
 
 // checkPooledByteIdentical runs spec (a) in-process and (b) sharded across
 // two workers at the given chunk size, requires byte-identical result files,
-// and returns the workers so a caller can inspect what they uploaded.
-func checkPooledByteIdentical(t *testing.T, spec daemon.JobSpec, chunk int) []*worker.Worker {
+// and returns the result and the workers so a caller can inspect what they
+// uploaded.
+func checkPooledByteIdentical(t *testing.T, spec daemon.JobSpec, chunk int) ([]byte, []*worker.Worker) {
 	t.Helper()
 	refCfg := daemon.Config{
 		StateDir: t.TempDir(), CheckpointEvery: 1, WatchdogTimeout: -1, Logf: t.Logf,
@@ -149,13 +157,26 @@ func checkPooledByteIdentical(t *testing.T, spec daemon.JobSpec, chunk int) []*w
 	if !bytes.Equal(got, want) {
 		t.Fatalf("pooled %s result differs from in-process run:\npooled: %s\nref:    %s", spec.Kind, got, want)
 	}
-	return ws
+	return got, ws
 }
 
 // TestPooledChaosByteIdenticalToInProcess: the same chaos sweep run
-// in-process and sharded at chunk 1 must produce byte-identical results.
+// in-process and sharded at chunk 1 must produce byte-identical results,
+// on rows that each carry their fault.
 func TestPooledChaosByteIdenticalToInProcess(t *testing.T) {
-	checkPooledByteIdentical(t, chaosCmpSpec(), 1)
+	data, _ := checkPooledByteIdentical(t, chaosCmpSpec(), 1)
+	var res exp.ChaosResult
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("chaos result has %d rows, want 3", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if row.DetectionLatency < 0 && floats.Same(row.EPI, row.BaseEPI) {
+			t.Errorf("scenario %s left no trace: no detection, and EPI %v equals the fault-free run's", row.Scenario, row.EPI)
+		}
+	}
 }
 
 // TestPooledTable1ByteIdenticalToInProcess covers the Table 1 job kind.
@@ -172,7 +193,7 @@ func TestPooledFig4ByteIdenticalToInProcess(t *testing.T) {
 // job checkpoints every control period, so its pooled run resumes nothing
 // but still uploads its pinned threshold and its snapshots.
 func TestPooledTraceByteIdenticalToInProcess(t *testing.T) {
-	ws := checkPooledByteIdentical(t, daemon.JobSpec{
+	_, ws := checkPooledByteIdentical(t, daemon.JobSpec{
 		ID: "tr-cmp", Kind: daemon.KindTrace,
 		Bench: "cholesky", Threads: 16, Policy: "TECfan-FT", Scale: 0.05,
 	}, 1)

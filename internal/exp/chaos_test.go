@@ -17,15 +17,33 @@ func chaosEnv() *Env {
 	return e
 }
 
-// TestChaosSweepSmall runs two scenarios at a scale, and with the warm
-// starts, at which both faults leave a mark. In chaosEnv's runs (scale
-// 0.001, one warm start) neither fault starts before the run ends, so
-// every row equals its fault-free base; at scale 0.05 with one warm start
-// the tec-fail-off row still does.
-func TestChaosSweepSmall(t *testing.T) {
+// faultedEnv is the smallest environment at which the TECfan-FT rows of
+// sensor-dropout and tec-fail-off both leave a mark. In chaosEnv's runs
+// (scale 0.001, one warm start) neither fault starts before the run ends,
+// so every row equals its fault-free base; at scale 0.05 with one warm
+// start the tec-fail-off row still does.
+func faultedEnv() *Env {
 	e := NewEnv()
 	e.Scale = 0.05
-	res, err := e.ChaosContext(context.Background(), ChaosOptions{
+	return e
+}
+
+// requireFaultsLanded fails unless every row differs from its fault-free
+// base: a detection, or an EPI other than the base run's. A sweep whose
+// rows all equal their bases checks no fault handling at all.
+func requireFaultsLanded(t *testing.T, rows []ChaosRow) {
+	t.Helper()
+	for _, row := range rows {
+		if row.DetectionLatency < 0 && floats.Same(row.EPI, row.BaseEPI) {
+			t.Errorf("scenario %s left no trace: no detection, and EPI %v equals the fault-free run's", row.Scenario, row.EPI)
+		}
+	}
+}
+
+// TestChaosSweepSmall runs two scenarios at faultedEnv's scale, where both
+// faults leave a mark.
+func TestChaosSweepSmall(t *testing.T) {
+	res, err := faultedEnv().ChaosContext(context.Background(), ChaosOptions{
 		Bench: "cholesky", Threads: 16,
 		Policies:  []string{"TECfan-FT"},
 		Scenarios: []string{"sensor-dropout", "tec-fail-off"},
@@ -47,10 +65,8 @@ func TestChaosSweepSmall(t *testing.T) {
 		if row.Err != "" && !row.TimeCapped {
 			t.Fatalf("scenario %s errored: %s", row.Scenario, row.Err)
 		}
-		if row.DetectionLatency < 0 && floats.Same(row.EPI, row.BaseEPI) {
-			t.Errorf("scenario %s left no trace: no detection, and EPI %v equals the fault-free run's", row.Scenario, row.EPI)
-		}
 	}
+	requireFaultsLanded(t, res.Rows)
 	var buf bytes.Buffer
 	WriteChaos(&buf, res)
 	checkDigest(t, "chaos", buf.Bytes())

@@ -200,6 +200,8 @@ func TestCancellationPrompt(t *testing.T) {
 // drivers: on cancellation the accumulated work comes back alongside the
 // error, never a nil result.
 func TestSweepPartialResults(t *testing.T) {
+	// The rows must carry their faults (faultedEnv), or the resume would
+	// only be checked on runs equal to their fault-free bases.
 	t.Run("chaos-row-resume", func(t *testing.T) {
 		opt := ChaosOptions{
 			Bench: "cholesky", Threads: 16,
@@ -207,19 +209,20 @@ func TestSweepPartialResults(t *testing.T) {
 			Scenarios: []string{"sensor-dropout", "tec-fail-off"},
 			Seed:      7,
 		}
-		full, err := chaosEnv().ChaosContext(context.Background(), opt)
+		full, err := faultedEnv().ChaosContext(context.Background(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(full.Rows) != 2 {
 			t.Fatalf("got %d rows, want 2", len(full.Rows))
 		}
+		requireFaultsLanded(t, full.Rows)
 
 		// Interrupt after the first row.
 		ctx, cancel := context.WithCancel(context.Background())
 		iopt := opt
 		iopt.OnRow = func(ChaosRow) { cancel() }
-		partial, err := chaosEnv().ChaosContext(ctx, iopt)
+		partial, err := faultedEnv().ChaosContext(ctx, iopt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("error = %v, want context.Canceled", err)
 		}
@@ -231,7 +234,7 @@ func TestSweepPartialResults(t *testing.T) {
 		// uninterrupted one exactly.
 		ropt := opt
 		ropt.Done = partial.Rows
-		resumed, err := chaosEnv().ChaosContext(context.Background(), ropt)
+		resumed, err := faultedEnv().ChaosContext(context.Background(), ropt)
 		if err != nil {
 			t.Fatal(err)
 		}

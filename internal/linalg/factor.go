@@ -29,6 +29,13 @@ import "math"
 // exact zero could differ). The order is fixed on purpose: every simulated
 // temperature, golden digest and committed result depends on these solves
 // bit for bit, and a reordered sum would change them all.
+//
+// SolveBlock is the multi-column form: BlockWidth right-hand sides stored
+// column-interleaved go through the factor together, each column summed in
+// exactly Solve's order. The order contract is per column, so a block
+// solve gives every column Solve's bits; what it changes is only that the
+// columns' independent chains of subtractions overlap in the pipeline,
+// where one solve is a single dependent chain.
 type Cholesky struct {
 	n     int
 	first []int     // first nonzero column of row i of A's lower triangle
@@ -168,6 +175,73 @@ func (c *Cholesky) Solve(b, x []float64) {
 			s -= vals[k] * x[r]
 		}
 		x[i] = s / c.pivot(i)
+	}
+}
+
+// BlockWidth is the column count of SolveBlock: the number of independent
+// right-hand sides one block solve carries through the factor together.
+const BlockWidth = 8
+
+// SolveBlock solves A·X = B for BlockWidth right-hand sides at once, in
+// place. x holds them column-interleaved: x[i*BlockWidth+j] is entry i of
+// column j, so len(x) must be n·BlockWidth. Every column is summed in
+// exactly Solve's order (the same terms, ascending k, the same division by
+// the pivot), so column j comes out bitwise Solve's solution of column j:
+// the columns share the factor's loads and never mix with each other. A
+// single solve is one chain of dependent subtractions; eight independent
+// chains keep the floating-point pipeline busy instead.
+//
+//tecfan:hotpath
+func (c *Cholesky) SolveBlock(x []float64) {
+	const w = BlockWidth
+	if len(x) != c.n*w {
+		panic(ErrShape)
+	}
+	// Forward substitution L·Y = B over each packed row.
+	for i := 0; i < c.n; i++ {
+		row := c.l[c.off[i]:c.off[i+1]]
+		d := row[len(row)-1]
+		row = row[:len(row)-1]
+		xs := x[c.first[i]*w : i*w]
+		xs = xs[:len(row)*w]
+		xi := x[i*w : i*w+w : i*w+w]
+		s0, s1, s2, s3, s4, s5, s6, s7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
+		for k, v := range row {
+			xk := xs[k*w : k*w+w : k*w+w]
+			s0 -= v * xk[0]
+			s1 -= v * xk[1]
+			s2 -= v * xk[2]
+			s3 -= v * xk[3]
+			s4 -= v * xk[4]
+			s5 -= v * xk[5]
+			s6 -= v * xk[6]
+			s7 -= v * xk[7]
+		}
+		xi[0], xi[1], xi[2], xi[3] = s0/d, s1/d, s2/d, s3/d
+		xi[4], xi[5], xi[6], xi[7] = s4/d, s5/d, s6/d, s7/d
+	}
+	// Back substitution Lᵀ·X = Y over each sparse row of Lᵀ.
+	for i := c.n - 1; i >= 0; i-- {
+		xi := x[i*w : i*w+w : i*w+w]
+		s0, s1, s2, s3, s4, s5, s6, s7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
+		lo, hi := c.utOff[i], c.utOff[i+1]
+		rows, vals := c.utRow[lo:hi], c.utVal[lo:hi]
+		vals = vals[:len(rows)]
+		for k, r := range rows {
+			v := vals[k]
+			xr := x[r*w : r*w+w : r*w+w]
+			s0 -= v * xr[0]
+			s1 -= v * xr[1]
+			s2 -= v * xr[2]
+			s3 -= v * xr[3]
+			s4 -= v * xr[4]
+			s5 -= v * xr[5]
+			s6 -= v * xr[6]
+			s7 -= v * xr[7]
+		}
+		d := c.pivot(i)
+		xi[0], xi[1], xi[2], xi[3] = s0/d, s1/d, s2/d, s3/d
+		xi[4], xi[5], xi[6], xi[7] = s4/d, s5/d, s6/d, s7/d
 	}
 }
 

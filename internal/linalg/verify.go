@@ -167,6 +167,76 @@ func (v *VerifiedCholesky) N() int { return v.chol.N() }
 // *NumError and callers must not use x.
 func (v *VerifiedCholesky) Solve(b, x, r []float64) (refined bool, err error) {
 	v.chol.Solve(b, x)
+	return v.verify(b, x, r)
+}
+
+// blockMin is the fewest columns SolveBlock runs through the block kernel.
+// The kernel always carries BlockWidth columns, and on the 305-node SCC16
+// factor one block costs about as much as four single solves, so fewer
+// columns than this are cheaper solved one at a time. Both kernels give the
+// same bits, so the choice is speed alone.
+const blockMin = 5
+
+// SolveBlock is Solve for the k = len(b) ≤ BlockWidth right-hand sides b[j]
+// at once: x[j] receives the solution of b[j], and refined[j] and errs[j]
+// what Solve(b[j], x[j], r) would return, bit for bit. blk is the caller's
+// scratch for the column-interleaved block, length n·BlockWidth (it may be
+// nil when k < blockMin, where the columns are solved one by one); r is the
+// residual scratch, as for Solve. Columns never mix: a refused or
+// non-finite column leaves every other column's solution and verdict as
+// its own Solve would give them.
+//
+//tecfan:hotpath
+func (v *VerifiedCholesky) SolveBlock(b, x [][]float64, blk, r []float64, refined []bool, errs []error) {
+	const w = BlockWidth
+	k := len(b)
+	if k > w || len(x) != k || len(refined) != k || len(errs) != k {
+		panic(ErrShape)
+	}
+	n := v.chol.n
+	for j := range b {
+		if len(b[j]) != n || len(x[j]) != n {
+			panic(ErrShape)
+		}
+	}
+	if k < blockMin {
+		for j := range b {
+			v.chol.Solve(b[j], x[j])
+		}
+	} else {
+		if len(blk) != n*w {
+			panic(ErrShape)
+		}
+		for j := 0; j < w; j++ {
+			if j >= k {
+				for i := 0; i < n; i++ {
+					blk[i*w+j] = 0 // an idle column solves to zero
+				}
+				continue
+			}
+			for i, bi := range b[j] {
+				blk[i*w+j] = bi
+			}
+		}
+		v.chol.SolveBlock(blk)
+		for j := range x {
+			xj := x[j]
+			for i := range xj {
+				xj[i] = blk[i*w+j]
+			}
+		}
+	}
+	for j := range b {
+		refined[j], errs[j] = v.verify(b[j], x[j], r)
+	}
+}
+
+// verify is the tail Solve and SolveBlock share once x holds the factor's
+// solution of A·x = b: the residual check, one refinement step when it
+// fails, and the refusal when the refined x still fails.
+//
+//tecfan:hotpath
+func (v *VerifiedCholesky) verify(b, x, r []float64) (refined bool, err error) {
 	res := v.residual(b, x, r)
 	if res <= v.tol && floats.AllFinite(x) {
 		return false, nil

@@ -3,6 +3,7 @@ package thermal
 import (
 	"testing"
 
+	"tecfan/internal/linalg"
 	"tecfan/internal/tec"
 )
 
@@ -70,5 +71,44 @@ func TestSteadyIntoZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("SteadyInto allocates %.1f per call with a warm factor cache; candidate evaluation must be allocation-free", allocs)
+	}
+}
+
+// TestSteadyBatchZeroAllocs: a warm lease, block solve and return cycle
+// allocates nothing; the free list keeps the block between batches.
+func TestSteadyBatchZeroAllocs(t *testing.T) {
+	nw, p := benchNetwork16()
+	ts := engagedCores(nw)
+	batch := func() error {
+		b := nw.LeaseSteadyBlock()
+		defer nw.ReturnSteadyBlock(b)
+		for j := 0; j < linalg.BlockWidth; j++ {
+			for i, v := range p {
+				b.Power[j][i] = v * (0.6 + 0.1*float64(j))
+			}
+			linalg.Fill(b.T[j], 75)
+		}
+		nw.SteadyBatch(b, linalg.BlockWidth, 1, ts)
+		for _, err := range b.Err {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := batch(); err != nil {
+		t.Fatal(err)
+	}
+	var solveErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := batch(); err != nil {
+			solveErr = err
+		}
+	})
+	if solveErr != nil {
+		t.Fatal(solveErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm SteadyBatch cycle allocates %.1f per batch", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestConcurrentNetworkMatchesSerial(t *testing.T) {
 // caller that ran the build, and every later caller of the key gets an
 // error instead of a nil factor.
 func TestFactorCachePanicIsKept(t *testing.T) {
-	var c factorCache[int]
+	var c factorCache[int, *linalg.VerifiedCholesky]
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -137,5 +138,146 @@ func TestFactorCachePanicIsKept(t *testing.T) {
 	})
 	if err == nil || f != nil {
 		t.Fatalf("second get = (%v, %v), want a nil factor and an error", f, err)
+	}
+}
+
+// batchColumn returns column j of the test blocks: the SCC16 power scaled
+// by 0.6 + 0.1·j and a warm start of 60 + 2·j °C on every node.
+func batchColumn(nw *Network, p []float64, j int) (power, warm []float64) {
+	power = make([]float64, len(p))
+	for i, v := range p {
+		power[i] = v * (0.6 + 0.1*float64(j))
+	}
+	warm = make([]float64, nw.NumNodes())
+	for i := range warm {
+		warm[i] = 60 + 2*float64(j)
+	}
+	return power, warm
+}
+
+// engagedCores returns a TEC state with the devices of cores 0–3 engaged.
+func engagedCores(nw *Network) *tec.State {
+	ts := tec.NewState(tec.Array(nw.Chip, tec.DefaultDevice()))
+	for core := 0; core < 4; core++ {
+		for _, l := range ts.CoreDevices(core) {
+			ts.Set(l, true)
+		}
+	}
+	ts.Advance(1)
+	return ts
+}
+
+// TestConcurrentSteadyBatch: eight goroutines share one network and its
+// block free list, goroutine g solving a batch of g+1 columns (so both the
+// one-at-a-time and the block kernel run) again and again. Every column
+// must equal SteadyInto's result for it on a fresh network, bit for bit,
+// and the free list must stay within its bound.
+func TestConcurrentSteadyBatch(t *testing.T) {
+	const workers = linalg.BlockWidth
+	nw, p := benchNetwork16()
+	serial, _ := benchNetwork16()
+	ts := engagedCores(nw)
+	want := make([][]float64, workers)
+	for j := range want {
+		power, warm := batchColumn(serial, p, j)
+		if err := serial.SteadyInto(warm, power, 1, ts, serial.NewSteadyScratch()); err != nil {
+			t.Fatal(err)
+		}
+		want[j] = warm
+	}
+
+	got := make([][][]float64, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			gts := engagedCores(nw) // a tec.State is one goroutine's
+			<-start
+			k := g + 1
+			for rep := 0; rep < 10; rep++ {
+				b := nw.LeaseSteadyBlock()
+				for j := 0; j < k; j++ {
+					power, warm := batchColumn(nw, p, j)
+					copy(b.Power[j], power)
+					copy(b.T[j], warm)
+				}
+				nw.SteadyBatch(b, k, 1, gts)
+				got[g] = got[g][:0]
+				for j := 0; j < k; j++ {
+					if b.Err[j] != nil {
+						errs[g] = b.Err[j]
+					}
+					got[g] = append(got[g], append([]float64(nil), b.T[j]...))
+				}
+				nw.ReturnSteadyBlock(b)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for j, col := range got[g] {
+			for i := range col {
+				if math.Float64bits(col[i]) != math.Float64bits(want[j][i]) {
+					t.Fatalf("goroutine %d column %d: T[%d] = %v, SteadyInto %v", g, j, i, col[i], want[j][i])
+				}
+			}
+		}
+	}
+	if n, c := len(nw.blocks.free), cap(nw.blocks.free); n > c || c != runtime.GOMAXPROCS(0) {
+		t.Fatalf("free list holds %d blocks, capacity %d, GOMAXPROCS %d", n, c, runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestSteadyBatchMatchesSteadyInto: a batch's refused column carries
+// SteadyInto's error and leaves its neighbours' temperatures untouched.
+func TestSteadyBatchMatchesSteadyInto(t *testing.T) {
+	nw, p := benchNetwork16()
+	ts := engagedCores(nw)
+	const k = linalg.BlockWidth
+	b := nw.LeaseSteadyBlock()
+	defer nw.ReturnSteadyBlock(b)
+	want := make([][]float64, k)
+	wantErr := make([]string, k)
+	for j := 0; j < k; j++ {
+		power, warm := batchColumn(nw, p, j)
+		if j == 3 {
+			power[7] = math.NaN()
+		}
+		copy(b.Power[j], power)
+		copy(b.T[j], warm)
+		err := nw.SteadyInto(warm, power, 2, ts, nw.NewSteadyScratch())
+		want[j] = warm
+		if err != nil {
+			wantErr[j] = err.Error()
+		}
+	}
+	if wantErr[3] == "" {
+		t.Fatal("SteadyInto accepted a NaN power vector")
+	}
+	nw.SteadyBatch(b, k, 2, ts)
+	for j := 0; j < k; j++ {
+		gotErr := ""
+		if b.Err[j] != nil {
+			gotErr = b.Err[j].Error()
+		}
+		if gotErr != wantErr[j] {
+			t.Fatalf("column %d: error %q, SteadyInto %q", j, gotErr, wantErr[j])
+		}
+		if j == 3 {
+			continue // a refused column's temperatures are not a result
+		}
+		for i := range want[j] {
+			if math.Float64bits(b.T[j][i]) != math.Float64bits(want[j][i]) {
+				t.Fatalf("column %d: T[%d] = %v, SteadyInto %v", j, i, b.T[j][i], want[j][i])
+			}
+		}
 	}
 }

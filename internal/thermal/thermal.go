@@ -22,6 +22,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"tecfan/internal/fan"
@@ -108,13 +109,30 @@ type Network struct {
 	// Cached factors are the verified kind: every solve through them is
 	// residual-checked, refined once when degraded, and refused with a
 	// typed linalg.NumError rather than returning garbage temperatures.
-	steadyCache    factorCache[int]
-	transientCache factorCache[transientKey]
+	steadyCache    factorCache[int, *linalg.VerifiedCholesky]
+	transientCache factorCache[transientKey, *transientFactor]
 
 	// coldScratch lends Steady its SteadyScratch. Simulations call the
 	// cold solve once per run, and a fresh scratch for each call would
 	// cost three vectors per run.
 	coldScratch sync.Pool
+
+	// blocks is the free list LeaseSteadyBlock hands SteadyBlocks out of,
+	// holding at most cap(free) of them (GOMAXPROCS when the network was
+	// built: no more goroutines than that solve at once); a block returned
+	// to a full list is dropped. It is not a sync.Pool because a garbage
+	// collection empties a Pool, and the next warm lease would allocate.
+	blocks struct {
+		mu   sync.Mutex
+		free []*SteadyBlock
+	}
+}
+
+// transientFactor is one cached backward-Euler system: the verified factor
+// of C/dt + G and the C/dt diagonal every step adds to its right-hand side.
+type transientFactor struct {
+	f     *linalg.VerifiedCholesky
+	capDt []float64 // capn[i]/dt
 }
 
 type transientKey struct {
@@ -129,25 +147,25 @@ type transientKey struct {
 // function of the key, so a retry would fail the same way. A build that
 // panics is kept as the key's error, and the panic goes on up the caller
 // that ran it; every later caller gets the error, never a nil factor.
-type factorCache[K comparable] struct {
+type factorCache[K comparable, F any] struct {
 	mu sync.Mutex
-	m  map[K]*cachedFactor
+	m  map[K]*cachedFactor[F]
 }
 
-type cachedFactor struct {
+type cachedFactor[F any] struct {
 	once sync.Once
-	f    *linalg.VerifiedCholesky
+	f    F
 	err  error
 }
 
 // get returns key's factor, calling build if no caller has yet.
-func (c *factorCache[K]) get(key K, build func() (*linalg.VerifiedCholesky, error)) (*linalg.VerifiedCholesky, error) {
+func (c *factorCache[K, F]) get(key K, build func() (F, error)) (F, error) {
 	c.mu.Lock()
 	e := c.m[key]
 	if e == nil {
-		e = &cachedFactor{}
+		e = &cachedFactor[F]{}
 		if c.m == nil {
-			c.m = map[K]*cachedFactor{}
+			c.m = map[K]*cachedFactor[F]{}
 		}
 		c.m[key] = e
 	}
@@ -179,6 +197,7 @@ func NewNetwork(chip *floorplan.Chip, fm *fan.Model, p Params) *Network {
 		capn:         make([]float64, nc+cores+1),
 	}
 	nw.coldScratch.New = func() any { return nw.NewSteadyScratch() }
+	nw.blocks.free = make([]*SteadyBlock, 0, runtime.GOMAXPROCS(0))
 	nw.assemble()
 	return nw
 }
@@ -357,22 +376,82 @@ func (nw *Network) baseRHS(rhs, power []float64, fanLevel int) error {
 // source iteration.
 const steadyTol = 1e-3
 
-// SteadyScratch is the working memory of SteadyInto: the fixed point's
-// right-hand side and next iterate, and the verified solve's residual. A
-// goroutine solving on a shared Network keeps its own, so per-candidate
-// steady solves stay allocation-free without tying the Network to one
-// caller.
+// SteadyScratch is the working memory of the Peltier fixed point: per
+// column the right-hand side and the next iterate, the verified solve's
+// residual and, for a block of columns, the column-interleaved block the
+// block solve runs in. A goroutine solving on a shared Network keeps its
+// own, so per-candidate steady solves stay allocation-free without tying
+// the Network to one caller. NewSteadyScratch builds one column for
+// SteadyInto; a SteadyBlock carries linalg.BlockWidth of them.
 type SteadyScratch struct {
-	rhs, next, res []float64
+	rhs, next [linalg.BlockWidth][]float64
+	res       []float64
+	blk       []float64 // n·BlockWidth; nil for one column
 }
 
-// NewSteadyScratch returns a SteadyScratch sized for the network.
+// NewSteadyScratch returns a one-column SteadyScratch sized for the network.
 func (nw *Network) NewSteadyScratch() *SteadyScratch {
-	return &SteadyScratch{
-		rhs:  make([]float64, nw.n),
-		next: make([]float64, nw.n),
-		res:  make([]float64, nw.n),
+	sc := &SteadyScratch{res: make([]float64, nw.n)}
+	sc.rhs[0] = make([]float64, nw.n)
+	sc.next[0] = make([]float64, nw.n)
+	return sc
+}
+
+// SteadyBlock is a block of linalg.BlockWidth candidate columns for
+// SteadyBatch: the warm starts and power vectors its caller fills, the
+// outcomes the batch leaves, and the solver scratch it runs in. Blocks are
+// about 100 KB on the SCC16 network, so callers lease one for the length of
+// a batch (LeaseSteadyBlock) instead of each keeping its own; the network
+// owns the block again once it is returned.
+type SteadyBlock struct {
+	// T[j] is column j's warm start on entry and its steady temperatures
+	// on return, one entry per network node.
+	T [linalg.BlockWidth][]float64
+	// Power[j] is column j's die power vector, one entry per die node.
+	Power [linalg.BlockWidth][]float64
+	// Err[j] is column j's outcome: nil, or the error SteadyInto returns.
+	Err [linalg.BlockWidth]error
+
+	sc SteadyScratch
+}
+
+// LeaseSteadyBlock hands out a SteadyBlock from the network's free list,
+// building one only when the list is empty. Its T, Power and Err hold
+// whatever the last lease left there. The caller must not keep the block
+// or any of its slices after ReturnSteadyBlock.
+func (nw *Network) LeaseSteadyBlock() *SteadyBlock {
+	nw.blocks.mu.Lock()
+	var b *SteadyBlock
+	if n := len(nw.blocks.free); n > 0 {
+		b = nw.blocks.free[n-1]
+		nw.blocks.free[n-1] = nil
+		nw.blocks.free = nw.blocks.free[:n-1]
 	}
+	nw.blocks.mu.Unlock()
+	if b != nil {
+		return b
+	}
+	const w = linalg.BlockWidth
+	b = &SteadyBlock{}
+	b.sc.res = make([]float64, nw.n)
+	b.sc.blk = make([]float64, nw.n*w)
+	for j := 0; j < w; j++ {
+		b.T[j] = make([]float64, nw.n)
+		b.Power[j] = make([]float64, nw.NumDie())
+		b.sc.rhs[j] = make([]float64, nw.n)
+		b.sc.next[j] = make([]float64, nw.n)
+	}
+	return b
+}
+
+// ReturnSteadyBlock gives a leased block back to the network. A full free
+// list drops it.
+func (nw *Network) ReturnSteadyBlock(b *SteadyBlock) {
+	nw.blocks.mu.Lock()
+	if len(nw.blocks.free) < cap(nw.blocks.free) {
+		nw.blocks.free = append(nw.blocks.free, b)
+	}
+	nw.blocks.mu.Unlock()
 }
 
 // Steady solves Eq. (1) for the steady-state temperature vector (°C). The
@@ -392,34 +471,91 @@ func (nw *Network) Steady(power []float64, fanLevel int, ts *tec.State) ([]float
 
 // SteadyInto is Steady with a caller-provided initial guess/output vector,
 // enabling warm starts across control periods, and caller-owned scratch sc.
+// It is the one-column case of SteadyBatch's fixed point.
 func (nw *Network) SteadyInto(t, power []float64, fanLevel int, ts *tec.State, sc *SteadyScratch) error {
+	var tc, pc [1][]float64
+	var errs [1]error
+	tc[0], pc[0] = t, power
+	nw.steadyLockstep(tc[:], pc[:], fanLevel, ts, sc, errs[:])
+	return errs[0]
+}
+
+// SteadyBatch is SteadyInto for the first k ≤ linalg.BlockWidth columns of
+// b at once, for candidates that share a fan level and a TEC state: column
+// j starts from b.T[j] under die power b.Power[j], and on return b.T[j] and
+// b.Err[j] hold exactly the temperatures and error SteadyInto(b.T[j],
+// b.Power[j], fanLevel, ts, ·) would leave.
+func (nw *Network) SteadyBatch(b *SteadyBlock, k, fanLevel int, ts *tec.State) {
+	nw.steadyLockstep(b.T[:k], b.Power[:k], fanLevel, ts, &b.sc, b.Err[:k])
+}
+
+// steadyLockstep runs the Peltier fixed point for len(t) columns in
+// lockstep: each round builds every active column's right-hand side from
+// its own iterate and solves them all in one block. Each column keeps its
+// own warm start, iteration count and convergence test, so its
+// temperatures and errs entry are bitwise what a fixed point of its own
+// would give. A column that converges or is refused leaves the block, and
+// the rest go on. sc must hold at least len(t) columns.
+//
+//tecfan:hotpath
+func (nw *Network) steadyLockstep(t, power [][]float64, fanLevel int, ts *tec.State, sc *SteadyScratch, errs []error) {
 	f, err := nw.steadyFactor(fanLevel)
 	if err != nil {
-		return err
+		for j := range errs {
+			errs[j] = err
+		}
+		return
 	}
-	rhs, next := sc.rhs, sc.next
-	for iter := 0; iter < 50; iter++ {
-		if err := nw.baseRHS(rhs, power, fanLevel); err != nil {
-			return err
+	// act lists the active columns; b, x, refined and solveErrs are the
+	// block solve's views and verdicts in the same order.
+	var act [linalg.BlockWidth]int
+	var b, x [linalg.BlockWidth][]float64
+	var refined [linalg.BlockWidth]bool
+	var solveErrs [linalg.BlockWidth]error
+	m := len(t)
+	for j := range act[:m] {
+		act[j] = j
+		errs[j] = nil
+	}
+	for iter := 0; iter < 50 && m > 0; iter++ {
+		live := 0
+		for _, j := range act[:m] {
+			if err := nw.baseRHS(sc.rhs[j], power[j], fanLevel); err != nil {
+				errs[j] = err
+				continue
+			}
+			nw.peltierRHS(sc.rhs[j], t[j], ts)
+			act[live], b[live], x[live] = j, sc.rhs[j], sc.next[j]
+			live++
 		}
-		nw.peltierRHS(rhs, t, ts)
-		if _, err := f.Solve(rhs, next, sc.res); err != nil {
-			//lint:tecfan-ignore allocfree -- solver refusal path: formats the diagnosis at most once per rejected solve
-			return fmt.Errorf("thermal: steady solve (fan=%d): %w", fanLevel, err) //lint:tecfan-ignore hotcall -- refusal path: fmt runs at most once per rejected solve
-		}
-		var delta float64
-		for i := range t {
-			if d := math.Abs(next[i] - t[i]); d > delta {
-				delta = d
+		m = live
+		f.SolveBlock(b[:m], x[:m], sc.blk, sc.res, refined[:m], solveErrs[:m])
+		live = 0
+		for i, j := range act[:m] {
+			if err := solveErrs[i]; err != nil {
+				//lint:tecfan-ignore allocfree -- solver refusal path: formats the diagnosis at most once per rejected solve
+				errs[j] = fmt.Errorf("thermal: steady solve (fan=%d): %w", fanLevel, err) //lint:tecfan-ignore hotcall -- refusal path: fmt runs at most once per rejected solve
+				continue
+			}
+			tj, next := t[j], sc.next[j]
+			var delta float64
+			for r := range tj {
+				if d := math.Abs(next[r] - tj[r]); d > delta {
+					delta = d
+				}
+			}
+			copy(tj, next)
+			if delta >= steadyTol {
+				act[live] = j
+				live++
 			}
 		}
-		copy(t, next)
-		if delta < steadyTol {
-			return nil
-		}
+		m = live
 	}
-	//lint:tecfan-ignore allocfree -- non-convergence refusal path: formats the diagnosis at most once per failed solve
-	return fmt.Errorf("thermal: Peltier fixed point did not converge") //lint:tecfan-ignore hotcall -- refusal path: fmt runs at most once per failed solve
+	for _, j := range act[:m] {
+		//lint:tecfan-ignore allocfree -- non-convergence refusal path: formats the diagnosis at most once per failed solve
+		errs[j] = fmt.Errorf("thermal: Peltier fixed point did not converge") //lint:tecfan-ignore hotcall -- refusal path: fmt runs at most once per failed solve
+	}
 }
 
 // Transient is a backward-Euler integrator with a fixed fan level and step.
@@ -428,8 +564,8 @@ func (nw *Network) SteadyInto(t, power []float64, fanLevel int, ts *tec.State, s
 type Transient struct {
 	nw       *Network
 	fanLevel int
-	dt       float64
 	factor   *linalg.VerifiedCholesky
+	capDt    []float64 // C/dt per node, shared with the cached factor
 	rhs      []float64
 	next     []float64
 	res      []float64 // the verified solve's residual scratch
@@ -448,12 +584,16 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 		return nil, fmt.Errorf("thermal: non-positive dt %v", dt)
 	}
 	key := transientKey{fanLevel: fanLevel, dtNanos: int64(dt * 1e9)}
-	f, err := nw.transientCache.get(key, func() (*linalg.VerifiedCholesky, error) {
+	tf, err := nw.transientCache.get(key, func() (*transientFactor, error) {
 		f, err := linalg.NewVerifiedCholesky(nw.TransientMatrix(fanLevel, dt), 0)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 		}
-		return f, nil
+		capDt := make([]float64, nw.n)
+		for i, c := range nw.capn {
+			capDt[i] = c / dt
+		}
+		return &transientFactor{f: f, capDt: capDt}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -461,8 +601,8 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 	return &Transient{
 		nw:       nw,
 		fanLevel: fanLevel,
-		dt:       dt,
-		factor:   f,
+		factor:   tf.f,
+		capDt:    tf.capDt,
 		rhs:      make([]float64, nw.n),
 		next:     make([]float64, nw.n),
 		res:      make([]float64, nw.n),
@@ -483,8 +623,10 @@ func (tr *Transient) Step(t, power []float64, ts *tec.State) error {
 		return err
 	}
 	nw.peltierRHS(tr.rhs, t, ts)
-	for i := 0; i < nw.n; i++ {
-		tr.rhs[i] += nw.capn[i] / tr.dt * t[i]
+	// (C/dt)·t, with C/dt built once per cached factor: Go evaluates
+	// capn[i]/dt*t[i] left to right, so the product keeps its bits.
+	for i, c := range tr.capDt {
+		tr.rhs[i] += c * t[i]
 	}
 	refined, err := tr.factor.Solve(tr.rhs, tr.next, tr.res)
 	if refined {

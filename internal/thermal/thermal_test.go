@@ -287,14 +287,19 @@ func TestTransientFactorCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.factor != b.factor {
-		t.Fatal("transient factor not cached")
+	if a.factor != b.factor || &a.capDt[0] != &b.capDt[0] {
+		t.Fatal("transient factor or its C/dt not cached")
+	}
+	for i, c := range a.capDt {
+		if math.Float64bits(c) != math.Float64bits(nw.Capacity(i)/0.001) {
+			t.Fatalf("C/dt[%d] = %v, want %v", i, c, nw.Capacity(i)/0.001)
+		}
 	}
 	c, _ := nw.NewTransient(3, 0.001)
 	if c.factor == a.factor {
 		t.Fatal("distinct fan levels must not share a factor")
 	}
-	if a.dt != 0.001 || a.FanLevel() != 2 {
+	if a.FanLevel() != 2 {
 		t.Fatal("accessors wrong")
 	}
 }
