@@ -55,10 +55,12 @@ var defaultHotpath = map[string]bool{
 	"tecfan/internal/linalg.relResidual":                    true,
 	"tecfan/internal/linalg.Fill":                           true,
 
-	// core: the per-candidate model evaluation, its batched form over a
-	// block of DVFS trials, and the per-core band solve.
+	// core: the per-candidate model evaluation, the down-hill walk's
+	// batched fold over a block of DVFS trials, and the per-core band
+	// solve.
 	"tecfan/internal/core.(*Estimator).EstimateInto":   true,
-	"tecfan/internal/core.(*Estimator).EstimateBatch":  true,
+	"tecfan/internal/core.(*Estimator).bestOfBatch":    true,
+	"tecfan/internal/core.(*Estimator).solveBatch":     true,
 	"tecfan/internal/core.(*Estimator).finish":         true,
 	"tecfan/internal/core.(*Estimator).candidatePower": true,
 	"tecfan/internal/core.(*BandEstimator).EvalCore":   true,

@@ -32,6 +32,25 @@ func sameEstimate(t *testing.T, label string, got, want *Estimate) {
 	}
 }
 
+// estimateBatch is the full form of bestOfBatch's trial set, the
+// reference its fold is checked against: ests[j] receives candidate j's
+// estimate, Temps in ests[j]'s own buffer, from the same block head and
+// per-candidate tail.
+func (e *Estimator) estimateBatch(ests []Estimate, obs *sim.Observation, base Candidate, dvfs [][]int) {
+	if len(ests) != len(dvfs) {
+		panic("estimateBatch takes one estimate per candidate")
+	}
+	blk, st, chipPower := e.solveBatch(obs, base, dvfs)
+	for j, levels := range dvfs {
+		if blk.Err[j] != nil {
+			refused(&ests[j])
+			continue
+		}
+		e.finish(&ests[j], obs, levels, base.FanLevel, st, blk.T[j], chipPower[j])
+	}
+	e.Network.ReturnSteadyBlock(blk)
+}
+
 // poisonedEstimator is an SCC16 estimator whose DVFS level 0 has an
 // infinite supply voltage, so the steady solver refuses every candidate
 // that puts a core there while the other levels solve normally. Its
@@ -89,7 +108,7 @@ func TestEstimateBatchMatchesEstimateInto(t *testing.T) {
 				}
 			}
 			before := est.Evaluations
-			est.EstimateBatch(ests[:k], obs, base, dvfs)
+			est.estimateBatch(ests[:k], obs, base, dvfs)
 			if d := est.Evaluations - before; d != k {
 				t.Fatalf("width %d: Evaluations advanced by %d", k, d)
 			}
@@ -125,7 +144,7 @@ func TestConcurrentEstimateBatch(t *testing.T) {
 	for g := range trials {
 		trials[g] = randomTrials(rng, obs, est.DVFS.Num(), 8)
 		want[g] = make([]Estimate, 8)
-		est.EstimateBatch(want[g], obs, base, trials[g])
+		est.estimateBatch(want[g], obs, base, trials[g])
 	}
 	got := make([][]Estimate, workers)
 	var wg sync.WaitGroup
@@ -136,7 +155,7 @@ func TestConcurrentEstimateBatch(t *testing.T) {
 			e := NewEstimator(est.Network, est.DVFS, est.Leak, est.Fan, est.Placements, est.Period)
 			got[g] = make([]Estimate, 8)
 			for rep := 0; rep < 20; rep++ {
-				e.EstimateBatch(got[g], obs, base, trials[g])
+				e.estimateBatch(got[g], obs, base, trials[g])
 			}
 		}(g)
 	}
@@ -145,5 +164,55 @@ func TestConcurrentEstimateBatch(t *testing.T) {
 		for j := range got[g] {
 			sameEstimate(t, "concurrent", &got[g][j], &want[g][j])
 		}
+	}
+}
+
+// TestBestOfBatchMatchesEstimateBatch: the walk's fold over a trial set
+// picks the candidate a strict-< scan of estimateBatch's estimates picks,
+// and leaves in *best that candidate's estimate in every field, bit for
+// bit. A set with no winner leaves *best as it was.
+func TestBestOfBatchMatchesEstimateBatch(t *testing.T) {
+	est, obs, base := poisonedEstimator(t)
+	rng := rand.New(rand.NewSource(5))
+	var ests [8]Estimate
+	var best Estimate
+	var wins, losses int
+	for round := 0; round < 6; round++ {
+		for k := 1; k <= len(ests); k++ {
+			dvfs := randomTrials(rng, obs, est.DVFS.Num(), k)
+			est.estimateBatch(ests[:k], obs, base, dvfs)
+			// Start from +Inf or from one candidate's EPI, so that some
+			// sets have no winner.
+			start := math.Inf(1)
+			if rng.Intn(2) == 0 {
+				start = ests[rng.Intn(k)].EPI
+			}
+			wantWinner, wantEPI := -1, start
+			for j := range ests[:k] {
+				if ests[j].EPI < wantEPI {
+					wantWinner, wantEPI = j, ests[j].EPI
+				}
+			}
+			prev := best
+			prev.Temps = append([]float64(nil), best.Temps...)
+			before := est.Evaluations
+			winner, bestEPI := est.bestOfBatch(&best, start, obs, base, dvfs)
+			if d := est.Evaluations - before; d != k {
+				t.Fatalf("width %d: Evaluations advanced by %d", k, d)
+			}
+			if winner != wantWinner || math.Float64bits(bestEPI) != math.Float64bits(wantEPI) {
+				t.Fatalf("width %d: winner %d at EPI %v, scan %d at %v", k, winner, bestEPI, wantWinner, wantEPI)
+			}
+			if winner < 0 {
+				losses++
+				sameEstimate(t, "no winner", &best, &prev)
+				continue
+			}
+			wins++
+			sameEstimate(t, "winner", &best, &ests[winner])
+		}
+	}
+	if wins == 0 || losses == 0 {
+		t.Fatalf("%d sets with a winner, %d without: both must occur", wins, losses)
 	}
 }

@@ -82,6 +82,9 @@ type Estimator struct {
 	scratch struct {
 		pow, leak, steady []float64
 		solve             *thermal.SteadyScratch
+		// trial is bestOfBatch's estimate of the candidate at hand; a
+		// winner swaps buffers with the caller's best.
+		trial Estimate
 	}
 	// tecST is the reusable drive state tecState hands out: one State per
 	// estimator instead of one per evaluated candidate. Like the scratch
@@ -91,8 +94,8 @@ type Estimator struct {
 	// peakEst is SteadyPeak's reusable estimate buffer.
 	peakEst Estimate
 	// Evaluations counts evaluated candidates, one per EstimateInto call
-	// and one per candidate of an EstimateBatch — the complexity metric
-	// backing the O(NL + N²M) claim.
+	// and one per candidate of a bestOfBatch trial set — the complexity
+	// metric backing the O(NL + N²M) claim.
 	Evaluations int
 }
 
@@ -182,46 +185,68 @@ func (e *Estimator) EstimateInto(est *Estimate, obs *sim.Observation, cand Candi
 	e.finish(est, obs, cand.DVFS, cand.FanLevel, st, e.scratch.steady, chipPower)
 }
 
-// EstimateBatch is EstimateInto for the k = len(dvfs) ≤ linalg.BlockWidth
-// candidates that differ from base only in their DVFS levels: ests[j]
-// receives, bit for bit, what EstimateInto writes for base with its DVFS
-// levels replaced by dvfs[j]. The candidates share base's fan level and TEC
-// drive, so Eq. (7) runs per candidate, the Eq. (6) leakage once, and Eq.
-// (1) as one lockstep block of steady solves, before EstimateInto's tail
-// runs per candidate. It leases its block from the Network, so it is as
-// allocation-free as EstimateInto once the block exists and each
-// Estimate's Temps has grown.
+// bestOfBatch estimates the k = len(dvfs) ≤ linalg.BlockWidth candidates
+// that differ from base only in their DVFS levels, and folds them, in order
+// with a strict <, into a running best: a candidate whose EPI is below
+// bestEPI becomes *best, bit for bit what EstimateInto writes for base
+// with its DVFS levels replaced by dvfs[j]. It returns the index of the
+// last such candidate, or -1, and the best EPI after the set.
+//
+// The candidates share base's fan level and TEC drive, so Eq. (7) runs per
+// candidate, the Eq. (6) leakage once, and Eq. (1) as one lockstep block of
+// steady solves, before EstimateInto's tail runs per candidate into one
+// scratch estimate, which a winner swaps with *best. A refused candidate
+// never wins. The block is leased from the Network, so the fold is as
+// allocation-free as EstimateInto once the block exists and both Temps
+// buffers have grown.
 //
 //tecfan:hotpath
-func (e *Estimator) EstimateBatch(ests []Estimate, obs *sim.Observation, base Candidate, dvfs [][]int) {
+func (e *Estimator) bestOfBatch(best *Estimate, bestEPI float64, obs *sim.Observation, base Candidate, dvfs [][]int) (int, float64) {
+	blk, st, chipPower := e.solveBatch(obs, base, dvfs)
+	trial := &e.scratch.trial
+	winner := -1
+	for j, levels := range dvfs {
+		if blk.Err[j] != nil {
+			continue
+		}
+		e.finish(trial, obs, levels, base.FanLevel, st, blk.T[j], chipPower[j])
+		if trial.EPI < bestEPI {
+			bestEPI, winner = trial.EPI, j
+			*best, *trial = *trial, *best
+		}
+	}
+	e.Network.ReturnSteadyBlock(blk)
+	return winner, bestEPI
+}
+
+// solveBatch is bestOfBatch's head. It leases a block, fills row j with
+// candidate j's die power (Eq. (7) on the Eq. (6) leakage, computed once)
+// and returns its chip total in chipPower[j], then solves Eq. (1) for the
+// whole set under base's fan level and TEC drive st. The caller returns
+// the block.
+//
+//tecfan:hotpath
+func (e *Estimator) solveBatch(obs *sim.Observation, base Candidate, dvfs [][]int) (blk *thermal.SteadyBlock, st *tec.State, chipPower [linalg.BlockWidth]float64) {
 	k := len(dvfs)
-	if k > linalg.BlockWidth || len(ests) != k {
-		panic("core: EstimateBatch takes one estimate per candidate, at most linalg.BlockWidth")
+	if k > linalg.BlockWidth {
+		panic("core: a trial set holds at most linalg.BlockWidth candidates")
 	}
 	e.Evaluations += k
 	nw := e.Network
-	blk := nw.LeaseSteadyBlock()
+	blk = nw.LeaseSteadyBlock()
 
 	// Eq. (6) once: the leakage depends only on the previous-interval
 	// temperatures, which every candidate shares.
 	e.Leak.PerComponent(e.Chip, obs.Temps, power.ModelLinear, e.scratch.leak)
-	var chipPower [linalg.BlockWidth]float64
 	for j, levels := range dvfs {
 		chipPower[j] = e.candidatePower(blk.Power[j], obs, levels)
 		copy(blk.T[j], obs.Temps)
 	}
 
 	// Eq. (1) for the whole set in one block.
-	st := e.tecState(base)
+	st = e.tecState(base)
 	nw.SteadyBatch(blk, k, base.FanLevel, st)
-	for j, levels := range dvfs {
-		if blk.Err[j] != nil {
-			refused(&ests[j])
-			continue
-		}
-		e.finish(&ests[j], obs, levels, base.FanLevel, st, blk.T[j], chipPower[j])
-	}
-	nw.ReturnSteadyBlock(blk)
+	return blk, st, chipPower
 }
 
 // candidatePower fills pow with a candidate's die power, the Eq. (7)
@@ -255,7 +280,7 @@ func refused(est *Estimate) {
 	est.Feasible = false
 }
 
-// finish is the tail EstimateInto and EstimateBatch share once a
+// finish is the tail EstimateInto and bestOfBatch share once a
 // candidate's steady field is solved: the Eq. (5) interpolation, Eq. (8)
 // and (9) chip power on top of the die power chipPower, and the Eq. (10)
 // and (11) EPI. levels and fanLevel are the candidate's, st its TEC drive.

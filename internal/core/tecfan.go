@@ -50,11 +50,9 @@ type Controller struct {
 		cand, trial      Candidate
 		est, te, bestEst Estimate
 		// One block of a per-core DVFS trial set: trial j moves core
-		// trialCore[j] to the levels trialDVFS[j] and is estimated into
-		// trialEst[j].
+		// trialCore[j] to the levels trialDVFS[j].
 		trialDVFS [linalg.BlockWidth][]int
 		trialCore [linalg.BlockWidth]int
-		trialEst  [linalg.BlockWidth]Estimate
 	}
 }
 
@@ -191,17 +189,12 @@ func (c *Controller) bestDVFSStep(obs *sim.Observation, cand *Candidate, step in
 }
 
 // scanTrials estimates the first k trials of the block and folds them into
-// the running best, moving a new winner's estimate into *bestEst and
-// handing the loser's buffers to the trial slot.
+// the running best, leaving a new winner's estimate in *bestEst.
 func (c *Controller) scanTrials(obs *sim.Observation, cand *Candidate, k, bestCore int, bestEPI float64, bestEst *Estimate) (int, float64) {
 	s := &c.scratch
-	ests := s.trialEst[:k]
-	c.Est.EstimateBatch(ests, obs, *cand, s.trialDVFS[:k])
-	for j := range ests {
-		if ests[j].EPI < bestEPI {
-			bestEPI, bestCore = ests[j].EPI, s.trialCore[j]
-			*bestEst, ests[j] = ests[j], *bestEst
-		}
+	winner, bestEPI := c.Est.bestOfBatch(bestEst, bestEPI, obs, *cand, s.trialDVFS[:k])
+	if winner >= 0 {
+		bestCore = s.trialCore[winner]
 	}
 	return bestCore, bestEPI
 }

@@ -229,6 +229,18 @@ type contender struct {
 	// leastEnergy picks the feasible level with the least total energy
 	// instead of the slowest feasible level.
 	leastEnergy bool
+	// level0, when non-nil, is the result of the level-0 run, which the
+	// selection then takes instead of simulating it.
+	level0 *sim.Result
+}
+
+// policyContender is the named policy under §IV-C selection at the sim's
+// default control period.
+func (e *Env) policyContender(name string) contender {
+	return contender{
+		build:       func() (sim.Controller, error) { return e.Controller(name) },
+		leastEnergy: name == "TECfan" || name == "TECfan-FT",
+	}
 }
 
 // SelectFanLevelContext reproduces §IV-C: run the policy at successively
@@ -240,10 +252,7 @@ type contender struct {
 // converges to. Returns the chosen level and its run result; cancellation
 // aborts the sweep mid-level.
 func (e *Env) SelectFanLevelContext(ctx context.Context, b *workload.Benchmark, name string, threshold float64) (int, *sim.Result, error) {
-	level, res, _, err := e.selectFanLevel(ctx, b, threshold, contender{
-		build:       func() (sim.Controller, error) { return e.Controller(name) },
-		leastEnergy: name == "TECfan" || name == "TECfan-FT",
-	})
+	level, res, _, err := e.selectFanLevel(ctx, b, threshold, e.policyContender(name))
 	return level, res, err
 }
 
@@ -255,6 +264,9 @@ func (e *Env) selectFanLevel(ctx context.Context, b *workload.Benchmark, thresho
 		ctl, err := c.build()
 		if err != nil {
 			return nil, nil, err
+		}
+		if level == 0 && c.level0 != nil {
+			return c.level0, ctl, nil
 		}
 		res, err := e.runOne(ctx, b, ctl, threshold, level, func(cfg *sim.Config) { cfg.ControlPeriod = c.period })
 		return res, ctl, err
@@ -289,23 +301,47 @@ func (e *Env) selectFanLevel(ctx context.Context, b *workload.Benchmark, thresho
 }
 
 // RunCell runs one §IV-C experiment cell: the named policy on b at its
-// selected fan level, against the base scenario whose metrics are base. T_th
-// is the base scenario's measured peak — the paper sets the threshold from
-// its own base runs, not from a fixed constant — and the cell's metrics are
-// normalized to base.
-func (e *Env) RunCell(ctx context.Context, b *workload.Benchmark, name string, base perf.Metrics) (PolicyRun, error) {
-	level, res, err := e.SelectFanLevelContext(ctx, b, name, base.PeakTemp)
+// selected fan level, against base, the result of b's base scenario
+// (BaseScenarioContext). T_th is the base scenario's measured peak — the
+// paper sets the threshold from its own base runs, not from a fixed
+// constant — and the cell's metrics are normalized to base's.
+//
+// The base scenario is Fan-only at level 0, so on an Env with no faults
+// armed a Fan-only cell's level-0 run would repeat it step for step: the
+// selection takes base's result for it instead (againstOwnPeak).
+func (e *Env) RunCell(ctx context.Context, b *workload.Benchmark, name string, base *sim.Result) (PolicyRun, error) {
+	th := base.Metrics.PeakTemp
+	c := e.policyContender(name)
+	if name == "Fan-only" && !e.faultsArmed(b) {
+		c.level0 = againstOwnPeak(base)
+	}
+	level, res, _, err := e.selectFanLevel(ctx, b, th, c)
 	if err != nil {
 		return PolicyRun{}, err
 	}
 	return PolicyRun{
 		Policy:    name,
 		Bench:     b.Name,
-		Threshold: base.PeakTemp,
+		Threshold: th,
 		FanLevel:  level,
 		Metrics:   res.Metrics,
-		Norm:      res.Metrics.Normalize(base),
+		Norm:      res.Metrics.Normalize(base.Metrics),
 	}, nil
+}
+
+// againstOwnPeak returns the result of rerunning the base-scenario run base
+// against its own peak as T_th, without simulating it. The threshold
+// enters a Fan-only run only through perf.Accumulator.Add, which counts a
+// sample as violating when peakT > threshold: Fan-only's Control ignores
+// the observation, the initial field is deliberately threshold-free, and
+// the warm-start loop compares peaks only. So the rerun takes the same
+// steps, and every field is base's but the violation ratio. That ratio is
+// 0: Metrics.PeakTemp is the maximum of the very peakT values Add saw, so
+// none of them exceeds it. The copy shares base's slices.
+func againstOwnPeak(base *sim.Result) *sim.Result {
+	r := *base
+	r.Metrics.ViolationRatio = 0
+	return &r
 }
 
 // timeCapped reports whether err is the sim's explicit time cap —
@@ -346,10 +382,24 @@ func (e *Env) withinBudget(res *sim.Result) bool {
 // The base scenario is fault-free by definition, even on an Env with Faults
 // set.
 func (e *Env) BaseScenarioContext(ctx context.Context, b *workload.Benchmark) (*sim.Result, error) {
+	return e.baseScenario(ctx, b, nil)
+}
+
+// baseScenario is BaseScenarioContext with with, when non-nil, adjusting
+// the config first, as in runOne.
+func (e *Env) baseScenario(ctx context.Context, b *workload.Benchmark, with func(*sim.Config)) (*sim.Result, error) {
 	clean := *e
 	clean.Faults = nil
 	clean.NumFaults = nil
-	return clean.runOne(ctx, b, policy.FanOnly{}, b.TargetPeak, 0, nil)
+	return clean.runOne(ctx, b, policy.FanOnly{}, b.TargetPeak, 0, with)
+}
+
+// faultsArmed reports whether SimConfig installs a fault or a
+// numerical-fault injector for b. Only then can a Fan-only run at level 0
+// differ from the clean base scenario.
+func (e *Env) faultsArmed(b *workload.Benchmark) bool {
+	cfg := e.SimConfig(b, 0, 0)
+	return cfg.Faults != nil || cfg.NumFaults != nil
 }
 
 // Metrics shorthand.

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"tecfan/internal/perf"
+	"tecfan/internal/sim"
 	"tecfan/internal/workload"
 )
 
@@ -39,20 +40,24 @@ func (e *Env) Fig56Context(ctx context.Context) (*Fig56Result, error) {
 	for _, b := range workload.Fig56Benchmarks(e.Leak) {
 		benches = append(benches, e.Scaled(b))
 	}
-	err := inOrder(ctx, e.Workers, len(benches), func(ctx context.Context, i int) (perf.Metrics, error) {
+	bases := make([]*sim.Result, len(benches))
+	err := inOrder(ctx, e.Workers, len(benches), func(ctx context.Context, i int) (*sim.Result, error) {
 		base, err := e.BaseScenarioContext(ctx, benches[i])
 		if err != nil {
-			return perf.Metrics{}, fmt.Errorf("fig56 base %s: %w", benches[i].Name, err)
+			return nil, fmt.Errorf("fig56 base %s: %w", benches[i].Name, err)
 		}
-		return base.Metrics, nil
-	}, func(i int, m perf.Metrics) { out.Base[benches[i].Name] = m })
+		return base, nil
+	}, func(i int, base *sim.Result) {
+		bases[i] = base
+		out.Base[benches[i].Name] = base.Metrics
+	})
 	if err != nil {
 		return out, err
 	}
 	np := len(PolicyOrder)
 	err = inOrder(ctx, e.Workers, len(benches)*np, func(ctx context.Context, i int) (PolicyRun, error) {
 		b, name := benches[i/np], PolicyOrder[i%np]
-		run, err := e.RunCell(ctx, b, name, out.Base[b.Name])
+		run, err := e.RunCell(ctx, b, name, bases[i/np])
 		if err != nil {
 			return PolicyRun{}, fmt.Errorf("fig56 %s/%s: %w", b.Name, name, err)
 		}

@@ -64,7 +64,7 @@ func (e *Env) MappingStudy(ctx context.Context, benchName, policyName string) ([
 		if err != nil {
 			return MappingRow{}, fmt.Errorf("mapping %s base: %w", m.Name, err)
 		}
-		run, err := e.RunCell(ctx, sb, policyName, base.Metrics)
+		run, err := e.RunCell(ctx, sb, policyName, base)
 		if err != nil {
 			return MappingRow{}, fmt.Errorf("mapping %s policy: %w", m.Name, err)
 		}

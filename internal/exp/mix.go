@@ -49,7 +49,7 @@ func (e *Env) MixStudy(ctx context.Context) (*MixResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := e.RunCell(ctx, sb, "TECfan", base.Metrics)
+	run, err := e.RunCell(ctx, sb, "TECfan", base)
 	if err != nil {
 		return nil, err
 	}

@@ -313,11 +313,10 @@ func (g *Grid) capacities() []float64 {
 // solves the SPD system (C/dt + G)·T' = C/dt·T + P with CG, warm-started
 // from the previous field.
 type GridTransient struct {
-	g    *Grid
-	mat  *linalg.CSR
-	capn []float64
-	dt   float64
-	rhs  []float64
+	g     *Grid
+	mat   *linalg.CSR
+	capDt []float64 // capn[i]/dt
+	rhs   []float64
 }
 
 // NewTransient builds a grid integrator for a fan level and step.
@@ -325,18 +324,20 @@ func (g *Grid) NewTransient(fanLevel int, dt float64) (*GridTransient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive dt")
 	}
-	capn := g.capacities()
+	capDt := g.capacities()
+	for i := range capDt {
+		capDt[i] /= dt
+	}
 	items := g.coords()
 	items = append(items, linalg.Coord{Row: g.sinkNode, Col: g.sinkNode, Val: g.Fan.Conductance(fanLevel)})
-	for i, c := range capn {
-		items = append(items, linalg.Coord{Row: i, Col: i, Val: c / dt})
+	for i, c := range capDt {
+		items = append(items, linalg.Coord{Row: i, Col: i, Val: c})
 	}
 	return &GridTransient{
-		g:    g,
-		mat:  linalg.NewCSR(g.n, items),
-		capn: capn,
-		dt:   dt,
-		rhs:  make([]float64, g.n),
+		g:     g,
+		mat:   linalg.NewCSR(g.n, items),
+		capDt: capDt,
+		rhs:   make([]float64, g.n),
 	}, nil
 }
 
@@ -347,8 +348,10 @@ func (tr *GridTransient) Step(t []float64, compPower []float64, fanLevel int) er
 	if len(compPower) != len(g.Chip.Components) || len(t) != g.n {
 		return fmt.Errorf("thermal: grid transient shape mismatch")
 	}
-	for i := range tr.rhs {
-		tr.rhs[i] = tr.capn[i] / tr.dt * t[i]
+	// (C/dt)·t, with C/dt built once at construction: Go evaluates
+	// capn[i]/dt*t[i] left to right, so the product keeps its bits.
+	for i, c := range tr.capDt {
+		tr.rhs[i] = c * t[i]
 	}
 	for ci, p := range compPower {
 		for _, cf := range g.cover[ci] {

@@ -1,11 +1,13 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"tecfan/internal/fan"
 	"tecfan/internal/floorplan"
+	"tecfan/internal/linalg"
 	"tecfan/internal/tec"
 )
 
@@ -311,5 +313,68 @@ func TestGridTECMatchesCompact(t *testing.T) {
 	ratio := compactRelief / gridRelief
 	if ratio < 0.6 || ratio > 1.67 {
 		t.Fatalf("TEC relief disagrees: compact %.2f °C vs grid %.2f °C", compactRelief, gridRelief)
+	}
+}
+
+// refGridStep is the reference GridTransient.Step is checked against: it
+// divides capn[i] by dt per cell per step. The system matrix is the
+// integrator's own.
+func refGridStep(tr *GridTransient, capn []float64, dt float64, t, compPower []float64, fanLevel int) error {
+	g := tr.g
+	rhs := make([]float64, g.n)
+	for i := range rhs {
+		rhs[i] = capn[i] / dt * t[i]
+	}
+	for ci, p := range compPower {
+		for _, cf := range g.cover[ci] {
+			rhs[cf.cell] += p * cf.frac
+		}
+	}
+	rhs[g.sinkNode] += g.Fan.Conductance(fanLevel) * g.Params.AmbientC
+	res := tr.mat.SolveCG(rhs, t, linalg.CGOptions{Tol: 1e-9, MaxIter: 10 * g.n})
+	if !res.Converged {
+		return fmt.Errorf("reference grid step: CG stalled (residual %g)", res.Residual)
+	}
+	return nil
+}
+
+// Precomputing C/dt keeps every bit of the grid trajectory: the step that
+// multiplies by the stored capn[i]/dt and the reference that divides per
+// cell per step agree bitwise at every step, at more than one step size.
+func TestGridTransientCapDtBitIdentical(t *testing.T) {
+	chip := floorplan.NewQuad()
+	g := newGrid(t, chip, 0.35)
+	p := make([]float64, len(chip.Components))
+	for i, c := range chip.Components {
+		p[i] = 30 * c.Area() / chip.Area()
+	}
+	for _, dt := range []float64{0.1, 3e-3, 100e-6} {
+		tr, err := g.NewTransient(1, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capn := g.capacities()
+		got := make([]float64, g.n)
+		want := make([]float64, g.n)
+		for i := range got {
+			got[i] = g.Params.AmbientC
+			want[i] = g.Params.AmbientC
+		}
+		for step := 1; step <= 40; step++ {
+			if err := tr.Step(got, p, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := refGridStep(tr, capn, dt, want, p, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dt=%g step %d node %d: %v, reference %v", dt, step, i, got[i], want[i])
+				}
+			}
+		}
+		if got[g.sinkNode] == g.Params.AmbientC {
+			t.Fatalf("dt=%g: the sink never moved, so the test compared nothing", dt)
+		}
 	}
 }

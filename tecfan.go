@@ -167,7 +167,7 @@ func (s *System) RunContext(ctx context.Context, bench string, threads int, poli
 	if err != nil {
 		return nil, err
 	}
-	run, err := s.env.RunCell(ctx, sb, policyName, base.Metrics)
+	run, err := s.env.RunCell(ctx, sb, policyName, base)
 	if err != nil {
 		return nil, err
 	}
