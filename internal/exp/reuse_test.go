@@ -201,11 +201,16 @@ func TestFanOnlyCellsReuseBaseRunBitForBit(t *testing.T) {
 // numerical-fault schedule armed, Fan-only at level 1 runs under it and
 // differs from the clean base scenario, so Fig. 4 and the Fan-only cell
 // must simulate it. Both still equal the reference, and both differ from
-// the clean base run. (Sensor and fan faults leave a Fan-only run as it is,
-// since it reads no sensor and requests no fan level; a shorted TEC drive
-// runs its devices at full current whatever the policy commands.)
+// the clean base run. (Sensor faults leave a Fan-only run as it is, since
+// it reads no sensor; a shorted TEC drive runs its devices at full current
+// whatever the policy commands, and a stuck fan holds its level whatever
+// the run asks for.)
 func TestFaultedFanOnlyRunsStillSimulated(t *testing.T) {
-	sc, err := fault.ByName("tec-fail-on")
+	tecOn, err := fault.ByName("tec-fail-on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanStuck, err := fault.ByName("fan-stuck-slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +218,8 @@ func TestFaultedFanOnlyRunsStillSimulated(t *testing.T) {
 		name string
 		arm  func(*Env)
 	}{
-		{"tec-fail-on", func(e *Env) { e.Faults, e.FaultSeed = &sc, 7 }},
+		{"tec-fail-on", func(e *Env) { e.Faults, e.FaultSeed = &tecOn, 7 }},
+		{"fan-stuck-slow", func(e *Env) { e.Faults, e.FaultSeed = &fanStuck, 7 }},
 		{"temps-perturb", func(e *Env) {
 			e.NumFaults = &numfault.Schedule{Rules: []numfault.Rule{
 				{Target: numfault.TargetTemps, Action: numfault.ActPerturb, Index: -1, Magnitude: 5, FromStep: 40, ToStep: 41},

@@ -9,8 +9,12 @@
 package floorplan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+
+	"tecfan/internal/floats"
 )
 
 // Kind classifies a component for the power model: logic blocks have high
@@ -243,19 +247,86 @@ type Edge struct {
 }
 
 // Adjacency returns every pair of edge-adjacent components with the length of
-// their shared boundary. Tiles touch their neighbours, so the edge set spans
-// cores too — this is the lateral heat-spreading graph.
+// their shared boundary, ordered by A and then B, each Length being
+// sharedEdge(Components[A], Components[B]). Tiles touch their neighbours,
+// so the edge set spans cores too — this is the lateral heat-spreading
+// graph.
+//
+// Two rectangles that share an edge overlap, or touch within adjTol, on
+// both axes. So a sweep over the components sorted by left edge only
+// compares a component with those that start before its right edge
+// (plus slack) and overlap it in y, instead of all n² pairs. A component
+// whose extent is not a finite, ordered interval cannot be placed in the
+// sweep and is compared with every other one.
 func (c *Chip) Adjacency() []Edge {
-	var edges []Edge
-	n := len(c.Components)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if l := sharedEdge(c.Components[i], c.Components[j]); l > 0 {
-				edges = append(edges, Edge{A: i, B: j, Length: l})
+	comps := c.Components
+	n := len(comps)
+	const slack = 2 * adjTol // covers the rounding of the touch tests
+	regular := func(a Component) bool {
+		r, b := a.X+a.W, a.Y+a.H
+		return floats.Finite(a.X) && floats.Finite(r) && floats.Finite(a.Y) && floats.Finite(b) && r >= a.X && b >= a.Y
+	}
+	// A tiling's adjacency graph is planar: fewer than 3n edges.
+	edges := make([]Edge, 0, 3*n)
+	add := func(i, j int) {
+		if i > j {
+			i, j = j, i
+		}
+		if l := sharedEdge(comps[i], comps[j]); l > 0 {
+			edges = append(edges, Edge{A: i, B: j, Length: l})
+		}
+	}
+	byX := make([]int, 0, n)
+	for i, a := range comps {
+		if regular(a) {
+			byX = append(byX, i)
+			continue
+		}
+		for j := range comps {
+			// Pairs of two irregular components are compared once.
+			if j != i && (regular(comps[j]) || j > i) {
+				add(i, j)
 			}
 		}
 	}
-	return edges
+	slices.SortFunc(byX, func(i, j int) int { return cmp.Compare(comps[i].X, comps[j].X) })
+	for p, i := range byX {
+		a := comps[i]
+		right, bottom := a.X+a.W, a.Y+a.H
+		for _, j := range byX[p+1:] {
+			b := comps[j]
+			if b.X-right >= slack {
+				break
+			}
+			if b.Y-bottom < slack && a.Y-(b.Y+b.H) < slack {
+				add(i, j)
+			}
+		}
+	}
+	// Order by A with a counting sort, then each A's few edges by B.
+	start := make([]int, n+1)
+	for _, e := range edges {
+		start[e.A+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	out := make([]Edge, len(edges))
+	for _, e := range edges {
+		out[start[e.A]] = e
+		start[e.A]++
+	}
+	lo := 0
+	for _, hi := range start[:n] {
+		seg := out[lo:hi]
+		for k := 1; k < len(seg); k++ {
+			for m := k; m > 0 && seg[m].B < seg[m-1].B; m-- {
+				seg[m], seg[m-1] = seg[m-1], seg[m]
+			}
+		}
+		lo = hi
+	}
+	return out
 }
 
 // Overlaps reports whether any two components overlap with positive area —

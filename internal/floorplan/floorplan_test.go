@@ -1,6 +1,8 @@
 package floorplan
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -309,5 +311,110 @@ func TestChipInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allPairsAdjacency is the reference Adjacency: sharedEdge on every pair.
+func allPairsAdjacency(c *Chip) []Edge {
+	var edges []Edge
+	n := len(c.Components)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if l := sharedEdge(c.Components[i], c.Components[j]); l > 0 {
+				edges = append(edges, Edge{A: i, B: j, Length: l})
+			}
+		}
+	}
+	return edges
+}
+
+func sameEdges(t *testing.T, name string, got, want []Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, all-pairs reference %d", name, len(got), len(want))
+	}
+	for k := range want {
+		g, w := got[k], want[k]
+		if g.A != w.A || g.B != w.B || math.Float64bits(g.Length) != math.Float64bits(w.Length) {
+			t.Fatalf("%s: edge %d = %+v, reference %+v", name, k, g, w)
+		}
+	}
+}
+
+// guillotine splits the rectangle (x, y, w, h) at random into about n
+// rectangles, each cut at a random fraction (or a round one, so that many
+// edges line up exactly across cuts).
+func guillotine(rng *rand.Rand, x, y, w, h float64, n int, out []FLPUnit) []FLPUnit {
+	if n <= 1 {
+		return append(out, FLPUnit{Name: fmt.Sprintf("u%d", len(out)), X: x, Y: y, W: w, H: h})
+	}
+	f := 0.2 + 0.6*rng.Float64()
+	if rng.Intn(2) == 0 {
+		f = 0.5
+	}
+	k := 1 + rng.Intn(n-1)
+	if w > h {
+		cut := w * f
+		out = guillotine(rng, x, y, cut, h, k, out)
+		return guillotine(rng, x+cut, y, w-cut, h, n-k, out)
+	}
+	cut := h * f
+	out = guillotine(rng, x, y, w, cut, k, out)
+	return guillotine(rng, x, y+cut, w, h-cut, n-k, out)
+}
+
+// TestAdjacencyMatchesAllPairs: the sweep returns the all-pairs edge list
+// exactly — the same pairs in the same order, every length bitwise — on
+// the SCC16 and quad chips, a chip read back from its .flp export, and
+// random tilings, some with jittered edges and with degenerate units
+// (zero, non-finite or negative extents).
+func TestAdjacencyMatchesAllPairs(t *testing.T) {
+	var flp bytes.Buffer
+	if err := WriteFLP(&flp, NewSCC16()); err != nil {
+		t.Fatal(err)
+	}
+	units, err := ReadFLP(&flp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFLP, err := ChipFromFLP(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips := map[string]*Chip{"scc16": NewSCC16(), "quad": NewQuad(), "scc16.flp": fromFLP}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 60; trial++ {
+		units := guillotine(rng, 0, 0, 2+8*rng.Float64(), 2+8*rng.Float64(), 2+rng.Intn(120), nil)
+		if trial%3 == 1 {
+			for i := range units {
+				units[i].X += (rng.Float64() - 0.5) * 3 * adjTol
+				units[i].W += (rng.Float64() - 0.5) * 3 * adjTol
+			}
+		}
+		if trial%3 == 2 {
+			odd := []FLPUnit{
+				{X: 1, Y: 1, W: 0, H: 1},
+				{X: 1, Y: 1, W: math.NaN(), H: 1},
+				{X: math.Inf(1), Y: 0, W: 1, H: 1},
+				{X: 0.5, Y: 0.5, W: -0.25, H: 1},
+				{X: 0, Y: 0, W: 1, H: math.NaN()},
+			}
+			for i, u := range odd {
+				u.Name = fmt.Sprintf("odd%d", i)
+				units = append(units, u)
+			}
+		}
+		chip, err := ChipFromFLP(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chips[fmt.Sprintf("tiling-%d", trial)] = chip
+	}
+	for name, chip := range chips {
+		want := allPairsAdjacency(chip)
+		if len(want) == 0 && len(chip.Components) > 1 {
+			t.Fatalf("%s: no edges; the case checks nothing", name)
+		}
+		sameEdges(t, name, chip.Adjacency(), want)
 	}
 }

@@ -6,7 +6,7 @@ import "testing"
 // the verified solver the transient integrator runs every 20 µs step: a
 // clean (non-refining) Solve must not touch the heap.
 func TestVerifiedCholeskySolveZeroAllocs(t *testing.T) {
-	v, err := NewVerifiedCholesky(spd3(), 0)
+	v, err := NewVerifiedCholesky(csrFromDense(spd3()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestSolveBlockMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 120
 	a := randomProfileSPD(rng, n)
-	v, err := NewVerifiedCholesky(a, 2e-16)
+	v, err := NewVerifiedCholesky(csrFromDense(a), 2e-16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSolveBlockMatchesSolve(t *testing.T) {
 func TestSolveBlockZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 40
-	v, err := NewVerifiedCholesky(randomProfileSPD(rng, n), 0)
+	v, err := NewVerifiedCholesky(csrFromDense(randomProfileSPD(rng, n)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSolveBlockZeroAllocs(t *testing.T) {
 // block; it reports the cost per right-hand side.
 func BenchmarkCholeskySolveBlock305(b *testing.B) {
 	const n = 305
-	ch, err := NewCholesky(benchSPD(n))
+	ch, err := NewCholesky(csrFromDense(benchSPD(n)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Cholesky holds the lower-triangular factor L of an SPD matrix A = L·Lᵀ.
 // The thermal conductance matrix of a pure-resistance network is SPD once the
@@ -30,6 +33,12 @@ import "math"
 // temperature, golden digest and committed result depends on these solves
 // bit for bit, and a reordered sum would change them all.
 //
+// The factor is built in two parts. The symbolic part (first, off and the
+// row structure of Lᵀ) depends only on A's sparsity pattern; it is
+// computed once per pattern and shared by every matrix built on it (see
+// CSR.WithValues). The numeric part (l and the values of Lᵀ) is computed
+// per matrix.
+//
 // SolveBlock is the multi-column form: BlockWidth right-hand sides stored
 // column-interleaved go through the factor together, each column summed in
 // exactly Solve's order. The order contract is per column, so a block
@@ -48,29 +57,90 @@ type Cholesky struct {
 	utVal        []float64
 }
 
-// NewCholesky factors the SPD matrix a. It returns ErrNotSPD if a pivot is
-// not strictly positive. Only a's lower triangle is read.
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
+// symbolic is the structure of the Cholesky factor of every matrix with one
+// sparsity pattern: the envelope (first, off) and, for each column of L,
+// the rows its envelope reaches (utOff, utRow, ascending). The columns'
+// rows are the structure of Lᵀ whenever no entry inside the envelope
+// factors to an exact zero, which is the common case; a factor that has
+// such a zero builds its own Lᵀ rows (Cholesky.transpose), since the
+// back substitution must skip it as the dense algorithm does.
+type symbolic struct {
+	once         sync.Once
+	err          error // ErrShape for a malformed pattern
+	first, off   []int
+	utOff, utRow []int
+}
+
+// analyse fills s from a's pattern. Each row's columns must be ascending;
+// an explicit zero counts as structure.
+func (s *symbolic) analyse(a *CSR) {
+	n := a.N
+	if n < 0 || len(a.RowPtr) != n+1 || a.RowPtr[0] != 0 || len(a.ColIdx) != a.RowPtr[n] {
+		s.err = ErrShape
+		return
 	}
-	n := a.Rows
-	c := &Cholesky{n: n, first: make([]int, n), off: make([]int, n+1)}
+	s.first = make([]int, n)
+	s.off = make([]int, n+1)
+	s.utOff = make([]int, n+1)
 	for i := 0; i < n; i++ {
-		row := a.Row(i)[:i+1]
-		f := i
-		for k, v := range row {
-			if v != 0 {
-				f = k
-				break
+		if a.RowPtr[i+1] < a.RowPtr[i] {
+			s.err = ErrShape
+			return
+		}
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if c := a.ColIdx[k]; c < 0 || c >= n || (k > a.RowPtr[i] && c <= a.ColIdx[k-1]) {
+				s.err = ErrShape
+				return
 			}
 		}
-		c.first[i] = f
-		c.off[i+1] = c.off[i] + i + 1 - f
+		f := i
+		if lo := a.RowPtr[i]; lo < a.RowPtr[i+1] && a.ColIdx[lo] < i {
+			f = a.ColIdx[lo]
+		}
+		s.first[i] = f
+		s.off[i+1] = s.off[i] + i + 1 - f
+		for k := f; k < i; k++ {
+			s.utOff[k+1]++
+		}
 	}
-	c.l = make([]float64, c.off[n])
+	for k := 0; k < n; k++ {
+		s.utOff[k+1] += s.utOff[k]
+	}
+	// Scatter each row into the columns of its envelope. Rows are visited
+	// in ascending order, so every column's rows arrive ascending; utOff[k]
+	// serves as column k's cursor and is shifted back afterwards.
+	s.utRow = make([]int, s.utOff[n])
 	for i := 0; i < n; i++ {
-		copy(c.l[c.off[i]:c.off[i+1]], a.Row(i)[c.first[i]:i+1])
+		for k := s.first[i]; k < i; k++ {
+			s.utRow[s.utOff[k]] = i
+			s.utOff[k]++
+		}
+	}
+	copy(s.utOff[1:], s.utOff[:n])
+	s.utOff[0] = 0
+}
+
+// NewCholesky factors the SPD matrix a. It returns ErrNotSPD if a pivot is
+// not strictly positive and ErrShape if a is not a well-formed square CSR
+// with ascending columns in each row. Only a's lower triangle is read. The
+// symbolic analysis of a's pattern is done on the first factor of any
+// matrix with that pattern and reused after.
+func NewCholesky(a *CSR) (*Cholesky, error) {
+	s := a.symbolic()
+	if s.err != nil {
+		return nil, s.err
+	}
+	if len(a.Vals) != len(a.ColIdx) {
+		return nil, ErrShape
+	}
+	n := a.N
+	c := &Cholesky{n: n, first: s.first, off: s.off, l: make([]float64, s.off[n])}
+	for i := 0; i < n; i++ {
+		ri := c.l[c.off[i]:c.off[i+1]]
+		fi := c.first[i]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1] && a.ColIdx[k] <= i; k++ {
+			ri[a.ColIdx[k]-fi] = a.Vals[k]
+		}
 	}
 	for j := 0; j < n; j++ {
 		fj := c.first[j]
@@ -85,30 +155,53 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 		d = math.Sqrt(d)
 		rj[j-fj] = d
 		inv := 1 / d
-		for i := j + 1; i < n; i++ {
+		// The rows whose envelope reaches column j, ascending: every
+		// other L[i][j] is outside row i's envelope and exactly zero.
+		for _, i := range s.utRow[s.utOff[j]:s.utOff[j+1]] {
 			fi := c.first[i]
-			if fi > j {
-				continue // L[i][j] is outside row i's envelope: exactly zero
-			}
 			ri := c.l[c.off[i]:c.off[i+1]]
 			lo := max(fi, fj)
-			s := ri[j-fi]
+			sum := ri[j-fi]
 			li, lj := ri[lo-fi:j-fi], rj[lo-fj:j-fj]
 			lj = lj[:len(li)]
 			for k, v := range li {
-				s -= v * lj[k]
+				sum -= v * lj[k]
 			}
-			ri[j-fi] = s * inv
+			ri[j-fi] = sum * inv
 		}
 	}
-	c.transpose()
+	if c.envelopeHasZero() {
+		c.transpose()
+		return c, nil
+	}
+	c.utOff, c.utRow = s.utOff, s.utRow
+	c.utVal = make([]float64, len(s.utRow))
+	for k := 0; k < n; k++ {
+		for p := s.utOff[k]; p < s.utOff[k+1]; p++ {
+			i := s.utRow[p]
+			c.utVal[p] = c.l[c.off[i]+k-c.first[i]]
+		}
+	}
 	return c, nil
 }
 
-// transpose builds the sparse rows of Lᵀ from the row-packed L: one pass
-// counts each column's nonzeros, a second scatters them. Rows are visited
-// in ascending order, so each column's entries arrive in ascending row
-// order.
+// envelopeHasZero reports whether any entry of L below the diagonal and
+// inside the envelope is exactly zero.
+func (c *Cholesky) envelopeHasZero() bool {
+	for i := 0; i < c.n; i++ {
+		for _, v := range c.l[c.off[i] : c.off[i+1]-1] {
+			if v == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// transpose builds the sparse rows of Lᵀ from the row-packed L, leaving out
+// the exact zeros inside the envelope: one pass counts each column's
+// nonzeros, a second scatters them. Rows are visited in ascending order,
+// so each column's entries arrive in ascending row order.
 func (c *Cholesky) transpose() {
 	n := c.n
 	c.utOff = make([]int, n+1)

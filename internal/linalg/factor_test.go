@@ -54,7 +54,7 @@ func residual(a *Dense, x, b []float64) float64 {
 func TestCholeskySolveKnown(t *testing.T) {
 	// A = [[4,2],[2,3]], b = [10, 9] → x = [1.5, 2].
 	a := DenseFromRows([][]float64{{4, 2}, {2, 3}})
-	ch, err := NewCholesky(a)
+	ch, err := NewCholesky(csrFromDense(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,21 +70,31 @@ func TestCholeskySolveKnown(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := DenseFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err != ErrNotSPD {
+	if _, err := NewCholesky(csrFromDense(a)); err != ErrNotSPD {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
 	}
 }
 
 func TestCholeskyRejectsNonSquare(t *testing.T) {
-	if _, err := NewCholesky(NewDense(2, 3)); err != ErrShape {
+	// A 2×3 matrix: row 0 stores column 2, outside a 2×2 system.
+	if _, err := NewCholesky(csrFromDense(DenseFromRows([][]float64{{1, 0, 1}, {0, 1, 0}}))); err != ErrShape {
 		t.Fatalf("err = %v, want ErrShape", err)
+	}
+	for name, a := range map[string]*CSR{
+		"short RowPtr":     {N: 2, RowPtr: []int{0, 1}, ColIdx: []int{0}, Vals: []float64{1}},
+		"unsorted columns": {N: 2, RowPtr: []int{0, 2, 3}, ColIdx: []int{1, 0, 1}, Vals: []float64{1, 2, 2}},
+		"missing values":   {N: 2, RowPtr: []int{0, 1, 2}, ColIdx: []int{0, 1}, Vals: []float64{1}},
+	} {
+		if _, err := NewCholesky(a); err != ErrShape {
+			t.Fatalf("%s: err = %v, want ErrShape", name, err)
+		}
 	}
 }
 
 func TestCholeskyFactorProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomSPD(rng, 6)
-	ch, err := NewCholesky(a)
+	ch, err := NewCholesky(csrFromDense(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +135,7 @@ func TestCholeskyProfileFactor(t *testing.T) {
 			}
 		}
 	}
-	ch, err := NewCholesky(a)
+	ch, err := NewCholesky(csrFromDense(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +184,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 10
 		}
-		ch, err := NewCholesky(a)
+		ch, err := NewCholesky(csrFromDense(a))
 		if err != nil {
 			return false
 		}
@@ -190,7 +200,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 func TestCholeskySolveInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomSPD(rng, 5)
-	ch, _ := NewCholesky(a)
+	ch, _ := NewCholesky(csrFromDense(a))
 	b := []float64{1, 2, 3, 4, 5}
 	orig := append([]float64(nil), b...)
 	ch.Solve(b, b) // aliased
@@ -265,7 +275,7 @@ func TestLUCholeskyAgree(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ch, _ := NewCholesky(a)
+		ch, _ := NewCholesky(csrFromDense(a))
 		lu, _ := NewLU(a)
 		x1 := make([]float64, n)
 		x2 := make([]float64, n)

@@ -87,7 +87,7 @@ func FuzzCholeskyResidual(f *testing.F) {
 				a.Set(j, i, v)
 			}
 		}
-		v, err := NewVerifiedCholesky(a, 0)
+		v, err := NewVerifiedCholesky(csrFromDense(a), 0)
 		if err != nil {
 			if !errors.Is(err, ErrNotSPD) && !errors.Is(err, ErrShape) {
 				t.Fatalf("untyped factor error: %v", err)
@@ -200,7 +200,7 @@ func FuzzSolveBlockMatchesSolve(f *testing.F) {
 			}
 			a.Set(i, i, sum+1)
 		}
-		v, err := NewVerifiedCholesky(a, 0)
+		v, err := NewVerifiedCholesky(csrFromDense(a), 0)
 		if err != nil {
 			return // a non-finite entry reached a pivot
 		}

@@ -1,6 +1,7 @@
 package linalg_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -20,8 +21,9 @@ import (
 // reference (refCholesky, refVerifiedCholesky), and the equivalence is
 // checked on every matrix the thermal stack factors — the SCC16 and quad
 // networks' G(f) at every fan level and their C/dt + G transient matrices
-// at the sim's and the Fig. 7 machine's steps — plus random dense and
-// random arrow/band SPD matrices.
+// at the sim's and the Fig. 7 machine's steps, each factored from the CSR
+// the network assembles for it — plus random dense and random arrow/band
+// SPD matrices.
 
 // refCholesky is the dense Cholesky factor the profile form replaced.
 type refCholesky struct {
@@ -185,14 +187,32 @@ func (v *refVerifiedCholesky) residual(b, x []float64) float64 {
 	return refRelResidual(v.r, b)
 }
 
+// namedMatrix is one test system: the dense reference a and the CSR csr
+// the factor under test takes.
 type namedMatrix struct {
 	name string
 	a    *linalg.Dense
+	csr  *linalg.CSR
+}
+
+func denseMatrix(name string, a *linalg.Dense) namedMatrix {
+	return namedMatrix{name, a, linalg.CSRFromDense(a)}
+}
+
+// transientDense is the dense backward-Euler matrix C/dt + Ĝ(fanLevel),
+// the capacities added to AssembleG's diagonal.
+func transientDense(nw *thermal.Network, fanLevel int, dt float64) *linalg.Dense {
+	m := nw.AssembleG(fanLevel)
+	for i := 0; i < nw.NumNodes(); i++ {
+		m.Add(i, i, nw.Capacity(i)/dt)
+	}
+	return m
 }
 
 // thermalMatrices returns every system the thermal stack factors on the
 // SCC16 and quad chips: G(f) for each fan level (steady solves) and
-// C/dt + G for the sim's 100 µs step and the Fig. 7 machine's 0.1 s step.
+// C/dt + G for the sim's 100 µs step and the Fig. 7 machine's 0.1 s step,
+// each with the CSR the network assembles for it.
 func thermalMatrices() []namedMatrix {
 	var out []namedMatrix
 	fm := fan.DynatronR16()
@@ -202,9 +222,9 @@ func thermalMatrices() []namedMatrix {
 	}{{"scc16", floorplan.NewSCC16()}, {"quad", floorplan.NewQuad()}} {
 		nw := thermal.NewNetwork(chip.c, fm, thermal.DefaultParams())
 		for f := 0; f < fm.NumLevels(); f++ {
-			out = append(out, namedMatrix{fmt.Sprintf("%s/G(fan=%d)", chip.name, f), nw.AssembleG(f)})
+			out = append(out, namedMatrix{fmt.Sprintf("%s/G(fan=%d)", chip.name, f), nw.AssembleG(f), nw.SystemCSR(f, 0)})
 			for _, dt := range []float64{100e-6, 0.1} {
-				out = append(out, namedMatrix{fmt.Sprintf("%s/C/dt+G(fan=%d,dt=%g)", chip.name, f, dt), nw.TransientMatrix(f, dt)})
+				out = append(out, namedMatrix{fmt.Sprintf("%s/C/dt+G(fan=%d,dt=%g)", chip.name, f, dt), transientDense(nw, f, dt), nw.SystemCSR(f, dt)})
 			}
 		}
 	}
@@ -258,14 +278,38 @@ func randomArrowSPD(rng *rand.Rand, n, arrow int) *linalg.Dense {
 	return a
 }
 
+// doctoredMatrices returns the SCC16 systems, steady and at the sim's
+// 100 µs step for every fan level, with the first lateral coupling zeroed:
+// the dense matrices of thermal's doctored network, whose cancelled entry
+// the CSR drops (TestSystemCSRMatchesDenseAssembly checks the network's
+// own CSR and factor against these dense scans).
+func doctoredMatrices() []namedMatrix {
+	chip, fm := floorplan.NewSCC16(), fan.DynatronR16()
+	nw := thermal.NewNetwork(chip, fm, thermal.DefaultParams())
+	e := chip.Adjacency()[0]
+	var out []namedMatrix
+	for f := 0; f < fm.NumLevels(); f++ {
+		for _, dt := range []float64{0, 100e-6} {
+			a := nw.AssembleG(f)
+			if dt > 0 {
+				a = transientDense(nw, f, dt)
+			}
+			a.Set(e.A, e.B, 0)
+			a.Set(e.B, e.A, 0)
+			out = append(out, denseMatrix(fmt.Sprintf("scc16-doctored(fan=%d,dt=%g)", f, dt), a))
+		}
+	}
+	return out
+}
+
 func referenceMatrices() []namedMatrix {
 	rng := rand.New(rand.NewSource(13))
-	out := thermalMatrices()
+	out := append(thermalMatrices(), doctoredMatrices()...)
 	out = append(out,
-		namedMatrix{"random-dense-305", randomDenseSPD(rng, 305)},
-		namedMatrix{"random-dense-40", randomDenseSPD(rng, 40)},
-		namedMatrix{"random-arrow-120", randomArrowSPD(rng, 120, 5)},
-		namedMatrix{"random-arrow-40", randomArrowSPD(rng, 40, 2)},
+		denseMatrix("random-dense-305", randomDenseSPD(rng, 305)),
+		denseMatrix("random-dense-40", randomDenseSPD(rng, 40)),
+		denseMatrix("random-arrow-120", randomArrowSPD(rng, 120, 5)),
+		denseMatrix("random-arrow-40", randomArrowSPD(rng, 40, 2)),
 	)
 	return out
 }
@@ -279,21 +323,48 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
-// TestCholeskyMatchesDenseReference: identical pivots, condition estimate,
-// and — over 1 000 finite right-hand sides per matrix — bitwise-identical
-// plain and verified solutions with no refinement.
+// sameCSR reports where got differs from want, bit for bit: the row
+// pointers, the column indices and the values.
+func sameCSR(got, want *linalg.CSR) string {
+	if got.N != want.N || len(got.RowPtr) != len(want.RowPtr) || len(got.ColIdx) != len(want.ColIdx) || len(got.Vals) != len(want.Vals) {
+		return fmt.Sprintf("shape n=%d nnz=%d, want n=%d nnz=%d", got.N, len(got.Vals), want.N, len(want.Vals))
+	}
+	for i := range want.RowPtr {
+		if got.RowPtr[i] != want.RowPtr[i] {
+			return fmt.Sprintf("RowPtr[%d] = %d, want %d", i, got.RowPtr[i], want.RowPtr[i])
+		}
+	}
+	for k := range want.ColIdx {
+		if got.ColIdx[k] != want.ColIdx[k] {
+			return fmt.Sprintf("ColIdx[%d] = %d, want %d", k, got.ColIdx[k], want.ColIdx[k])
+		}
+	}
+	if k := sameBits(want.Vals, got.Vals); k >= 0 {
+		return fmt.Sprintf("Vals[%d] = %v, want %v", k, got.Vals[k], want.Vals[k])
+	}
+	return ""
+}
+
+// TestCholeskyMatchesDenseReference: the CSR the factor takes (and keeps
+// for its residual) is the dense matrix's nonzeros bit for bit; the factor
+// has identical pivots and condition estimate; and over 1 000 finite
+// right-hand sides per matrix, plain and verified solutions are
+// bitwise-identical with no refinement.
 func TestCholeskyMatchesDenseReference(t *testing.T) {
 	const rhsPer = 1000
 	for mi, m := range referenceMatrices() {
+		if diff := sameCSR(m.csr, linalg.CSRFromDense(m.a)); diff != "" {
+			t.Fatalf("%s: CSR differs from the dense matrix's nonzeros: %s", m.name, diff)
+		}
 		ref, err := newRefVerifiedCholesky(m.a, 0)
 		if err != nil {
 			t.Fatalf("%s: reference factor: %v", m.name, err)
 		}
-		got, err := linalg.NewVerifiedCholesky(m.a, 0)
+		got, err := linalg.NewVerifiedCholesky(m.csr, 0)
 		if err != nil {
 			t.Fatalf("%s: profile factor: %v", m.name, err)
 		}
-		plain, err := linalg.NewCholesky(m.a)
+		plain, err := linalg.NewCholesky(m.csr)
 		if err != nil {
 			t.Fatalf("%s: profile factor: %v", m.name, err)
 		}
@@ -351,7 +422,7 @@ func TestVerifiedCholeskyNonFiniteMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := linalg.NewVerifiedCholesky(m.a, 0)
+		got, err := linalg.NewVerifiedCholesky(m.csr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +461,7 @@ func TestCholeskyNonFiniteMatrixMatchesReference(t *testing.T) {
 				a.Set(i, j, bad)
 				a.Set(j, i, bad)
 				_, wantErr := newRefCholesky(a)
-				_, err := linalg.NewCholesky(a)
+				_, err := linalg.NewCholesky(linalg.CSRFromDense(a))
 				if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) {
 					t.Fatalf("A[%d][%d] = %v: err = %v, reference %v", i, j, bad, err, wantErr)
 				}
@@ -430,7 +501,7 @@ func TestVerifiedCholeskyRefinementMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := linalg.NewVerifiedCholesky(hilbert(n), 0)
+		got, err := linalg.NewVerifiedCholesky(linalg.CSRFromDense(hilbert(n)), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,8 +533,8 @@ func TestVerifiedCholeskyRefinementMatchesReference(t *testing.T) {
 // equals the serial one bit for bit.
 func TestVerifiedCholeskyConcurrentSolves(t *testing.T) {
 	const workers, rhsPer = 8, 16
-	for _, m := range []namedMatrix{thermalMatrices()[0], {"hilbert-10", hilbert(10)}} {
-		v, err := linalg.NewVerifiedCholesky(m.a, 0)
+	for _, m := range []namedMatrix{thermalMatrices()[0], denseMatrix("hilbert-10", hilbert(10))} {
+		v, err := linalg.NewVerifiedCholesky(m.csr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,4 +576,127 @@ func TestVerifiedCholeskyConcurrentSolves(t *testing.T) {
 		}
 		wg.Wait()
 	}
+}
+
+// sameValue is the fuzz comparison of a factor's output with the dense
+// reference's: the same bits, except that an exact zero may differ in
+// sign, the one thing skipping a product with a structural zero can change.
+func sameValue(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+// FuzzCSRFactorMatchesDense builds a sparse symmetric matrix from fuzzed
+// bit patterns (NaN, ±Inf, denormals and huge values included), made
+// diagonally dominant for about half the inputs, and factors its CSR
+// against the dense reference. Both must refuse it with the same error,
+// or agree on every pivot bit for bit and, for a finite right-hand side,
+// on the plain and the verified solution and the verified verdict. A
+// reference solution that overflows must overflow in the CSR factor too.
+func FuzzCSRFactorMatchesDense(f *testing.F) {
+	enc := func(head []byte, vals ...float64) []byte {
+		out := append([]byte(nil), head...)
+		for _, v := range vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	f.Add(enc([]byte{3, 0xff, 1}, -1, -0.5, 0, -2, 1, 2, 3, 4, 5))
+	f.Add(enc([]byte{7, 0x5a, 1}, -1, 2, -3, 0.5, math.NaN(), 1, 1, 1, 1))
+	f.Add(enc([]byte{5, 0x33, 0}, 4, -1, 4, -1, 4, 1e300, -1e-310, 2, 3))
+	f.Add(enc([]byte{9, 0x0f, 1}, math.Inf(1), -1, 1, 1, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%9
+		mask, dominant := data[1], data[2]%2 == 1
+		vals := data[3:]
+		next := func() float64 {
+			if len(vals) < 8 {
+				return 0
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(vals))
+			vals = vals[8:]
+			return v
+		}
+		a := linalg.NewDense(n, n)
+		bit := 0
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if mask>>(bit%8)&1 == 1 {
+					v := next()
+					a.Set(i, j, v)
+					a.Set(j, i, v)
+				}
+				bit++
+			}
+		}
+		for i := 0; i < n; i++ {
+			d := next()
+			if dominant {
+				d = 1
+				for j := 0; j < n; j++ {
+					if j != i {
+						d += math.Abs(a.At(i, j))
+					}
+				}
+			}
+			a.Set(i, i, d)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			if b[i] = next(); !floats.Finite(b[i]) {
+				b[i] = float64(i + 1)
+			}
+		}
+
+		ref, wantErr := newRefCholesky(a)
+		got, err := linalg.NewCholesky(linalg.CSRFromDense(a))
+		if (err == nil) != (wantErr == nil) || !errors.Is(err, wantErr) {
+			t.Fatalf("factor err = %v, reference %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		piv := got.Pivots()
+		for i := range piv {
+			if math.Float64bits(piv[i]) != math.Float64bits(ref.l.At(i, i)) {
+				t.Fatalf("pivot %d = %v, reference %v", i, piv[i], ref.l.At(i, i))
+			}
+		}
+		want, x := make([]float64, n), make([]float64, n)
+		ref.Solve(b, want)
+		got.Solve(b, x)
+		if !floats.AllFinite(want) {
+			if floats.AllFinite(x) {
+				t.Fatalf("reference solution %v overflows, CSR factor's %v does not", want, x)
+			}
+			return
+		}
+		for i := range x {
+			if !sameValue(x[i], want[i]) {
+				t.Fatalf("x[%d] = %v, reference %v", i, x[i], want[i])
+			}
+		}
+		vref, err := newRefVerifiedCholesky(a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := linalg.NewVerifiedCholesky(linalg.CSRFromDense(a), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRefined, wantErr := vref.Solve(b, want)
+		refined, err := v.Solve(b, x, make([]float64, n))
+		if refined != wantRefined || (err == nil) != (wantErr == nil) {
+			t.Fatalf("verified (refined=%v, err=%v), reference (refined=%v, err=%v)", refined, err, wantRefined, wantErr)
+		}
+		if err == nil {
+			for i := range x {
+				if !sameValue(x[i], want[i]) {
+					t.Fatalf("verified x[%d] = %v, reference %v", i, x[i], want[i])
+				}
+			}
+		}
+	})
 }

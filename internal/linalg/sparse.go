@@ -13,15 +13,54 @@ type Coord struct {
 	Val      float64
 }
 
-// CSR is a compressed-sparse-row matrix. The thermal network assembles its
-// conductance matrix in triplet form and converts once; mat-vec against CSR is
-// the inner loop of the transient integrator.
+// CSR is a compressed-sparse-row matrix: row r holds the columns
+// ColIdx[RowPtr[r]:RowPtr[r+1]], ascending, with their values in Vals. The
+// thermal network assembles its systems straight into CSR and factors them
+// with NewCholesky; the fine grid model solves its CSR with SolveCG.
 type CSR struct {
 	N       int // square dimension
 	RowPtr  []int
 	ColIdx  []int
 	Vals    []float64
 	diagIdx []int // index into Vals of each diagonal entry, -1 if absent
+
+	// sym is the symbolic Cholesky analysis of the pattern, built by the
+	// first NewCholesky on it and shared by every CSR made from this one
+	// with WithValues. NewCSRFromRows sets it; a CSR from NewCSR or a
+	// literal has none and is analysed afresh on every factor.
+	sym *symbolic
+}
+
+// NewCSRFromRows wraps rows already in CSR form: rowPtr of length n+1 and,
+// for each row, its column indices ascending in colIdx with their values
+// in vals. The slices are kept, not copied, and must not be changed after.
+func NewCSRFromRows(n int, rowPtr, colIdx []int, vals []float64) *CSR {
+	m := &CSR{N: n, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals, sym: new(symbolic)}
+	m.indexDiag()
+	return m
+}
+
+// WithValues returns the matrix with m's sparsity pattern and the values
+// vals, one per stored entry in m's order. The two share the pattern and
+// its symbolic Cholesky analysis, so factoring many matrices of one
+// pattern analyses it once. vals is kept, not copied.
+func (m *CSR) WithValues(vals []float64) *CSR {
+	if len(vals) != len(m.ColIdx) {
+		panic(ErrShape)
+	}
+	return &CSR{N: m.N, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Vals: vals, diagIdx: m.diagIdx, sym: m.sym}
+}
+
+// symbolic returns the symbolic Cholesky analysis of m's pattern.
+func (m *CSR) symbolic() *symbolic {
+	s := m.sym
+	if s == nil {
+		s = new(symbolic)
+		s.analyse(m)
+		return s
+	}
+	s.once.Do(func() { s.analyse(m) })
+	return s
 }
 
 // NewCSR builds an n×n CSR matrix from triplets. Duplicate (row, col) entries
@@ -50,31 +89,6 @@ func NewCSR(n int, items []Coord) *CSR {
 	}
 	for r := 0; r < n; r++ {
 		m.RowPtr[r+1] += m.RowPtr[r]
-	}
-	m.indexDiag()
-	return m
-}
-
-// csrFromDense copies the nonzeros of d, row by row in ascending column
-// order. Unlike NewCSR on triplets (whose sort is unstable and which sums
-// duplicates), the stored rows are exactly d's rows with the zeros dropped,
-// so MulVec sums each row in Dense.MulVec's order.
-func csrFromDense(d *Dense) *CSR {
-	nnz := 0
-	for _, v := range d.Data {
-		if v != 0 {
-			nnz++
-		}
-	}
-	m := &CSR{N: d.Rows, RowPtr: make([]int, d.Rows+1), ColIdx: make([]int, 0, nnz), Vals: make([]float64, 0, nnz)}
-	for r := 0; r < d.Rows; r++ {
-		for c, v := range d.Row(r) {
-			if v != 0 {
-				m.ColIdx = append(m.ColIdx, c)
-				m.Vals = append(m.Vals, v)
-			}
-		}
-		m.RowPtr[r+1] = len(m.Vals)
 	}
 	m.indexDiag()
 	return m

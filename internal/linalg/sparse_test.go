@@ -120,7 +120,7 @@ func TestSolveCGProperty(t *testing.T) {
 		if !res.Converged {
 			return false
 		}
-		ch, err := NewCholesky(m.Dense())
+		ch, err := NewCholesky(m)
 		if err != nil {
 			return false
 		}

@@ -101,13 +101,15 @@ func relResidual(r, b []float64) float64 {
 }
 
 // VerifiedCholesky pairs a Cholesky factor with the matrix it factored so
-// every solve can be residual-checked and refined. A is kept in CSR form,
-// built by scanning its rows for nonzeros in ascending column order, so the
-// residual b − A·x costs O(nnz(A)) (2 425 entries on the 305-node SCC16
-// network, against 93 025 dense) and sums each row in the dense order:
-// the skipped terms are products with an exact zero, so the residual, and
-// with it the refinement verdict, is bitwise the dense one for finite x.
-// Each Solve therefore costs O(nnz(L) + nnz(A)).
+// every solve can be residual-checked and refined. A is the CSR it was
+// factored from, kept as is, so the residual b − A·x costs O(nnz(A))
+// (2 425 entries on the 305-node SCC16 network, against 93 025 dense). For
+// a CSR that stores exactly the nonzeros of a dense matrix, in ascending
+// column order (as the thermal network assembles its systems), each row
+// sums in the dense order: the skipped terms are products with an exact
+// zero, so the residual, and with it the refinement verdict, is bitwise
+// the dense one for finite x. Each Solve therefore costs
+// O(nnz(L) + nnz(A)).
 //
 // A VerifiedCholesky is read-only after construction, so one factor may
 // serve solves from several goroutines at once: the residual and
@@ -119,9 +121,9 @@ type VerifiedCholesky struct {
 	cond float64
 }
 
-// NewVerifiedCholesky factors a and retains a CSR copy of it for residual
-// checks. tol ≤ 0 selects DefaultResidualTol.
-func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
+// NewVerifiedCholesky factors a and keeps it for residual checks; a must
+// not be changed after. tol ≤ 0 selects DefaultResidualTol.
+func NewVerifiedCholesky(a *CSR, tol float64) (*VerifiedCholesky, error) {
 	ch, err := NewCholesky(a)
 	if err != nil {
 		return nil, err
@@ -130,7 +132,7 @@ func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 		tol = DefaultResidualTol
 	}
 	n := ch.N()
-	v := &VerifiedCholesky{chol: ch, a: csrFromDense(a), tol: tol}
+	v := &VerifiedCholesky{chol: ch, a: a, tol: tol}
 	// Condition estimate from the pivots: cond₂(A) ≈ (max lᵢᵢ / min lᵢᵢ)².
 	// Crude but free, and exactly the data that degrades as A approaches
 	// indefiniteness.
@@ -186,6 +188,11 @@ const blockMin = 5
 // non-finite column leaves every other column's solution and verdict as
 // its own Solve would give them.
 //
+// A block is verified in one pass over A for all its columns
+// (blockResidual), each column's residual summed in residual's order. Only
+// a column that fails that check goes through verify, which recomputes
+// its residual bit for bit and refines or refuses it as Solve would.
+//
 //tecfan:hotpath
 func (v *VerifiedCholesky) SolveBlock(b, x [][]float64, blk, r []float64, refined []bool, errs []error) {
 	const w = BlockWidth
@@ -202,32 +209,86 @@ func (v *VerifiedCholesky) SolveBlock(b, x [][]float64, blk, r []float64, refine
 	if k < blockMin {
 		for j := range b {
 			v.chol.Solve(b[j], x[j])
+			refined[j], errs[j] = v.verify(b[j], x[j], r)
 		}
-	} else {
-		if len(blk) != n*w {
-			panic(ErrShape)
-		}
-		for j := 0; j < w; j++ {
-			if j >= k {
-				for i := 0; i < n; i++ {
-					blk[i*w+j] = 0 // an idle column solves to zero
-				}
-				continue
+		return
+	}
+	if len(blk) != n*w {
+		panic(ErrShape)
+	}
+	for j := 0; j < w; j++ {
+		if j >= k {
+			for i := 0; i < n; i++ {
+				blk[i*w+j] = 0 // an idle column solves to zero
 			}
-			for i, bi := range b[j] {
-				blk[i*w+j] = bi
-			}
+			continue
 		}
-		v.chol.SolveBlock(blk)
-		for j := range x {
-			xj := x[j]
-			for i := range xj {
-				xj[i] = blk[i*w+j]
+		for i, bi := range b[j] {
+			blk[i*w+j] = bi
+		}
+	}
+	v.chol.SolveBlock(blk)
+	for j := range x {
+		xj := x[j]
+		for i := range xj {
+			xj[i] = blk[i*w+j]
+		}
+	}
+	var res [w]float64
+	v.blockResidual(b, blk, &res)
+	for j := range b {
+		if res[j] <= v.tol && floats.AllFinite(x[j]) {
+			refined[j], errs[j] = false, nil
+			continue
+		}
+		refined[j], errs[j] = v.verify(b[j], x[j], r)
+	}
+}
+
+// blockResidual sets res[j] to the relative residual ‖b[j] − A·X[:,j]‖∞ /
+// ‖b[j]‖∞ of each of the len(b) columns of the column-interleaved solution
+// blk, in one pass over A. Column j's row sums, residual entries and norms
+// are computed in exactly residual's order, so res[j] is bitwise what
+// residual would return for it, NaN rule included.
+//
+//tecfan:hotpath
+func (v *VerifiedCholesky) blockResidual(b [][]float64, blk []float64, res *[BlockWidth]float64) {
+	const w = BlockWidth
+	a := v.a
+	var rn, bn [w]float64
+	for i := 0; i < a.N; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.ColIdx[lo:hi], a.Vals[lo:hi]
+		vals = vals[:len(cols)]
+		var s [w]float64
+		for t, c := range cols {
+			av := vals[t]
+			xc := blk[c*w : c*w+w : c*w+w]
+			s[0] += av * xc[0]
+			s[1] += av * xc[1]
+			s[2] += av * xc[2]
+			s[3] += av * xc[3]
+			s[4] += av * xc[4]
+			s[5] += av * xc[5]
+			s[6] += av * xc[6]
+			s[7] += av * xc[7]
+		}
+		for j, bj := range b {
+			bi := bj[i]
+			if d := math.Abs(bi - s[j]); d > rn[j] || math.IsNaN(d) {
+				rn[j] = d
+			}
+			if d := math.Abs(bi); d > bn[j] {
+				bn[j] = d
 			}
 		}
 	}
 	for j := range b {
-		refined[j], errs[j] = v.verify(b[j], x[j], r)
+		if bn[j] == 0 {
+			res[j] = rn[j]
+		} else {
+			res[j] = rn[j] / bn[j]
+		}
 	}
 }
 
@@ -258,13 +319,16 @@ func (v *VerifiedCholesky) verify(b, x, r []float64) (refined bool, err error) {
 	return true, &NumError{Op: "cholesky", Residual: res, Tol: v.tol, Cond: v.cond, Refinements: 1, Err: ErrDiverged}
 }
 
-// residual fills r = b − A·x row by row and returns the relative residual.
-// Each row sums in CSR.MulVec's order, so r is bitwise b − MulVec(x).
+// residual fills r = b − A·x row by row and returns the relative residual
+// ‖r‖∞/‖b‖∞, with relResidual's NaN rule and b = 0 fallback, tracking both
+// norms in the same pass. Each row sums in CSR.MulVec's order, so r is
+// bitwise b − MulVec(x).
 func (v *VerifiedCholesky) residual(b, x, r []float64) float64 {
 	a := v.a
 	if len(b) != a.N || len(x) != a.N || len(r) != a.N {
 		panic(ErrShape)
 	}
+	var rn, bn float64
 	for i := range r {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		cols, vals := a.ColIdx[lo:hi], a.Vals[lo:hi]
@@ -273,9 +337,19 @@ func (v *VerifiedCholesky) residual(b, x, r []float64) float64 {
 		for k, c := range cols {
 			s += vals[k] * x[c]
 		}
-		r[i] = b[i] - s
+		ri := b[i] - s
+		r[i] = ri
+		if d := math.Abs(ri); d > rn || math.IsNaN(d) {
+			rn = d
+		}
+		if d := math.Abs(b[i]); d > bn {
+			bn = d
+		}
 	}
-	return relResidual(r, b)
+	if bn == 0 {
+		return rn
+	}
+	return rn / bn
 }
 
 // VerifiedBandLU is the band-matrix counterpart of VerifiedCholesky. The

@@ -31,7 +31,7 @@ func TestCholeskyRejectsInfPivot(t *testing.T) {
 	for _, inf := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		a := spd3()
 		a.Set(1, 1, inf)
-		if _, err := NewCholesky(a); !errors.Is(err, ErrNotSPD) {
+		if _, err := NewCholesky(csrFromDense(a)); !errors.Is(err, ErrNotSPD) {
 			t.Errorf("NewCholesky with pivot %v: err = %v, want ErrNotSPD", inf, err)
 		}
 	}
@@ -67,11 +67,11 @@ func TestBandLURejectsInfPivot(t *testing.T) {
 // byte-identical to the plain factorization on well-conditioned systems.
 func TestVerifiedCholeskyNoRefinementOnHealthySystem(t *testing.T) {
 	a := spd3()
-	v, err := NewVerifiedCholesky(a, 0)
+	v, err := NewVerifiedCholesky(csrFromDense(a), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewCholesky(a)
+	plain, err := NewCholesky(csrFromDense(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestVerifiedCholeskyNoRefinementOnHealthySystem(t *testing.T) {
 }
 
 func TestVerifiedCholeskyRejectsNonFiniteRHS(t *testing.T) {
-	v, err := NewVerifiedCholesky(spd3(), 0)
+	v, err := NewVerifiedCholesky(csrFromDense(spd3()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -567,8 +567,13 @@ type stepLoop struct {
 	temps, prevTemps []float64
 	dvfs             []int
 	ts               *tec.State
-	fanLevel         int
-	tr               *thermal.Transient
+	fanLevel         int // the applied level
+	// fanReq is the level asked for before any fan fault: the driver's
+	// fixed level, or a FanController's latest request. A resumed run
+	// takes a FanController's request to be the applied level it was
+	// saved with; a fan fault maps either to the same level.
+	fanReq int
+	tr     *thermal.Transient
 
 	// Completion follows the paper's Eq. (12)/(13) semantics: execution
 	// time is inversely proportional to the aggregate chip IPS, i.e. the
@@ -613,7 +618,7 @@ func (r *Runner) newStepLoop(init []float64, initDVFS []int, initAmps []float64,
 		r: r, cfg: cfg, guard: guard, bench: cfg.Bench,
 		ws: ws, prevPeak: prevPeak,
 		nComp: len(chip.Components), nCores: chip.NumCores(),
-		fanLevel: cfg.FanLevel,
+		fanLevel: cfg.FanLevel, fanReq: cfg.FanLevel,
 	}
 	s.dvfs = make([]int, s.nCores)
 	s.progress = make([]float64, s.nCores)
@@ -630,6 +635,9 @@ func (r *Runner) newStepLoop(init []float64, initDVFS []int, initAmps []float64,
 			}
 		}
 		s.fanLevel = snap.FanLevel
+		if _, ok := r.ctl.(FanController); ok {
+			s.fanReq = snap.FanLevel
+		}
 		copy(s.instDone, snap.InstDone)
 		s.totalDone = snap.TotalDone
 		for core := range s.progress {
@@ -946,6 +954,19 @@ func (s *stepLoop) fillObs(withPower bool) *Observation {
 	return o
 }
 
+// setFan applies fan level req, clamped to the fan's range, and refactors
+// the transient when the level changes.
+func (s *stepLoop) setFan(req int) error {
+	nl := s.cfg.Fan.Clamp(req)
+	if nl == s.fanLevel {
+		return nil
+	}
+	s.fanLevel = nl
+	var err error
+	s.tr, err = s.cfg.Network.NewTransient(nl, s.cfg.Step)
+	return err
+}
+
 // boundaries runs the control, fan, and checkpoint work due after the step
 // that just completed. A non-nil error aborts the run; the accompanying
 // result — nil for plumbing failures, a partial result for refusals — is
@@ -965,6 +986,13 @@ func (s *stepLoop) boundaries(ctx context.Context) (*Result, error) {
 		}
 		if err := r.applyDecision(dec, s.dvfs, s.ts); err != nil {
 			return nil, err
+		}
+		// A fan fault acts on the fan whatever drives it: it is applied
+		// here for every policy, not only at a FanController's boundary.
+		if cfg.Faults != nil {
+			if err := s.setFan(cfg.Faults.FilterFan(s.now, s.fanReq)); err != nil {
+				return nil, err
+			}
 		}
 		// Boundary audits: the metrics energy against the independent
 		// ∫power·dt integral, and the applied actuator configuration
@@ -1009,15 +1037,12 @@ func (s *stepLoop) boundaries(ctx context.Context) (*Result, error) {
 			cfg.Faults.Observe(obs)
 		}
 		req := fc.FanControl(obs)
+		s.fanReq = req
 		if cfg.Faults != nil {
 			req = cfg.Faults.FilterFan(s.now, req)
 		}
-		if nl := cfg.Fan.Clamp(req); nl != s.fanLevel {
-			s.fanLevel = nl
-			var err error
-			if s.tr, err = cfg.Network.NewTransient(s.fanLevel, cfg.Step); err != nil {
-				return nil, err
-			}
+		if err := s.setFan(req); err != nil {
+			return nil, err
 		}
 	}
 

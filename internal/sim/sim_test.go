@@ -591,6 +591,69 @@ func TestActuatorModelSticksFan(t *testing.T) {
 	}
 }
 
+// lateStuckFan sticks the physical fan at level from time start on, as a
+// mid-run fan-stuck fault does.
+type lateStuckFan struct {
+	start float64
+	level int
+}
+
+func (f lateStuckFan) Observe(*Observation)                             {}
+func (f lateStuckFan) FilterDecision(float64, ActuatorState, *Decision) {}
+func (f lateStuckFan) Reset()                                           {}
+func (f lateStuckFan) FilterFan(now float64, level int) int {
+	if now < f.start {
+		return level
+	}
+	return f.level
+}
+
+// A fan fault that starts mid-run reaches a controller that never drives
+// the fan (Fan-only semantics): the run is the fault-free one up to the
+// fault, and from the first control boundary at or after it the fan runs
+// at the stuck level, its integrator refactored, so the chip heats up.
+func TestMidRunFanFaultReachesFixedFanRun(t *testing.T) {
+	e := newEnv()
+	cfg := e.config(testBench(6.0), 120)
+	cfg.RecordTrace = true
+	cfg.MaxWarmStarts = 1
+	base, err := func() (*Result, error) { r, _ := NewRunner(cfg, &noop{}); return r.Run() }()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const start = 0.8e-3
+	stuck := e.fm.NumLevels() - 1
+	cfg.Faults = lateStuckFan{start: start, level: stuck}
+	r, _ := NewRunner(cfg, &noop{})
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) != len(base.Trace) {
+		t.Fatalf("%d trace points, fault-free run %d", len(res.Trace), len(base.Trace))
+	}
+	hotter := false
+	for k, p := range res.Trace {
+		b := base.Trace[k]
+		switch {
+		case p.Time < start:
+			if p != b {
+				t.Fatalf("t=%g, before the fault: %+v, fault-free %+v", p.Time, p, b)
+			}
+		case p.FanLevel != stuck || b.FanLevel != cfg.FanLevel:
+			t.Fatalf("t=%g, after the fault: fan level %d (fault-free %d), want %d", p.Time, p.FanLevel, b.FanLevel, stuck)
+		case p.PeakTemp > b.PeakTemp:
+			hotter = true
+		}
+	}
+	if !hotter {
+		t.Fatal("the stuck fan never raised the peak temperature")
+	}
+	if res.Trace[len(res.Trace)-1].Time < start {
+		t.Fatal("the run ended before the fault; the case checks nothing")
+	}
+}
+
 // fanStepper implements FanController and asks for one level slower at
 // every fan boundary; the sim must apply it and refactor the integrator.
 type fanStepper struct{ calls int }

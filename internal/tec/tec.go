@@ -107,7 +107,7 @@ type CoverEntry struct {
 // the FP multiplier (the archetypal hot spot), row 1 on the FPAdd/ITB row,
 // and row 2 on the L1 caches. Columns span the 1.8 mm logic width.
 func Array(chip *floorplan.Chip, dev Device) []Placement {
-	var out []Placement
+	out := make([]Placement, 0, chip.NumCores()*DevicesPerCore)
 	// Tile-local device centres (mm).
 	colX := [ArrayDim]float64{0.30, 0.90, 1.50}
 	rowY := [ArrayDim]float64{0.675, 1.575, 2.475}
@@ -139,7 +139,7 @@ func Array(chip *floorplan.Chip, dev Device) []Placement {
 // instead of aligned with the hot floorplan rows. Used by the placement
 // ablation to quantify what [10]-style placement optimization buys.
 func UniformArray(chip *floorplan.Chip, dev Device) []Placement {
-	var out []Placement
+	out := make([]Placement, 0, chip.NumCores()*DevicesPerCore)
 	const (
 		regionW = 1.8
 		regionH = 2.75
@@ -170,14 +170,13 @@ func UniformArray(chip *floorplan.Chip, dev Device) []Placement {
 }
 
 // computeCover fills p.Cover with the per-component overlap fractions and
-// mirrors them into the component-ordered CoverList (chip.Components is
-// scanned in index order, so no extra sort is needed).
+// mirrors them into the component-ordered CoverList. Only the device's own
+// core's components are scanned, in ascending index order, so no extra
+// sort is needed.
 func (p *Placement) computeCover(chip *floorplan.Chip) {
 	devArea := p.Device.Width * p.Device.Height
-	for i, c := range chip.Components {
-		if c.Core != p.Core {
-			continue
-		}
+	for _, i := range chip.CoreComponents(p.Core) {
+		c := chip.Components[i]
 		ox := math.Min(p.X+p.Device.Width, c.X+c.W) - math.Max(p.X, c.X)
 		oy := math.Min(p.Y+p.Device.Height, c.Y+c.H) - math.Max(p.Y, c.Y)
 		if ox > 0 && oy > 0 {

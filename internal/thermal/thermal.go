@@ -102,9 +102,14 @@ type Network struct {
 	spreaderBase int // first spreader node
 	sinkNode     int
 
-	// Conduction graph, excluding the fan-dependent sink→ambient leg.
-	cond []linalg.Coord // off-diagonal −g and diagonal +g entries
-	capn []float64      // per-node heat capacity, J/K
+	// cond is the conduction graph, excluding the fan-dependent
+	// sink→ambient leg, as a CSR: entry k holds the conduction terms of its
+	// (row, column) summed in assembly order, and every row stores its
+	// diagonal. Its pattern is the pattern of every system the network
+	// factors, so those share one symbolic analysis.
+	cond *linalg.CSR
+	diag []int     // diag[i] is the index in cond of row i's diagonal
+	capn []float64 // per-node heat capacity, J/K
 
 	// Cached factors are the verified kind: every solve through them is
 	// residual-checked, refined once when degraded, and refused with a
@@ -198,13 +203,13 @@ func NewNetwork(chip *floorplan.Chip, fm *fan.Model, p Params) *Network {
 	}
 	nw.coldScratch.New = func() any { return nw.NewSteadyScratch() }
 	nw.blocks.free = make([]*SteadyBlock, 0, runtime.GOMAXPROCS(0))
-	nw.assemble()
+	nw.setConduction(nw.assemble())
 	return nw
 }
 
 // addCond appends a symmetric conductance g between nodes a and b.
-func (nw *Network) addCond(a, b int, g float64) {
-	nw.cond = append(nw.cond,
+func addCond(cond []linalg.Coord, a, b int, g float64) []linalg.Coord {
+	return append(cond,
 		linalg.Coord{Row: a, Col: a, Val: g},
 		linalg.Coord{Row: b, Col: b, Val: g},
 		linalg.Coord{Row: a, Col: b, Val: -g},
@@ -212,13 +217,22 @@ func (nw *Network) addCond(a, b int, g float64) {
 	)
 }
 
-func (nw *Network) assemble() {
+// assemble fills the node capacities and returns the conduction graph as
+// a list of off-diagonal −g and diagonal +g entries, in the order whose
+// per-entry sums every matrix of the network is built from.
+func (nw *Network) assemble() []linalg.Coord {
 	p := nw.Params
 	chip := nw.Chip
+	edges := chip.Adjacency()
+	cores := chip.NumCores()
+	// Four entries per conductance: one per adjacency edge, one vertical
+	// leg per component, and per core a sink leg and up to two spreader
+	// neighbours.
+	cond := make([]linalg.Coord, 0, 4*(len(edges)+len(chip.Components)+3*cores))
 
 	// Lateral die conduction between edge-adjacent components:
 	// g = k_si · t_die · L_shared / d_centroid.
-	for _, e := range chip.Adjacency() {
+	for _, e := range edges {
 		a, b := chip.Components[e.A], chip.Components[e.B]
 		dx := a.CenterX() - b.CenterX()
 		dy := a.CenterY() - b.CenterY()
@@ -227,42 +241,109 @@ func (nw *Network) assemble() {
 			continue
 		}
 		g := p.DieConductivity * p.DieThickness * (e.Length * mm) / d
-		nw.addCond(e.A, e.B, g)
+		cond = addCond(cond, e.A, e.B, g)
 	}
 
 	// Vertical die → spreader region through silicon + TIM, per component.
 	rVert := p.DieThickness/p.DieConductivity + p.TIMThickness/p.TIMConductivity // K·m²/W
 	for i, c := range chip.Components {
 		area := c.Area() * mm * mm
-		nw.addCond(i, nw.SpreaderNode(c.Core), area/rVert)
+		cond = addCond(cond, i, nw.SpreaderNode(c.Core), area/rVert)
 		nw.capn[i] = p.DieVolHeat * area * p.DieThickness * p.DieCapScale
 	}
 
 	// Spreader regions: lateral copper conduction between adjacent tiles and
 	// vertical conduction into the sink.
 	tileArea := floorplan.TileW * floorplan.TileH * mm * mm
-	for core := 0; core < chip.NumCores(); core++ {
+	for core := 0; core < cores; core++ {
 		row := core / chip.TileCols
 		col := core % chip.TileCols
 		sp := nw.SpreaderNode(core)
 		nw.capn[sp] = p.SpreaderVolHeat * tileArea * p.SpreaderAreaScale * p.SpreaderThickness
-		nw.addCond(sp, nw.sinkNode, p.RegionSinkConductance)
+		cond = addCond(cond, sp, nw.sinkNode, p.RegionSinkConductance)
 		// Right neighbour.
 		if col+1 < chip.TileCols {
 			l := floorplan.TileH * mm
 			d := floorplan.TileW * mm
 			g := p.SpreaderConductivity * p.SpreaderThickness * l / d * p.SpreaderLateralScale
-			nw.addCond(sp, nw.SpreaderNode(core+1), g)
+			cond = addCond(cond, sp, nw.SpreaderNode(core+1), g)
 		}
 		// Down neighbour.
 		if row+1 < chip.TileRows {
 			l := floorplan.TileW * mm
 			d := floorplan.TileH * mm
 			g := p.SpreaderConductivity * p.SpreaderThickness * l / d * p.SpreaderLateralScale
-			nw.addCond(sp, nw.SpreaderNode(core+chip.TileCols), g)
+			cond = addCond(cond, sp, nw.SpreaderNode(core+chip.TileCols), g)
 		}
 	}
 	nw.capn[nw.sinkNode] = nw.Fan.SinkCapacity
+	return cond
+}
+
+// setConduction sorts the conduction list into nw.cond: each row's columns
+// ascending, each (row, column) stored once with its entries summed from
+// zero in list order, which is the order a dense matrix accumulates them
+// in. A row with no diagonal entry gets one that sums to zero.
+func (nw *Network) setConduction(cond []linalg.Coord) {
+	n := nw.n
+	// Bucket the entries by row, keeping list order within a row, then
+	// sort each row by column with a stable insertion sort (rows hold a
+	// few dozen entries at most).
+	start := make([]int, n+1)
+	for _, c := range cond {
+		start[c.Row+1]++
+	}
+	for r := 0; r < n; r++ {
+		start[r+1] += start[r]
+	}
+	// start[r] serves as row r's cursor while scattering, and is shifted
+	// back after.
+	order := make([]int, len(cond))
+	for k, c := range cond {
+		order[start[c.Row]] = k
+		start[c.Row]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	for r := 0; r < n; r++ {
+		seg := order[start[r]:start[r+1]]
+		for i := 1; i < len(seg); i++ {
+			for j := i; j > 0 && cond[seg[j]].Col < cond[seg[j-1]].Col; j-- {
+				seg[j], seg[j-1] = seg[j-1], seg[j]
+			}
+		}
+	}
+	// Sum each (row, column) run; a row with no diagonal gets a zero one
+	// in column order.
+	rowPtr := make([]int, n+1)
+	cols := make([]int, 0, len(cond)+n)
+	vals := make([]float64, 0, len(cond)+n)
+	nw.diag = make([]int, n)
+	for r := 0; r < n; r++ {
+		seg := order[start[r]:start[r+1]]
+		nw.diag[r] = -1
+		for i := 0; i < len(seg); {
+			c := cond[seg[i]].Col
+			if nw.diag[r] < 0 && c > r {
+				nw.diag[r] = len(cols)
+				cols, vals = append(cols, r), append(vals, 0)
+			}
+			if c == r {
+				nw.diag[r] = len(cols)
+			}
+			var sum float64
+			for ; i < len(seg) && cond[seg[i]].Col == c; i++ {
+				sum += cond[seg[i]].Val
+			}
+			cols, vals = append(cols, c), append(vals, sum)
+		}
+		if nw.diag[r] < 0 {
+			nw.diag[r] = len(cols)
+			cols, vals = append(cols, r), append(vals, 0)
+		}
+		rowPtr[r+1] = len(cols)
+	}
+	nw.cond = linalg.NewCSRFromRows(n, rowPtr, cols, vals)
 }
 
 // NumNodes returns the total node count.
@@ -282,42 +363,71 @@ func (nw *Network) Capacity(i int) float64 { return nw.capn[i] }
 // the solvers). Exposed for tests and for the controller's model extraction.
 func (nw *Network) AssembleG(fanLevel int) *linalg.Dense {
 	g := linalg.NewDense(nw.n, nw.n)
-	for _, c := range nw.cond {
-		g.Add(c.Row, c.Col, c.Val)
+	c := nw.cond
+	for r := 0; r < nw.n; r++ {
+		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
+			g.Set(r, c.ColIdx[k], c.Vals[k])
+		}
 	}
 	g.Add(nw.sinkNode, nw.sinkNode, nw.Fan.Conductance(fanLevel))
 	return g
 }
 
 // DiagG returns the diagonal of AssembleG(fanLevel) without building the
-// dense matrix. Entries are summed in the same order AssembleG sums them
-// (the conduction graph's order, then the fan leg at the sink), so the
-// values are bitwise AssembleG's.
+// dense matrix, bitwise AssembleG's.
 func (nw *Network) DiagG(fanLevel int) []float64 {
 	d := make([]float64, nw.n)
-	for _, c := range nw.cond {
-		if c.Row == c.Col {
-			d[c.Row] += c.Val
-		}
+	for i, k := range nw.diag {
+		d[i] = nw.cond.Vals[k]
 	}
 	d[nw.sinkNode] += nw.Fan.Conductance(fanLevel)
 	return d
 }
 
-// TransientMatrix builds the dense backward-Euler system matrix C/dt + Ĝ
-// that NewTransient factors for a fan level and time step.
-func (nw *Network) TransientMatrix(fanLevel int, dt float64) *linalg.Dense {
-	m := nw.AssembleG(fanLevel)
-	for i := 0; i < nw.n; i++ {
-		m.Add(i, i, nw.capn[i]/dt)
+// SystemCSR assembles the matrix the network factors: Ĝ(fanLevel) for
+// dt ≤ 0, the steady system, and the backward-Euler system C/dt + Ĝ for
+// dt > 0. Each entry adds, in this order, the conduction terms, the fan
+// leg at the sink and C/dt on the diagonal, the order a dense matrix
+// accumulates them in, so every value is bitwise the dense one. An entry
+// that sums to exactly zero is dropped, as a dense scan drops it; the
+// matrix then gets a pattern of its own. Otherwise it shares the network's
+// pattern, so all of the network's factors share one symbolic analysis.
+func (nw *Network) SystemCSR(fanLevel int, dt float64) *linalg.CSR {
+	c := nw.cond
+	vals := append([]float64(nil), c.Vals...)
+	vals[nw.diag[nw.sinkNode]] += nw.Fan.Conductance(fanLevel)
+	if dt > 0 {
+		for i, k := range nw.diag {
+			vals[k] += nw.capn[i] / dt
+		}
 	}
-	return m
+	zeros := 0
+	for _, v := range vals {
+		if v == 0 {
+			zeros++
+		}
+	}
+	if zeros == 0 {
+		return c.WithValues(vals)
+	}
+	rowPtr := make([]int, nw.n+1)
+	cols := make([]int, 0, len(vals)-zeros)
+	kept := vals[:0]
+	for r := 0; r < nw.n; r++ {
+		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
+			if vals[k] != 0 {
+				cols, kept = append(cols, c.ColIdx[k]), append(kept, vals[k])
+			}
+		}
+		rowPtr[r+1] = len(cols)
+	}
+	return linalg.NewCSRFromRows(nw.n, rowPtr, cols, kept)
 }
 
 // steadyFactor returns the cached verified Cholesky factor of G(fanLevel).
 func (nw *Network) steadyFactor(fanLevel int) (*linalg.VerifiedCholesky, error) {
 	return nw.steadyCache.get(fanLevel, func() (*linalg.VerifiedCholesky, error) {
-		f, err := linalg.NewVerifiedCholesky(nw.AssembleG(fanLevel), 0)
+		f, err := linalg.NewVerifiedCholesky(nw.SystemCSR(fanLevel, 0), 0)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: factoring G(fan=%d): %w", fanLevel, err)
 		}
@@ -585,7 +695,7 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 	}
 	key := transientKey{fanLevel: fanLevel, dtNanos: int64(dt * 1e9)}
 	tf, err := nw.transientCache.get(key, func() (*transientFactor, error) {
-		f, err := linalg.NewVerifiedCholesky(nw.TransientMatrix(fanLevel, dt), 0)
+		f, err := linalg.NewVerifiedCholesky(nw.SystemCSR(fanLevel, dt), 0)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 		}

@@ -356,13 +356,7 @@ func TestRCInterp(t *testing.T) {
 // dieTimeConstant returns a representative die-node RC time constant:
 // node capacity divided by its total conductance.
 func dieTimeConstant(nw *Network, comp int) float64 {
-	var g float64
-	for _, c := range nw.cond {
-		if c.Row == comp && c.Col == comp {
-			g += c.Val
-		}
-	}
-	return nw.capn[comp] / g
+	return nw.capn[comp] / nw.cond.Diag(comp)
 }
 
 func TestDieTimeConstantRange(t *testing.T) {
