@@ -1,5 +1,5 @@
 // Command tecfand is the crash-safe control-plane daemon: it serves an HTTP
-// API for submitting simulations and chaos sweeps as supervised jobs, each
+// API for submitting simulations and chaos sweeps as leased jobs, each
 // checkpointing its full run state to -state-dir so a crash — SIGKILL
 // included — resumes on the next start with a result bitwise-identical to an
 // uninterrupted run.
@@ -65,11 +65,11 @@ import (
 func main() {
 	addr := flag.String("addr", ":8023", "HTTP listen address")
 	stateDir := flag.String("state-dir", "tecfand-state", "directory for job checkpoints and results")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent job executors, one per CPU by default; all share one model")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent in-process job executors (none under -pool), one per CPU by default; all share one model")
 	queueDepth := flag.Int("queue", 8, "admission queue depth (beyond it, 429)")
 	ckptEvery := flag.Int("checkpoint-every", 25, "checkpoint cadence in control periods")
-	maxAttempts := flag.Int("max-attempts", 3, "supervisor attempts per job before it fails")
-	watchdog := flag.Duration("watchdog", 2*time.Minute, "restart an attempt silent for this long (<0 disables)")
+	maxAttempts := flag.Int("max-attempts", 3, "failed attempts of one shard (panic, error, stall) before its job fails")
+	stallTimeout := flag.Duration("watchdog", 2*time.Minute, "fail and regrant an in-process attempt that saves no checkpoint or row for this long (<0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for jobs to checkpoint out")
 	submitRate := flag.Float64("submit-rate", 50, "token-bucket submission rate per second (<0 disables admission control)")
 	submitBurst := flag.Int("submit-burst", 100, "token-bucket submission burst")
@@ -167,7 +167,7 @@ func main() {
 	// With a -clockfault-schedule the daemon reads time through a seeded
 	// FaultClock under proc identity "daemon": its wall clock steps, drifts,
 	// and freezes per the schedule while the monotonic side — everything
-	// leases, watchdogs, and backoffs actually compare — stays truthful. The
+	// leases and stall checks actually compare — stays truthful. The
 	// crucible's clock corpus entries run a skewed daemon against skewed
 	// workers and demand a byte-identical merged result.
 	var clk clockfault.Clock
@@ -193,7 +193,7 @@ func main() {
 		QueueDepth:           *queueDepth,
 		CheckpointEvery:      *ckptEvery,
 		MaxAttempts:          *maxAttempts,
-		WatchdogTimeout:      *watchdog,
+		WatchdogTimeout:      *stallTimeout,
 		SubmitRate:           *submitRate,
 		SubmitBurst:          *submitBurst,
 		RequestTimeout:       *requestTimeout,

@@ -344,9 +344,10 @@ func checkReadyConsistency(h *History, _ map[string][]byte) []Violation {
 // proves the fencing discipline held no matter what the clocks did: tokens
 // never move backwards and each grant strictly bumps; a shard never carries
 // two holders at once (a grant or re-adoption only lands on an unheld shard);
-// an expiry or completion names the actual holder under the holder's own
-// token; and a shard completes at most once, with nothing after. A skewed or
-// stepped clock may expire leases early or late — that costs reassignment
+// an expiry, a failure report or a completion names the actual holder under
+// the holder's own token; and a shard completes at most once, with nothing
+// after. A skewed or stepped clock may expire leases early or late — that
+// costs reassignment
 // work, never safety — so any violation here means wall time leaked into the
 // lease arithmetic.
 func checkLeaseSafety(h *History, _ map[string][]byte) []Violation {
@@ -399,19 +400,21 @@ func checkLeaseSafety(h *History, _ map[string][]byte) []Violation {
 					e.ShardID, e.Token, st.token, e.Seq)})
 			}
 			st.holder, st.token = e.Worker, e.Token
-		case pool.EventExpire:
+		case pool.EventExpire, pool.EventFail:
+			// A lapsed lease and a reported failure both end the holder's
+			// lease under its own token.
 			if st.holder == "" {
 				out = append(out, Violation{OracleLeaseSafety, e.JobID, fmt.Sprintf(
-					"shard %s expired an unheld lease (seq %d)", e.ShardID, e.Seq)})
+					"shard %s saw %q on an unheld lease (seq %d)", e.ShardID, e.Event, e.Seq)})
 			} else if e.Worker != st.holder {
 				out = append(out, Violation{OracleLeaseSafety, e.JobID, fmt.Sprintf(
-					"shard %s expiry fenced %s but %s held the lease (seq %d)",
-					e.ShardID, e.Worker, st.holder, e.Seq)})
+					"shard %s %q fenced %s but %s held the lease (seq %d)",
+					e.ShardID, e.Event, e.Worker, st.holder, e.Seq)})
 			}
 			if e.Token != st.token {
 				out = append(out, Violation{OracleLeaseSafety, e.JobID, fmt.Sprintf(
-					"shard %s expiry carried token %d, holder held %d (seq %d)",
-					e.ShardID, e.Token, st.token, e.Seq)})
+					"shard %s %q carried token %d, holder held %d (seq %d)",
+					e.ShardID, e.Event, e.Token, st.token, e.Seq)})
 			}
 			st.holder = ""
 		case pool.EventComplete:

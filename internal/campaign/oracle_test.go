@@ -294,6 +294,20 @@ func TestLeaseSafety(t *testing.T) {
 	}
 	wantOracle(t, checkLeaseSafety(h, ref), OracleLeaseSafety, "unheld lease")
 
+	// A failure report ends its holder's lease like an expiry...
+	h.Leases = []pool.LeaseEvent{
+		{Seq: 0, Event: pool.EventGrant, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},
+		{Seq: 1, Event: pool.EventFail, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},
+		{Seq: 2, Event: pool.EventGrant, JobID: "a", ShardID: "s0", Worker: "w1", Token: 3},
+		{Seq: 3, Event: pool.EventComplete, JobID: "a", ShardID: "s0", Worker: "w1", Token: 3},
+	}
+	if vs := checkLeaseSafety(h, ref); len(vs) != 0 {
+		t.Fatalf("failure then regrant must be violation-free, got %v", vs)
+	}
+	// ...and, like one, must come from the holder.
+	h.Leases[1].Worker = "w2"
+	wantOracle(t, checkLeaseSafety(h, ref), OracleLeaseSafety, `"fail" fenced w2 but w1 held`)
+
 	// Broken total order.
 	h.Leases = []pool.LeaseEvent{
 		{Seq: 1, Event: pool.EventGrant, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},

@@ -1,19 +1,21 @@
 // Package daemon is the crash-safe control plane for the TECfan stack: a
 // long-running HTTP server that executes simulations and chaos sweeps as
-// supervised jobs. Every job checkpoints its full run state (thermal field,
+// jobs. Every job checkpoints its full run state (thermal field,
 // controller memory — including the fault-tolerant controller's fault log —
 // workload progress, RNG streams) through internal/checkpoint on a
 // configurable cadence, so a crash, SIGKILL, or power loss costs at most one
 // checkpoint interval of recomputation and never changes the result: resumed
 // runs are bitwise-identical to uninterrupted ones.
 //
-// The supervisor isolates panics per attempt, restarts failed attempts from
-// the latest checkpoint under exponential backoff with jitter, and a
-// watchdog cancels attempts whose control loop stops emitting heartbeats.
-// The admission queue is bounded: a full queue sheds load with 429 and a
-// Retry-After hint instead of buffering unboundedly. SIGTERM drains
-// gracefully — in-flight jobs are canceled at their next control boundary,
-// which persists a final checkpoint for the next incarnation to resume.
+// Every job reaches an executor as a lease of the daemon's pool.Coordinator:
+// in-process executors claim, checkpoint and complete through direct calls,
+// remote workers (PoolEnabled) over /pool/*. A panicking, failing or
+// stalled attempt is reported and regranted from its last checkpoint, until
+// it has failed MaxAttempts times. The admission queue is bounded: a full
+// queue sheds load with 429 and a Retry-After hint instead of buffering
+// unboundedly. SIGTERM drains gracefully — in-flight jobs are canceled at
+// their next control boundary, which persists a final checkpoint for the
+// next incarnation to resume.
 package daemon
 
 import (
@@ -22,11 +24,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
 	"net/http"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,10 +50,10 @@ type Config struct {
 	// StateDir holds job checkpoints (<id>.ckpt) and results
 	// (<id>.result — the same atomic checkpoint envelope). Required.
 	StateDir string
-	// Workers is the number of concurrent job executors (default
-	// runtime.GOMAXPROCS(0): every job is a CPU-bound simulation on one
-	// goroutine, so one executor per CPU fills the host without
-	// oversubscribing it). All executors share the daemon's one model.
+	// Workers is the number of in-process job executors, none under
+	// PoolEnabled (default runtime.GOMAXPROCS(0): every job is a CPU-bound
+	// simulation on one goroutine, so one executor per CPU fills the host
+	// without oversubscribing it). All executors share the daemon's model.
 	Workers int
 	// QueueDepth bounds the admission queue; submissions beyond it are shed
 	// with 429 (default 8).
@@ -58,15 +62,12 @@ type Config struct {
 	// (default 25, i.e. every 50 ms of simulated time at the paper's 2 ms
 	// period). Chaos sweeps checkpoint per finished row regardless.
 	CheckpointEvery int
-	// MaxAttempts caps supervisor restarts per job, counting the first run
-	// (default 3).
+	// MaxAttempts fails a job once one of its shards has failed this many
+	// attempts (default 3). A panic, an error and a stalled local attempt
+	// each count; a remote lease that expires does not.
 	MaxAttempts int
-	// BackoffBase/BackoffMax shape the restart backoff: base·2^(attempt-1)
-	// plus up to 50 % jitter, capped (defaults 200 ms / 10 s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// WatchdogTimeout restarts an attempt whose run loop has not emitted a
-	// checkpoint or row for this long (default 2 m; <0 disables).
+	// WatchdogTimeout fails a local attempt that saves no checkpoint or
+	// finished row for this long (default 2 m; <0 disables).
 	WatchdogTimeout time.Duration
 	// SubmitRate and SubmitBurst shape the token-bucket admission control on
 	// POST /jobs: sustained submissions per second and the burst above it
@@ -76,9 +77,9 @@ type Config struct {
 	// RequestTimeout bounds each HTTP request's handling (default 30 s;
 	// < 0 disables).
 	RequestTimeout time.Duration
-	// PoolEnabled switches execution from in-process to the worker pool: the
-	// daemon becomes a coordinator that shards jobs, leases the shards to
-	// tecfan-worker processes under fencing tokens, and merges their results.
+	// PoolEnabled hands execution to tecfan-worker processes: the daemon's
+	// coordinator shards each job, leases the shards to them under fencing
+	// tokens, and merges their results.
 	PoolEnabled bool
 	// PoolLeaseTTL is how long a worker's shard lease survives without a
 	// heartbeat before it is fenced and reassigned (default 10 s).
@@ -109,13 +110,12 @@ type Config struct {
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
 
-	// Clock is the time seam (default clockfault.OS). Watchdog staleness,
-	// restart backoff, lease expiry, and admission refill all run on this
-	// clock's monotonic arithmetic; its wall side only feeds seeds and logs.
+	// Clock is the time seam (default clockfault.OS). Stalled-attempt
+	// detection, lease expiry, and admission refill all run on this clock's
+	// monotonic arithmetic; its wall side only feeds seeds and logs.
 	Clock clockfault.Clock
 
-	rng   *rand.Rand                                       // jitter source; tests may seed it
-	sleep func(ctx context.Context, d time.Duration) error // restart-backoff timer; tests may record it
+	rng *rand.Rand // id source; tests may seed it
 }
 
 func (c *Config) fillDefaults() error {
@@ -133,12 +133,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 10 * time.Second
 	}
 	if c.WatchdogTimeout == 0 {
 		c.WatchdogTimeout = 2 * time.Minute
@@ -176,9 +170,6 @@ func (c *Config) fillDefaults() error {
 	c.Clock = clockfault.Or(c.Clock)
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.Clock.Now().UnixNano()))
-	}
-	if c.sleep == nil {
-		c.sleep = c.Clock.Sleep
 	}
 	return nil
 }
@@ -259,9 +250,15 @@ type job struct {
 	attempts  int
 	err       string
 	resumed   bool
-	requestID string             // X-Request-ID of the creating submission
-	cancel    context.CancelFunc // cancels the job (all attempts)
-	done      chan struct{}      // closed when the job reaches a terminal state
+	requestID string // X-Request-ID of the creating submission
+	// ctx is canceled by DELETE or drain; local attempts run under it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the job reaches a terminal state
+}
+
+func (j *job) terminal() bool {
+	return j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
 }
 
 // Server is the control-plane daemon.
@@ -272,7 +269,7 @@ type Server struct {
 	jobs  map[string]*job
 	order []string
 
-	queue    chan string
+	queued   int // jobs no shard of which has been granted yet
 	draining bool
 	// reserved holds the ids of submissions still persisting their spec;
 	// each also holds one queue slot.
@@ -286,16 +283,12 @@ type Server struct {
 
 	admit *tokenBucket
 
-	// pool is the worker-pool coordinator; nil when PoolEnabled is false
-	// (execution stays in-process).
+	// pool leases every job to its executors: the local lessees, or under
+	// PoolEnabled the remote workers.
 	pool *pool.Coordinator
-	// exec runs every in-process job over one shared model.
-	exec *pool.Executor
-
-	// beats records the last liveness signal per running job for the
-	// watchdog; attemptCancel the per-attempt cancel it may fire.
-	beats         map[string]clockfault.Mono
-	attemptCancel map[string]context.CancelFunc
+	// execute runs a shard a local lessee was granted: Execute of the one
+	// executor all lessees share, or a test's stand-in.
+	execute func(ctx context.Context, sh pool.ShardSpec, from *pool.Checkpoint, save func(*pool.Checkpoint) error) (*pool.ShardResult, error)
 
 	// genStores caches the per-job generational checkpoint stores (guarded
 	// by mu). Each store serializes its own file operations, so one job's
@@ -339,38 +332,31 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:           cfg,
-		jobs:          map[string]*job{},
-		queue:         make(chan string, cfg.QueueDepth),
-		reserved:      map[string]bool{},
-		idem:          idem,
-		admit:         newTokenBucket(cfg.SubmitRate, cfg.SubmitBurst, cfg.Clock),
-		beats:         map[string]clockfault.Mono{},
-		attemptCancel: map[string]context.CancelFunc{},
-		genStores:     map[string]*checkpoint.GenStore{},
-		exec:          pool.NewExecutor(cfg.NumFaults),
-		rootCtx:       ctx,
-		rootStop:      stop,
+		cfg:       cfg,
+		jobs:      map[string]*job{},
+		reserved:  map[string]bool{},
+		idem:      idem,
+		admit:     newTokenBucket(cfg.SubmitRate, cfg.SubmitBurst, cfg.Clock),
+		genStores: map[string]*checkpoint.GenStore{},
+		execute:   pool.NewExecutor(cfg.NumFaults).Execute,
+		rootCtx:   ctx,
+		rootStop:  stop,
 	}
+	leaseTTL := localLeaseTTL
 	if cfg.PoolEnabled {
-		s.pool = pool.New(pool.Config{
-			LeaseTTL: cfg.PoolLeaseTTL,
-			Logf:     cfg.Logf,
-			Clock:    cfg.Clock,
-		})
+		leaseTTL = cfg.PoolLeaseTTL
 	}
+	s.pool = pool.New(pool.Config{LeaseTTL: leaseTTL, Logf: cfg.Logf, Clock: cfg.Clock})
 	if err := s.recover(); err != nil {
 		stop()
 		return nil, err
 	}
 	s.sweepIdempotency()
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	if cfg.WatchdogTimeout > 0 {
-		s.wg.Add(1)
-		go s.watchdog()
+	if !cfg.PoolEnabled {
+		for i := 0; i < cfg.Workers; i++ {
+			s.wg.Add(1)
+			go s.lessee("local-" + strconv.Itoa(i))
+		}
 	}
 	if cfg.ScrubInterval > 0 {
 		s.wg.Add(1)
@@ -495,18 +481,26 @@ func (s *Server) submit(spec JobSpec, requestID string) (string, error) {
 		s.dropGens(spec.ID)
 		return "", err
 	}
-	// Cannot block: the reservation held a queue slot.
-	s.queue <- spec.ID
-	s.jobs[spec.ID] = &job{spec: spec, state: StateQueued, requestID: requestID, done: make(chan struct{})}
-	s.order = append(s.order, spec.ID)
+	j := s.addJobLocked(spec, requestID, false)
 	s.mu.Unlock()
+	s.register(j, nil)
 	return spec.ID, nil
+}
+
+// addJobLocked lists a queued job. s.mu is held.
+func (s *Server) addJobLocked(spec JobSpec, requestID string, resumed bool) *job {
+	j := &job{spec: spec, state: StateQueued, requestID: requestID, resumed: resumed, done: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancel(s.rootCtx)
+	s.jobs[spec.ID] = j
+	s.order = append(s.order, spec.ID)
+	s.queued++
+	return j
 }
 
 // queueFullLocked reports whether every queue slot is taken, counting the
 // slots reserved by submissions still persisting their spec. s.mu is held.
 func (s *Server) queueFullLocked() bool {
-	return len(s.queue)+len(s.reserved) >= cap(s.queue)
+	return s.queued+len(s.reserved) >= s.cfg.QueueDepth
 }
 
 // sweepIdempotency drops tokens whose job left no trace on disk: the crash
@@ -584,23 +578,20 @@ func (s *Server) newID() string {
 	}
 }
 
-// Cancel requests cancellation of a queued or running job.
+// Cancel requests cancellation of a queued or running job. A local attempt
+// ends its job at its next control boundary; any other job ends here.
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
+	local := ok && j.state == StateRunning && !s.cfg.PoolEnabled
+	s.mu.Unlock()
+	switch {
+	case !ok:
 		return fmt.Errorf("daemon: no such job %s", id)
-	}
-	switch j.state {
-	case StateQueued:
-		j.state = StateCanceled
-		j.err = "canceled before start"
-		close(j.done)
-	case StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
+	case local:
+		j.cancel()
+	default:
+		s.finish(id, j, StateCanceled, context.Canceled.Error())
 	}
 	return nil
 }
@@ -641,9 +632,10 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Shutdown drains the daemon: no new submissions, running jobs are canceled
-// at their next control boundary (persisting a final checkpoint), and the
-// workers exit. It returns when every worker has stopped or ctx expires.
+// Shutdown drains the daemon: no new submissions, running local attempts
+// are canceled at their next control boundary (persisting a final
+// checkpoint), and every job left unfinished ends canceled once the
+// executors have stopped. It returns when that is done or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -651,17 +643,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	close(s.queue)
-	for _, j := range s.jobs {
-		if j.state == StateRunning && j.cancel != nil {
-			j.cancel()
-		}
-	}
 	s.mu.Unlock()
 	s.rootStop()
 
 	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
+	go func() {
+		s.wg.Wait()
+		s.mu.Lock()
+		jobs := maps.Clone(s.jobs)
+		s.mu.Unlock()
+		for id, j := range jobs {
+			s.finish(id, j, StateCanceled, "daemon draining")
+		}
+		close(done)
+	}()
 	select {
 	case <-done:
 		return nil
@@ -670,107 +665,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// worker consumes the queue until drain.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for id := range s.queue {
-		s.mu.Lock()
-		j, ok := s.jobs[id]
-		if !ok || j.state != StateQueued {
-			s.mu.Unlock()
-			continue // canceled while queued
-		}
-		jobCtx, cancel := context.WithCancel(s.rootCtx)
-		j.state = StateRunning
-		j.cancel = cancel
-		s.mu.Unlock()
-		s.runSupervised(jobCtx, id, j)
-		cancel()
-	}
-}
-
-// runSupervised executes a job's attempts under the restart policy. Each
-// attempt resumes from the latest persisted checkpoint, so a panic or a
-// watchdog kill costs at most one checkpoint interval of recomputation.
-func (s *Server) runSupervised(jobCtx context.Context, id string, j *job) {
-	for attempt := 1; ; attempt++ {
-		s.mu.Lock()
-		j.attempts = attempt
-		s.mu.Unlock()
-
-		attemptCtx, attemptCancel := context.WithCancel(jobCtx)
-		s.mu.Lock()
-		s.attemptCancel[id] = attemptCancel
-		s.beats[id] = s.cfg.Clock.Mono()
-		s.mu.Unlock()
-
-		err := s.runAttempt(attemptCtx, id, j.spec)
-		attemptCancel()
-		s.mu.Lock()
-		delete(s.attemptCancel, id)
-		delete(s.beats, id)
-		s.mu.Unlock()
-
-		switch {
-		case err == nil:
-			s.finish(id, j, StateDone, "")
-			return
-		case jobCtx.Err() != nil:
-			// Job-level cancellation (client DELETE or daemon drain). The
-			// final checkpoint was persisted at the cancellation boundary.
-			s.finish(id, j, StateCanceled, err.Error())
-			return
-		case attempt >= s.cfg.MaxAttempts:
-			//lint:tecfan-ignore allocfree -- terminal-failure path: formats the failure note at most once per exhausted job
-			s.finish(id, j, StateFailed, fmt.Sprintf("attempt %d/%d: %v", attempt, s.cfg.MaxAttempts, err))
-			return
-		}
-		// Restartable failure: panic, watchdog cancel, or a transient error.
-		delay := s.restartDelay(attempt)
-		s.cfg.Logf("daemon: job %s attempt %d failed (%v); restarting from checkpoint in %s", id, attempt, err, delay)
-		if serr := s.cfg.sleep(jobCtx, delay); serr != nil {
-			s.finish(id, j, StateCanceled, serr.Error())
-			return
-		}
-	}
-}
-
-// restartDelay draws the jittered supervised-restart delay for a 1-based
-// attempt number, holding the rng's lock.
-func (s *Server) restartDelay(attempt int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return backoffDelay(s.cfg.rng, s.cfg.BackoffBase, s.cfg.BackoffMax, attempt)
-}
-
-// backoffDelay computes the restart backoff: base·2^(attempt-1) capped at
-// max, plus up to 50 % jitter, the sum capped at max again — so every delay
-// lies in [base, max] regardless of attempt number or rng draw.
-func backoffDelay(rng *rand.Rand, base, max time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	d += time.Duration(rng.Float64() * float64(d) / 2)
-	if d > max {
-		d = max
-	}
-	if d < base {
-		d = base
-	}
-	return d
-}
-
+// finish moves a job to its terminal state, once, and forgets its lease.
 func (s *Server) finish(id string, j *job, st JobState, msg string) {
 	s.mu.Lock()
+	if j.terminal() {
+		s.mu.Unlock()
+		return
+	}
+	if j.state == StateQueued {
+		s.queued--
+	}
 	j.state = st
 	j.err = msg
 	rid := j.requestID
 	close(j.done)
 	s.mu.Unlock()
+	j.cancel()
+	s.pool.DropJob(id)
 	if st == StateDone {
 		// The result file is durable; the checkpoint (all generations) has
 		// served its purpose. Quarantined .bad-N files stay for post-mortem.
@@ -781,46 +692,6 @@ func (s *Server) finish(id string, j *job, st JobState, msg string) {
 		s.cfg.Logf("daemon: job %s -> %s (request %s)", id, st, rid)
 	} else {
 		s.cfg.Logf("daemon: job %s -> %s", id, st)
-	}
-}
-
-// heartbeat records attempt liveness; the run loop calls it from every
-// checkpoint and chaos-row emission.
-func (s *Server) heartbeat(id string) {
-	s.mu.Lock()
-	s.beats[id] = s.cfg.Clock.Mono()
-	s.mu.Unlock()
-}
-
-// watchdog cancels attempts whose control loop has stalled — a hung solver,
-// a deadlock — converting the stall into a supervised restart from the
-// latest checkpoint.
-func (s *Server) watchdog() {
-	defer s.wg.Done()
-	interval := s.cfg.WatchdogTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := s.cfg.Clock.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.rootCtx.Done():
-			return
-		case <-t.C():
-		}
-		now := s.cfg.Clock.Mono()
-		s.mu.Lock()
-		for id, last := range s.beats {
-			if now.Sub(last) > s.cfg.WatchdogTimeout {
-				if cancel, ok := s.attemptCancel[id]; ok {
-					s.cfg.Logf("daemon: watchdog: job %s silent for %s, canceling attempt", id, now.Sub(last).Round(time.Millisecond))
-					cancel()
-					s.beats[id] = now // one kick per timeout window
-				}
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -856,18 +727,18 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /livez", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("GET /jobs", s.handleList)
+	mux.HandleFunc("GET /jobs", serveJSON(s.Jobs))
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /storage", s.handleStorage)
-	if s.pool != nil {
-		mux.HandleFunc("POST /pool/claim", s.handlePoolClaim)
-		mux.HandleFunc("POST /pool/heartbeat", s.handlePoolHeartbeat)
-		mux.HandleFunc("POST /pool/checkpoint", s.handlePoolCheckpoint)
-		mux.HandleFunc("POST /pool/complete", s.handlePoolComplete)
-		mux.HandleFunc("GET /pool/stats", s.handlePoolStats)
-		mux.HandleFunc("GET /pool/leases", s.handlePoolLeases)
+	mux.HandleFunc("GET /storage", serveJSON(s.StorageStats)) // degraded flag, skips, quarantines, scrubs
+	if s.cfg.PoolEnabled {
+		mux.HandleFunc("POST /pool/claim", poolCall(pool.DecodeClaimRequest, s.poolClaim))
+		mux.HandleFunc("POST /pool/heartbeat", poolCall(pool.DecodeHeartbeat, s.poolHeartbeat))
+		mux.HandleFunc("POST /pool/checkpoint", poolCall(pool.DecodeCheckpointUpload, s.poolCheckpoint))
+		mux.HandleFunc("POST /pool/complete", poolCall(pool.DecodeComplete, s.poolComplete))
+		mux.HandleFunc("GET /pool/stats", serveJSON(s.pool.Stats))
+		mux.HandleFunc("GET /pool/leases", serveJSON(s.PoolLeases))
 	}
 	var h http.Handler = mux
 	if s.cfg.RequestTimeout > 0 {
@@ -878,9 +749,10 @@ func (s *Server) Handler() http.Handler {
 }
 
 // recover scans StateDir on startup: jobs with results load as done; jobs
-// with only a checkpoint re-enter the queue and resume where they left off.
-// Job ids are derived from head files AND rotated generations, so a job
-// whose head was quarantined but whose .gN fallbacks survive still resumes.
+// with only a checkpoint re-enter the coordinator and resume where they
+// left off, however many there are. Job ids are derived from head files AND
+// rotated generations, so a job whose head was quarantined but whose .gN
+// fallbacks survive still resumes.
 func (s *Server) recover() error {
 	entries, err := s.cfg.FS.ReadDir(s.cfg.StateDir)
 	if err != nil {
@@ -909,15 +781,8 @@ func (s *Server) recover() error {
 			s.dropGens(id)
 			continue
 		}
-		j := &job{spec: rec.Spec, state: StateQueued, resumed: true, done: make(chan struct{})}
-		select {
-		case s.queue <- id:
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-			s.cfg.Logf("daemon: resuming job %s from checkpoint (progress: %v)", id, rec.Progress != nil || rec.Pool != nil)
-		default:
-			return fmt.Errorf("daemon: %d interrupted jobs exceed queue depth %d", len(entries), s.cfg.QueueDepth)
-		}
+		s.cfg.Logf("daemon: resuming job %s from checkpoint (progress: %v)", id, rec.Pool != nil)
+		s.register(s.addJobLocked(rec.Spec, "", true), rec.Pool) // no goroutine runs yet
 	}
 	// Results without live jobs stay on disk and are served directly; list
 	// them so GET /jobs shows history across restarts.

@@ -20,18 +20,66 @@ import (
 	"tecfan/internal/pool"
 )
 
-// fastConfig is a test-sized daemon: millisecond backoff, quiet logs.
+// fastConfig is a test-sized daemon: checkpoints every period, logs to t.
 func fastConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		StateDir:        t.TempDir(),
 		CheckpointEvery: 1,
-		BackoffBase:     time.Millisecond,
-		BackoffMax:      10 * time.Millisecond,
 		WatchdogTimeout: -1, // off unless a test wants it
 		Logf:            t.Logf,
 		rng:             rand.New(rand.NewSource(1)),
 	}
+}
+
+// stubExec replaces s's executor with run, which sees each attempt's
+// context and save function. An attempt run returns nil for completes its
+// shard with an empty result of the shard's kind. Set it before the first
+// submission: the grant that hands a job to an executor orders the two.
+func stubExec(s *Server, run func(ctx context.Context, save func(*pool.Checkpoint) error) error) {
+	s.execute = func(ctx context.Context, sh pool.ShardSpec, _ *pool.Checkpoint, save func(*pool.Checkpoint) error) (*pool.ShardResult, error) {
+		if err := run(ctx, save); err != nil {
+			return nil, err
+		}
+		return &pool.ShardResult{Kind: sh.Kind}, nil
+	}
+}
+
+// blockUntil is a stand-in attempt that holds its executor until release
+// closes or the attempt is canceled, then completes.
+func blockUntil(release <-chan struct{}) func(context.Context, func(*pool.Checkpoint) error) error {
+	return func(ctx context.Context, _ func(*pool.Checkpoint) error) error {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil
+	}
+}
+
+// progress decodes the checkpoint a job record carries for its one shard,
+// or returns nil.
+func progress(rec *persistedJob) *pool.Checkpoint {
+	if rec == nil || rec.Pool == nil || len(rec.Pool.Shards) != 1 || rec.Pool.Shards[0].Checkpoint == nil {
+		return nil
+	}
+	var cp pool.Checkpoint
+	if pool.DecodePayload(rec.Pool.Shards[0].Checkpoint, &cp) != nil {
+		return nil
+	}
+	return &cp
+}
+
+// checkpointRecord is the record a local attempt persists for cp.
+func checkpointRecord(t *testing.T, spec JobSpec, cp *pool.Checkpoint) *persistedJob {
+	t.Helper()
+	data, err := pool.EncodePayload(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &persistedJob{Spec: spec, Pool: &pool.PersistedState{
+		Shards: []pool.PersistedShard{{ID: string(spec.Kind), Token: 1, Checkpoint: data}},
+	}}
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -181,20 +229,11 @@ func TestJobLifecycleHTTP(t *testing.T) {
 // job and asserts the overflow submission is shed with 429 + Retry-After.
 func TestQueueSheddingHTTP(t *testing.T) {
 	block := make(chan struct{})
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		select {
-		case <-block:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	cfg := fastConfig(t)
 	cfg.Workers = 1
 	cfg.QueueDepth = 2
 	s := newTestServer(t, cfg)
+	stubExec(s, blockUntil(block))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -241,19 +280,23 @@ func TestQueueSheddingHTTP(t *testing.T) {
 	}
 }
 
-// TestSupervisorPanicRestart: a job that panics on its first attempt is
-// isolated and restarted, and succeeds on the second attempt.
+// TestSupervisorPanicRestart: a local attempt that panics is isolated and
+// reported as failed, and the coordinator grants the job again, from its
+// last checkpoint; the second attempt succeeds.
 func TestSupervisorPanicRestart(t *testing.T) {
 	var attempts atomic.Int32
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
+	var resumedFrom atomic.Value
+	s := newTestServer(t, fastConfig(t))
+	s.execute = func(ctx context.Context, sh pool.ShardSpec, from *pool.Checkpoint, save func(*pool.Checkpoint) error) (*pool.ShardResult, error) {
 		if attempts.Add(1) == 1 {
+			if err := save(&pool.Checkpoint{Threshold: 42}); err != nil {
+				return nil, err
+			}
 			panic("first attempt explodes")
 		}
-		return nil
+		resumedFrom.Store(from)
+		return &pool.ShardResult{Kind: sh.Kind}, nil
 	}
-	t.Cleanup(func() { testRunHook = nil })
-
-	s := newTestServer(t, fastConfig(t))
 	id, err := s.Submit(traceSpec("panicky"))
 	if err != nil {
 		t.Fatal(err)
@@ -262,21 +305,22 @@ func TestSupervisorPanicRestart(t *testing.T) {
 	if v.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", v.Attempts)
 	}
+	if from, _ := resumedFrom.Load().(*pool.Checkpoint); from == nil || from.Threshold != 42 {
+		t.Fatalf("second attempt resumed from %+v, want the first attempt's checkpoint", from)
+	}
 }
 
 // TestSupervisorGivesUp: a job that fails every attempt ends failed after
 // MaxAttempts, not in an infinite restart loop.
 func TestSupervisorGivesUp(t *testing.T) {
 	var attempts atomic.Int32
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		attempts.Add(1)
-		return errors.New("always broken")
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	cfg := fastConfig(t)
 	cfg.MaxAttempts = 3
 	s := newTestServer(t, cfg)
+	stubExec(s, func(context.Context, func(*pool.Checkpoint) error) error {
+		attempts.Add(1)
+		return errors.New("always broken")
+	})
 	id, err := s.Submit(traceSpec("doomed"))
 	if err != nil {
 		t.Fatal(err)
@@ -285,34 +329,78 @@ func TestSupervisorGivesUp(t *testing.T) {
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("ran %d attempts, want 3", got)
 	}
-	if !strings.Contains(v.Error, "always broken") {
-		t.Fatalf("terminal error %q does not carry the cause", v.Error)
+	if !strings.Contains(v.Error, "always broken") || v.Attempts != 3 {
+		t.Fatalf("terminal error %q after %d attempts does not carry the cause of the third", v.Error, v.Attempts)
 	}
 }
 
-// TestWatchdogRestartsStalledAttempt: an attempt that stops heartbeating is
-// canceled by the watchdog and the job is restarted.
+// TestWatchdogRestartsStalledAttempt: a local attempt that saves no
+// checkpoint or row for WatchdogTimeout is canceled, and the job is granted
+// again; the stall counts as a failed attempt.
 func TestWatchdogRestartsStalledAttempt(t *testing.T) {
 	var attempts atomic.Int32
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		if attempts.Add(1) == 1 {
-			<-ctx.Done() // stall silently until the watchdog fires
-			return ctx.Err()
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	cfg := fastConfig(t)
 	cfg.WatchdogTimeout = 50 * time.Millisecond
 	s := newTestServer(t, cfg)
+	stubExec(s, func(ctx context.Context, save func(*pool.Checkpoint) error) error {
+		if attempts.Add(1) == 1 {
+			// Checkpoints keep the attempt alive; then it stalls silently.
+			for i := 0; i < 4; i++ {
+				time.Sleep(20 * time.Millisecond)
+				if err := save(&pool.Checkpoint{Threshold: 1}); err != nil {
+					return err
+				}
+			}
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	})
 	id, err := s.Submit(traceSpec("stalled"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := waitState(t, s, id, StateDone)
 	if v.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (watchdog restart)", v.Attempts)
+		t.Fatalf("attempts = %d, want 2 (stalled attempt regranted)", v.Attempts)
+	}
+}
+
+// TestCancelStopsLocalAttempt: DELETE of a running local job cancels its
+// attempt, which stops at its next control boundary and ends the job
+// canceled, without a regrant.
+func TestCancelStopsLocalAttempt(t *testing.T) {
+	var attempts atomic.Int32
+	started := make(chan struct{})
+	s := newTestServer(t, fastConfig(t))
+	stubExec(s, func(ctx context.Context, save func(*pool.Checkpoint) error) error {
+		if attempts.Add(1) == 1 {
+			close(started)
+		}
+		for ctx.Err() == nil { // one control period per iteration
+			_ = save(&pool.Checkpoint{Threshold: 1})
+			time.Sleep(time.Millisecond)
+		}
+		return ctx.Err()
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if _, err := s.Submit(traceSpec("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/doomed", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE = %d, want 204", resp.StatusCode)
+	}
+	v := waitState(t, s, "doomed", StateCanceled)
+	if n := attempts.Load(); n != 1 || v.Attempts != 1 {
+		t.Fatalf("canceled job ran %d attempts (view says %d), want 1", n, v.Attempts)
 	}
 }
 
@@ -320,14 +408,12 @@ func TestWatchdogRestartsStalledAttempt(t *testing.T) {
 // submissions are refused, and running jobs are canceled.
 func TestDrainShedsAndCancels(t *testing.T) {
 	started := make(chan struct{})
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
+	s := newTestServer(t, fastConfig(t))
+	stubExec(s, func(ctx context.Context, _ func(*pool.Checkpoint) error) error {
 		close(started)
 		<-ctx.Done()
 		return ctx.Err()
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
-	s := newTestServer(t, fastConfig(t))
+	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	if _, err := s.Submit(traceSpec("inflight")); err != nil {
@@ -394,8 +480,7 @@ func TestRestartResumesAndMatches(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		rec, err := s1.loadJob("drill")
-		if err == nil && rec.Progress != nil && rec.Progress.Snap != nil {
+		if cp := progress(loadOrNil(s1, "drill")); cp != nil && cp.Snap != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -504,15 +589,8 @@ func TestChaosJobEndToEnd(t *testing.T) {
 func TestDuplicateID(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
 	s := newTestServer(t, fastConfig(t))
+	stubExec(s, blockUntil(block))
 	if _, err := s.Submit(traceSpec("dup")); err != nil {
 		t.Fatal(err)
 	}
@@ -528,8 +606,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Workers < 1 || c.QueueDepth < 1 || c.CheckpointEvery < 1 ||
-		c.MaxAttempts < 1 || c.BackoffBase <= 0 || c.BackoffMax <= 0 ||
-		c.WatchdogTimeout == 0 || c.Logf == nil || c.rng == nil {
+		c.MaxAttempts < 1 || c.WatchdogTimeout == 0 || c.Logf == nil || c.rng == nil {
 		t.Fatalf("defaults incomplete: %+v", c)
 	}
 	if err := (&Config{}).fillDefaults(); err == nil {
@@ -595,7 +672,8 @@ func TestConcurrentExecutorsByteIdentical(t *testing.T) {
 	// executors are mid-job when the drain begins.
 	busy := []JobSpec{specs[0], specs[3]}
 	gate := newSyncGate(func(id string, rec *persistedJob) bool {
-		return rec.Progress != nil && rec.Progress.Snap != nil
+		cp := progress(rec)
+		return cp != nil && cp.Snap != nil
 	})
 	cfg := fastConfig(t)
 	cfg.Workers = 2
@@ -623,9 +701,8 @@ func TestConcurrentExecutorsByteIdentical(t *testing.T) {
 		if v, _ := s1.Job(sp.ID); v.State != StateCanceled {
 			t.Fatalf("%s drained in state %s, want canceled", sp.ID, v.State)
 		}
-		rec, err := s1.loadJob(sp.ID)
-		if err != nil || rec.Progress == nil || rec.Progress.Snap == nil {
-			t.Fatalf("%s: no snapshot checkpoint after the drain (%v)", sp.ID, err)
+		if cp := progress(loadOrNil(s1, sp.ID)); cp == nil || cp.Snap == nil {
+			t.Fatalf("%s: no snapshot checkpoint after the drain", sp.ID)
 		}
 	}
 
@@ -637,6 +714,100 @@ func TestConcurrentExecutorsByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(result(s2, sp.ID), want[sp.ID]) {
 			t.Errorf("%s: resumed result differs from the uninterrupted run", sp.ID)
+		}
+	}
+}
+
+// loadOrNil reads a job's record, or returns nil.
+func loadOrNil(s *Server, id string) *persistedJob {
+	rec, err := s.loadJob(id)
+	if err != nil {
+		return nil
+	}
+	return rec
+}
+
+// TestRestartBeyondQueueDepth: a daemon restarts over more interrupted jobs
+// than its queue holds. With one executor and a queue of one, a job running
+// and a job queued at the drain both come back, resumed, and the queued one
+// runs to done.
+func TestRestartBeyondQueueDepth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation")
+	}
+	cfg := fastConfig(t)
+	cfg.Workers, cfg.QueueDepth = 1, 1
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := traceSpec("running")
+	long.Scale = 50 // canceled long before it could end
+	if _, err := s1.Submit(long); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the long job to start", func() bool {
+		v, _ := s1.Job("running")
+		return v.State == StateRunning
+	})
+	if _, err := s1.Submit(traceSpec("queued")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, cfg)
+	for _, id := range []string{"running", "queued"} {
+		if v, ok := s2.Job(id); !ok || !v.Resumed {
+			t.Fatalf("job %s not resumed after the restart: %+v", id, v)
+		}
+	}
+	waitState(t, s2, "queued", StateDone)
+}
+
+// TestConcurrentLocalLeases: four local lessees over a mix of trace, chaos
+// and table1 jobs write the same result bytes as one lessee.
+func TestConcurrentLocalLeases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation")
+	}
+	specs := []JobSpec{
+		{ID: "tr-ft", Kind: KindTrace, Bench: "cholesky", Threads: 16, Policy: "TECfan-FT", Scale: 0.2},
+		{ID: "tr-lu", Kind: KindTrace, Bench: "lu", Threads: 4, Policy: "TECfan", Scale: 0.2},
+		{ID: "chaos", Kind: KindChaos, Bench: "cholesky", Threads: 16, Scale: 0.01,
+			Policies: []string{"TECfan-FT"}, Scenarios: []string{"sensor-dropout", "tec-fail-off"}, Seed: 7},
+		{ID: "t1", Kind: KindTable1, Scale: 0.001},
+		{ID: "tr-fan", Kind: KindTrace, Bench: "water", Threads: 4, Policy: "Fan-only", Scale: 0.2},
+	}
+	run := func(workers int) map[string][]byte {
+		cfg := fastConfig(t)
+		cfg.Workers = workers
+		cfg.QueueDepth = len(specs)
+		s := newTestServer(t, cfg)
+		for _, sp := range specs {
+			if _, err := s.Submit(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := map[string][]byte{}
+		for _, sp := range specs {
+			waitState(t, s, sp.ID, StateDone)
+			b, err := os.ReadFile(s.resultPath(sp.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[sp.ID] = b
+		}
+		return out
+	}
+	want, got := run(1), run(4)
+	for _, sp := range specs {
+		if !bytes.Equal(got[sp.ID], want[sp.ID]) {
+			t.Errorf("%s: result on four lessees differs from one lessee's (%d vs %d bytes)",
+				sp.ID, len(got[sp.ID]), len(want[sp.ID]))
 		}
 	}
 }

@@ -5,113 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"tecfan/internal/clockfault"
 )
 
-// TestBackoffDelayBounds: every jittered restart delay stays within
-// [base, cap] for any attempt number and any rng draw.
-func TestBackoffDelayBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base, cap := 200*time.Millisecond, 10*time.Second
-	for attempt := 1; attempt <= 40; attempt++ {
-		for draw := 0; draw < 200; draw++ {
-			d := backoffDelay(rng, base, cap, attempt)
-			if d < base || d > cap {
-				t.Fatalf("attempt %d: delay %s outside [%s, %s]", attempt, d, base, cap)
-			}
-		}
-	}
-	// The exponential floor: attempt 1 never exceeds 1.5x base, attempt 3
-	// never falls below 4x base (until the cap bites).
-	for draw := 0; draw < 200; draw++ {
-		if d := backoffDelay(rng, base, cap, 1); d > base+base/2 {
-			t.Fatalf("attempt 1 delay %s exceeds 1.5x base", d)
-		}
-		if d := backoffDelay(rng, base, cap, 3); d < 4*base {
-			t.Fatalf("attempt 3 delay %s below 4x base", d)
-		}
-	}
-}
-
-// TestSupervisorBackoffInjectable: with a recording fake sleep, a job that
-// fails twice restarts without any real waiting, and the recorded delays lie
-// within [base, cap] — the restart-backoff bounds are unit-testable without
-// wall-clock sleeps.
-func TestSupervisorBackoffInjectable(t *testing.T) {
-	var mu sync.Mutex
-	var delays []time.Duration
-
-	cfg := fastConfig(t)
-	cfg.BackoffBase = 5 * time.Second // would dominate the test if really slept
-	cfg.BackoffMax = 40 * time.Second
-	cfg.MaxAttempts = 3
-	cfg.sleep = func(ctx context.Context, d time.Duration) error {
-		mu.Lock()
-		delays = append(delays, d)
-		mu.Unlock()
-		return ctx.Err()
-	}
-	fails := 0
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		if fails++; fails <= 2 {
-			return errors.New("transient")
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
-	start := time.Now()
-	s := newTestServer(t, cfg)
-	id, err := s.Submit(traceSpec("backoff"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := waitState(t, s, id, StateDone)
-	if v.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", v.Attempts)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("fake sleep still took %s of wall clock", el)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(delays) != 2 {
-		t.Fatalf("recorded %d delays, want 2", len(delays))
-	}
-	for i, d := range delays {
-		if d < cfg.BackoffBase || d > cfg.BackoffMax {
-			t.Errorf("delay %d = %s outside [%s, %s]", i, d, cfg.BackoffBase, cfg.BackoffMax)
-		}
-	}
-	// Attempt 2's delay must reflect the doubled exponential floor.
-	if delays[1] < 2*cfg.BackoffBase {
-		t.Errorf("second delay %s below 2x base", delays[1])
-	}
-}
-
 // TestSubmitIdempotent: a replayed token returns the original job id without
 // enqueuing a second job; distinct tokens create distinct jobs.
 func TestSubmitIdempotent(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	s := newTestServer(t, fastConfig(t))
+	stubExec(s, blockUntil(block))
 	spec := traceSpec("")
 	id1, dup, err := s.SubmitIdempotent(spec, "tok-a", "req-1")
 	if err != nil || dup {
@@ -186,8 +95,7 @@ func TestIdempotencySweepsOrphans(t *testing.T) {
 	defer cancel()
 	_ = pre.Shutdown(ctx)
 
-	s := newTestServer(t, Config{StateDir: dir, Logf: t.Logf,
-		BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond, WatchdogTimeout: -1})
+	s := newTestServer(t, Config{StateDir: dir, Logf: t.Logf, WatchdogTimeout: -1})
 	if _, ok := s.idem.Get("tok-orphan"); ok {
 		t.Fatal("orphaned token survived startup sweep")
 	}
@@ -208,19 +116,11 @@ func TestIdempotencySweepsOrphans(t *testing.T) {
 func TestIdempotentSubmitRollsBackOnRefusal(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	cfg := fastConfig(t)
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	s := newTestServer(t, cfg)
+	stubExec(s, blockUntil(block))
 	// Fill the worker and the queue.
 	if _, err := s.Submit(traceSpec("fill-worker")); err != nil {
 		t.Fatal(err)
@@ -252,19 +152,11 @@ func TestIdempotentSubmitRollsBackOnRefusal(t *testing.T) {
 func TestReadyzGating(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	cfg := fastConfig(t)
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	s := newTestServer(t, cfg)
+	stubExec(s, blockUntil(block))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -328,15 +220,6 @@ func TestReadyzGating(t *testing.T) {
 func TestSubmitRateLimit(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
-
 	clk := clockfault.NewManual(time.Unix(1000, 0))
 	cfg := fastConfig(t)
 	cfg.QueueDepth = 64
@@ -344,6 +227,7 @@ func TestSubmitRateLimit(t *testing.T) {
 	cfg.SubmitBurst = 2
 	cfg.Clock = clk
 	s := newTestServer(t, cfg)
+	stubExec(s, blockUntil(block))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -25,6 +25,11 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// serveJSON answers a GET with what get reports.
+func serveJSON[T any](get func() T) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, http.StatusOK, get()) }
+}
+
 // handleHealthz is pure liveness: the process is up and serving. It backs
 // both /healthz (historical) and /livez (the conventional pair to /readyz).
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -54,7 +59,7 @@ func (s *Server) readyReasons(probeDisk bool) []string {
 			reasons = append(reasons, "state dir unwritable: "+err.Error())
 		}
 	}
-	if s.pool != nil && s.pool.LiveWorkers() == 0 {
+	if s.cfg.PoolEnabled && s.pool.LiveWorkers() == 0 {
 		// Pool mode executes nothing in-process: with no worker polling,
 		// accepted jobs would only sit in the lease table.
 		reasons = append(reasons, "no live workers")
@@ -102,8 +107,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		})
 		return
 	}
+	s.mu.Lock()
+	queued := s.queued
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ready", "queue_depth": len(s.queue), "queue_cap": cap(s.queue),
+		"status": "ready", "queue_depth": queued, "queue_cap": s.cfg.QueueDepth,
 	})
 }
 
@@ -179,10 +187,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
-}
-
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -222,10 +226,4 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)
-}
-
-// handleStorage serves the storage-robustness counters: degraded flag,
-// skipped checkpoints, quarantines, scrub activity.
-func (s *Server) handleStorage(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.StorageStats())
 }

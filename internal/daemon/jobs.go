@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"tecfan/internal/checkpoint"
+	"tecfan/internal/clockfault"
 	"tecfan/internal/exp"
 	"tecfan/internal/numguard"
 	"tecfan/internal/perf"
@@ -16,19 +19,16 @@ import (
 	"tecfan/internal/sim"
 )
 
-// persistedJob is the gob payload inside a job's checkpoint envelope. It
-// carries everything the next incarnation needs: the spec (so the job is
-// re-runnable even with zero progress), the in-process run's progress (the
-// pinned threshold and sim snapshot of a trace job, the finished rows of a
-// sweep), and the lease/fencing/result state when the job runs on the worker
-// pool — persisted before every grant and completion ack, so a restarted
-// coordinator can never regrant a token a worker already holds. A record
-// an older tecfand wrote kept its progress in fields that are gone, so it
-// decodes with no progress and its job restarts from zero.
+// persistedJob is the gob payload inside a job's checkpoint envelope: the
+// spec (so the job is re-runnable even with zero progress) and its pool
+// state, per shard a fencing token, done flag, checkpoint and result. A
+// local attempt persists it at every checkpoint; a pooled job also before
+// every grant and completion ack, so a restarted coordinator can never
+// regrant a token a worker holds. A record an older tecfand wrote decodes
+// with no progress, and its job restarts from zero.
 type persistedJob struct {
-	Spec     JobSpec
-	Progress *pool.Checkpoint
-	Pool     *pool.PersistedState
+	Spec JobSpec
+	Pool *pool.PersistedState
 }
 
 // persistJob checkpoints a job's state through its generational store: the
@@ -69,29 +69,16 @@ func (s *Server) loadJob(id string) (*persistedJob, error) {
 	return &rec, nil
 }
 
-// testRunHook, when non-nil, replaces job execution entirely — the seam the
-// supervisor tests use to inject panics and stalls without faking a
-// simulation that misbehaves on cue.
-var testRunHook func(ctx context.Context, id string, spec JobSpec) error
+// localLeaseTTL never lapses: a local lessee cannot die without the
+// coordinator, and its stalls are WatchdogTimeout's to cancel.
+const localLeaseTTL = time.Duration(1 << 61) // 73 years; twice it still fits a Duration
 
-// runAttempt executes one supervised attempt of a job, resuming from the
-// persisted checkpoint when one carries progress. Panics are recovered into
-// errors so the supervisor treats them like any other restartable failure.
-func (s *Server) runAttempt(ctx context.Context, id string, spec JobSpec) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("daemon: job %s panicked: %v", id, r)
-		}
-	}()
-	if testRunHook != nil {
-		return testRunHook(ctx, id, spec)
-	}
-	rec, lerr := s.loadJob(id)
-	if lerr != nil {
-		// A spec write skipped in degraded mode, or a corrupt checkpoint:
-		// start from the spec we hold in memory.
-		rec = &persistedJob{Spec: spec}
-	}
+// register hands a listed job to the coordinator, resuming from restore: as
+// one Whole shard for the local lessees, or as planned shards whose grants
+// and completions are persisted for remote workers. A restored job that had
+// already ended settles at once.
+func (s *Server) register(j *job, restore *pool.PersistedState) {
+	spec := j.spec
 	sweep := pool.SweepSpec{
 		Kind: string(spec.Kind), Bench: spec.Bench, Threads: spec.Threads,
 		Scale: spec.Scale, Seed: spec.Seed,
@@ -99,77 +86,184 @@ func (s *Server) runAttempt(ctx context.Context, id string, spec JobSpec) (err e
 		Scenario: spec.Scenario, Policies: spec.Policies, Scenarios: spec.Scenarios,
 		CheckpointEvery: s.cfg.CheckpointEvery, Chunk: s.cfg.PoolChunk,
 	}
-	if s.pool != nil {
-		return s.runPooled(ctx, id, spec, sweep, rec.Pool)
-	}
-	save := func(cp *pool.Checkpoint) error {
-		s.heartbeat(id)
-		err := s.persistJob(&persistedJob{Spec: spec, Progress: cp})
-		if err != nil {
-			// A checkpoint is an optimization, not correctness: failing to
-			// widen it (torn write, EIO, ENOSPC — the latter just flipped
-			// the daemon degraded) costs recompute-after-crash, never a
-			// wrong result. Execute keeps running; only a failed threshold
-			// pin fails the attempt.
-			s.cfg.Logf("daemon: job %s: checkpoint not persisted: %v", id, err)
+	opts := pool.JobOptions{MaxAttempts: s.cfg.MaxAttempts}
+	shards := []pool.ShardSpec{pool.Whole(sweep)}
+	var err error
+	if s.cfg.PoolEnabled {
+		shards, err = pool.Plan(sweep)
+		opts.Persist = func(st *pool.PersistedState) error {
+			return s.persistJob(&persistedJob{Spec: spec, Pool: st})
 		}
-		return err
 	}
-	res, err := s.exec.Execute(ctx, pool.Whole(sweep), rec.Progress, save)
+	if err == nil {
+		err = s.pool.AddJob(spec.ID, shards, restore, opts)
+	}
 	if err != nil {
-		// A refused divergence is deterministic — restarting from the
-		// checkpoint replays the identical fault — so record it for /readyz
-		// before the supervisor burns its remaining attempts.
-		var de *sim.DivergenceError
-		if errors.As(err, &de) {
-			s.noteDiverged(id, de.V)
-		}
-		return err
+		s.finish(spec.ID, j, StateFailed, err.Error())
+		return
 	}
-	return s.writeJobResult(id, spec, []pool.ShardResult{*res})
+	s.settle(spec.ID)
 }
 
-// runPooled executes a job through the worker pool: plan the shards, hand
-// them to the coordinator for leasing, wait for every shard to complete
-// (workers drive all progress through the /pool endpoints), then merge the
-// shard results into the same result file the in-process path writes
-// (TestPooled*ByteIdenticalToInProcess).
-func (s *Server) runPooled(ctx context.Context, id string, spec JobSpec, sweep pool.SweepSpec, restore *pool.PersistedState) error {
-	shards, err := pool.Plan(sweep)
-	if err != nil {
-		return err
+// begin marks a granted job running. It returns nil, ending the job, when
+// the job was canceled while its shard waited for the grant.
+func (s *Server) begin(g *pool.ClaimResponse) *job {
+	s.mu.Lock()
+	j := s.jobs[g.JobID] // every registered job is listed
+	live := !j.terminal() && j.ctx.Err() == nil
+	if live {
+		if j.state == StateQueued {
+			s.queued--
+			j.state = StateRunning
+		}
+		j.attempts = max(j.attempts, g.Attempt)
 	}
-	done, err := s.pool.AddJob(id, shards, restore, pool.JobHooks{
-		Persist: func(st *pool.PersistedState) error {
-			return s.persistJob(&persistedJob{Spec: spec, Pool: st})
-		},
-		OnEvent: func(event, shardID string) {
-			// Worker progress is job liveness: without this, a long shard on
-			// a healthy worker would trip the coordinator-side watchdog.
-			s.heartbeat(id)
-		},
-	})
-	if err != nil {
-		return err
+	s.mu.Unlock()
+	if !live {
+		s.finish(g.JobID, j, StateCanceled, context.Canceled.Error())
+		return nil
 	}
-	defer s.pool.DropJob(id)
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	payloads, ok := s.pool.Results(id)
-	if !ok {
-		// done closed without results: the job was dropped underneath us.
-		return fmt.Errorf("daemon: job %s: pool job dropped before completion", id)
-	}
-	parts := make([]pool.ShardResult, len(payloads))
-	for i, p := range payloads {
-		if err := pool.DecodePayload(p, &parts[i]); err != nil {
-			return fmt.Errorf("daemon: job %s shard %d: %w", id, i, err)
+	return j
+}
+
+// lessee is one of the Workers in-process executors: it claims a shard from
+// the coordinator, runs it, and reports the outcome there, as a remote
+// worker does over HTTP. Only the drain ends Await: a local grant persists
+// nothing that could fail.
+func (s *Server) lessee(name string) {
+	defer s.wg.Done()
+	for {
+		g, err := s.pool.Await(s.rootCtx, name)
+		if err != nil {
+			return
+		}
+		j := s.begin(g)
+		if j == nil {
+			continue
+		}
+		res, err := s.attempt(name, j, g)
+		if err == nil {
+			// Written before the lease completes: a result that cannot be
+			// written fails the attempt, not the job.
+			err = s.writeJobResult(g.JobID, j.spec, []pool.ShardResult{*res})
+		}
+		report := &pool.CompleteRequest{Worker: name, JobID: g.JobID, ShardID: g.Shard.ID, Token: g.Token}
+		switch {
+		case err == nil:
+			if s.pool.Complete(report) == nil {
+				s.finish(g.JobID, j, StateDone, "")
+			}
+		case j.ctx.Err() != nil: // DELETE or drain, after the checkpoint
+			s.finish(g.JobID, j, StateCanceled, err.Error())
+		default:
+			// A refused divergence replays identically on every attempt:
+			// latch it for /readyz now.
+			var de *sim.DivergenceError
+			if errors.As(err, &de) {
+				s.noteDiverged(g.JobID, de.V)
+			}
+			report.Error = err.Error()
+			if s.pool.Complete(report) == nil {
+				s.settle(g.JobID)
+			}
 		}
 	}
-	return s.writeJobResult(id, spec, parts)
+}
+
+// attempt executes grant g from its checkpoint. A panic becomes the
+// attempt's error, and so does a stall: an attempt that saves no checkpoint
+// or finished row for WatchdogTimeout is canceled.
+func (s *Server) attempt(name string, j *job, g *pool.ClaimResponse) (res *pool.ShardResult, err error) {
+	ctx, stop := context.WithCancelCause(j.ctx)
+	defer stop(nil)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("daemon: job %s panicked: %v", g.JobID, r)
+		}
+		if cause := context.Cause(ctx); err != nil && j.ctx.Err() == nil && cause != nil {
+			err = cause
+		}
+	}()
+	var from *pool.Checkpoint
+	if len(g.Checkpoint) > 0 {
+		from = new(pool.Checkpoint)
+		if err := pool.DecodePayload(g.Checkpoint, from); err != nil {
+			return nil, err
+		}
+	}
+	var last atomic.Int64 // clockfault.Mono of the last save
+	last.Store(int64(s.cfg.Clock.Mono()))
+	if s.cfg.WatchdogTimeout > 0 {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			for wait := s.cfg.WatchdogTimeout; wait > 0; {
+				t := s.cfg.Clock.NewTimer(wait)
+				select {
+				case <-ctx.Done():
+					t.Stop()
+					return
+				case <-t.C():
+				}
+				idle := s.cfg.Clock.Since(clockfault.Mono(last.Load()))
+				wait = s.cfg.WatchdogTimeout - idle
+			}
+			stop(fmt.Errorf("daemon: job %s stalled: no checkpoint or row for %s", g.JobID, s.cfg.WatchdogTimeout))
+		}()
+	}
+	return s.execute(ctx, g.Shard, from, func(cp *pool.Checkpoint) error {
+		last.Store(int64(s.cfg.Clock.Mono()))
+		return s.saveLocal(name, j, g, cp)
+	})
+}
+
+// saveLocal uploads a local attempt's checkpoint to its lease, which hands
+// it to the next attempt, and persists it — outside the coordinator's lock,
+// so one job's fsync never holds up another's claim. A failed write costs
+// recompute-after-crash, never a wrong result: the executor runs on, and
+// only a failed threshold pin fails the attempt.
+func (s *Server) saveLocal(name string, j *job, g *pool.ClaimResponse, cp *pool.Checkpoint) error {
+	data, err := pool.EncodePayload(cp)
+	if err == nil {
+		err = s.pool.UploadCheckpoint(&pool.CheckpointUpload{
+			Worker: name, JobID: g.JobID, ShardID: g.Shard.ID, Token: g.Token, Data: data,
+		})
+	}
+	if err == nil {
+		err = s.persistJob(&persistedJob{Spec: j.spec, Pool: &pool.PersistedState{
+			Shards: []pool.PersistedShard{{ID: g.Shard.ID, Token: g.Token, Checkpoint: data}},
+		}})
+	}
+	if err != nil {
+		s.cfg.Logf("daemon: job %s: checkpoint not persisted: %v", g.JobID, err)
+	}
+	return err
+}
+
+// settle ends a job the coordinator reports ended — every shard done, or
+// one out of attempts — writing a done job's merged result. Collect hands
+// the outcome over once, so a job settles once however many shards
+// complete at a time.
+func (s *Server) settle(id string) {
+	payloads, err := s.pool.Collect(id)
+	if payloads == nil && err == nil || errors.Is(err, pool.ErrShardGone) {
+		return // still running, or ended already
+	}
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	parts := make([]pool.ShardResult, len(payloads))
+	for i := 0; err == nil && i < len(parts); i++ {
+		err = pool.DecodePayload(payloads[i], &parts[i])
+	}
+	if err == nil {
+		err = s.writeJobResult(id, j.spec, parts)
+	}
+	if err != nil {
+		s.finish(id, j, StateFailed, err.Error())
+		return
+	}
+	s.finish(id, j, StateDone, "")
 }
 
 // traceResult is the durable result of a trace job. The full per-period

@@ -13,17 +13,6 @@ import (
 // so the hardened client surfaces them to the worker after one attempt
 // instead of retrying a verdict that will never change.
 
-// readPoolBody slurps a pool request body under the pool's own blob bound
-// (checkpoint uploads legitimately exceed the submit endpoint's 1 MiB cap).
-func readPoolBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, pool.MaxBlobBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return nil, false
-	}
-	return data, true
-}
-
 // writePoolError maps the coordinator's sentinels onto statuses.
 func writePoolError(w http.ResponseWriter, err error) {
 	switch {
@@ -39,95 +28,66 @@ func writePoolError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) handlePoolClaim(w http.ResponseWriter, r *http.Request) {
-	data, ok := readPoolBody(w, r)
-	if !ok {
-		return
+// poolCall serves one pool protocol request: the body, read under the
+// pool's own blob bound (checkpoint uploads legitimately exceed the submit
+// endpoint's 1 MiB cap), is decoded and handed to call, whose answer is
+// written back — 204 when there is none.
+func poolCall[T any](decode func([]byte) (T, error), call func(T) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, pool.MaxBlobBytes+1))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+			return
+		}
+		req, err := decode(data)
+		var resp any
+		if err == nil {
+			resp, err = call(req)
+		}
+		switch {
+		case err != nil:
+			writePoolError(w, err)
+		case resp == nil:
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			writeJSON(w, http.StatusOK, resp)
+		}
 	}
-	cr, err := pool.DecodeClaimRequest(data)
-	if err != nil {
-		writePoolError(w, err)
-		return
-	}
+}
+
+var poolOK = map[string]string{"status": "ok"}
+
+// poolClaim grants a shard, marking its job running.
+func (s *Server) poolClaim(cr *pool.ClaimRequest) (any, error) {
 	grant, err := s.pool.Claim(cr.Worker)
-	if err != nil {
-		writePoolError(w, err)
-		return
+	if err != nil || grant == nil || s.begin(grant) == nil {
+		return nil, err
 	}
-	if grant == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, grant)
+	return grant, nil
 }
 
-func (s *Server) handlePoolHeartbeat(w http.ResponseWriter, r *http.Request) {
-	data, ok := readPoolBody(w, r)
-	if !ok {
-		return
-	}
-	hb, err := pool.DecodeHeartbeat(data)
-	if err != nil {
-		writePoolError(w, err)
-		return
-	}
-	resp, err := s.pool.Heartbeat(hb)
-	if err != nil {
-		writePoolError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+func (s *Server) poolHeartbeat(hb *pool.HeartbeatRequest) (any, error) {
+	return s.pool.Heartbeat(hb)
 }
 
-func (s *Server) handlePoolCheckpoint(w http.ResponseWriter, r *http.Request) {
-	data, ok := readPoolBody(w, r)
-	if !ok {
-		return
-	}
-	up, err := pool.DecodeCheckpointUpload(data)
-	if err != nil {
-		writePoolError(w, err)
-		return
-	}
-	if err := s.pool.UploadCheckpoint(up); err != nil {
-		writePoolError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Server) poolCheckpoint(up *pool.CheckpointUpload) (any, error) {
+	return poolOK, s.pool.UploadCheckpoint(up)
 }
 
-func (s *Server) handlePoolComplete(w http.ResponseWriter, r *http.Request) {
-	data, ok := readPoolBody(w, r)
-	if !ok {
-		return
-	}
-	cr, err := pool.DecodeComplete(data)
-	if err != nil {
-		writePoolError(w, err)
-		return
-	}
+// poolComplete records a shard's result or failure, and settles the job
+// when that was its last word.
+func (s *Server) poolComplete(cr *pool.CompleteRequest) (any, error) {
 	if err := s.pool.Complete(cr); err != nil {
-		writePoolError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.settle(cr.JobID)
+	return poolOK, nil
 }
 
-func (s *Server) handlePoolStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.pool.Stats())
-}
-
-// handlePoolLeases serves the coordinator's lease ledger — the raw material
-// for the crucible's lease-safety oracle and for operators chasing a fencing
+// PoolLeases snapshots the lease ledger — the local lessees' leases, or
+// under PoolEnabled the remote workers': the raw material for the
+// crucible's lease-safety oracle and for operators chasing a fencing
 // incident.
-func (s *Server) handlePoolLeases(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.PoolLeases())
-}
-
-// PoolLeases snapshots the lease ledger (empty when pooling is disabled).
 func (s *Server) PoolLeases() []pool.LeaseEvent {
-	if s.pool == nil {
-		return []pool.LeaseEvent{}
-	}
 	return s.pool.Leases()
 }

@@ -308,3 +308,32 @@ func TestPoolReadyzRequiresWorkers(t *testing.T) {
 		t.Fatalf("readyz failed with a live worker: %v", err)
 	}
 }
+
+// TestPooledShardFailureFailsJob: a shard that fails on every worker is
+// reported each time, and after MaxAttempts reports the job ends failed
+// with the cause, instead of being re-leased forever.
+func TestPooledShardFailureFailsJob(t *testing.T) {
+	cfg := daemon.Config{
+		StateDir: t.TempDir(), CheckpointEvery: 1, WatchdogTimeout: -1, Logf: t.Logf,
+		PoolEnabled: true, PoolLeaseTTL: 200 * time.Millisecond, MaxAttempts: 2,
+	}
+	_, url := startDaemonHTTP(t, cfg)
+	ws := startWorkers(t, url, 2)
+	cl := poolClient(t, url)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	id, err := cl.Submit(ctx, daemon.JobSpec{ID: "doomed", Kind: daemon.KindTrace, Bench: "no-such-bench", Threads: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := cl.Wait(ctx, id, 20*time.Millisecond)
+	if err != nil {
+		t.Fatalf("job never ended: %v", err)
+	}
+	if v.State != daemon.StateFailed || !strings.Contains(v.Error, "attempt 2/2") || !strings.Contains(v.Error, "no-such-bench") {
+		t.Fatalf("job ended %s (%q), want failed after two attempts with the cause", v.State, v.Error)
+	}
+	if errs := ws[0].Stats().ShardErrors + ws[1].Stats().ShardErrors; errs != 2 {
+		t.Fatalf("workers saw %d shard failures, want 2", errs)
+	}
+}

@@ -300,7 +300,7 @@ func TestScrubRepairsThroughDaemon(t *testing.T) {
 	if err := s.persistJob(&persistedJob{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.persistJob(&persistedJob{Spec: spec, Progress: &pool.Checkpoint{Threshold: 1}}); err != nil {
+	if err := s.persistJob(checkpointRecord(t, spec, &pool.Checkpoint{Threshold: 1})); err != nil {
 		t.Fatal(err)
 	}
 	g1 := s.ckptPath("scrubme") + ".g1"
@@ -331,7 +331,7 @@ func TestResumeFromFallbackGeneration(t *testing.T) {
 	if err := s.persistJob(&persistedJob{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.persistJob(&persistedJob{Spec: spec, Progress: &pool.Checkpoint{Threshold: 42}}); err != nil {
+	if err := s.persistJob(checkpointRecord(t, spec, &pool.Checkpoint{Threshold: 42})); err != nil {
 		t.Fatal(err)
 	}
 	head := s.ckptPath("fall")
@@ -360,14 +360,6 @@ func TestResumeFromFallbackGeneration(t *testing.T) {
 // job is still queued the daemon withdraws it and refuses retryably; once the
 // disk takes the write, the retry is accepted.
 func TestTornSpecWriteRefusesSubmission(t *testing.T) {
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		<-ctx.Done() // hold the executor until shutdown
-		return ctx.Err()
-	}
-	// Cleanups run last-in first-out: the server's shutdown (registered by
-	// newTestServer) stops its executor before the hook is cleared.
-	t.Cleanup(func() { testRunHook = nil })
-
 	ffs, err := diskfault.New(diskfault.Schedule{Rules: []diskfault.Rule{
 		{Action: diskfault.ActTear, Path: "torn.ckpt.tmp*"},
 	}}, &diskfault.Options{Logf: t.Logf})
@@ -379,6 +371,10 @@ func TestTornSpecWriteRefusesSubmission(t *testing.T) {
 	cfg.Workers = 1
 	cfg.ScrubInterval = -1
 	s := newTestServer(t, cfg)
+	stubExec(s, func(ctx context.Context, _ func(*pool.Checkpoint) error) error {
+		<-ctx.Done() // hold the executor until shutdown
+		return ctx.Err()
+	})
 
 	// Occupy the only executor so the next job stays queued.
 	if _, err := s.Submit(traceSpec("busy")); err != nil {
@@ -443,26 +439,23 @@ func TestScrubOnlyHeldStores(t *testing.T) {
 // accepted (its spec persists), checkpoints and finishes on the other
 // executor.
 func TestJobCheckpointNeverWaitsOnAnother(t *testing.T) {
-	var s *Server
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		for i := 1; i <= 3; i++ {
-			cp := &pool.Checkpoint{Threshold: float64(i)}
-			if err := s.persistJob(&persistedJob{Spec: spec, Progress: cp}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
 	gate := newSyncGate(func(id string, rec *persistedJob) bool {
-		return id == "a" && rec.Progress != nil
+		return id == "a" && rec.Pool != nil
 	})
 	cfg := fastConfig(t)
 	cfg.FS = gate
 	cfg.Workers = 2
 	cfg.ScrubInterval = -1
-	s = newTestServer(t, cfg)
+	s := newTestServer(t, cfg)
 	t.Cleanup(gate.open) // before the server's shutdown: cleanups run last-in first-out
+	stubExec(s, func(ctx context.Context, save func(*pool.Checkpoint) error) error {
+		for i := 1; i <= 3; i++ {
+			if err := save(&pool.Checkpoint{Threshold: float64(i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 
 	if _, err := s.Submit(JobSpec{ID: "a", Kind: KindTrace, Bench: "cholesky", Threads: 16}); err != nil {
 		t.Fatal(err)
@@ -500,24 +493,22 @@ func TestJobCheckpointNeverWaitsOnAnother(t *testing.T) {
 // idle executor: an executor that ran first could checkpoint progress that
 // the late spec write would then replace as the head generation.
 func TestSpecPersistedBeforeExecutorStarts(t *testing.T) {
-	var s *Server
 	var startedEarly atomic.Bool
-	testRunHook = func(ctx context.Context, id string, spec JobSpec) error {
-		if _, err := s.loadJob(id); err != nil {
-			startedEarly.Store(true)
-		}
-		return nil
-	}
-	t.Cleanup(func() { testRunHook = nil })
 	gate := newSyncGate(func(id string, rec *persistedJob) bool {
-		return id == "a" && rec.Progress == nil
+		return id == "a" && rec.Pool == nil
 	})
 	cfg := fastConfig(t)
 	cfg.FS = gate
 	cfg.Workers = 1
 	cfg.ScrubInterval = -1
-	s = newTestServer(t, cfg)
+	s := newTestServer(t, cfg)
 	t.Cleanup(gate.open)
+	stubExec(s, func(context.Context, func(*pool.Checkpoint) error) error {
+		if _, err := s.loadJob("a"); err != nil {
+			startedEarly.Store(true)
+		}
+		return nil
+	})
 
 	done := make(chan error, 1)
 	go func() {

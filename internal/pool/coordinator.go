@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -36,17 +37,19 @@ type Config struct {
 	Clock clockfault.Clock
 }
 
-// JobHooks are the per-job callbacks the job owner (the daemon) provides.
-type JobHooks struct {
+// JobOptions are what the job owner (the daemon) sets per job.
+type JobOptions struct {
 	// Persist durably stores the job's pool state. It is called with the
 	// coordinator lock held, BEFORE any grant or completion is acknowledged:
 	// a token a worker has seen is always a token that survives coordinator
-	// restart, which is what makes regranting a live token impossible.
+	// restart, which is what makes regranting a live token impossible. A
+	// job whose holders live in the coordinator's own process needs no
+	// such record and leaves it nil.
 	Persist func(*PersistedState) error
-	// OnEvent observes job progress ("grant", "checkpoint", "complete") —
-	// the daemon feeds it into the supervisor watchdog so a pooled job with
-	// active workers never reads as stalled.
-	OnEvent func(event, shardID string)
+	// MaxAttempts fails the job once one shard has reported this many failed
+	// attempts (0 = never). A lease that expires is not a failed attempt:
+	// its holder died or stalled, and the shard's work did not fail.
+	MaxAttempts int
 }
 
 // PersistedState is the durable pool state of one job, embedded by the
@@ -93,6 +96,7 @@ type shard struct {
 	state      shardState
 	holder     string
 	expiry     clockfault.Mono
+	failures   int // failed attempts reported, in this incarnation
 	checkpoint []byte
 	result     []byte
 }
@@ -100,8 +104,8 @@ type shard struct {
 type poolJob struct {
 	id     string
 	shards []*shard // plan order == merge order
-	hooks  JobHooks
-	done   chan struct{}
+	opts   JobOptions
+	err    error // set when a shard ran out of attempts
 }
 
 func (j *poolJob) allDone() bool {
@@ -135,6 +139,9 @@ type Coordinator struct {
 	jobOrder []string
 	lastSeen map[string]clockfault.Mono
 	ledger   []LeaseEvent
+	// wake is closed, and replaced, whenever a shard may have become
+	// claimable; Await sleeps on it.
+	wake chan struct{}
 
 	grants, completes, fenced, expired int64
 }
@@ -152,24 +159,30 @@ func New(cfg Config) *Coordinator {
 		cfg:      cfg,
 		jobs:     map[string]*poolJob{},
 		lastSeen: map[string]clockfault.Mono{},
+		wake:     make(chan struct{}),
 	}
+}
+
+// signalLocked wakes every Await. Called with c.mu held.
+func (c *Coordinator) signalLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // AddJob registers a job's shards for distribution. restore, when non-nil,
 // reapplies a previously persisted state (matched by shard ID): done shards
 // stay done, tokens resume from their high-water mark, and checkpoints are
-// handed to the next claimant. The returned channel closes when every shard
-// completes.
-func (c *Coordinator) AddJob(id string, shards []ShardSpec, restore *PersistedState, hooks JobHooks) (<-chan struct{}, error) {
+// handed to the next claimant. Collect reports when the job has ended.
+func (c *Coordinator) AddJob(id string, shards []ShardSpec, restore *PersistedState, opts JobOptions) error {
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("pool: job %s: empty shard plan", id)
+		return fmt.Errorf("pool: job %s: empty shard plan", id)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.jobs[id]; ok {
-		return nil, fmt.Errorf("pool: job %s already registered", id)
+		return fmt.Errorf("pool: job %s already registered", id)
 	}
-	j := &poolJob{id: id, hooks: hooks, done: make(chan struct{})}
+	j := &poolJob{id: id, opts: opts}
 	prev := map[string]PersistedShard{}
 	if restore != nil {
 		for _, ps := range restore.Shards {
@@ -190,10 +203,8 @@ func (c *Coordinator) AddJob(id string, shards []ShardSpec, restore *PersistedSt
 	}
 	c.jobs[id] = j
 	c.jobOrder = append(c.jobOrder, id)
-	if j.allDone() {
-		close(j.done)
-	}
-	return j.done, nil
+	c.signalLocked()
+	return nil
 }
 
 // DropJob forgets a job. In-flight workers learn on their next call, which
@@ -201,10 +212,10 @@ func (c *Coordinator) AddJob(id string, shards []ShardSpec, restore *PersistedSt
 func (c *Coordinator) DropJob(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return
-	}
+	c.dropLocked(id)
+}
+
+func (c *Coordinator) dropLocked(id string) {
 	delete(c.jobs, id)
 	for i, jid := range c.jobOrder {
 		if jid == id {
@@ -212,28 +223,31 @@ func (c *Coordinator) DropJob(id string) {
 			break
 		}
 	}
-	// Unblock any waiter; the caller dropping the job knows it is aborting.
-	select {
-	case <-j.done:
-	default:
-		close(j.done)
-	}
 }
 
-// Results returns the job's shard result payloads in plan order. ok is false
-// until every shard is done.
-func (c *Coordinator) Results(id string) (payloads [][]byte, ok bool) {
+// Collect hands over an ended job, exactly once: its shard result payloads
+// in plan order when every shard is done, or the error that failed it. The
+// job is forgotten with it, so a concurrent caller gets ErrShardGone. A job
+// still running returns nil, nil and stays.
+func (c *Coordinator) Collect(id string) (payloads [][]byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, found := c.jobs[id]
-	if !found || !j.allDone() {
-		return nil, false
+	if !found {
+		return nil, fmt.Errorf("%w: job %s", ErrShardGone, id)
+	}
+	if j.err == nil && !j.allDone() {
+		return nil, nil
+	}
+	c.dropLocked(id)
+	if j.err != nil {
+		return nil, j.err
 	}
 	out := make([][]byte, len(j.shards))
 	for i, sh := range j.shards {
 		out[i] = sh.result
 	}
-	return out, true
+	return out, nil
 }
 
 // expireLocked fences every lease past its expiry: the shard returns to
@@ -255,10 +269,17 @@ func (c *Coordinator) expireShardLocked(jobID string, sh *shard) {
 	c.cfg.Logf("pool: lease expired: job %s shard %s holder %s token %d",
 		jobID, sh.spec.ID, sh.holder, sh.token)
 	c.recordLocked(EventExpire, jobID, sh.spec.ID, sh.holder, sh.token)
+	c.releaseLocked(sh)
+	c.expired++
+}
+
+// releaseLocked returns a leased shard to pending under a bumped token,
+// fencing its last holder, and wakes Await. Called with c.mu held.
+func (c *Coordinator) releaseLocked(sh *shard) {
 	sh.state = shardPending
 	sh.holder = ""
 	sh.token++
-	c.expired++
+	c.signalLocked()
 }
 
 // Claim grants the first pending shard in plan order to worker, bumping and
@@ -267,11 +288,43 @@ func (c *Coordinator) expireShardLocked(jobID string, sh *shard) {
 func (c *Coordinator) Claim(worker string) (*ClaimResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.claimLocked(worker)
+}
+
+// Await is Claim for a holder in the coordinator's own process: it blocks
+// until worker is granted a shard or ctx ends. It sleeps on the signal
+// raised whenever a shard may have become claimable, not on a poll timer,
+// and claims again at least once per lease TTL, since a lease lapses lazily
+// and only a claim or a write frees it.
+func (c *Coordinator) Await(ctx context.Context, worker string) (*ClaimResponse, error) {
+	for ctx.Err() == nil {
+		c.mu.Lock()
+		grant, err := c.claimLocked(worker)
+		wake := c.wake
+		c.mu.Unlock()
+		if grant != nil || err != nil {
+			return grant, err
+		}
+		t := c.cfg.Clock.NewTimer(c.cfg.LeaseTTL)
+		select {
+		case <-wake:
+		case <-t.C():
+		case <-ctx.Done():
+		}
+		t.Stop()
+	}
+	return nil, ctx.Err()
+}
+
+func (c *Coordinator) claimLocked(worker string) (*ClaimResponse, error) {
 	now := c.cfg.Clock.Mono()
 	c.lastSeen[worker] = now
 	c.expireLocked(now)
 	for _, id := range c.jobOrder {
 		j := c.jobs[id]
+		if j.err != nil {
+			continue
+		}
 		for _, sh := range j.shards {
 			if sh.state != shardPending {
 				continue
@@ -280,8 +333,8 @@ func (c *Coordinator) Claim(worker string) (*ClaimResponse, error) {
 			sh.state = shardLeased
 			sh.holder = worker
 			sh.expiry = now.Add(c.cfg.LeaseTTL)
-			if j.hooks.Persist != nil {
-				if err := j.hooks.Persist(j.persisted()); err != nil {
+			if j.opts.Persist != nil {
+				if err := j.opts.Persist(j.persisted()); err != nil {
 					// The grant must not be visible without a durable token:
 					// revert the lease (the bumped in-memory token was never
 					// observed, so monotonicity is intact) and refuse.
@@ -293,13 +346,11 @@ func (c *Coordinator) Claim(worker string) (*ClaimResponse, error) {
 			c.grants++
 			c.cfg.Logf("pool: granted job %s shard %s to %s token %d", id, sh.spec.ID, worker, sh.token)
 			c.recordLocked(EventGrant, id, sh.spec.ID, worker, sh.token)
-			if j.hooks.OnEvent != nil {
-				j.hooks.OnEvent("grant", sh.spec.ID)
-			}
 			return &ClaimResponse{
 				JobID: id, Shard: sh.spec, Token: sh.token,
 				LeaseMS:    c.cfg.LeaseTTL.Milliseconds(),
 				Checkpoint: sh.checkpoint,
+				Attempt:    sh.failures + 1,
 			}, nil
 		}
 	}
@@ -328,18 +379,34 @@ func (c *Coordinator) lookupLocked(kind, workerName, jobID, shardID string, toke
 	return nil, nil, fmt.Errorf("%w: job %s shard %s", ErrShardGone, jobID, shardID)
 }
 
+// heldLocked fences a write whose sender no longer holds a live lease on sh:
+// the shard is not leased to it, or the lease ran out (and is expired on
+// the spot, even before reassignment, so its holder learns at once).
+func (c *Coordinator) heldLocked(kind, worker, jobID string, sh *shard, now clockfault.Mono) error {
+	reason := "not leased to " + worker
+	switch {
+	case sh.state != shardLeased || sh.holder != worker:
+	case now.After(sh.expiry):
+		c.expireShardLocked(jobID, sh)
+		reason = "lease expired"
+	default:
+		return nil
+	}
+	c.fenced++
+	c.cfg.Logf("pool: fenced %s from %s: job %s shard %s %s", kind, worker, jobID, sh.spec.ID, reason)
+	return fmt.Errorf("%w: %s %s", ErrFenced, sh.spec.ID, reason)
+}
+
 // Heartbeat renews a lease. Three non-error outcomes share a current token:
 // a live lease renews; a pending shard with no holder — the signature of a
 // coordinator restart with the worker still running — is re-adopted by its
 // holder; a done shard answers OK (the completing worker's trailing beat).
-// An expired lease is fenced on the spot, even before reassignment: the
-// holder must learn it lost the lease at the earliest opportunity.
 func (c *Coordinator) Heartbeat(hb *HeartbeatRequest) (*HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Clock.Mono()
 	c.lastSeen[hb.Worker] = now
-	j, sh, err := c.lookupLocked("heartbeat", hb.Worker, hb.JobID, hb.ShardID, hb.Token)
+	_, sh, err := c.lookupLocked("heartbeat", hb.Worker, hb.JobID, hb.ShardID, hb.Token)
 	if err != nil {
 		return nil, err
 	}
@@ -348,15 +415,8 @@ func (c *Coordinator) Heartbeat(hb *HeartbeatRequest) (*HeartbeatResponse, error
 	case shardDone:
 		return resp, nil
 	case shardLeased:
-		if sh.holder != hb.Worker {
-			// Unreachable while tokens are unique per grant, but fail safe.
-			c.fenced++
-			return nil, fmt.Errorf("%w: %s held by %s", ErrFenced, hb.ShardID, sh.holder)
-		}
-		if now.After(sh.expiry) {
-			c.expireShardLocked(hb.JobID, sh)
-			c.fenced++
-			return nil, fmt.Errorf("%w: %s lease expired", ErrFenced, hb.ShardID)
+		if err := c.heldLocked("heartbeat", hb.Worker, hb.JobID, sh, now); err != nil {
+			return nil, err
 		}
 		sh.expiry = now.Add(c.cfg.LeaseTTL)
 		return resp, nil
@@ -367,9 +427,6 @@ func (c *Coordinator) Heartbeat(hb *HeartbeatRequest) (*HeartbeatResponse, error
 		c.cfg.Logf("pool: re-adopted job %s shard %s holder %s token %d",
 			hb.JobID, sh.spec.ID, hb.Worker, sh.token)
 		c.recordLocked(EventReAdopt, hb.JobID, sh.spec.ID, hb.Worker, sh.token)
-		if j.hooks.OnEvent != nil {
-			j.hooks.OnEvent("re-adopt", sh.spec.ID)
-		}
 		return resp, nil
 	}
 }
@@ -387,28 +444,15 @@ func (c *Coordinator) UploadCheckpoint(up *CheckpointUpload) error {
 	if err != nil {
 		return err
 	}
-	if sh.state != shardLeased || sh.holder != up.Worker {
-		c.fenced++
-		c.cfg.Logf("pool: fenced checkpoint upload from %s: job %s shard %s not leased to it",
-			up.Worker, up.JobID, up.ShardID)
-		return fmt.Errorf("%w: %s not leased to %s", ErrFenced, up.ShardID, up.Worker)
-	}
-	if now.After(sh.expiry) {
-		c.expireShardLocked(up.JobID, sh)
-		c.fenced++
-		c.cfg.Logf("pool: fenced checkpoint upload from %s: job %s shard %s lease expired",
-			up.Worker, up.JobID, up.ShardID)
-		return fmt.Errorf("%w: %s lease expired", ErrFenced, up.ShardID)
+	if err := c.heldLocked("checkpoint upload", up.Worker, up.JobID, sh, now); err != nil {
+		return err
 	}
 	sh.checkpoint = up.Data
 	sh.expiry = now.Add(c.cfg.LeaseTTL)
-	if j.hooks.Persist != nil {
-		if err := j.hooks.Persist(j.persisted()); err != nil {
+	if j.opts.Persist != nil {
+		if err := j.opts.Persist(j.persisted()); err != nil {
 			c.cfg.Logf("pool: persisting checkpoint of %s/%s: %v", up.JobID, up.ShardID, err)
 		}
-	}
-	if j.hooks.OnEvent != nil {
-		j.hooks.OnEvent("checkpoint", sh.spec.ID)
 	}
 	return nil
 }
@@ -417,6 +461,10 @@ func (c *Coordinator) UploadCheckpoint(up *CheckpointUpload) error {
 // persisted BEFORE the ack, so a completion the coordinator acknowledged can
 // never un-happen; a retry of an already-done shard under the same token is
 // answered OK without re-recording — together, exactly-once.
+//
+// A request carrying Error reports a failed attempt instead: the shard is
+// fenced and regranted from its last checkpoint, or, once it has failed
+// MaxAttempts times, the job fails with the cause.
 func (c *Coordinator) Complete(cr *CompleteRequest) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -429,22 +477,18 @@ func (c *Coordinator) Complete(cr *CompleteRequest) error {
 	if sh.state == shardDone {
 		return nil // idempotent retry of a lost ack
 	}
-	if sh.state != shardLeased || sh.holder != cr.Worker {
-		c.fenced++
-		return fmt.Errorf("%w: %s not leased to %s", ErrFenced, cr.ShardID, cr.Worker)
+	if err := c.heldLocked("complete", cr.Worker, cr.JobID, sh, now); err != nil {
+		return err
 	}
-	if now.After(sh.expiry) {
-		c.expireShardLocked(cr.JobID, sh)
-		c.fenced++
-		c.cfg.Logf("pool: fenced complete from %s: job %s shard %s lease expired",
-			cr.Worker, cr.JobID, cr.ShardID)
-		return fmt.Errorf("%w: %s lease expired", ErrFenced, cr.ShardID)
+	if cr.Error != "" {
+		c.failLocked(j, sh, cr)
+		return nil
 	}
 	sh.state = shardDone
 	sh.holder = ""
 	sh.result = cr.Result
-	if j.hooks.Persist != nil {
-		if err := j.hooks.Persist(j.persisted()); err != nil {
+	if j.opts.Persist != nil {
+		if err := j.opts.Persist(j.persisted()); err != nil {
 			// Not durable means not done: revert so the worker's retry (or a
 			// reassignment) completes it again.
 			sh.state = shardLeased
@@ -456,13 +500,22 @@ func (c *Coordinator) Complete(cr *CompleteRequest) error {
 	c.completes++
 	c.cfg.Logf("pool: completed job %s shard %s by %s token %d", cr.JobID, sh.spec.ID, cr.Worker, sh.token)
 	c.recordLocked(EventComplete, cr.JobID, sh.spec.ID, cr.Worker, sh.token)
-	if j.hooks.OnEvent != nil {
-		j.hooks.OnEvent("complete", sh.spec.ID)
-	}
-	if j.allDone() {
-		close(j.done)
-	}
 	return nil
+}
+
+// failLocked records a failed attempt on a shard its reporter holds.
+// Called with c.mu held.
+func (c *Coordinator) failLocked(j *poolJob, sh *shard, cr *CompleteRequest) {
+	sh.failures++
+	c.recordLocked(EventFail, j.id, sh.spec.ID, cr.Worker, sh.token)
+	c.releaseLocked(sh)
+	if max := j.opts.MaxAttempts; max > 0 && sh.failures >= max {
+		j.err = fmt.Errorf("attempt %d/%d: %s", sh.failures, max, cr.Error)
+		c.cfg.Logf("pool: job %s failed on shard %s: %v", j.id, sh.spec.ID, j.err)
+		return
+	}
+	c.cfg.Logf("pool: job %s shard %s attempt %d by %s failed (%s); regranting from its last checkpoint",
+		j.id, sh.spec.ID, sh.failures, cr.Worker, cr.Error)
 }
 
 // LiveWorkers counts workers seen within two lease TTLs.

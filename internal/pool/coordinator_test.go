@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -29,10 +30,9 @@ func TestClaimGrantAndComplete(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{LeaseTTL: time.Second, Clock: clk})
 	var persisted *PersistedState
-	done, err := c.AddJob("j", testShards(2), nil, JobHooks{
+	if err := c.AddJob("j", testShards(2), nil, JobOptions{
 		Persist: func(st *PersistedState) error { persisted = st; return nil },
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +54,7 @@ func TestClaimGrantAndComplete(t *testing.T) {
 		t.Fatalf("no-work claim should be nil,nil; got %v %v", g3, err)
 	}
 
-	for _, g := range []*ClaimResponse{g1, g2} {
+	for i, g := range []*ClaimResponse{g1, g2} {
 		w := "w1"
 		if g.Shard.ID == "s1" {
 			w = "w2"
@@ -64,20 +64,18 @@ func TestClaimGrantAndComplete(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("complete %s: %v", g.Shard.ID, err)
 		}
+		// Retrying a completed shard with the same token is an idempotent OK.
+		if err := c.Complete(&CompleteRequest{
+			Worker: w, JobID: "j", ShardID: g.Shard.ID, Token: g.Token, Result: []byte("r"),
+		}); err != nil {
+			t.Fatalf("idempotent complete retry: %v", err)
+		}
+		if res, err := c.Collect("j"); i == 0 && (res != nil || err != nil) {
+			t.Fatalf("collect with a shard still leased: %q %v", res, err)
+		}
 	}
-	select {
-	case <-done:
-	default:
-		t.Fatal("job done channel not closed after all shards completed")
-	}
-	if res, ok := c.Results("j"); !ok || len(res) != 2 {
-		t.Fatalf("results: %v %v", res, ok)
-	}
-	// Retrying a completed shard with the same token is an idempotent OK.
-	if err := c.Complete(&CompleteRequest{
-		Worker: "w1", JobID: "j", ShardID: "s0", Token: g1.Token, Result: []byte("r"),
-	}); err != nil {
-		t.Fatalf("idempotent complete retry: %v", err)
+	if res, err := c.Collect("j"); err == nil || res != nil {
+		t.Fatalf("second collect: %q %v, want the job gone", res, err)
 	}
 }
 
@@ -90,7 +88,7 @@ func TestLeaseExpiryFencesAndReassigns(t *testing.T) {
 		defer logMu.Unlock()
 		fmt.Fprintf(&logBuf, f+"\n", a...)
 	}})
-	if _, err := c.AddJob("j", testShards(1), nil, JobHooks{}); err != nil {
+	if err := c.AddJob("j", testShards(1), nil, JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	g1, err := c.Claim("w1")
@@ -157,7 +155,7 @@ func TestLeaseExpiryFencesAndReassigns(t *testing.T) {
 func TestCheckpointHandoffToNextClaimant(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{LeaseTTL: time.Second, Clock: clk})
-	if _, err := c.AddJob("j", testShards(1), nil, JobHooks{}); err != nil {
+	if err := c.AddJob("j", testShards(1), nil, JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	g1, _ := c.Claim("w1")
@@ -179,9 +177,9 @@ func TestCheckpointHandoffToNextClaimant(t *testing.T) {
 func TestCoordinatorRestartReAdoption(t *testing.T) {
 	clk := newFakeClock()
 	var persisted *PersistedState
-	hooks := JobHooks{Persist: func(st *PersistedState) error { persisted = st; return nil }}
+	hooks := JobOptions{Persist: func(st *PersistedState) error { persisted = st; return nil }}
 	c := New(Config{LeaseTTL: time.Second, Clock: clk})
-	if _, err := c.AddJob("j", testShards(2), nil, hooks); err != nil {
+	if err := c.AddJob("j", testShards(2), nil, hooks); err != nil {
 		t.Fatal(err)
 	}
 	g1, _ := c.Claim("w1")
@@ -194,7 +192,7 @@ func TestCoordinatorRestartReAdoption(t *testing.T) {
 
 	// "Restart": a fresh coordinator restored from the persisted state.
 	c2 := New(Config{LeaseTTL: time.Second, Clock: clk})
-	if _, err := c2.AddJob("j", testShards(2), persisted, hooks); err != nil {
+	if err := c2.AddJob("j", testShards(2), persisted, hooks); err != nil {
 		t.Fatal(err)
 	}
 	// The live worker's heartbeat under its still-current token re-adopts
@@ -214,9 +212,9 @@ func TestCoordinatorRestartReAdoption(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := c2.Results("j")
-	if !ok || string(res[0]) != "r0" || string(res[1]) != "r1" {
-		t.Fatalf("restored results: %q ok=%v", res, ok)
+	res, err := c2.Collect("j")
+	if err != nil || len(res) != 2 || string(res[0]) != "r0" || string(res[1]) != "r1" {
+		t.Fatalf("restored results: %q %v", res, err)
 	}
 }
 
@@ -224,7 +222,7 @@ func TestPersistFailureRefusesGrantAndCompletion(t *testing.T) {
 	clk := newFakeClock()
 	fail := true
 	c := New(Config{LeaseTTL: time.Second, Clock: clk})
-	if _, err := c.AddJob("j", testShards(1), nil, JobHooks{
+	if err := c.AddJob("j", testShards(1), nil, JobOptions{
 		Persist: func(*PersistedState) error {
 			if fail {
 				return errors.New("disk gone")
@@ -256,21 +254,19 @@ func TestPersistFailureRefusesGrantAndCompletion(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("retry after persist recovered: %v", err)
 	}
-	if res, ok := c.Results("j"); !ok || string(res[0]) != "r" {
-		t.Fatalf("results after retry: %q ok=%v", res, ok)
+	if res, err := c.Collect("j"); err != nil || len(res) != 1 || string(res[0]) != "r" {
+		t.Fatalf("results after retry: %q %v", res, err)
 	}
 }
 
 func TestDropJobAnswersShardGone(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{LeaseTTL: time.Second, Clock: clk})
-	done, _ := c.AddJob("j", testShards(1), nil, JobHooks{})
+	_ = c.AddJob("j", testShards(1), nil, JobOptions{})
 	g, _ := c.Claim("w1")
 	c.DropJob("j")
-	select {
-	case <-done:
-	default:
-		t.Fatal("drop must unblock the job waiter")
+	if _, err := c.Collect("j"); !errors.Is(err, ErrShardGone) {
+		t.Fatalf("collect after drop: want ErrShardGone, got %v", err)
 	}
 	if _, err := c.Heartbeat(&HeartbeatRequest{
 		Worker: "w1", JobID: "j", ShardID: "s0", Token: g.Token,
@@ -293,8 +289,8 @@ func TestFencingTokensStrictlyMonotonicProperty(t *testing.T) {
 			clk := newFakeClock()
 			const nShards = 4
 			store := map[string]*PersistedState{}
-			hooks := func(job string) JobHooks {
-				return JobHooks{Persist: func(st *PersistedState) error {
+			hooks := func(job string) JobOptions {
+				return JobOptions{Persist: func(st *PersistedState) error {
 					// Deep-copy: the coordinator may keep mutating its shards.
 					cp := &PersistedState{Shards: append([]PersistedShard(nil), st.Shards...)}
 					store[job] = cp
@@ -303,7 +299,7 @@ func TestFencingTokensStrictlyMonotonicProperty(t *testing.T) {
 			}
 			newCoord := func() *Coordinator {
 				c := New(Config{LeaseTTL: time.Second, Clock: clk})
-				if _, err := c.AddJob("j", testShards(nShards), store["j"], hooks("j")); err != nil {
+				if err := c.AddJob("j", testShards(nShards), store["j"], hooks("j")); err != nil {
 					t.Fatal(err)
 				}
 				return c
@@ -338,15 +334,16 @@ func TestFencingTokensStrictlyMonotonicProperty(t *testing.T) {
 					}); err != nil {
 						delete(held, w) // fenced or gone: abandon
 					}
-				case op < 8: // complete
+				case op < 8: // complete, or report a failed attempt
 					g := held[w]
 					if g == nil {
 						continue
 					}
-					c.Complete(&CompleteRequest{
-						Worker: w, JobID: g.JobID, ShardID: g.Shard.ID, Token: g.Token,
-						Result: []byte("r"),
-					})
+					cr := &CompleteRequest{Worker: w, JobID: g.JobID, ShardID: g.Shard.ID, Token: g.Token, Result: []byte("r")}
+					if rng.Intn(2) == 0 {
+						cr.Result, cr.Error = nil, "boom"
+					}
+					c.Complete(cr)
 					delete(held, w)
 				case op < 9: // time passes; maybe past lease expiry
 					clk.Advance(time.Duration(rng.Intn(1500)) * time.Millisecond)
@@ -419,5 +416,119 @@ func TestPlanTraceAndTables(t *testing.T) {
 	}
 	if _, err := Plan(SweepSpec{Kind: "nope"}); err == nil {
 		t.Fatal("unknown kind must refuse")
+	}
+}
+
+// TestFailedAttemptRegrantsThenFailsJob: a reported failure fences its
+// holder and regrants the shard from its last checkpoint as the next
+// attempt; a lease that expires is not a failed attempt; the MaxAttempts-th
+// failure fails the job with the cause.
+func TestFailedAttemptRegrantsThenFailsJob(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{LeaseTTL: time.Second, Clock: clk})
+	if err := c.AddJob("j", testShards(1), nil, JobOptions{MaxAttempts: 2}); err != nil {
+		t.Fatal(err)
+	}
+	claim := func(w string, attempt int) *ClaimResponse {
+		t.Helper()
+		g, err := c.Claim(w)
+		if err != nil || g == nil {
+			t.Fatalf("claim by %s: %v %v", w, g, err)
+		}
+		if g.Attempt != attempt || string(g.Checkpoint) != "ck" {
+			t.Fatalf("grant to %s: attempt %d checkpoint %q, want attempt %d from \"ck\"", w, g.Attempt, g.Checkpoint, attempt)
+		}
+		return g
+	}
+	fail := func(w string, g *ClaimResponse, cause string) error {
+		return c.Complete(&CompleteRequest{Worker: w, JobID: "j", ShardID: "s0", Token: g.Token, Error: cause})
+	}
+
+	g1, _ := c.Claim("w1")
+	if err := c.UploadCheckpoint(&CheckpointUpload{Worker: "w1", JobID: "j", ShardID: "s0", Token: g1.Token, Data: []byte("ck")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fail("w1", g1, "transient"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fail("w1", g1, "transient"); !errors.Is(err, ErrFenced) {
+		t.Fatalf("second report under the failed token: want ErrFenced, got %v", err)
+	}
+	g2 := claim("w2", 2)
+	clk.Advance(2 * time.Second) // w2 dies: its lease expires, which is no failure
+	g3 := claim("w3", 2)
+	if g3.Token <= g2.Token || g2.Token <= g1.Token {
+		t.Fatalf("tokens %d, %d, %d not strictly increasing", g1.Token, g2.Token, g3.Token)
+	}
+	if res, err := c.Collect("j"); res != nil || err != nil {
+		t.Fatalf("collect while running: %q %v", res, err)
+	}
+	if err := fail("w3", g3, "still broken"); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := c.Claim("w4"); g != nil || err != nil {
+		t.Fatalf("claim on a failed job: %+v %v", g, err)
+	}
+	if _, err := c.Collect("j"); err == nil || !strings.Contains(err.Error(), "attempt 2/2: still broken") {
+		t.Fatalf("failed job's collect = %v, want the cause of its last attempt", err)
+	}
+	var fails int
+	for _, e := range c.Leases() {
+		if e.Event == EventFail {
+			fails++
+		}
+	}
+	if fails != 2 {
+		t.Fatalf("ledger holds %d fail events, want 2", fails)
+	}
+}
+
+// TestAwaitWakesOnSignalAndWithinTTL: a waiting Await is woken by new work,
+// not a poll, and wakes on its own within a lease TTL, which is what frees
+// a lapsed lease.
+func TestAwaitWakesOnSignalAndWithinTTL(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{LeaseTTL: time.Second, Clock: clk})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	await := func(w string) <-chan *ClaimResponse {
+		got := make(chan *ClaimResponse, 1)
+		go func() {
+			g, _ := c.Await(ctx, w) // nil once the test ends
+			got <- g
+		}()
+		return got
+	}
+
+	got := await("w1")
+	time.Sleep(10 * time.Millisecond) // let it block: no work yet
+	if err := c.AddJob("j", testShards(1), nil, JobOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case g := <-got:
+		if g == nil || g.Shard.ID != "s0" {
+			t.Fatalf("woken Await granted %+v", g)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Await not woken by AddJob")
+	}
+
+	// w1 goes silent. Nothing signals w2: its own TTL wake must find the
+	// lapsed lease, within a few TTLs of (manual) time.
+	got = await("w2")
+	for advanced := time.Duration(0); ; advanced += 500 * time.Millisecond {
+		if advanced > 3*time.Second {
+			t.Fatal("waiting Await did not claim the lapsed lease within a few TTLs")
+		}
+		clk.Advance(500 * time.Millisecond)
+		select {
+		case g := <-got:
+			if g == nil || g.Shard.ID != "s0" || g.Attempt != 1 {
+				t.Fatalf("regrant after the lapse = %+v", g)
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
 }

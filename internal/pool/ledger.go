@@ -12,11 +12,14 @@ const (
 	EventReAdopt = "re-adopt"
 	// EventComplete is a shard's single effective completion.
 	EventComplete = "complete"
+	// EventFail is a holder's report of a failed attempt: the shard returns
+	// to pending under a bumped token.
+	EventFail = "fail"
 )
 
 // LeaseEvent is one entry in the coordinator's lease ledger: an append-only
-// record of every grant, expiry, re-adoption, and completion, in the total
-// order the coordinator decided them (Seq). The crucible's lease-safety
+// record of every grant, expiry, re-adoption, failure and completion, in the
+// total order the coordinator decided them (Seq). The crucible's lease-safety
 // oracle replays this ledger to prove fencing-token monotonicity and
 // exactly-once completion under clock chaos; /pool/leases serves it.
 type LeaseEvent struct {

@@ -52,6 +52,9 @@ type ClaimResponse struct {
 	Token      uint64    `json:"token"`
 	LeaseMS    int64     `json:"lease_ms"`
 	Checkpoint []byte    `json:"checkpoint,omitempty"`
+	// Attempt numbers the grant for in-process callers: the shard's failed
+	// attempts so far, plus one. It stays off the wire.
+	Attempt int `json:"-"`
 }
 
 // HeartbeatRequest renews a lease.
@@ -78,14 +81,20 @@ type CheckpointUpload struct {
 	Data    []byte `json:"data"`
 }
 
-// CompleteRequest carries a shard's final result payload.
+// CompleteRequest carries a shard's final result payload, or with Error set
+// and no result, the report of a failed attempt.
 type CompleteRequest struct {
 	Worker  string `json:"worker"`
 	JobID   string `json:"job_id"`
 	ShardID string `json:"shard_id"`
 	Token   uint64 `json:"token"`
-	Result  []byte `json:"result"`
+	Result  []byte `json:"result,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
+
+// MaxErrorBytes bounds a failed attempt's report, which ends up in the
+// job's status.
+const MaxErrorBytes = 4 << 10
 
 // decodeStrict is the shared wire decoder: bounded size, strict JSON (no
 // unknown fields, no trailing garbage), and — because fencing tokens decode
@@ -183,7 +192,8 @@ func DecodeCheckpointUpload(data []byte) (*CheckpointUpload, error) {
 	return &up, nil
 }
 
-// DecodeComplete parses and validates a shard completion.
+// DecodeComplete parses and validates a shard completion: a result or an
+// error, never both.
 func DecodeComplete(data []byte) (*CompleteRequest, error) {
 	var cr CompleteRequest
 	if err := decodeStrict(data, MaxBlobBytes, &cr); err != nil {
@@ -196,7 +206,12 @@ func DecodeComplete(data []byte) (*CompleteRequest, error) {
 			return nil, err
 		}
 	}
-	if len(cr.Result) == 0 {
+	switch {
+	case len(cr.Error) > MaxErrorBytes:
+		return nil, fmt.Errorf("%w: error is %d bytes (max %d)", ErrWireField, len(cr.Error), MaxErrorBytes)
+	case cr.Error != "" && len(cr.Result) > 0:
+		return nil, fmt.Errorf("%w: both a result and an error", ErrWireField)
+	case cr.Error == "" && len(cr.Result) == 0:
 		return nil, fmt.Errorf("%w: empty result payload", ErrWireField)
 	}
 	return &cr, nil

@@ -64,6 +64,10 @@ func TestDecodeClaimResponseRoundTrip(t *testing.T) {
 	if out.Shard.ID != in.Shard.ID || out.Token != 7 || string(out.Checkpoint) != "ck" {
 		t.Fatalf("round trip: %+v", out)
 	}
+	in.Attempt = 2 // in-process only
+	if data, _ := json.Marshal(in); bytes.Contains(data, []byte("attempt")) {
+		t.Fatalf("attempt number on the wire: %s", data)
+	}
 	if _, err := DecodeClaimResponse([]byte(`{"job_id":"j","shard":{"id":"s"},"token":1,"lease_ms":0}`)); !errors.Is(err, ErrWireField) {
 		t.Fatalf("zero lease: %v", err)
 	}
@@ -73,6 +77,53 @@ func TestDecodeCompleteRejectsEmptyResult(t *testing.T) {
 	if _, err := DecodeComplete([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":1,"result":""}`)); !errors.Is(err, ErrWireField) {
 		t.Fatalf("empty result: %v", err)
 	}
+}
+
+// TestDecodeCompleteFailureReport: a failed attempt travels as an error with
+// no result. Both at once, or an error past its bound, is refused.
+func TestDecodeCompleteFailureReport(t *testing.T) {
+	data, err := json.Marshal(&CompleteRequest{Worker: "w", JobID: "j", ShardID: "s", Token: 3, Error: "pool: unknown shard kind"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"result"`)) {
+		t.Fatalf("a failure report carries a result field: %s", data)
+	}
+	cr, err := DecodeComplete(data)
+	if err != nil || cr.Error != "pool: unknown shard kind" || cr.Token != 3 || cr.Result != nil {
+		t.Fatalf("failure report round trip: %+v %v", cr, err)
+	}
+	for name, msg := range map[string]string{
+		"result and error": `{"worker":"w","job_id":"j","shard_id":"s","token":1,"result":"cg==","error":"boom"}`,
+		"oversized error":  `{"worker":"w","job_id":"j","shard_id":"s","token":1,"error":"` + strings.Repeat("e", MaxErrorBytes+1) + `"}`,
+	} {
+		if _, err := DecodeComplete([]byte(msg)); !errors.Is(err, ErrWireField) {
+			t.Errorf("%s: %v, want ErrWireField", name, err)
+		}
+	}
+}
+
+// FuzzDecodeComplete does the same for completions: any accepted message
+// names its shard and carries exactly one of a result and a bounded error.
+func FuzzDecodeComplete(f *testing.F) {
+	f.Add([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":1,"result":"cg=="}`))
+	f.Add([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":1,"error":"boom"}`))
+	f.Add([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":1,"result":"cg==","error":"boom"}`))
+	f.Add([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":1,"error":""}`))
+	f.Add([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":1,"error":7}`))
+	f.Add([]byte(`{"worker":"w","job_id":"j","shard_id":"s","token":-1,"error":"boom"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cr, err := DecodeComplete(data)
+		if err != nil {
+			return
+		}
+		if cr.Worker == "" || cr.JobID == "" || cr.ShardID == "" {
+			t.Fatalf("accepted completion with empty id: %+v", cr)
+		}
+		if (cr.Error == "") == (len(cr.Result) == 0) || len(cr.Error) > MaxErrorBytes {
+			t.Fatalf("accepted completion without exactly one bounded outcome: %+v", cr)
+		}
+	})
 }
 
 // FuzzDecodeHeartbeat hammers the control-message decoder: whatever the

@@ -130,11 +130,11 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.cfg.Logf("worker %s: claim: %v", w.cfg.Name, err)
-			w.sleep(ctx, w.cfg.Poll)
+			_ = w.cfg.Clock.Sleep(ctx, w.cfg.Poll)
 			continue
 		}
 		if grant == nil {
-			w.sleep(ctx, w.cfg.Poll)
+			_ = w.cfg.Clock.Sleep(ctx, w.cfg.Poll)
 			continue
 		}
 		w.cfg.Logf("worker %s: claimed %s/%s token %d (checkpoint: %d bytes)",
@@ -144,10 +144,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		w.runShard(ctx, grant)
 	}
-}
-
-func (w *Worker) sleep(ctx context.Context, d time.Duration) {
-	_ = w.cfg.Clock.Sleep(ctx, d)
 }
 
 // lease is the worker's handle on one granted shard: identity for every
@@ -177,7 +173,7 @@ func (w *Worker) runShard(ctx context.Context, grant *pool.ClaimResponse) {
 	result, err := l.execute(sctx)
 	switch {
 	case err == nil:
-		if cerr := l.complete(result); cerr != nil {
+		if cerr := l.complete(result, nil); cerr != nil {
 			w.abandon(grant, "completing", cerr)
 			return
 		}
@@ -186,10 +182,14 @@ func (w *Worker) runShard(ctx context.Context, grant *pool.ClaimResponse) {
 	case isFenced(err) || sctx.Err() != nil:
 		w.abandon(grant, "executing", err)
 	default:
-		// A genuine shard failure: abandon without completing; the lease
-		// expires and the coordinator reassigns (possibly back to us).
+		// A genuine shard failure: report it, so the coordinator regrants
+		// the shard from its last checkpoint (possibly back to us) or, after
+		// its last allowed attempt, fails the job.
 		w.errors.Add(1)
 		w.cfg.Logf("worker %s: shard %s/%s failed: %v", w.cfg.Name, grant.JobID, grant.Shard.ID, err)
+		if cerr := l.complete(nil, err); cerr != nil {
+			w.abandon(grant, "reporting its failure", cerr)
+		}
 	}
 }
 
@@ -269,19 +269,24 @@ func (l *lease) upload(cp *pool.Checkpoint) {
 	}
 }
 
-// complete reports the shard's result, also on an independent timeout —
-// completion is idempotent under our token, so the client may retry freely.
-func (l *lease) complete(result *pool.ShardResult) error {
-	data, err := pool.EncodePayload(result)
-	if err != nil {
+// complete reports the shard's result, or its failure, also on an
+// independent timeout — completion is idempotent under our token, so the
+// client may retry freely.
+func (l *lease) complete(result *pool.ShardResult, failure error) error {
+	cr := &pool.CompleteRequest{
+		Worker: l.w.cfg.Name, JobID: l.grant.JobID,
+		ShardID: l.grant.Shard.ID, Token: l.grant.Token,
+	}
+	var err error
+	if failure != nil {
+		cr.Error = failure.Error()
+		cr.Error = cr.Error[:min(len(cr.Error), pool.MaxErrorBytes)]
+	} else if cr.Result, err = pool.EncodePayload(result); err != nil {
 		return fmt.Errorf("worker: encoding result: %w", err)
 	}
 	cctx, ccancel := clockfault.WithTimeout(context.Background(), l.w.cfg.Clock, uploadTimeout)
 	defer ccancel()
-	err = l.w.cfg.Client.PoolComplete(cctx, &pool.CompleteRequest{
-		Worker: l.w.cfg.Name, JobID: l.grant.JobID,
-		ShardID: l.grant.Shard.ID, Token: l.grant.Token, Result: data,
-	})
+	err = l.w.cfg.Client.PoolComplete(cctx, cr)
 	if isFenced(err) {
 		l.w.fenced.Add(1)
 	}
