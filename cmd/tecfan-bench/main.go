@@ -112,35 +112,21 @@ func main() {
 		}
 		return err
 	})
-	// Fig. 5 and Fig. 6 share the same runs.
-	fig56 := func(writeBoth bool) func() error {
-		return func() error {
-			r, err := sys.Fig56Context(ctx)
-			if err != nil {
-				return err
-			}
-			if *which == "all" || writeBoth {
-				tecfan.WriteFig5(w, r)
-				tecfan.WriteFig6(w, r)
-				return nil
-			}
-			return nil
+	// Fig. 5 and Fig. 6 share the same runs: one runner prints both, under
+	// whichever of fig5, fig6 or fig56 was asked for.
+	fig56 := "fig56"
+	if *which == "fig5" || *which == "fig6" {
+		fig56 = *which
+	}
+	run(fig56, func() error {
+		r, err := sys.Fig56Context(ctx)
+		if err != nil {
+			return err
 		}
-	}
-	switch *which {
-	case "fig5", "fig6":
-		run(*which, fig56(true))
-	default:
-		run("fig56", func() error {
-			r, err := sys.Fig56Context(ctx)
-			if err != nil {
-				return err
-			}
-			tecfan.WriteFig5(w, r)
-			tecfan.WriteFig6(w, r)
-			return nil
-		})
-	}
+		tecfan.WriteFig5(w, r)
+		tecfan.WriteFig6(w, r)
+		return nil
+	})
 	run("fig7", func() error {
 		rows, err := tecfan.Fig7Context(ctx, *traceSec)
 		if err != nil {

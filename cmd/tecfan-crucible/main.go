@@ -50,9 +50,7 @@ import (
 	"time"
 
 	"tecfan/internal/campaign"
-	"tecfan/internal/client"
 	"tecfan/internal/daemon"
-	"tecfan/internal/pool"
 )
 
 func main() {
@@ -126,10 +124,6 @@ func (r *runner) logf(format string, args ...any) {
 	}
 }
 
-func (r *runner) opts() *campaign.RunOptions {
-	return &campaign.RunOptions{Logf: r.logf, Poll: 100 * time.Millisecond}
-}
-
 // runCampaign runs N seeded episodes of one spec, judging each against the
 // fault-free reference; on the first violation it optionally minimizes the
 // schedule and writes the repro as a ready-to-commit corpus entry.
@@ -148,30 +142,19 @@ func (r *runner) runCampaign(ctx context.Context, specPath string, seed int64, e
 		fatal(err)
 	}
 	for ep := 0; ep < episodes; ep++ {
-		dir := filepath.Join(r.outDir, fmt.Sprintf("ep%03d", ep))
-		h, err := r.episode(ctx, spec, ep, dir)
-		if err != nil {
-			r.saveHistory(dir, h)
-			fatal(fmt.Errorf("episode %d: %w", ep, err))
-		}
-		r.saveHistory(dir, h)
-		vs, err := campaign.Judge(spec.ForEpisode(ep), h, ref)
+		label := fmt.Sprintf("episode %d", ep)
+		vs, err := r.judged(ctx, spec, ep, filepath.Join(r.outDir, fmt.Sprintf("ep%03d", ep)), ref, label)
 		if err != nil {
 			// Faults that missed are an infrastructure verdict: never shrunk,
 			// never written out as a repro.
-			fatal(fmt.Errorf("episode %d: %w", ep, err))
+			fatal(fmt.Errorf("%s: %w", label, err))
 		}
-		if len(vs) == 0 {
-			log.Printf("episode %d: oracle-clean (%d calls, %d ready samples)", ep, len(h.Calls), len(h.Ready))
-			continue
+		if len(vs) > 0 {
+			if shrink {
+				r.minimize(ctx, spec, ep, ref, vs[0].Oracle)
+			}
+			return 1
 		}
-		for _, v := range vs {
-			log.Printf("episode %d: VIOLATION %s", ep, v)
-		}
-		if shrink {
-			r.minimize(ctx, spec, ep, ref, vs[0].Oracle)
-		}
-		return 1
 	}
 	log.Printf("PASS: %d episodes oracle-clean, every fault landed", episodes)
 	return 0
@@ -192,31 +175,20 @@ func (r *runner) replayCorpus(ctx context.Context, dir string) int {
 			fatal(fmt.Errorf("%s: %w", e.Path, err))
 		}
 		for ep := 0; ep < e.Episodes; ep++ {
+			label := fmt.Sprintf("%s episode %d", e.Path, ep)
 			adir := filepath.Join(r.outDir, fmt.Sprintf("%s-ep%03d", strings.TrimSuffix(filepath.Base(e.Path), ".json"), ep))
-			h, err := r.episode(ctx, e.Spec, ep, adir)
-			if err != nil {
-				r.saveHistory(adir, h)
-				fatal(fmt.Errorf("%s episode %d: %w", e.Path, ep, err))
-			}
-			r.saveHistory(adir, h)
-			vs, err := campaign.Judge(e.Spec.ForEpisode(ep), h, ref)
-			if err != nil {
+			vs, err := r.judged(ctx, e.Spec, ep, adir, ref, label)
+			switch {
+			case err != nil:
 				// An ineffective episode fails the replay, but a violation
 				// elsewhere is the finding the exit status reports.
-				log.Printf("%s episode %d: %v", e.Path, ep, err)
+				log.Printf("%s: %v", label, err)
 				if code == 0 {
 					code = 2
 				}
-				continue
-			}
-			if len(vs) > 0 {
-				for _, v := range vs {
-					log.Printf("%s episode %d: VIOLATION %s", e.Path, ep, v)
-				}
+			case len(vs) > 0:
 				code = 1
-				continue
 			}
-			log.Printf("%s episode %d: oracle-clean", e.Path, ep)
 		}
 	}
 	if code == 0 {
@@ -225,13 +197,35 @@ func (r *runner) replayCorpus(ctx context.Context, dir string) int {
 	return code
 }
 
+// judged runs one episode, saves its history under dir and judges it
+// against ref, logging the verdict under label. An episode that cannot run
+// is fatal; one whose faults missed returns its *campaign.IneffectiveError.
+func (r *runner) judged(ctx context.Context, spec campaign.Spec, ep int, dir string, ref map[string][]byte, label string) ([]campaign.Violation, error) {
+	h, err := r.episode(ctx, spec, ep, dir)
+	r.saveHistory(dir, h)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", label, err))
+	}
+	vs, err := campaign.Judge(spec.ForEpisode(ep), h, ref)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range vs {
+		log.Printf("%s: VIOLATION %s", label, v)
+	}
+	if len(vs) == 0 {
+		log.Printf("%s: oracle-clean (%d calls, %d ready samples, %d lease events)", label, len(h.Calls), len(h.Ready), len(h.Leases))
+	}
+	return vs, nil
+}
+
 // reference computes the fault-free baseline in-process (byte-identity across
 // execution substrates is the determinism contract the repo's tier-1 tests
 // and the empty-lattice meta-test enforce).
 func (r *runner) reference(ctx context.Context, spec campaign.Spec) (map[string][]byte, error) {
 	rctx, cancel := context.WithTimeout(ctx, r.timeout(spec))
 	defer cancel()
-	return campaign.Reference(rctx, spec, 0, r.opts())
+	return campaign.Reference(rctx, spec, 0, r.logf)
 }
 
 func (r *runner) timeout(spec campaign.Spec) time.Duration {
@@ -248,7 +242,7 @@ func (r *runner) episode(ctx context.Context, spec campaign.Spec, ep int, dir st
 	ectx, cancel := context.WithTimeout(ctx, r.timeout(spec))
 	defer cancel()
 	if r.binDir == "" {
-		return campaign.RunEpisode(ectx, spec, ep, r.opts())
+		return campaign.RunEpisode(ectx, spec, ep, r.logf)
 	}
 	return r.execEpisode(ectx, spec, ep, dir)
 }
@@ -328,73 +322,7 @@ func (r *runner) execEpisode(ctx context.Context, spec campaign.Spec, ep int, di
 		defer close(tdone)
 		s.runTimeline(tctx)
 	}()
-
-	cl, err := client.New(client.Config{
-		BaseURL: s.clientURL, Seed: 1, Logf: r.logf,
-		MaxRetries: 12, Observer: s.rec.Observer(),
-	})
-	if err != nil {
-		return s.rec.History(), err
-	}
-	// Inspection goes direct to the daemon: the result bytes being judged are
-	// its durable state, not a chaos-mangled copy.
-	direct, err := client.New(client.Config{BaseURL: s.daemonURL, Seed: 2, Logf: r.logf, MaxRetries: 12})
-	if err != nil {
-		return s.rec.History(), err
-	}
-
-	s.sampleReady()
-	for _, j := range eff.Jobs {
-		key := campaign.IdempotencyKey(eff.Name, ep, j.ID)
-		for replay := 0; replay < 2; replay++ {
-			id, dedup, err := cl.SubmitWithKey(ctx, key, j)
-			s.rec.Submission(j.ID, key, id, dedup, err)
-		}
-		s.sampleReady()
-	}
-	// A job still unfinished after four fifths of the episode budget is
-	// stranded: record what the daemon says about it and let the
-	// bounded-liveness oracle judge it, rather than end the episode in a
-	// timeout that can be neither judged nor shrunk.
-	wctx := ctx
-	if dl, ok := ctx.Deadline(); ok {
-		var cancel context.CancelFunc
-		wctx, cancel = context.WithDeadline(ctx, dl.Add(-time.Until(dl)/5))
-		defer cancel()
-	}
-	for _, j := range eff.Jobs {
-		v, err := cl.Wait(wctx, j.ID, 100*time.Millisecond)
-		if err != nil && wctx.Err() != nil && ctx.Err() == nil {
-			v, err = direct.Job(ctx, j.ID)
-		}
-		if err != nil {
-			return s.rec.History(), fmt.Errorf("waiting for job %s: %w", j.ID, err)
-		}
-		var result []byte
-		if v.State == daemon.StateDone {
-			result, err = direct.Result(ctx, j.ID)
-			if err != nil {
-				return s.rec.History(), fmt.Errorf("fetching result of done job %s: %w", j.ID, err)
-			}
-		}
-		s.rec.Result(v, result)
-		s.sampleReady()
-	}
-	// Let every scheduled proc action land before the final listing, so the
-	// history the oracles judge covers the whole timeline.
-	select {
-	case <-tdone:
-	case <-ctx.Done():
-		return s.rec.History(), ctx.Err()
-	}
-	views, err := direct.Jobs(ctx)
-	if err != nil {
-		return s.rec.History(), fmt.Errorf("final jobs listing: %w", err)
-	}
-	s.rec.Jobs(views)
-	s.collectLeases()
-	s.sampleReady()
-	return s.rec.History(), nil
+	return campaign.Drive(ctx, eff, s.rec, s.clientURL, s.daemonURL, tdone, r.logf)
 }
 
 // proc is one spawned child with its reusable log sink (restarts append).
@@ -748,47 +676,6 @@ func (s *execStack) teardown() {
 		reap(p)
 		p.log.Close()
 	}
-}
-
-// collectLeases fetches the coordinator's lease ledger for the lease-safety
-// oracle. Direct to the daemon, after the timeline has fully drained, so the
-// ledger covers every grant/expire/complete decision of the episode.
-func (s *execStack) collectLeases() {
-	if s.eff.Pool == nil {
-		return
-	}
-	hc := &http.Client{Timeout: 2 * time.Second}
-	resp, err := hc.Get(s.daemonURL + "/pool/leases")
-	if err != nil {
-		s.r.logf("lease ledger fetch: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	var events []pool.LeaseEvent
-	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-		s.r.logf("lease ledger decode: %v", err)
-		return
-	}
-	s.rec.Leases(events)
-}
-
-// sampleReady probes GET /readyz directly on the daemon and records what it
-// said. Probe transport errors (daemon mid-restart, SIGSTOPped) are skipped:
-// the sticky oracle judges only what the daemon actually answered.
-func (s *execStack) sampleReady() {
-	hc := &http.Client{Timeout: 2 * time.Second}
-	resp, err := hc.Get(s.daemonURL + "/readyz")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Reasons []string `json:"reasons"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return
-	}
-	s.rec.Ready(resp.StatusCode == http.StatusOK, body.Reasons)
 }
 
 // freePort grabs an ephemeral port by binding and releasing it. The tiny

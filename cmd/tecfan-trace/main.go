@@ -28,7 +28,6 @@ func main() {
 	fanLevel := flag.Int("fan", 1, "fan speed level, 1 = fastest")
 	scale := flag.Float64("scale", 1.0, "instruction-budget scale")
 	nfSchedule := flag.String("numfault-schedule", "", "JSON numerical-fault schedule file (numeric chaos)")
-	nfSeed := flag.Int64("numfault-seed", 0, "override the numfault schedule seed")
 	healthOut := flag.String("numeric-health", "", "write the run's NumericHealth JSON to this file")
 	flag.Parse()
 
@@ -37,9 +36,6 @@ func main() {
 		sched, err := numfault.ParseScheduleFile(*nfSchedule)
 		if err != nil {
 			fatal(err)
-		}
-		if *nfSeed != 0 {
-			sched.Seed = *nfSeed
 		}
 		opts = append(opts, tecfan.WithNumFaults(sched))
 	}

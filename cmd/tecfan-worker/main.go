@@ -48,9 +48,7 @@ func main() {
 	scratchDir := flag.String("scratch-dir", "", "existing directory for claim breadcrumbs (empty disables)")
 	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-attempt deadline on coordinator calls")
 	nfSchedule := flag.String("numfault-schedule", "", "JSON numerical-fault schedule applied to every trace shard (numeric chaos)")
-	nfSeed := flag.Int64("numfault-seed", 0, "override the numfault schedule seed")
 	cfSchedule := flag.String("clockfault-schedule", "", "JSON clock-fault schedule file; skews this worker's wall clock and timers (testing only)")
-	cfSeed := flag.Int64("clockfault-seed", 0, "override the clockfault schedule seed")
 	flag.Parse()
 
 	if *coordinator == "" {
@@ -81,9 +79,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *nfSeed != 0 {
-			sched.Seed = *nfSeed
-		}
 		numSched = &sched
 		log.Printf("tecfan-worker %s: NUMERIC FAULT INJECTION ACTIVE (schedule %s, seed %d)", *name, *nfSchedule, sched.Seed)
 	}
@@ -97,9 +92,6 @@ func main() {
 		sched, err := clockfault.ParseScheduleFile(*cfSchedule)
 		if err != nil {
 			fatal(err)
-		}
-		if *cfSeed != 0 {
-			sched.Seed = *cfSeed
 		}
 		fc, err := clockfault.New(sched, *name, &clockfault.Options{Logf: log.Printf})
 		if err != nil {

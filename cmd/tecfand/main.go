@@ -24,15 +24,19 @@
 //	GET    /jobs/{id}/result  durable result of a finished job
 //	GET    /storage           storage-robustness counters (degraded mode,
 //	                          quarantines, scrub repairs)
+//	GET    /pool/stats        coordinator counters (grants, completions,
+//	                          fencing, dropped ledger events)
+//	GET    /pool/leases       lease ledger: the newest grants, expiries,
+//	                          re-adoptions, failures and completions
 //
-// With -pool, execution moves to tecfan-worker processes and the worker
-// protocol is mounted as well:
+// Every job is a lease of the daemon's coordinator, so both views are served
+// in either mode. With -pool, execution moves to tecfan-worker processes and
+// the worker protocol is mounted as well:
 //
 //	POST   /pool/claim        grant a shard lease (204 when no work)
 //	POST   /pool/heartbeat    renew a lease (410 when fenced)
 //	POST   /pool/checkpoint   upload mid-shard progress
 //	POST   /pool/complete     report a shard result (idempotent per token)
-//	GET    /pool/stats        coordinator counters
 //
 // Every request carries an X-Request-ID (client-supplied or minted) that is
 // echoed in the response and threaded into the job log for correlation.
@@ -85,11 +89,8 @@ func main() {
 	scrubInterval := flag.Duration("scrub-interval", 30*time.Second, "background checkpoint-scrub cadence (<0 disables)")
 	probeInterval := flag.Duration("storage-probe-interval", 2*time.Second, "degraded-mode recovery probe cadence")
 	dfSchedule := flag.String("diskfault-schedule", "", "JSON disk-fault schedule file; injects storage faults into all state I/O (testing only)")
-	dfSeed := flag.Int64("diskfault-seed", 0, "override the schedule's seed (with -diskfault-schedule)")
 	nfSchedule := flag.String("numfault-schedule", "", "JSON numerical-fault schedule file; corrupts trace-job solver state (testing only)")
-	nfSeed := flag.Int64("numfault-seed", 0, "override the schedule's seed (with -numfault-schedule)")
 	cfSchedule := flag.String("clockfault-schedule", "", "JSON clock-fault schedule file; skews this process's wall clock and timers (testing only)")
-	cfSeed := flag.Int64("clockfault-seed", 0, "override the schedule's seed (with -clockfault-schedule)")
 	flag.Parse()
 
 	for _, err := range []error{
@@ -131,9 +132,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *dfSeed != 0 {
-			sched.Seed = *dfSeed
-		}
 		ffs, err := diskfault.New(sched, &diskfault.Options{
 			Logf: log.Printf,
 			OnCrash: func() {
@@ -157,9 +155,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *nfSeed != 0 {
-			sched.Seed = *nfSeed
-		}
 		numSched = &sched
 		log.Printf("tecfand: NUMERIC FAULT INJECTION ACTIVE (schedule %s, seed %d)", *nfSchedule, sched.Seed)
 	}
@@ -175,9 +170,6 @@ func main() {
 		sched, err := clockfault.ParseScheduleFile(*cfSchedule)
 		if err != nil {
 			fatal(err)
-		}
-		if *cfSeed != 0 {
-			sched.Seed = *cfSeed
 		}
 		fc, err := clockfault.New(sched, "daemon", &clockfault.Options{Logf: log.Printf})
 		if err != nil {

@@ -14,8 +14,9 @@ import (
 // nondeterministic injector would break the byte-identical recovery the
 // crucible entry transient-nan-recovery pins), plus the campaign engine
 // and shared schedule loader (the crucible's seed derivation, shrinker, and
-// oracles must replay a repro bit-for-bit; wall-clock orchestration lives
-// in cmd/tecfan-crucible, which is deliberately outside this scope). One
+// oracles must replay a repro bit-for-bit; process orchestration lives in
+// cmd/tecfan-crucible, which is deliberately outside this scope, and the
+// episode driver paces through the clockfault seam). One
 // stray wall-clock read or global-RNG draw here silently breaks the
 // bitwise-identical crash-resume proof (§10) and the byte-identical
 // pooled-vs-in-process merge proof (§12).

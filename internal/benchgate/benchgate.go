@@ -1,7 +1,8 @@
 // Package benchgate implements the performance regression gate behind
 // `tecfan-bench -gobench -gate` and scripts/bench_gate.sh: it parses
 // `go test -bench` output, reduces repeated runs to per-metric medians,
-// and compares the result against a committed baseline (BENCH_10.json).
+// and compares the result against a committed BENCH_*.json baseline
+// (scripts/bench_gate.sh names the current one).
 //
 // The comparison policy encodes what each metric means for this repo:
 //
@@ -40,7 +41,7 @@ type Metrics struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Baseline is the persisted form of one gate measurement (BENCH_10.json).
+// Baseline is the persisted form of one gate measurement (a BENCH_*.json).
 type Baseline struct {
 	Schema     int                `json:"schema"`
 	CPU        string             `json:"cpu"`

@@ -12,10 +12,11 @@
 // delta-debugging shrinker reduces any failing composite schedule to a
 // minimal repro for the committed testdata/crucible corpus.
 //
-// This package is in the nondeterminism analyzer's scope and stays a pure
-// function of its inputs: seeds derive via splitmix64, episode pacing and all
-// wall-clock orchestration (signals, process spawning, readiness polling
-// timers) live in cmd/tecfan-crucible.
+// This package is in the nondeterminism analyzer's scope: seeds derive via
+// splitmix64, and the oracles and the shrinker are pure functions of their
+// inputs. Process orchestration (spawning, signals) lives in
+// cmd/tecfan-crucible; the one episode driver both substrates share (Drive)
+// paces on clockfault.OS, never on the time package directly.
 package campaign
 
 import (
@@ -111,8 +112,8 @@ type Spec struct {
 	Clock *clockfault.Schedule `json:"clock,omitempty"`
 	// Procs are the signal-level events on the episode timeline.
 	Procs []ProcAction `json:"procs,omitempty"`
-	// Timeout bounds one episode's wall clock in the exec driver
-	// (0 = the driver's default).
+	// Timeout bounds one episode's wall clock in tecfan-crucible, on either
+	// substrate (0 = its -episode-timeout).
 	Timeout netfault.Duration `json:"timeout,omitempty"`
 }
 

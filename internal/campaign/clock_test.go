@@ -48,12 +48,12 @@ func TestInProcClockChaosEpisode(t *testing.T) {
 		{Kind: clockfault.KindJitter, Proc: "crucible-w*", FromOp: 1,
 			Max: schedfile.Duration(5 * time.Millisecond), Prob: 0.5},
 	}})
-	opts := &RunOptions{Logf: t.Logf}
-	ref, err := Reference(ctx, spec, 0, opts)
+	logf := t.Logf
+	ref, err := Reference(ctx, spec, 0, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := RunEpisode(ctx, spec, 0, opts)
+	h, err := RunEpisode(ctx, spec, 0, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,7 @@ func TestFencingSafetyUnderRandomSkewProperty(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	opts := &RunOptions{Logf: func(string, ...any) {}}
-	ref, err := Reference(ctx, clockedPoolSpec(1, nil), 0, opts)
+	ref, err := Reference(ctx, clockedPoolSpec(1, nil), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestFencingSafetyUnderRandomSkewProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x5eed<<8 | seed))
 			sched := randomSkewSchedule(rng)
 			spec := clockedPoolSpec(100+seed, sched)
-			h, err := RunEpisode(ctx, spec, 0, opts)
+			h, err := RunEpisode(ctx, spec, 0, nil)
 			if err != nil {
 				t.Fatalf("schedule %+v: %v", sched, err)
 			}

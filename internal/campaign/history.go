@@ -34,10 +34,10 @@ type History struct {
 	Procs []ProcEvent `json:"procs,omitempty"`
 	// Jobs is the final GET /jobs listing.
 	Jobs []daemon.JobView `json:"jobs"`
-	// Leases is the coordinator's append-only lease ledger (grant / expire /
-	// re-adopt / complete), fetched after the final jobs listing. Its Seq is
-	// the coordinator's own total order, independent of the History Seq space;
-	// the lease-safety oracle replays it per shard.
+	// Leases is the coordinator's lease ledger (grant / expire / re-adopt /
+	// fail / complete), fetched after the final jobs listing, pool or not.
+	// Its Seq is the coordinator's own total order from 0, independent of the
+	// History Seq space; the lease-safety oracle replays it per shard.
 	Leases []pool.LeaseEvent `json:"leases,omitempty"`
 }
 

@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -18,38 +16,17 @@ import (
 	"tecfan/internal/worker"
 )
 
-// RunOptions tunes the in-process episode runner.
-type RunOptions struct {
-	// Logf receives daemon/worker/client operational lines (default: silent).
-	Logf func(format string, args ...any)
-	// Poll is the job-wait poll interval (default 20ms).
-	Poll time.Duration
-}
-
-func (o *RunOptions) logf() func(string, ...any) {
-	if o != nil && o.Logf != nil {
-		return o.Logf
-	}
-	return func(string, ...any) {}
-}
-
-func (o *RunOptions) poll() time.Duration {
-	if o != nil && o.Poll > 0 {
-		return o.Poll
-	}
-	return 20 * time.Millisecond
-}
-
 // RunEpisode runs one episode of the spec entirely in-process: a real daemon
 // behind httptest, optional worker-pool loops, optional netfault proxy on the
-// client path, optional diskfault FS and numfault schedule — and returns the
-// client-observed history for the oracles.
+// client path, optional diskfault FS and numfault schedule — and drives it
+// (Drive) to the client-observed history for the oracles. logf receives
+// daemon/worker/client operational lines (nil: silent).
 //
-// Two spec features only the exec driver (cmd/tecfan-crucible) can honor are
-// rejected here: proc actions (there is no process to signal) and a disk
+// Two spec features only the exec path (tecfan-crucible -bin-dir) can honor
+// are rejected here: proc actions (there is no process to signal) and a disk
 // crash point (an in-process daemon cannot die and restart). The meta-tests
 // and the shrinker run on this path; full campaigns run on the exec path.
-func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (*History, error) {
+func RunEpisode(ctx context.Context, spec Spec, episode int, logf func(string, ...any)) (*History, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,7 +37,9 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (
 		return nil, fmt.Errorf("campaign: in-process runner cannot honor disk.crash_at_op; use cmd/tecfan-crucible")
 	}
 	eff := spec.ForEpisode(episode)
-	logf := opts.logf()
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 
 	// Each process identity gets its own FaultClock over the shared schedule,
 	// so coordinator and workers carry independent skews from one spec.
@@ -80,30 +59,16 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (
 		return nil, err
 	}
 	defer os.RemoveAll(stateDir)
-
-	var fs diskfault.FS
+	cfg := daemon.Config{StateDir: stateDir, NumFaults: eff.Num, Clock: daemonClock, Logf: logf}
 	if eff.Disk != nil {
-		ffs, err := diskfault.New(*eff.Disk, &diskfault.Options{Logf: logf})
-		if err != nil {
+		if cfg.FS, err = diskfault.New(*eff.Disk, &diskfault.Options{Logf: logf}); err != nil {
 			return nil, err
 		}
-		fs = ffs
 	}
-	srv, err := daemon.New(daemon.Config{
-		StateDir:    stateDir,
-		FS:          fs,
-		NumFaults:   eff.Num,
-		PoolEnabled: eff.Pool != nil,
-		PoolChunk:   poolChunk(eff.Pool),
-		PoolLeaseTTL: func() time.Duration {
-			if eff.Pool != nil {
-				return eff.Pool.LeaseTTL.Std()
-			}
-			return 0
-		}(),
-		Clock: daemonClock,
-		Logf:  logf,
-	})
+	if p := eff.Pool; p != nil {
+		cfg.PoolEnabled, cfg.PoolChunk, cfg.PoolLeaseTTL = true, p.Chunk, p.LeaseTTL.Std()
+	}
+	srv, err := daemon.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -116,10 +81,8 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (
 	}()
 
 	// The client — and, in pool mode, every worker — reaches the daemon
-	// through the chaos proxy when the spec has one; readiness probes and the
-	// post-episode inspection always go direct — network chaos models flaky
-	// paths to the coordinator, not a corrupted state store.
-	baseURL := hs.URL
+	// through the chaos proxy when the spec has one.
+	clientURL := hs.URL
 	if eff.Net != nil {
 		proxy, err := netfault.New("127.0.0.1:0", strings.TrimPrefix(hs.URL, "http://"),
 			*eff.Net, eff.NetSeed, &netfault.Options{Logf: logf})
@@ -127,76 +90,21 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, opts *RunOptions) (
 			return nil, err
 		}
 		defer proxy.Close()
-		baseURL = "http://" + proxy.Addr()
+		clientURL = "http://" + proxy.Addr()
 	}
-
 	if eff.Pool != nil {
-		stop, err := startPoolWorkers(baseURL, eff, clockFor, logf)
+		stop, err := startPoolWorkers(clientURL, eff, clockFor, logf)
 		if err != nil {
 			return nil, err
 		}
 		defer stop()
 	}
-
-	rec := NewRecorder(eff.Name, episode)
-	cl, err := client.New(client.Config{
-		BaseURL: baseURL, Logf: logf, Seed: 1, Observer: rec.Observer(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	direct, err := client.New(client.Config{BaseURL: hs.URL, Logf: logf, Seed: 2})
-	if err != nil {
-		return nil, err
-	}
-
-	sampleReady(rec, hs.URL)
-	for _, j := range eff.Jobs {
-		key := IdempotencyKey(eff.Name, episode, j.ID)
-		// Twice under one key: the replay feeds the exactly-once oracle.
-		for replay := 0; replay < 2; replay++ {
-			id, dedup, err := cl.SubmitWithKey(ctx, key, j)
-			rec.Submission(j.ID, key, id, dedup, err)
-		}
-		sampleReady(rec, hs.URL)
-	}
-	for _, j := range eff.Jobs {
-		v, err := cl.Wait(ctx, j.ID, opts.poll())
-		if err != nil {
-			return rec.History(), fmt.Errorf("campaign: waiting for job %s: %w", j.ID, err)
-		}
-		var result []byte
-		if v.State == daemon.StateDone {
-			// Inspection goes direct: the result bytes being judged are the
-			// daemon's durable state, not a chaos-mangled copy of it.
-			result, err = direct.Result(ctx, j.ID)
-			if err != nil {
-				return rec.History(), fmt.Errorf("campaign: fetching result of done job %s: %w", j.ID, err)
-			}
-		}
-		rec.Result(v, result)
-		sampleReady(rec, hs.URL)
-	}
-	views, err := direct.Jobs(ctx)
-	if err != nil {
-		return rec.History(), fmt.Errorf("campaign: final jobs listing: %w", err)
-	}
-	rec.Jobs(views)
-	rec.Leases(srv.PoolLeases())
-	sampleReady(rec, hs.URL)
-	return rec.History(), nil
-}
-
-func poolChunk(p *PoolSpec) int {
-	if p == nil {
-		return 0
-	}
-	return p.Chunk
+	return Drive(ctx, eff, NewRecorder(eff.Name, episode), clientURL, hs.URL, nil, logf)
 }
 
 // startPoolWorkers launches the spec's worker loops against the coordinator,
 // each armed with the same numeric fault schedule the daemon carries (the
-// exec driver passes the same schedule via -numfault-schedule) and its own
+// exec path passes the same schedule via -numfault-schedule) and its own
 // per-identity FaultClock (via -clockfault-schedule there).
 func startPoolWorkers(coordURL string, eff Spec, clockFor func(string) (clockfault.Clock, error), logf func(string, ...any)) (stop func(), err error) {
 	wctx, cancel := context.WithCancel(context.Background())
@@ -240,33 +148,13 @@ func startPoolWorkers(coordURL string, eff Spec, clockFor func(string) (clockfau
 	}, nil
 }
 
-// sampleReady probes GET /readyz directly on the daemon (never through the
-// proxy: a readiness sample lost to network chaos is not evidence about the
-// daemon) and records the sample. Probe transport errors are skipped — the
-// sticky oracle judges only what the daemon actually said.
-func sampleReady(rec *Recorder, daemonURL string) {
-	resp, err := http.Get(daemonURL + "/readyz")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status  string   `json:"status"`
-		Reasons []string `json:"reasons"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return
-	}
-	rec.Ready(resp.StatusCode == http.StatusOK, body.Reasons)
-}
-
 // Reference runs the spec's fault-free configuration (WithoutFaults) for the
 // same episode and returns job ID -> durable result bytes — the byte-identity
 // baseline the result-integrity oracle compares chaotic episodes against.
 // Every job must complete in the reference run; anything else is an error in
 // the spec itself, not a chaos finding.
-func Reference(ctx context.Context, spec Spec, episode int, opts *RunOptions) (map[string][]byte, error) {
-	h, err := RunEpisode(ctx, spec.WithoutFaults(), episode, opts)
+func Reference(ctx context.Context, spec Spec, episode int, logf func(string, ...any)) (map[string][]byte, error) {
+	h, err := RunEpisode(ctx, spec.WithoutFaults(), episode, logf)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: reference run: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"tecfan/internal/daemon"
 	"tecfan/internal/diskfault"
 	"tecfan/internal/numfault"
+	"tecfan/internal/pool"
 )
 
 // allKindsSpec carries one job of every kind at tiny scale — the meta-test
@@ -41,13 +42,13 @@ func TestEmptyLatticeEpisodeIsByteIdenticalToReference(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	spec := allKindsSpec()
-	opts := &RunOptions{Logf: t.Logf}
+	logf := t.Logf
 
-	ref, err := Reference(ctx, spec, 0, opts)
+	ref, err := Reference(ctx, spec, 0, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := RunEpisode(ctx, spec, 0, opts)
+	h, err := RunEpisode(ctx, spec, 0, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +92,41 @@ func TestEmptyLatticeEpisodeIsByteIdenticalToReference(t *testing.T) {
 	if len(h.Ready) == 0 || !h.Ready[len(h.Ready)-1].Ready {
 		t.Fatalf("daemon should end the episode ready: %+v", h.Ready)
 	}
+	// Without a pool every job is still a local lease: the ledger holds a
+	// grant and a completion per job, and the lease-safety oracle reads it
+	// (a copy whose grants never advance their token must fail).
+	if len(h.Leases) < 2*len(spec.Jobs) {
+		t.Fatalf("episode without a pool recorded %d lease events, want a grant and a completion per job", len(h.Leases))
+	}
+	doctored := *h
+	doctored.Leases = append([]pool.LeaseEvent(nil), h.Leases...)
+	for i := range doctored.Leases {
+		doctored.Leases[i].Token = 0
+	}
+	wantOracle(t, checkLeaseSafety(&doctored, ref), OracleLeaseSafety, "did not advance")
+}
+
+// TestStrandedJobIsJudgedNotAnError: a job that cannot finish within the
+// episode budget is read once more at the stranded-job deadline and handed to
+// the bounded-liveness oracle; the episode itself ends without an error.
+func TestStrandedJobIsJudgedNotAnError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a long simulation")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
+	defer cancel()
+	spec := Spec{Name: "stranded", Seed: 3, Jobs: []daemon.JobSpec{{
+		ID: "long", Kind: daemon.KindTrace, Bench: "cholesky", Threads: 16,
+		Scale: 400, Policy: "TECfan-FT", Seed: 7,
+	}}}
+	h, err := RunEpisode(ctx, spec, 0, t.Logf)
+	if err != nil {
+		t.Fatalf("a stranded job must be judged, not end the episode: %v", err)
+	}
+	if len(h.Results) != 1 || terminal(daemon.JobState(h.Results[0].State)) {
+		t.Fatalf("want the stranded job recorded in its non-terminal state, got %+v", h.Results)
+	}
+	wantOracle(t, checkBoundedLiveness(h, nil), OracleBoundedLiveness, "never reached a terminal result")
 }
 
 // TestInProcPooledEpisode runs a pooled episode (in-process worker loops)
@@ -116,12 +152,12 @@ func TestInProcPooledEpisode(t *testing.T) {
 			{Target: "temps", Action: "nan", Index: 0, FromStep: 3, ToStep: 4},
 		}},
 	}
-	opts := &RunOptions{Logf: t.Logf}
-	ref, err := Reference(ctx, spec, 0, opts)
+	logf := t.Logf
+	ref, err := Reference(ctx, spec, 0, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := RunEpisode(ctx, spec, 0, opts)
+	h, err := RunEpisode(ctx, spec, 0, logf)
 	if err != nil {
 		t.Fatal(err)
 	}

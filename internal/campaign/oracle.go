@@ -349,8 +349,14 @@ func checkReadyConsistency(h *History, _ map[string][]byte) []Violation {
 // after. A skewed or stepped clock may expire leases early or late — that
 // costs reassignment
 // work, never safety — so any violation here means wall time leaked into the
-// lease arithmetic.
+// lease arithmetic. A ledger that does not start at seq 0 lost its oldest
+// events to the coordinator's cap, and a partial ledger proves nothing: it
+// is itself the violation.
 func checkLeaseSafety(h *History, _ map[string][]byte) []Violation {
+	if len(h.Leases) > 0 && h.Leases[0].Seq != 0 {
+		return []Violation{{OracleLeaseSafety, "", fmt.Sprintf(
+			"ledger starts at seq %d: its older events were dropped, so fencing cannot be judged", h.Leases[0].Seq)}}
+	}
 	var out []Violation
 	type shardState struct {
 		holder    string

@@ -310,10 +310,19 @@ func TestLeaseSafety(t *testing.T) {
 
 	// Broken total order.
 	h.Leases = []pool.LeaseEvent{
-		{Seq: 1, Event: pool.EventGrant, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},
-		{Seq: 1, Event: pool.EventComplete, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},
+		{Seq: 0, Event: pool.EventGrant, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},
+		{Seq: 0, Event: pool.EventComplete, JobID: "a", ShardID: "s0", Worker: "w1", Token: 1},
 	}
 	wantOracle(t, checkLeaseSafety(h, ref), OracleLeaseSafety, "total order is broken")
+
+	// A truncated ledger is reported, not judged in part: without its first
+	// grant, the completion below would read as a completion of no lease.
+	h.Leases = greenLedger()[3:]
+	vs := checkLeaseSafety(h, ref)
+	wantOracle(t, vs, OracleLeaseSafety, "starts at seq 3")
+	if len(vs) != 1 {
+		t.Fatalf("a truncated ledger must be one violation, not a partial replay: %v", vs)
+	}
 }
 
 func TestBoundedLiveness(t *testing.T) {

@@ -89,6 +89,13 @@ func (c *Client) PoolComplete(ctx context.Context, cr *pool.CompleteRequest) err
 	return nil
 }
 
+// PoolLeases fetches the coordinator's lease ledger (GET /pool/leases).
+func (c *Client) PoolLeases(ctx context.Context) ([]pool.LeaseEvent, error) {
+	var events []pool.LeaseEvent
+	_, err := c.call(ctx, http.MethodGet, "/pool/leases", nil, nil, &events)
+	return events, err
+}
+
 // PoolStats fetches the coordinator's counters (GET /pool/stats).
 func (c *Client) PoolStats(ctx context.Context) (pool.Stats, error) {
 	var st pool.Stats

@@ -254,7 +254,10 @@ type job struct {
 	// ctx is canceled by DELETE or drain; local attempts run under it.
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{} // closed when the job reaches a terminal state
+	// deleted marks a client's DELETE: the job's checkpoint goes with it,
+	// where a drain keeps it for the next incarnation to resume.
+	deleted bool
+	done    chan struct{} // closed once the job is terminal and its checkpoint settled
 }
 
 func (j *job) terminal() bool {
@@ -584,6 +587,9 @@ func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	local := ok && j.state == StateRunning && !s.cfg.PoolEnabled
+	if ok && !j.terminal() {
+		j.deleted = true
+	}
 	s.mu.Unlock()
 	switch {
 	case !ok:
@@ -677,17 +683,19 @@ func (s *Server) finish(id string, j *job, st JobState, msg string) {
 	}
 	j.state = st
 	j.err = msg
-	rid := j.requestID
-	close(j.done)
+	rid, forget := j.requestID, st == StateDone || j.deleted
 	s.mu.Unlock()
 	j.cancel()
 	s.pool.DropJob(id)
-	if st == StateDone {
-		// The result file is durable; the checkpoint (all generations) has
-		// served its purpose. Quarantined .bad-N files stay for post-mortem.
+	if forget {
+		// The result file is durable, or the client wants the job gone: the
+		// checkpoint (all generations) has served its purpose, and recover
+		// must not resume it. Quarantined .bad-N files stay for post-mortem.
 		_ = s.gens(id).RemoveAll()
 		s.dropGens(id)
 	}
+	// Last, so a Wait that returns sees the state dir settled too.
+	close(j.done)
 	if rid != "" {
 		s.cfg.Logf("daemon: job %s -> %s (request %s)", id, st, rid)
 	} else {
@@ -732,13 +740,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /storage", serveJSON(s.StorageStats)) // degraded flag, skips, quarantines, scrubs
+	// The coordinator leases every job, local or remote, so its read-only
+	// views are always served; only the worker protocol needs PoolEnabled.
+	mux.HandleFunc("GET /pool/stats", serveJSON(s.pool.Stats))
+	mux.HandleFunc("GET /pool/leases", serveJSON(s.pool.Leases))
 	if s.cfg.PoolEnabled {
 		mux.HandleFunc("POST /pool/claim", poolCall(pool.DecodeClaimRequest, s.poolClaim))
 		mux.HandleFunc("POST /pool/heartbeat", poolCall(pool.DecodeHeartbeat, s.poolHeartbeat))
 		mux.HandleFunc("POST /pool/checkpoint", poolCall(pool.DecodeCheckpointUpload, s.poolCheckpoint))
 		mux.HandleFunc("POST /pool/complete", poolCall(pool.DecodeComplete, s.poolComplete))
-		mux.HandleFunc("GET /pool/stats", serveJSON(s.pool.Stats))
-		mux.HandleFunc("GET /pool/leases", serveJSON(s.PoolLeases))
 	}
 	var h http.Handler = mux
 	if s.cfg.RequestTimeout > 0 {

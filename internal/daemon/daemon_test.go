@@ -404,6 +404,103 @@ func TestCancelStopsLocalAttempt(t *testing.T) {
 	}
 }
 
+// TestCanceledJobStaysGoneAfterRestart: a job a client canceled mid-run
+// leaves no checkpoint behind, so the next incarnation on the same state
+// dir neither lists nor runs it (a drained job, by contrast, resumes:
+// TestRestartResumesAndMatches).
+func TestCanceledJobStaysGoneAfterRestart(t *testing.T) {
+	cfg := fastConfig(t)
+	saved := make(chan struct{})
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubExec(s1, func(ctx context.Context, save func(*pool.Checkpoint) error) error {
+		for i := 0; ctx.Err() == nil; i++ {
+			_ = save(&pool.Checkpoint{Threshold: 1})
+			if i == 0 {
+				close(saved)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return ctx.Err()
+	})
+	if _, err := s1.Submit(traceSpec("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	<-saved
+	if err := s1.Cancel("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, "doomed", StateCanceled)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, cfg)
+	if v, ok := s2.Job("doomed"); ok {
+		t.Fatalf("canceled job came back after a restart as %s", v.State)
+	}
+	if rec := loadOrNil(s2, "doomed"); rec != nil {
+		t.Fatal("canceled job's checkpoint survived the cancel")
+	}
+}
+
+// TestPoolViewsServedWithoutPool: the coordinator leases every job, so a
+// daemon without PoolEnabled still serves its ledger and counters, and a
+// finished local job shows as one grant and one completion.
+func TestPoolViewsServedWithoutPool(t *testing.T) {
+	s := newTestServer(t, fastConfig(t))
+	stubExec(s, func(context.Context, func(*pool.Checkpoint) error) error { return nil })
+	if _, err := s.Submit(traceSpec("local")); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, "local", StateDone)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	var events []pool.LeaseEvent
+	getJSON(t, srv.URL+"/pool/leases", &events)
+	if len(events) != 2 || events[0].Event != pool.EventGrant || events[1].Event != pool.EventComplete {
+		t.Fatalf("ledger = %+v, want one grant then one complete", events)
+	}
+	for i, e := range events {
+		if e.Seq != int64(i) || e.JobID != "local" || e.Token != events[0].Token {
+			t.Fatalf("ledger event %d = %+v", i, e)
+		}
+	}
+	var st pool.Stats
+	getJSON(t, srv.URL+"/pool/stats", &st)
+	if st.Grants != 1 || st.Completes != 1 {
+		t.Fatalf("pool stats = %+v, want one grant and one completion", st)
+	}
+	resp, err := http.Post(srv.URL+"/pool/claim", "application/json", strings.NewReader(`{"worker":"w"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent {
+		t.Fatalf("POST /pool/claim without PoolEnabled = %d, want it unmounted", resp.StatusCode)
+	}
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDrainShedsAndCancels: after Shutdown begins, readiness flips, new
 // submissions are refused, and running jobs are canceled.
 func TestDrainShedsAndCancels(t *testing.T) {

@@ -110,7 +110,7 @@ func (s *Server) register(j *job, restore *pool.PersistedState) {
 func (s *Server) begin(g *pool.ClaimResponse) *job {
 	s.mu.Lock()
 	j := s.jobs[g.JobID] // every registered job is listed
-	live := !j.terminal() && j.ctx.Err() == nil
+	live := !j.terminal() && !j.deleted && j.ctx.Err() == nil
 	if live {
 		if j.state == StateQueued {
 			s.queued--

@@ -83,11 +83,3 @@ func (s *Server) poolComplete(cr *pool.CompleteRequest) (any, error) {
 	s.settle(cr.JobID)
 	return poolOK, nil
 }
-
-// PoolLeases snapshots the lease ledger — the local lessees' leases, or
-// under PoolEnabled the remote workers': the raw material for the
-// crucible's lease-safety oracle and for operators chasing a fencing
-// incident.
-func (s *Server) PoolLeases() []pool.LeaseEvent {
-	return s.pool.Leases()
-}

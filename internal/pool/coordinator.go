@@ -80,6 +80,9 @@ type Stats struct {
 	Completes     int64 `json:"completes"`
 	FencedRejects int64 `json:"fenced_rejects"`
 	ExpiredLeases int64 `json:"expired_leases"`
+	// LedgerDropped counts the oldest lease events dropped to keep the
+	// ledger at its cap.
+	LedgerDropped int64 `json:"ledger_dropped"`
 }
 
 type shardState int
@@ -139,6 +142,8 @@ type Coordinator struct {
 	jobOrder []string
 	lastSeen map[string]clockfault.Mono
 	ledger   []LeaseEvent
+	// ledgerSeq is the next event's Seq: the count of events ever recorded.
+	ledgerSeq int64
 	// wake is closed, and replaced, whenever a shard may have become
 	// claimable; Await sleeps on it.
 	wake chan struct{}
@@ -546,6 +551,7 @@ func (c *Coordinator) Stats() Stats {
 		Completes:     c.completes,
 		FencedRejects: c.fenced,
 		ExpiredLeases: c.expired,
+		LedgerDropped: c.ledgerSeq - int64(len(c.keptLocked())),
 	}
 	for _, j := range c.jobs {
 		st.ShardsTotal += len(j.shards)

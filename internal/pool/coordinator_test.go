@@ -532,3 +532,42 @@ func TestAwaitWakesOnSignalAndWithinTTL(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerKeepsNewestAtCap: the ledger keeps exactly its newest ledgerCap
+// events, in Seq order, and counts the older ones as dropped, across every
+// cut-back of its backing slice.
+func TestLedgerKeepsNewestAtCap(t *testing.T) {
+	c := New(Config{Clock: newFakeClock()})
+	total := 0
+	record := func(n int) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := 0; i < n; i++ {
+			c.recordLocked(EventGrant, "j", "s0", "w", uint64(total+1))
+			total++
+		}
+	}
+	check := func() {
+		t.Helper()
+		got := c.Leases()
+		kept := min(total, ledgerCap)
+		if len(got) != kept {
+			t.Fatalf("after %d events the ledger holds %d, want %d", total, len(got), kept)
+		}
+		for i, e := range got {
+			if want := int64(total - kept + i); e.Seq != want || e.Token != uint64(want+1) {
+				t.Fatalf("after %d events, kept event %d = %+v, want seq %d", total, i, e, want)
+			}
+		}
+		if d := c.Stats().LedgerDropped; d != int64(total-kept) {
+			t.Fatalf("after %d events LedgerDropped = %d, want %d", total, d, total-kept)
+		}
+	}
+	for _, n := range []int{ledgerCap - 1, 1, 1, ledgerCap - 1, 1, 1, 2*ledgerCap + 7} {
+		record(n)
+		check()
+	}
+	if cap(c.ledger) > 4*ledgerCap {
+		t.Fatalf("ledger backing array grew to %d events", cap(c.ledger))
+	}
+}

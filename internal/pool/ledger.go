@@ -17,11 +17,12 @@ const (
 	EventFail = "fail"
 )
 
-// LeaseEvent is one entry in the coordinator's lease ledger: an append-only
-// record of every grant, expiry, re-adoption, failure and completion, in the
-// total order the coordinator decided them (Seq). The crucible's lease-safety
-// oracle replays this ledger to prove fencing-token monotonicity and
-// exactly-once completion under clock chaos; /pool/leases serves it.
+// LeaseEvent is one entry in the coordinator's lease ledger: a record of
+// every grant, expiry, re-adoption, failure and completion, in the total
+// order the coordinator decided them (Seq, from 0). The crucible's
+// lease-safety oracle replays this ledger to prove fencing-token
+// monotonicity and exactly-once completion under clock chaos; /pool/leases
+// serves it.
 type LeaseEvent struct {
 	Seq     int64  `json:"seq"`
 	Event   string `json:"event"`
@@ -31,20 +32,36 @@ type LeaseEvent struct {
 	Token   uint64 `json:"token"`
 }
 
+// ledgerCap bounds the ledger a long-running coordinator keeps: the newest
+// ledgerCap events. Every job adds at least two, so an unbounded ledger
+// grows with each job served; older events are dropped and counted
+// (Stats.LedgerDropped), and a served ledger whose first Seq is not 0 is
+// known to be partial.
+const ledgerCap = 1 << 14
+
 // recordLocked appends one ledger entry. Called with c.mu held, so Seq is a
-// true total order over lease decisions.
+// true total order over lease decisions. The backing slice holds up to
+// 2·ledgerCap events and is cut back to the newest ledgerCap when full, so
+// dropping stays amortized O(1) per event.
 func (c *Coordinator) recordLocked(event, jobID, shardID, worker string, token uint64) {
+	if len(c.ledger) == 2*ledgerCap {
+		c.ledger = c.ledger[:copy(c.ledger, c.ledger[ledgerCap:])]
+	}
 	c.ledger = append(c.ledger, LeaseEvent{
-		Seq: int64(len(c.ledger)), Event: event,
+		Seq: c.ledgerSeq, Event: event,
 		JobID: jobID, ShardID: shardID, Worker: worker, Token: token,
 	})
+	c.ledgerSeq++
 }
 
-// Leases snapshots the lease ledger.
+// keptLocked is the retained ledger: its newest ledgerCap events.
+func (c *Coordinator) keptLocked() []LeaseEvent {
+	return c.ledger[max(0, len(c.ledger)-ledgerCap):]
+}
+
+// Leases snapshots the lease ledger: its newest events, at most ledgerCap.
 func (c *Coordinator) Leases() []LeaseEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]LeaseEvent, len(c.ledger))
-	copy(out, c.ledger)
-	return out
+	return append([]LeaseEvent(nil), c.keptLocked()...)
 }

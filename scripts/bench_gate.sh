@@ -6,7 +6,7 @@
 # (every machine) or a >15% ns/op regression (matching CPU only).
 #
 #   scripts/bench_gate.sh                 # gate against BENCH_13.json
-#   BASELINE=BENCH_10.json scripts/bench_gate.sh
+#   BASELINE=old.json scripts/bench_gate.sh   # gate against another baseline
 #   RUNS=5 scripts/bench_gate.sh          # more repetitions, stabler median
 #   EMIT=BENCH_14.json scripts/bench_gate.sh   # also record a new baseline
 set -euo pipefail

@@ -66,28 +66,10 @@ func WithFaultScenario(name string, seed int64) Option {
 	}
 }
 
-// WithNumFaultSchedule arms the numerical-chaos injector for every
-// subsequent run from a JSON schedule (see internal/numfault for the rule
-// format); a non-zero seed overrides the schedule's own. The base scenario
-// stays clean by definition.
-func WithNumFaultSchedule(schedule []byte, seed int64) Option {
-	return func(e *exp.Env) error {
-		s, err := numfault.ParseSchedule(schedule)
-		if err != nil {
-			return err
-		}
-		if seed != 0 {
-			s.Seed = seed
-		}
-		e.NumFaults = &s
-		return nil
-	}
-}
-
-// WithNumFaults arms the numerical-chaos injector with an already-parsed
-// schedule — the path CLIs take after loading a file through
-// numfault.ParseScheduleFile, which carries file-path error context that the
-// raw-bytes variant above cannot.
+// WithNumFaults arms the numerical-chaos injector for every subsequent run
+// from a parsed schedule (numfault.ParseScheduleFile or ParseSchedule; see
+// internal/numfault for the rule format), seeded by the schedule's own seed.
+// The base scenario stays clean by definition.
 func WithNumFaults(s numfault.Schedule) Option {
 	return func(e *exp.Env) error {
 		if err := s.Validate(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tecfan/internal/floats"
+	"tecfan/internal/numfault"
 	"tecfan/internal/numguard"
 	"tecfan/internal/sim"
 )
@@ -172,7 +173,11 @@ func TestTraceNumericRefusal(t *testing.T) {
 		t.Helper()
 		opts := []Option{}
 		if schedule != "" {
-			opts = append(opts, WithNumFaultSchedule([]byte(schedule), 0))
+			sched, err := numfault.ParseSchedule([]byte(schedule))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = append(opts, WithNumFaults(sched))
 		}
 		sys, err := New(opts...)
 		if err != nil {
