@@ -5,7 +5,10 @@
 //	tecfan-bench -exp table1      # one experiment
 //	tecfan-bench -scale 1 -trace 600   # full paper-scale run
 //
-// Experiments: table1, fig4, fig5, fig6, fig7, hw, all.
+// Experiments: table1, fig4, fig5, fig6 (one run prints both), fig7, hw,
+// ablate, mapping, timescales, scaling, mix, oraclegap, report, and all.
+// "all" runs every experiment except report, which repeats them all as one
+// document and runs only when asked for.
 //
 // With -gobench it instead becomes the performance regression gate over
 // the Go micro-benchmarks (see gate.go and scripts/bench_gate.sh):

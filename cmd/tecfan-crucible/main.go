@@ -1,10 +1,12 @@
 // Command tecfan-crucible is the unified chaos-campaign orchestrator: it runs
 // seeded episodes of a composite fault campaign — network chaos, disk faults,
-// numerical corruption, and process-level kill/stop/restart on one shared
-// timeline — against the real daemon(+pool) stack, records the client-observed
-// history, and judges it with the end-to-end oracle catalog (exactly-once,
-// byte-identical-or-declared-fail-safe results, sticky fail-safe, no
-// non-finite token, readiness consistency).
+// numerical corruption, clock faults, and process-level kill/stop/restart on
+// one shared timeline — against the real daemon(+pool) stack, records the
+// client-observed history, and judges it with the end-to-end oracle catalog
+// (exactly-once, byte-identical-or-declared-fail-safe results, sticky
+// fail-safe, no non-finite token, readiness consistency, lease safety over
+// the coordinator's ledger, and bounded liveness: no accepted job is left
+// stranded).
 //
 // Usage:
 //
@@ -408,7 +410,7 @@ func (s *execStack) start(ctx context.Context) error {
 		paddr := "127.0.0.1:" + strconv.Itoa(pport)
 		s.proxy, err = s.spawn("tecfan-netchaos", "netchaos.log",
 			"-listen", paddr, "-target", s.daemonAddr,
-			"-schedule", netFile, "-seed", strconv.FormatInt(s.eff.NetSeed, 10))
+			"-schedule", netFile)
 		if err != nil {
 			return err
 		}
@@ -444,8 +446,9 @@ func (s *execStack) writeSchedule(name string, v any) (string, error) {
 func (s *execStack) startDaemon(ctx context.Context) error {
 	args := []string{
 		"-addr", s.daemonAddr, "-state-dir", s.stateDir,
-		"-checkpoint-every", "1", "-scrub-interval", "2s",
-		"-storage-probe-interval", "500ms",
+		"-checkpoint-every", strconv.Itoa(campaign.CheckpointEvery),
+		"-scrub-interval", campaign.ScrubInterval.String(),
+		"-storage-probe-interval", campaign.StorageProbeInterval.String(),
 	}
 	if s.eff.Pool != nil {
 		args = append(args, "-pool")
@@ -484,7 +487,7 @@ func (s *execStack) startWorker(i int) (*proc, error) {
 	args := []string{
 		"-coordinator", s.clientURL,
 		"-name", fmt.Sprintf("crucible-w%d", i),
-		"-poll", "100ms",
+		"-poll", campaign.WorkerPoll.String(),
 	}
 	if s.numFile != "" {
 		args = append(args, "-numfault-schedule", s.numFile)

@@ -7,13 +7,13 @@
 // Faults come from a JSON schedule file (see internal/netfault.Schedule):
 //
 //	tecfan-netchaos -listen 127.0.0.1:9023 -target 127.0.0.1:8023 \
-//	    -seed 42 -schedule faults.json
+//	    -schedule faults.json
 //
-// A schedule holds a base fault (latency, jitter, drop, reset, bandwidth),
-// windows relative to proxy start that override it or partition the link
-// outright, and an optional repeat period. Without -schedule the proxy
-// forwards unimpaired. SIGINT/SIGTERM closes the listener and resets live
-// connections.
+// A schedule holds the seed of its probabilistic draws, a base fault
+// (latency, jitter, drop, reset, bandwidth), windows relative to proxy start
+// that override it or partition the link outright, and an optional repeat
+// period. Without -schedule the proxy forwards unimpaired. SIGINT/SIGTERM
+// closes the listener and resets live connections.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9023", "address the proxy listens on")
 	target := flag.String("target", "127.0.0.1:8023", "upstream daemon address")
-	seed := flag.Int64("seed", 1, "base seed for all probabilistic fault decisions")
 	schedFile := flag.String("schedule", "", "JSON fault schedule file (empty = forward unimpaired)")
 	flag.Parse()
 
@@ -57,11 +56,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	proxy, err := netfault.New(*listen, *target, sched, *seed, &netfault.Options{Logf: log.Printf})
+	proxy, err := netfault.New(*listen, *target, sched, log.Printf)
 	if err != nil {
 		fatal(err)
 	}
-	log.Printf("tecfan-netchaos: %s -> %s (seed %d)", proxy.Addr(), *target, *seed)
+	log.Printf("tecfan-netchaos: %s -> %s (seed %d)", proxy.Addr(), *target, sched.Seed)
 
 	<-ctx.Done()
 	log.Printf("tecfan-netchaos: shutting down (live connections reset)")

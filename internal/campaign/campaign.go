@@ -13,8 +13,8 @@
 // minimal repro for the committed testdata/crucible corpus.
 //
 // This package is in the nondeterminism analyzer's scope: seeds derive via
-// splitmix64, and the oracles and the shrinker are pure functions of their
-// inputs. Process orchestration (spawning, signals) lives in
+// internal/splitmix, and the oracles and the shrinker are pure functions of
+// their inputs. Process orchestration (spawning, signals) lives in
 // cmd/tecfan-crucible; the one episode driver both substrates share (Drive)
 // paces on clockfault.OS, never on the time package directly.
 package campaign
@@ -35,6 +35,7 @@ import (
 	"tecfan/internal/netfault"
 	"tecfan/internal/numfault"
 	"tecfan/internal/schedfile"
+	"tecfan/internal/splitmix"
 )
 
 // Process-action verbs on the episode timeline.
@@ -64,9 +65,9 @@ var validProcActions = map[string]bool{
 // start. Proc actions are exec-only: the in-process episode runner rejects
 // specs that carry any (there is no process to signal).
 type ProcAction struct {
-	At     netfault.Duration `json:"at"`
-	Target string            `json:"target"`
-	Action string            `json:"action"`
+	At     schedfile.Duration `json:"at"`
+	Target string             `json:"target"`
+	Action string             `json:"action"`
 }
 
 // PoolSpec switches the episode stack to coordinator + worker-pool mode.
@@ -76,7 +77,7 @@ type PoolSpec struct {
 	// Chunk is the coordinator's rows-per-shard (0 = daemon default).
 	Chunk int `json:"chunk,omitempty"`
 	// LeaseTTL is the shard lease TTL (0 = daemon default).
-	LeaseTTL netfault.Duration `json:"lease_ttl,omitempty"`
+	LeaseTTL schedfile.Duration `json:"lease_ttl,omitempty"`
 }
 
 // Spec is one composite chaos campaign: the jobs a client submits, the fault
@@ -98,9 +99,6 @@ type Spec struct {
 	Pool *PoolSpec `json:"pool,omitempty"`
 	// Net interposes the netfault chaos proxy between client and daemon.
 	Net *netfault.Schedule `json:"net,omitempty"`
-	// NetSeed seeds the proxy's probabilistic draws (0 = derive per episode;
-	// the netfault schedule format carries no seed of its own).
-	NetSeed int64 `json:"net_seed,omitempty"`
 	// Disk arms the diskfault filesystem under the daemon's state dir.
 	Disk *diskfault.Schedule `json:"disk,omitempty"`
 	// Num arms the numfault injector on the daemon and on every worker.
@@ -114,7 +112,7 @@ type Spec struct {
 	Procs []ProcAction `json:"procs,omitempty"`
 	// Timeout bounds one episode's wall clock in tecfan-crucible, on either
 	// substrate (0 = its -episode-timeout).
-	Timeout netfault.Duration `json:"timeout,omitempty"`
+	Timeout schedfile.Duration `json:"timeout,omitempty"`
 }
 
 // LoadSpec reads and validates a campaign spec through the shared schedfile
@@ -328,20 +326,11 @@ func TimelineOrder(procs []ProcAction) []ProcAction {
 	return out
 }
 
-// splitmix64 is the usual finalizer: good avalanche, zero state. Same
-// construction numfault uses for per-step draws.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // deriveSeed mixes the campaign seed, episode index, and a per-injector salt
 // into a non-zero seed, so each episode explores a different corner of the
 // fault lattice while staying perfectly replayable.
 func deriveSeed(base int64, episode int, salt uint64) int64 {
-	h := splitmix64(uint64(base) ^ splitmix64(uint64(episode)*0x9e37+salt))
+	h := splitmix.Mix(uint64(base) ^ splitmix.Mix(uint64(episode)*0x9e37+salt))
 	if h == 0 {
 		h = 1
 	}
@@ -368,8 +357,8 @@ func (s Spec) ForEpisode(episode int) Spec {
 	if eff.Num != nil && eff.Num.Seed == 0 {
 		eff.Num.Seed = deriveSeed(s.Seed, episode, saltNum)
 	}
-	if eff.Net != nil && eff.NetSeed == 0 {
-		eff.NetSeed = deriveSeed(s.Seed, episode, saltNet)
+	if eff.Net != nil && eff.Net.Seed == 0 {
+		eff.Net.Seed = deriveSeed(s.Seed, episode, saltNet)
 	}
 	if eff.Clock != nil && eff.Clock.Seed == 0 {
 		eff.Clock.Seed = deriveSeed(s.Seed, episode, saltClock)
@@ -385,7 +374,6 @@ func (s Spec) ForEpisode(episode int) Spec {
 func (s Spec) WithoutFaults() Spec {
 	eff := s.Clone()
 	eff.Net, eff.Disk, eff.Num, eff.Clock = nil, nil, nil, nil
-	eff.NetSeed = 0
 	eff.Procs = nil
 	eff.Pool = nil
 	return eff

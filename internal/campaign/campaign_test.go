@@ -36,7 +36,7 @@ func compoundSpec() Spec {
 		Net: &netfault.Schedule{
 			Base: netfault.Fault{Drop: 0.1},
 			Windows: []netfault.Window{
-				{From: 0, To: netfault.Duration(1e9), Partition: true},
+				{From: 0, To: schedfile.Duration(1e9), Partition: true},
 			},
 		},
 		Disk: &diskfault.Schedule{Rules: []diskfault.Rule{
@@ -51,10 +51,10 @@ func compoundSpec() Spec {
 			{Kind: clockfault.KindDrift, Proc: "crucible-w*", FromOp: 1, Rate: 0.5},
 		}},
 		Procs: []ProcAction{
-			{At: netfault.Duration(2e9), Target: "worker:0", Action: ActStop},
-			{At: netfault.Duration(3e9), Target: "worker:0", Action: ActCont},
-			{At: netfault.Duration(4e9), Target: TargetDaemon, Action: ActKill},
-			{At: netfault.Duration(5e9), Target: TargetDaemon, Action: ActRestart},
+			{At: schedfile.Duration(2e9), Target: "worker:0", Action: ActStop},
+			{At: schedfile.Duration(3e9), Target: "worker:0", Action: ActCont},
+			{At: schedfile.Duration(4e9), Target: TargetDaemon, Action: ActKill},
+			{At: schedfile.Duration(5e9), Target: TargetDaemon, Action: ActRestart},
 		},
 	}
 }
@@ -117,8 +117,8 @@ func TestValidateRejects(t *testing.T) {
 func TestChoreographyOrderIsByAt(t *testing.T) {
 	s := compoundSpec()
 	s.Procs = []ProcAction{
-		{At: netfault.Duration(5e9), Target: TargetDaemon, Action: ActRestart},
-		{At: netfault.Duration(2e9), Target: TargetDaemon, Action: ActKill},
+		{At: schedfile.Duration(5e9), Target: TargetDaemon, Action: ActRestart},
+		{At: schedfile.Duration(2e9), Target: TargetDaemon, Action: ActKill},
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("kill-then-restart by At should validate: %v", err)
@@ -138,27 +138,70 @@ func TestForEpisodeDerivesOnlyZeroSeeds(t *testing.T) {
 	if e0.Num.Seed != 999 || e1.Num.Seed != 999 {
 		t.Fatalf("pinned num seed was overridden: %d / %d", e0.Num.Seed, e1.Num.Seed)
 	}
-	if e0.Disk.Seed == 0 || e0.NetSeed == 0 {
+	if e0.Disk.Seed == 0 || e0.Net.Seed == 0 {
 		t.Fatal("zero seeds must be derived to non-zero")
 	}
-	if e0.Disk.Seed == e1.Disk.Seed || e0.NetSeed == e1.NetSeed {
+	if e0.Disk.Seed == e1.Disk.Seed || e0.Net.Seed == e1.Net.Seed {
 		t.Fatal("different episodes must derive different seeds")
 	}
-	if e0.Disk.Seed == e0.NetSeed {
+	if e0.Disk.Seed == e0.Net.Seed {
 		t.Fatal("different injectors must derive different seeds")
 	}
 	again := s.ForEpisode(0)
-	if again.Disk.Seed != e0.Disk.Seed || again.NetSeed != e0.NetSeed {
+	if again.Disk.Seed != e0.Disk.Seed || again.Net.Seed != e0.Net.Seed {
 		t.Fatal("seed derivation must be deterministic")
 	}
-	if s.Disk.Seed != 0 || s.NetSeed != 0 {
+	if s.Disk.Seed != 0 || s.Net.Seed != 0 {
 		t.Fatal("ForEpisode must not mutate the input spec")
 	}
 }
 
+// TestBaselineProxySeedsUnchanged pins the proxy seeds of the baseline
+// campaign's first five episodes. The net seed used to live in a spec field
+// beside the schedule and now lives in it; the literals are the values that
+// field held, so every episode's connection draws stay the same.
+func TestBaselineProxySeedsUnchanged(t *testing.T) {
+	s, err := LoadSpec("../../testdata/crucible/campaigns/baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{
+		-8654624963561205626,
+		2146539290971248399,
+		-5397532827454833932,
+		3577103011635453627,
+		-3503085819235306686,
+	}
+	for ep, w := range want {
+		got := s.ForEpisode(ep).Net.Seed
+		if derived := deriveSeed(s.Seed, ep, saltNet); got != derived || got != w {
+			t.Errorf("episode %d: net seed %d, derived %d, want %d", ep, got, derived, w)
+		}
+	}
+}
+
+// TestPinnedProxySeedLoads: the corpus entry that pins its proxy seed keeps
+// it through LoadCorpus and ForEpisode.
+func TestPinnedProxySeedLoads(t *testing.T) {
+	entries, err := LoadCorpus("../../testdata/crucible")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Spec.Name != "partition-submit" {
+			continue
+		}
+		if got := e.Spec.ForEpisode(0).Net.Seed; got != 555 {
+			t.Fatalf("partition-submit net seed %d, want the pinned 555", got)
+		}
+		return
+	}
+	t.Fatal("corpus entry partition-submit not found")
+}
+
 func TestWithoutFaultsStripsTheLattice(t *testing.T) {
 	ref := compoundSpec().WithoutFaults()
-	if ref.Net != nil || ref.Disk != nil || ref.Num != nil || ref.Procs != nil || ref.Pool != nil || ref.NetSeed != 0 {
+	if ref.Net != nil || ref.Disk != nil || ref.Num != nil || ref.Procs != nil || ref.Pool != nil {
 		t.Fatalf("WithoutFaults left lattice behind: %+v", ref)
 	}
 	if len(ref.Jobs) != 2 {

@@ -16,6 +16,19 @@ import (
 // the interval every committed corpus entry's timeline was tuned against.
 const waitPoll = 100 * time.Millisecond
 
+// The stack settings every episode runs with, in-process (RunEpisode, and
+// with it every Reference) and as spawned binaries (tecfan-crucible passes
+// them as tecfand's and tecfan-worker's flags), so both substrates start the
+// same stack. A checkpoint every control period gives a kill or power cut
+// fresh state to land on; the short scrub and probe intervals let storage
+// faults surface and clear within one episode.
+const (
+	CheckpointEvery      = 1                      // tecfand -checkpoint-every
+	ScrubInterval        = 2 * time.Second        // tecfand -scrub-interval
+	StorageProbeInterval = 500 * time.Millisecond // tecfand -storage-probe-interval
+	WorkerPoll           = 100 * time.Millisecond // tecfan-worker -poll
+)
+
 // Drive is the client side of every episode, in-process or against spawned
 // binaries alike; the caller only starts, faults and stops the stack. It
 // submits each of eff's jobs twice under one idempotency key, waits for

@@ -59,7 +59,10 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, logf func(string, .
 		return nil, err
 	}
 	defer os.RemoveAll(stateDir)
-	cfg := daemon.Config{StateDir: stateDir, NumFaults: eff.Num, Clock: daemonClock, Logf: logf}
+	cfg := daemon.Config{
+		StateDir: stateDir, NumFaults: eff.Num, Clock: daemonClock, Logf: logf,
+		CheckpointEvery: CheckpointEvery, ScrubInterval: ScrubInterval, StorageProbeInterval: StorageProbeInterval,
+	}
 	if eff.Disk != nil {
 		if cfg.FS, err = diskfault.New(*eff.Disk, &diskfault.Options{Logf: logf}); err != nil {
 			return nil, err
@@ -84,8 +87,7 @@ func RunEpisode(ctx context.Context, spec Spec, episode int, logf func(string, .
 	// through the chaos proxy when the spec has one.
 	clientURL := hs.URL
 	if eff.Net != nil {
-		proxy, err := netfault.New("127.0.0.1:0", strings.TrimPrefix(hs.URL, "http://"),
-			*eff.Net, eff.NetSeed, &netfault.Options{Logf: logf})
+		proxy, err := netfault.New("127.0.0.1:0", strings.TrimPrefix(hs.URL, "http://"), *eff.Net, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +127,7 @@ func startPoolWorkers(coordURL string, eff Spec, clockFor func(string) (clockfau
 		w, err := worker.New(worker.Config{
 			Client:    wcl,
 			Name:      name,
-			Poll:      20 * time.Millisecond,
+			Poll:      WorkerPoll,
 			Logf:      logf,
 			Clock:     wclk,
 			NumFaults: eff.Num,

@@ -11,6 +11,7 @@ import (
 	"tecfan/internal/netfault"
 	"tecfan/internal/numfault"
 	"tecfan/internal/pool"
+	"tecfan/internal/schedfile"
 )
 
 // activeJournal is a result document whose numeric_health journal owns up
@@ -21,14 +22,14 @@ var activeJournal = []byte(`{"metrics":{"e":1.5},"numeric_health":{"recovered_st
 // landed and one whose fault did not.
 func TestLanded(t *testing.T) {
 	oneJob := []daemon.JobSpec{traceJob("a")}
-	restart := []ProcAction{{At: netfault.Duration(1e9), Target: TargetDaemon, Action: ActRestart}}
+	restart := []ProcAction{{At: schedfile.Duration(1e9), Target: TargetDaemon, Action: ActRestart}}
 	fencing := Spec{
 		Jobs: oneJob,
 		Pool: &PoolSpec{Workers: 2},
 		Procs: []ProcAction{
-			{At: netfault.Duration(1e8), Target: "worker:0", Action: ActKill},
-			{At: netfault.Duration(2e8), Target: "worker:1", Action: ActStop},
-			{At: netfault.Duration(3e9), Target: "worker:1", Action: ActCont},
+			{At: schedfile.Duration(1e8), Target: "worker:0", Action: ActKill},
+			{At: schedfile.Duration(2e8), Target: "worker:1", Action: ActStop},
+			{At: schedfile.Duration(3e9), Target: "worker:1", Action: ActCont},
 		},
 	}
 	fencingProcs := func(inFlight int) []ProcEvent {
@@ -123,9 +124,9 @@ func TestLandedExemptsUnobservableFaults(t *testing.T) {
 // refuses to start instead of shrinking them into a repro.
 func TestIneffectiveEpisodeIsNeverShrunk(t *testing.T) {
 	spec := Spec{
-		Name: "missed", Seed: 1, NetSeed: 1,
+		Name: "missed", Seed: 1,
 		Jobs: []daemon.JobSpec{traceJob("a")},
-		Net:  &netfault.Schedule{Base: netfault.Fault{Drop: 0.1}},
+		Net:  &netfault.Schedule{Seed: 1, Base: netfault.Fault{Drop: 0.1}},
 	}
 	// Oracle-clean, but no call ever saw the network fault.
 	h, ref := greenHistory()
@@ -158,7 +159,7 @@ func TestJudgeReportsViolationsOverMisses(t *testing.T) {
 	spec := Spec{
 		Jobs:  []daemon.JobSpec{traceJob("a")},
 		Pool:  &PoolSpec{Workers: 2},
-		Procs: []ProcAction{{At: netfault.Duration(3e8), Target: "worker:0", Action: ActKill}},
+		Procs: []ProcAction{{At: schedfile.Duration(3e8), Target: "worker:0", Action: ActKill}},
 	}
 	// The killed worker's lease never expired and the job stranded.
 	h := &History{

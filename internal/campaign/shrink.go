@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"tecfan/internal/daemon"
 	"tecfan/internal/netfault"
+	"tecfan/internal/schedfile"
 )
 
 // Predicate runs one episode of a candidate spec and reports whether it still
@@ -143,8 +143,11 @@ func atomsOf(s Spec) []atom {
 	return out
 }
 
+// keepSet is the lookup buildCandidate filters by. Job 0 is always in it:
+// it is never an atom, so it can never be dropped.
 func keepSet(atoms []atom) map[atom]bool {
-	m := make(map[atom]bool, len(atoms))
+	m := make(map[atom]bool, len(atoms)+1)
+	m[atom{atomJob, 0}] = true
 	for _, a := range atoms {
 		m[a] = true
 	}
@@ -156,15 +159,7 @@ func keepSet(atoms []atom) map[atom]bool {
 // as absent, both for the predicate and in the committed repro file).
 func buildCandidate(orig Spec, kept map[atom]bool) Spec {
 	s := orig.Clone()
-
-	jobs := []daemon.JobSpec{s.Jobs[0]}
-	for i := 1; i < len(s.Jobs); i++ {
-		if kept[atom{atomJob, i}] {
-			jobs = append(jobs, s.Jobs[i])
-		}
-	}
-	s.Jobs = jobs
-
+	s.Jobs = keptOf(s.Jobs, atomJob, kept)
 	if s.Pool != nil && !kept[atom{atomPool, 0}] {
 		s.Pool = nil
 	}
@@ -172,64 +167,44 @@ func buildCandidate(orig Spec, kept map[atom]bool) Spec {
 		if !kept[atom{atomNetBase, 0}] {
 			s.Net.Base = netfault.Fault{}
 		}
-		var ws []netfault.Window
-		for i, w := range s.Net.Windows {
-			if kept[atom{atomNetWindow, i}] {
-				ws = append(ws, w)
-			}
-		}
-		s.Net.Windows = ws
-		if s.Net.Base == (netfault.Fault{}) && len(ws) == 0 {
-			s.Net, s.NetSeed = nil, 0
+		s.Net.Windows = keptOf(s.Net.Windows, atomNetWindow, kept)
+		if s.Net.Base == (netfault.Fault{}) && len(s.Net.Windows) == 0 {
+			s.Net = nil
 		}
 	}
 	if s.Disk != nil {
 		if !kept[atom{atomDiskCrash, 0}] {
 			s.Disk.CrashAtOp = 0
 		}
-		rules := s.Disk.Rules[:0:0]
-		for i, r := range s.Disk.Rules {
-			if kept[atom{atomDiskRule, i}] {
-				rules = append(rules, r)
-			}
-		}
-		s.Disk.Rules = rules
-		if s.Disk.CrashAtOp == 0 && len(rules) == 0 {
+		s.Disk.Rules = keptOf(s.Disk.Rules, atomDiskRule, kept)
+		if s.Disk.CrashAtOp == 0 && len(s.Disk.Rules) == 0 {
 			s.Disk = nil
 		}
 	}
 	if s.Num != nil {
-		rules := s.Num.Rules[:0:0]
-		for i, r := range s.Num.Rules {
-			if kept[atom{atomNumRule, i}] {
-				rules = append(rules, r)
-			}
-		}
-		s.Num.Rules = rules
-		if len(rules) == 0 {
+		if s.Num.Rules = keptOf(s.Num.Rules, atomNumRule, kept); len(s.Num.Rules) == 0 {
 			s.Num = nil
 		}
 	}
 	if s.Clock != nil {
-		rules := s.Clock.Rules[:0:0]
-		for i, r := range s.Clock.Rules {
-			if kept[atom{atomClockRule, i}] {
-				rules = append(rules, r)
-			}
-		}
-		s.Clock.Rules = rules
-		if len(rules) == 0 {
+		if s.Clock.Rules = keptOf(s.Clock.Rules, atomClockRule, kept); len(s.Clock.Rules) == 0 {
 			s.Clock = nil
 		}
 	}
-	var procs []ProcAction
-	for i, p := range s.Procs {
-		if kept[atom{atomProc, i}] {
-			procs = append(procs, p)
+	s.Procs = keptOf(s.Procs, atomProc, kept)
+	return s
+}
+
+// keptOf returns the elements of xs whose atom (kind, index) is kept, in
+// order.
+func keptOf[T any](xs []T, kind atomKind, kept map[atom]bool) []T {
+	var out []T
+	for i, x := range xs {
+		if kept[atom{kind, i}] {
+			out = append(out, x)
 		}
 	}
-	s.Procs = procs
-	return s
+	return out
 }
 
 type minimizer struct {
@@ -314,47 +289,46 @@ func (m *minimizer) shrinkWindows(ctx context.Context, best Spec) (Spec, error) 
 			return best, err
 		}
 		changed = false
+		// try narrows one window to whichever half of [from, to) still
+		// fails; set writes a half into a candidate's copy of the window.
+		try := func(from, to int64, set func(c *Spec, from, to int64)) error {
+			mid := from + (to-from)/2
+			for _, half := range [][2]int64{{from, mid}, {mid, to}} {
+				cand := best.Clone()
+				set(&cand, half[0], half[1])
+				ok, err := m.fails(ctx, cand)
+				if err != nil {
+					return err
+				}
+				if ok {
+					best, changed = cand, true
+					m.stats.Halvings++
+					return nil
+				}
+			}
+			return nil
+		}
 		if best.Num != nil {
-			for i := range best.Num.Rules {
-				r := best.Num.Rules[i]
+			for i, r := range best.Num.Rules {
 				if r.ToStep == 0 || r.ToStep-r.FromStep < 2 {
 					continue // unbounded or already a single step
 				}
-				mid := r.FromStep + (r.ToStep-r.FromStep)/2
-				for _, half := range [][2]int{{r.FromStep, mid}, {mid, r.ToStep}} {
-					cand := best.Clone()
-					cand.Num.Rules[i].FromStep, cand.Num.Rules[i].ToStep = half[0], half[1]
-					ok, err := m.fails(ctx, cand)
-					if err != nil {
-						return best, err
-					}
-					if ok {
-						best, changed = cand, true
-						m.stats.Halvings++
-						break
-					}
+				if err := try(int64(r.FromStep), int64(r.ToStep), func(c *Spec, from, to int64) {
+					c.Num.Rules[i].FromStep, c.Num.Rules[i].ToStep = int(from), int(to)
+				}); err != nil {
+					return best, err
 				}
 			}
 		}
 		if best.Net != nil {
-			for i := range best.Net.Windows {
-				w := best.Net.Windows[i]
+			for i, w := range best.Net.Windows {
 				if w.To-w.From < 2 {
 					continue
 				}
-				mid := w.From + (w.To-w.From)/2
-				for _, half := range [][2]netfault.Duration{{w.From, mid}, {mid, w.To}} {
-					cand := best.Clone()
-					cand.Net.Windows[i].From, cand.Net.Windows[i].To = half[0], half[1]
-					ok, err := m.fails(ctx, cand)
-					if err != nil {
-						return best, err
-					}
-					if ok {
-						best, changed = cand, true
-						m.stats.Halvings++
-						break
-					}
+				if err := try(int64(w.From), int64(w.To), func(c *Spec, from, to int64) {
+					c.Net.Windows[i].From, c.Net.Windows[i].To = schedfile.Duration(from), schedfile.Duration(to)
+				}); err != nil {
+					return best, err
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"tecfan/internal/diskfault"
 	"tecfan/internal/netfault"
 	"tecfan/internal/numfault"
+	"tecfan/internal/schedfile"
 )
 
 // hasNumRuleFrom reports whether the spec carries a num rule starting at
@@ -36,7 +37,7 @@ func TestMinimizePlantedRulesToCore(t *testing.T) {
 		Seed: 7,
 		Jobs: []daemon.JobSpec{traceJob("a"), traceJob("b")},
 		Net: &netfault.Schedule{Base: netfault.Fault{Drop: 0.2}, Windows: []netfault.Window{
-			{From: 0, To: netfault.Duration(1e9), Partition: true},
+			{From: 0, To: schedfile.Duration(1e9), Partition: true},
 		}},
 		Disk: &diskfault.Schedule{Seed: 3, Rules: []diskfault.Rule{
 			{Action: diskfault.ActEIO, Prob: 0.1},
@@ -161,7 +162,7 @@ func TestMinimizeHalvesWindowToTrigger(t *testing.T) {
 // Validate count as non-failing, so the surviving proc set is always legal.
 func TestMinimizeKeepsChoreographyLegal(t *testing.T) {
 	spec := compoundSpec()
-	spec.Disk.Seed, spec.Num.Seed, spec.NetSeed = 1, 1, 1 // deterministic predicate input
+	spec.Disk.Seed, spec.Num.Seed, spec.Net.Seed = 1, 1, 1 // deterministic predicate input
 	pred := func(_ context.Context, s Spec) (bool, error) {
 		for _, p := range s.Procs {
 			if p.Target == TargetDaemon && p.Action == ActRestart {

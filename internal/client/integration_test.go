@@ -11,6 +11,7 @@ import (
 
 	"tecfan/internal/daemon"
 	"tecfan/internal/netfault"
+	"tecfan/internal/schedfile"
 )
 
 // startDaemon runs a real daemon.Server behind its real HTTP handler.
@@ -152,20 +153,21 @@ func TestSoakExactlyOnceThroughChaos(t *testing.T) {
 	// Chaos pass: same jobs through an adversarial proxy.
 	srv, hs := startDaemon(t, nil)
 	sched := netfault.Schedule{
+		Seed: 42,
 		Base: netfault.Fault{
-			Latency: netfault.Duration(2 * time.Millisecond),
-			Jitter:  netfault.Duration(3 * time.Millisecond),
+			Latency: schedfile.Duration(2 * time.Millisecond),
+			Jitter:  schedfile.Duration(3 * time.Millisecond),
 			Drop:    0.15,
 			Reset:   0.10,
 		},
 		Windows: []netfault.Window{{
-			From:      netfault.Duration(50 * time.Millisecond),
-			To:        netfault.Duration(120 * time.Millisecond),
+			From:      schedfile.Duration(50 * time.Millisecond),
+			To:        schedfile.Duration(120 * time.Millisecond),
 			Partition: true,
 		}},
-		Period: netfault.Duration(400 * time.Millisecond),
+		Period: schedfile.Duration(400 * time.Millisecond),
 	}
-	proxy, err := netfault.New("127.0.0.1:0", hs.Listener.Addr().String(), sched, 42, &netfault.Options{Logf: t.Logf})
+	proxy, err := netfault.New("127.0.0.1:0", hs.Listener.Addr().String(), sched, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

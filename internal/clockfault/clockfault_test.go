@@ -365,7 +365,7 @@ func TestScheduleValidate(t *testing.T) {
 
 func TestParseScheduleStrictJSON(t *testing.T) {
 	good := []byte(`{"seed": 7, "rules": [{"kind": "step", "at_op": 1, "offset": "90s"}]}`)
-	s, err := ParseSchedule("good", good)
+	s, err := parse(good)
 	if err != nil {
 		t.Fatalf("good schedule rejected: %v", err)
 	}
@@ -379,7 +379,7 @@ func TestParseScheduleStrictJSON(t *testing.T) {
 		[]byte(`{"rules": [{"kind": "jitter", "max": "not a duration"}]}`),
 	}
 	for i, b := range bad {
-		if _, err := ParseSchedule("bad", b); err == nil {
+		if _, err := parse(b); err == nil {
 			t.Fatalf("bad schedule %d accepted", i)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"path"
 	"sync"
 	"time"
+
+	"tecfan/internal/splitmix"
 )
 
 // Options tunes a FaultClock.
@@ -70,7 +72,7 @@ func New(sched Schedule, proc string, opts *Options) (*FaultClock, error) {
 	f := &FaultClock{
 		base: base,
 		proc: proc,
-		seed: splitmix64(uint64(sched.Seed) ^ splitmix64(hashString(proc))),
+		seed: splitmix.Mix(uint64(sched.Seed) ^ splitmix.Mix(hashString(proc))),
 		logf: logf,
 	}
 	for i, r := range sched.Rules {
@@ -217,21 +219,12 @@ func (f *FaultClock) stretch(d time.Duration) time.Duration {
 // for the fire decision, one for the jitter magnitude — purely from the
 // seed, so replays are exact.
 func (f *FaultClock) draw(op int64, rule int) (fire, frac float64) {
-	h := splitmix64(f.seed ^ splitmix64(uint64(op))<<1 ^ splitmix64(uint64(rule))<<2)
-	return unit(h), unit(splitmix64(h + 0x9e3779b97f4a7c15))
+	h := splitmix.Mix(f.seed ^ splitmix.Mix(uint64(op))<<1 ^ splitmix.Mix(uint64(rule))<<2)
+	return unit(h), unit(splitmix.Mix(h + 0x9e3779b97f4a7c15))
 }
 
 // unit maps 64 hash bits onto [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
-// splitmix64 is the usual finalizer: good avalanche, zero state — the same
-// construction numfault and campaign use for seeded draws.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // hashString is FNV-1a, inlined to keep the package dependency-light.
 func hashString(s string) uint64 {

@@ -4,10 +4,20 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"tecfan/internal/schedfile"
 )
 
+// parse decodes a schedule through the strict loader every clockfault
+// schedule enters by.
+func parse(data []byte) (Schedule, error) {
+	var s Schedule
+	err := schedfile.Parse("test", data, &s, func() error { return s.Validate() })
+	return s, err
+}
+
 // FuzzClockSchedule hammers the strict schedule decoder: whatever bytes come
-// in, ParseSchedule must either reject them or hand back a schedule that
+// in, the strict loader must either reject them or hand back a schedule that
 // re-validates, round-trips its op windows sanely, and compiles into a
 // FaultClock that serves a few ops without panicking. The seeds cover the
 // rejection classes the validator owes us: NaN-ish drift rates, negative and
@@ -37,7 +47,7 @@ func FuzzClockSchedule(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSchedule("fuzz", data)
+		s, err := parse(data)
 		if err != nil {
 			return
 		}

@@ -205,13 +205,3 @@ func ParseScheduleFile(path string) (Schedule, error) {
 	}
 	return s, nil
 }
-
-// ParseSchedule decodes and validates a schedule from bytes, labeling
-// errors with name (the fuzzer's entry point).
-func ParseSchedule(name string, data []byte) (Schedule, error) {
-	var s Schedule
-	if err := schedfile.Parse(name, data, &s, func() error { return s.Validate() }); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
-}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"tecfan/internal/schedfile"
 )
 
 // writeThrough performs the atomic-envelope write sequence (create temp,
@@ -77,14 +79,15 @@ func TestScheduleValidation(t *testing.T) {
 			t.Errorf("schedule %d validated: %+v", i, s)
 		}
 	}
-	good, err := ParseSchedule([]byte(`{
+	var good Schedule
+	err := schedfile.Parse("test", []byte(`{
 		"seed": 42, "crash_at_op": 100,
 		"rules": [
 			{"action": "enospc", "from_op": 10, "to_op": 20},
 			{"action": "tear", "path": "*.ckpt*", "prob": 0.5},
 			{"action": "lie_sync", "ops": ["sync"]},
 			{"action": "flip_read", "prob": 0.1}
-		]}`))
+		]}`), &good, func() error { return good.Validate() })
 	if err != nil {
 		t.Fatal(err)
 	}

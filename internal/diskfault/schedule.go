@@ -1,7 +1,6 @@
 package diskfault
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
@@ -187,18 +186,6 @@ func (s Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParseSchedule decodes a JSON schedule and validates it.
-func ParseSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schedule{}, fmt.Errorf("diskfault: parsing schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
 }
 
 // ParseScheduleFile loads and validates a schedule from a JSON file through

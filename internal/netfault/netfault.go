@@ -7,13 +7,12 @@
 //
 // The proxy is usable two ways: in-process from tests (New on a 127.0.0.1:0
 // listener, point the client at Addr) and standalone via cmd/tecfan-netchaos.
-// All probabilistic decisions derive from a base seed plus a per-connection
-// sequence number, so a schedule's fault pattern is reproducible given the
-// same connection order.
+// All probabilistic decisions derive from the schedule's seed plus a
+// per-connection sequence number, so a schedule's fault pattern is
+// reproducible given the same connection order.
 package netfault
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,17 +24,12 @@ import (
 	"tecfan/internal/schedfile"
 )
 
-// Duration is the shared schedule-file duration type ("30ms" strings or
-// nanosecond numbers); the definition moved to schedfile so every schedule
-// format can use it, and this alias keeps netfault's existing API intact.
-type Duration = schedfile.Duration
-
 // Fault is the set of impairments active at an instant.
 type Fault struct {
 	// Latency is added to every forwarded chunk, each direction.
-	Latency Duration `json:"latency,omitempty"`
+	Latency schedfile.Duration `json:"latency,omitempty"`
 	// Jitter adds a uniform [0, Jitter) extra delay per chunk.
-	Jitter Duration `json:"jitter,omitempty"`
+	Jitter schedfile.Duration `json:"jitter,omitempty"`
 	// Drop is the probability a new connection is blackholed: accepted,
 	// never forwarded, never answered — the client's deadline must save it.
 	Drop float64 `json:"drop,omitempty"`
@@ -67,19 +61,21 @@ func (f Fault) validate() error {
 // new connections are reset at accept and established ones are reset at
 // their next forwarded chunk.
 type Window struct {
-	From      Duration `json:"from"`
-	To        Duration `json:"to"`
-	Partition bool     `json:"partition,omitempty"`
-	Fault     Fault    `json:"fault,omitempty"`
+	From      schedfile.Duration `json:"from"`
+	To        schedfile.Duration `json:"to"`
+	Partition bool               `json:"partition,omitempty"`
+	Fault     Fault              `json:"fault,omitempty"`
 }
 
-// Schedule drives the proxy: a base fault, override windows, and an optional
-// repeat period. With Period > 0 the timeline wraps, so a short aggressive
-// cycle (say a 500 ms partition every 3 s) runs for as long as the drill does.
+// Schedule drives the proxy: a seed for its probabilistic draws, a base
+// fault, override windows, and an optional repeat period. With Period > 0
+// the timeline wraps, so a short aggressive cycle (say a 500 ms partition
+// every 3 s) runs for as long as the drill does.
 type Schedule struct {
-	Base    Fault    `json:"base"`
-	Windows []Window `json:"windows,omitempty"`
-	Period  Duration `json:"period,omitempty"`
+	Seed    int64              `json:"seed,omitempty"`
+	Base    Fault              `json:"base"`
+	Windows []Window           `json:"windows,omitempty"`
+	Period  schedfile.Duration `json:"period,omitempty"`
 }
 
 // Validate rejects malformed schedules eagerly, before any traffic flows.
@@ -122,18 +118,6 @@ func (s Schedule) At(t time.Duration) (Fault, bool) {
 	return f, part
 }
 
-// ParseSchedule decodes a JSON schedule and validates it.
-func ParseSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schedule{}, fmt.Errorf("netfault: parsing schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
-}
-
 // ParseScheduleFile loads and validates a schedule from a JSON file through
 // the shared schedfile loader, so errors carry the file path and window index.
 func ParseScheduleFile(path string) (Schedule, error) {
@@ -149,7 +133,6 @@ func ParseScheduleFile(path string) (Schedule, error) {
 type Proxy struct {
 	target string
 	sched  Schedule
-	seed   int64
 	logf   func(format string, args ...any)
 	now    func() time.Time // test seam
 
@@ -163,16 +146,11 @@ type Proxy struct {
 	wg     sync.WaitGroup
 }
 
-// Options tunes a Proxy beyond the schedule.
-type Options struct {
-	// Logf receives per-connection fault decisions (default: silent).
-	Logf func(format string, args ...any)
-}
-
 // New validates the schedule, starts listening on listenAddr (host:0 picks a
-// free port — the in-process test pattern), and begins serving. Close stops
-// it and severs every live connection.
-func New(listenAddr, target string, sched Schedule, seed int64, opts *Options) (*Proxy, error) {
+// free port — the in-process test pattern), and begins serving. logf
+// receives per-connection fault decisions (nil: silent). Close stops it and
+// severs every live connection.
+func New(listenAddr, target string, sched Schedule, logf func(format string, args ...any)) (*Proxy, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,15 +164,14 @@ func New(listenAddr, target string, sched Schedule, seed int64, opts *Options) (
 	p := &Proxy{
 		target: target,
 		sched:  sched,
-		seed:   seed,
-		logf:   func(string, ...any) {},
+		logf:   logf,
 		now:    time.Now,
 		ln:     ln,
 		start:  time.Now(),
 		conns:  map[net.Conn]struct{}{},
 	}
-	if opts != nil && opts.Logf != nil {
-		p.logf = opts.Logf
+	if p.logf == nil {
+		p.logf = func(string, ...any) {}
 	}
 	p.wg.Add(1)
 	go p.serve()
@@ -286,7 +263,7 @@ func (p *Proxy) handle(client net.Conn, seq int64) {
 		hardClose(client)
 		return
 	}
-	rng := connRNG(p.seed, seq, 0)
+	rng := connRNG(p.sched.Seed, seq, 0)
 	if rng.Float64() < f.Drop {
 		p.logf("netfault: conn %d: blackholed", seq)
 		p.blackhole(client)
@@ -318,11 +295,11 @@ func (p *Proxy) handle(client net.Conn, seq int64) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		p.pump(server, client, seq, connRNG(p.seed, seq, 1), resetAfter, &forwarded)
+		p.pump(server, client, seq, connRNG(p.sched.Seed, seq, 1), resetAfter, &forwarded)
 	}()
 	go func() {
 		defer wg.Done()
-		p.pump(client, server, seq, connRNG(p.seed, seq, 2), resetAfter, &forwarded)
+		p.pump(client, server, seq, connRNG(p.sched.Seed, seq, 2), resetAfter, &forwarded)
 	}()
 	wg.Wait()
 }

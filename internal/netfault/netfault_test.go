@@ -9,6 +9,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"tecfan/internal/schedfile"
 )
 
 // echoServer accepts connections and echoes bytes back until closed.
@@ -34,9 +36,9 @@ func echoServer(t *testing.T) net.Listener {
 	return ln
 }
 
-func newProxy(t *testing.T, target string, sched Schedule, seed int64) *Proxy {
+func newProxy(t *testing.T, target string, sched Schedule) *Proxy {
 	t.Helper()
-	p, err := New("127.0.0.1:0", target, sched, seed, &Options{Logf: t.Logf})
+	p, err := New("127.0.0.1:0", target, sched, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func roundTrip(t *testing.T, addr string, msg []byte, timeout time.Duration) ([]
 
 func TestPassThrough(t *testing.T) {
 	ln := echoServer(t)
-	p := newProxy(t, ln.Addr().String(), Schedule{}, 1)
+	p := newProxy(t, ln.Addr().String(), Schedule{})
 	msg := []byte("hello through the fault-free proxy")
 	got, err := roundTrip(t, p.Addr(), msg, 2*time.Second)
 	if err != nil {
@@ -79,7 +81,7 @@ func TestPassThrough(t *testing.T) {
 func TestLatencyDelaysTraffic(t *testing.T) {
 	ln := echoServer(t)
 	const lat = 60 * time.Millisecond
-	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{Latency: Duration(lat)}}, 1)
+	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{Latency: schedfile.Duration(lat)}})
 	start := time.Now()
 	if _, err := roundTrip(t, p.Addr(), []byte("ping"), 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestLatencyDelaysTraffic(t *testing.T) {
 
 func TestDropBlackholesConnection(t *testing.T) {
 	ln := echoServer(t)
-	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{Drop: 1}}, 1)
+	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{Drop: 1}})
 	_, err := roundTrip(t, p.Addr(), []byte("into the void"), 200*time.Millisecond)
 	var nerr net.Error
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
@@ -102,8 +104,8 @@ func TestDropBlackholesConnection(t *testing.T) {
 
 func TestPartitionWindow(t *testing.T) {
 	ln := echoServer(t)
-	sched := Schedule{Windows: []Window{{From: 0, To: Duration(300 * time.Millisecond), Partition: true}}}
-	p := newProxy(t, ln.Addr().String(), sched, 1)
+	sched := Schedule{Windows: []Window{{From: 0, To: schedfile.Duration(300 * time.Millisecond), Partition: true}}}
+	p := newProxy(t, ln.Addr().String(), sched)
 
 	// Inside the window: connection is reset (or refused) immediately.
 	if _, err := roundTrip(t, p.Addr(), []byte("x"), 150*time.Millisecond); err == nil {
@@ -122,7 +124,7 @@ func TestPartitionWindow(t *testing.T) {
 
 func TestResetSeversConnection(t *testing.T) {
 	ln := echoServer(t)
-	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{Reset: 1}}, 1)
+	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{Reset: 1}})
 	// Reset fires after at most 4096 forwarded bytes; push more than that and
 	// require a connection error rather than a clean echo.
 	msg := bytes.Repeat([]byte("R"), 64<<10)
@@ -134,7 +136,7 @@ func TestResetSeversConnection(t *testing.T) {
 func TestBandwidthCapPacesTransfer(t *testing.T) {
 	ln := echoServer(t)
 	// 64 KiB/s cap, 8 KiB payload: the echo path alone needs >= ~125 ms.
-	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{BandwidthBPS: 64 << 10}}, 1)
+	p := newProxy(t, ln.Addr().String(), Schedule{Base: Fault{BandwidthBPS: 64 << 10}})
 	msg := bytes.Repeat([]byte("b"), 8<<10)
 	start := time.Now()
 	got, err := roundTrip(t, p.Addr(), msg, 10*time.Second)
@@ -151,11 +153,11 @@ func TestBandwidthCapPacesTransfer(t *testing.T) {
 
 func TestScheduleAt(t *testing.T) {
 	sched := Schedule{
-		Base:   Fault{Latency: Duration(10 * time.Millisecond)},
-		Period: Duration(1 * time.Second),
+		Base:   Fault{Latency: schedfile.Duration(10 * time.Millisecond)},
+		Period: schedfile.Duration(1 * time.Second),
 		Windows: []Window{
-			{From: Duration(200 * time.Millisecond), To: Duration(400 * time.Millisecond), Partition: true},
-			{From: Duration(500 * time.Millisecond), To: Duration(700 * time.Millisecond),
+			{From: schedfile.Duration(200 * time.Millisecond), To: schedfile.Duration(400 * time.Millisecond), Partition: true},
+			{From: schedfile.Duration(500 * time.Millisecond), To: schedfile.Duration(700 * time.Millisecond),
 				Fault: Fault{Drop: 0.5}},
 		},
 	}
@@ -187,11 +189,11 @@ func TestScheduleValidate(t *testing.T) {
 	bad := []Schedule{
 		{Base: Fault{Drop: 1.5}},
 		{Base: Fault{Reset: -0.1}},
-		{Base: Fault{Latency: Duration(-time.Second)}},
+		{Base: Fault{Latency: schedfile.Duration(-time.Second)}},
 		{Base: Fault{BandwidthBPS: -1}},
-		{Windows: []Window{{From: Duration(time.Second), To: Duration(time.Second)}}},
-		{Period: Duration(time.Second),
-			Windows: []Window{{From: 0, To: Duration(2 * time.Second)}}},
+		{Windows: []Window{{From: schedfile.Duration(time.Second), To: schedfile.Duration(time.Second)}}},
+		{Period: schedfile.Duration(time.Second),
+			Windows: []Window{{From: 0, To: schedfile.Duration(2 * time.Second)}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -202,15 +204,16 @@ func TestScheduleValidate(t *testing.T) {
 
 func TestParseScheduleJSON(t *testing.T) {
 	data := []byte(`{
+		"seed": 42,
 		"base": {"latency": "20ms", "jitter": "10ms", "drop": 0.1},
 		"period": "3s",
 		"windows": [{"from": "1s", "to": "1500ms", "partition": true}]
 	}`)
-	s, err := ParseSchedule(data)
+	s, err := parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Base.Latency.Std() != 20*time.Millisecond || len(s.Windows) != 1 || !s.Windows[0].Partition {
+	if s.Seed != 42 || s.Base.Latency.Std() != 20*time.Millisecond || len(s.Windows) != 1 || !s.Windows[0].Partition {
 		t.Fatalf("parsed schedule = %+v", s)
 	}
 	// Round-trips through MarshalJSON as duration strings.
@@ -221,12 +224,20 @@ func TestParseScheduleJSON(t *testing.T) {
 	if !bytes.Contains(out, []byte(`"20ms"`)) {
 		t.Fatalf("marshaled schedule lacks string durations: %s", out)
 	}
-	if _, err := ParseSchedule([]byte(`{"base": {"drop": 2}}`)); err == nil {
+	if _, err := parse([]byte(`{"base": {"drop": 2}}`)); err == nil {
 		t.Fatal("invalid schedule parsed")
 	}
-	if _, err := ParseSchedule([]byte(`{`)); err == nil {
+	if _, err := parse([]byte(`{`)); err == nil {
 		t.Fatal("truncated JSON parsed")
 	}
+}
+
+// parse decodes a schedule through the strict loader every netfault
+// schedule enters by.
+func parse(data []byte) (Schedule, error) {
+	var s Schedule
+	err := schedfile.Parse("test", data, &s, func() error { return s.Validate() })
+	return s, err
 }
 
 // TestDeterministicDecisions: two proxies with the same seed make the same
@@ -260,7 +271,7 @@ func TestDeterministicDecisions(t *testing.T) {
 
 func TestCloseSeversLiveConnections(t *testing.T) {
 	ln := echoServer(t)
-	p := newProxy(t, ln.Addr().String(), Schedule{}, 1)
+	p := newProxy(t, ln.Addr().String(), Schedule{})
 	c, err := net.Dial("tcp", p.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -9,11 +9,11 @@
 package numfault
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"tecfan/internal/schedfile"
+	"tecfan/internal/splitmix"
 )
 
 // Targets a rule can corrupt.
@@ -107,18 +107,6 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// ParseSchedule decodes and validates a JSON schedule.
-func ParseSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schedule{}, fmt.Errorf("numfault: parse schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
-}
-
 // ParseScheduleFile loads and validates a schedule from a JSON file through
 // the shared schedfile loader, so errors carry the file path and rule index.
 func ParseScheduleFile(path string) (Schedule, error) {
@@ -143,14 +131,6 @@ func NewInjector(s Schedule) *Injector {
 	return &Injector{seed: s.Seed, rules: s.Rules}
 }
 
-// splitmix64 is the usual finalizer; good avalanche, zero state.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // fires decides rule ri at step, deterministically.
 func (in *Injector) fires(ri, step int) bool {
 	r := &in.rules[ri]
@@ -160,7 +140,7 @@ func (in *Injector) fires(ri, step int) bool {
 	if r.Prob == 0 || r.Prob >= 1 {
 		return true
 	}
-	h := splitmix64(uint64(in.seed) ^ splitmix64(uint64(step))<<1 ^ splitmix64(uint64(ri))<<2)
+	h := splitmix.Mix(uint64(in.seed) ^ splitmix.Mix(uint64(step))<<1 ^ splitmix.Mix(uint64(ri))<<2)
 	u := float64(h>>11) / (1 << 53)
 	return u < r.Prob
 }

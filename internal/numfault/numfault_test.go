@@ -3,7 +3,17 @@ package numfault
 import (
 	"math"
 	"testing"
+
+	"tecfan/internal/schedfile"
 )
+
+// parse decodes a schedule through the strict loader every numfault
+// schedule enters by.
+func parse(raw []byte) (Schedule, error) {
+	var s Schedule
+	err := schedfile.Parse("test", raw, &s, s.Validate)
+	return s, err
+}
 
 func TestParseScheduleValid(t *testing.T) {
 	raw := []byte(`{
@@ -14,7 +24,7 @@ func TestParseScheduleValid(t *testing.T) {
 			{"target": "temps", "action": "perturb", "index": 2, "magnitude": 500, "from_step": 0, "prob": 0.5}
 		]
 	}`)
-	s, err := ParseSchedule(raw)
+	s, err := parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestParseScheduleRejects(t *testing.T) {
 		`not json`,
 	}
 	for _, raw := range cases {
-		if _, err := ParseSchedule([]byte(raw)); err == nil {
+		if _, err := parse([]byte(raw)); err == nil {
 			t.Errorf("schedule %s: expected error", raw)
 		}
 	}

@@ -1,13 +1,12 @@
-// Package schedfile is the one way fault-schedule files enter the process.
-// Before it existed, netfault, diskfault, and numfault each had their own
-// ReadFile+ParseSchedule convention with three different error shapes; a typo
-// in a drill's JSON produced "unexpected end of JSON input" with no hint of
-// which file or which rule. Load gives every schedule the same contract:
-// strict decoding (unknown fields are typos, not extensions), the file path on
-// every error, and the injector's own rule-index context preserved through
-// validation. The campaign spec (internal/campaign) loads through the same
-// door, so a composite spec that embeds all three schedules reports errors
-// like "schedule specs/compound.json: diskfault: rule 2: unknown action".
+// Package schedfile is the one way fault schedules enter the process, from a
+// file (Load, behind each fault package's ParseScheduleFile) or from bytes
+// (Parse, for tests and fuzzers). No fault package keeps a decoder of its
+// own, so every schedule gets the same contract: strict decoding (unknown
+// fields are typos, not extensions), the file path or name on every error,
+// and the injector's own rule-index context preserved through validation.
+// The campaign spec (internal/campaign) loads through the same door, so a
+// composite spec that embeds all four schedules reports errors like
+// "schedule specs/compound.json: diskfault: rule 2: unknown action".
 package schedfile
 
 import (

@@ -1,6 +1,10 @@
 package server
 
-import "math"
+import (
+	"math"
+
+	"tecfan/internal/splitmix"
+)
 
 // The Wikipedia HTTP trace substitution: the paper cuts the first 40 minutes
 // of a 7-day Wikipedia access trace [33], splits it into four 10-minute
@@ -22,7 +26,7 @@ func WikiTrace(seconds int, scale float64, seed uint64) []float64 {
 			0.05*math.Sin(2*math.Pi*t/311+0.4) +
 			0.035*math.Sin(2*math.Pi*t/73+2.2)
 		// Deterministic per-second noise.
-		h := splitmix(seed + uint64(i)*0x9e3779b97f4a7c15)
+		h := splitmix.Mix(seed + uint64(i)*0x9e3779b97f4a7c15)
 		u += 0.05 * (2*float64(h>>11)/float64(1<<53) - 1)
 		// Sparse bursts (~2 % of seconds) emulating hot requests.
 		if h%53 == 0 {
@@ -38,14 +42,6 @@ func WikiTrace(seconds int, scale float64, seed uint64) []float64 {
 		out[i] = u
 	}
 	return out
-}
-
-// splitmix is SplitMix64.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Mean returns the arithmetic mean of a series.

@@ -87,8 +87,10 @@ type Stats struct {
 
 // Worker runs the claim → execute → complete loop against one coordinator.
 type Worker struct {
-	cfg  Config
-	exec *pool.Executor // runs every shard this worker is granted
+	cfg Config
+	// execute runs every shard this worker is granted: Execute of its one
+	// executor, or a test's stand-in.
+	execute func(ctx context.Context, sh pool.ShardSpec, from *pool.Checkpoint, save func(*pool.Checkpoint) error) (*pool.ShardResult, error)
 
 	done      atomic.Int64
 	abandoned atomic.Int64
@@ -102,7 +104,7 @@ func New(cfg Config) (*Worker, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	return &Worker{cfg: cfg, exec: pool.NewExecutor(cfg.NumFaults)}, nil
+	return &Worker{cfg: cfg, execute: pool.NewExecutor(cfg.NumFaults).Execute}, nil
 }
 
 // Stats snapshots the counters.
@@ -294,8 +296,16 @@ func (l *lease) complete(result *pool.ShardResult, failure error) error {
 }
 
 // execute runs the granted shard from the previous holder's checkpoint,
-// uploading every checkpoint it saves.
-func (l *lease) execute(ctx context.Context) (*pool.ShardResult, error) {
+// uploading every checkpoint it saves. A panic becomes the shard's error, so
+// it is reported as a failed attempt and counts against the job's attempt
+// limit; left alone it would kill the worker, and the lease would only
+// expire and pass the shard on to kill the next one.
+func (l *lease) execute(ctx context.Context) (res *pool.ShardResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("worker: shard %s/%s panicked: %v", l.grant.JobID, l.grant.Shard.ID, r)
+		}
+	}()
 	var from *pool.Checkpoint
 	if len(l.grant.Checkpoint) > 0 {
 		from = new(pool.Checkpoint)
@@ -303,7 +313,7 @@ func (l *lease) execute(ctx context.Context) (*pool.ShardResult, error) {
 			return nil, err
 		}
 	}
-	return l.w.exec.Execute(ctx, l.grant.Shard, from, func(cp *pool.Checkpoint) error {
+	return l.w.execute(ctx, l.grant.Shard, from, func(cp *pool.Checkpoint) error {
 		l.upload(cp)
 		return nil
 	})

@@ -27,6 +27,7 @@ import (
 
 	"tecfan/internal/floorplan"
 	"tecfan/internal/power"
+	"tecfan/internal/splitmix"
 )
 
 // Phase is one segment of a benchmark's activity schedule. Frac is the
@@ -92,14 +93,6 @@ func (b *Benchmark) IsActive(core int) bool {
 // jitterBuckets discretizes progress for deterministic noise lookup.
 const jitterBuckets = 4096
 
-// hash64 is SplitMix64, used for repeatable per-bucket jitter.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // jitterWith returns a deterministic multiplier in [1−amp, 1+amp] for a
 // core at a progress bucket under the given seed.
 func (b *Benchmark) jitterWith(seed uint64, core int, progress, amp float64) float64 {
@@ -107,7 +100,7 @@ func (b *Benchmark) jitterWith(seed uint64, core int, progress, amp float64) flo
 		return 1
 	}
 	bucket := uint64(progress * jitterBuckets)
-	h := hash64(seed ^ hash64(uint64(core)*2654435761+bucket))
+	h := splitmix.Mix(seed ^ splitmix.Mix(uint64(core)*2654435761+bucket))
 	u := float64(h>>11) / float64(1<<53) // [0,1)
 	return 1 + amp*(2*u-1)
 }

@@ -67,8 +67,9 @@ func WithFaultScenario(name string, seed int64) Option {
 }
 
 // WithNumFaults arms the numerical-chaos injector for every subsequent run
-// from a parsed schedule (numfault.ParseScheduleFile or ParseSchedule; see
-// internal/numfault for the rule format), seeded by the schedule's own seed.
+// from a parsed schedule (numfault.ParseScheduleFile, or schedfile.Parse for
+// bytes; see internal/numfault for the rule format), seeded by the
+// schedule's own seed.
 // The base scenario stays clean by definition.
 func WithNumFaults(s numfault.Schedule) Option {
 	return func(e *exp.Env) error {

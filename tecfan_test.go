@@ -10,6 +10,7 @@ import (
 	"tecfan/internal/floats"
 	"tecfan/internal/numfault"
 	"tecfan/internal/numguard"
+	"tecfan/internal/schedfile"
 	"tecfan/internal/sim"
 )
 
@@ -173,8 +174,8 @@ func TestTraceNumericRefusal(t *testing.T) {
 		t.Helper()
 		opts := []Option{}
 		if schedule != "" {
-			sched, err := numfault.ParseSchedule([]byte(schedule))
-			if err != nil {
+			var sched numfault.Schedule
+			if err := schedfile.Parse("test", []byte(schedule), &sched, sched.Validate); err != nil {
 				t.Fatal(err)
 			}
 			opts = append(opts, WithNumFaults(sched))
