@@ -101,7 +101,12 @@ func TestManualSleepUnblocksOnAdvance(t *testing.T) {
 	clk := NewManual(time.Unix(0, 0))
 	done := make(chan error, 1)
 	go func() { done <- clk.Sleep(context.Background(), 50*time.Millisecond) }()
-	for len(clk.timers) == 0 { // wait for the sleeper to arm
+	armed := func() bool { // the sleeper writes timers under clk.mu
+		clk.mu.Lock()
+		defer clk.mu.Unlock()
+		return len(clk.timers) > 0
+	}
+	for !armed() { // wait for the sleeper to arm
 		time.Sleep(time.Millisecond)
 	}
 	clk.Advance(50 * time.Millisecond)

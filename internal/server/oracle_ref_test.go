@@ -4,8 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
-	"testing/quick"
 )
 
 // refOracle is the direct formulation of Oracle.Decide: every candidate
@@ -131,47 +131,131 @@ func cloneState(st *State) *State {
 	return &c
 }
 
+// oracleCases pairs each table-driven Oracle with its direct formulation.
+var oracleCases = []struct {
+	name string
+	new  func() *Oracle
+	ref  refOracle
+}{
+	{"Oracle", NewOracle, refOracle{}},
+	{"Oracle-P", NewOracleP, refOracle{MinPerfRatio: 1}},
+}
+
 // TestOracleMatchesReference checks, over random States, that Oracle and
-// Oracle-P return exactly the decisions of the direct formulation.
+// Oracle-P return exactly the decisions of the direct formulation. The
+// States are the 2000 that quick.Check would draw from seed 12, split
+// across parallel shards, each with its own Oracle and Machines.
 func TestOracleMatchesReference(t *testing.T) {
-	const states = 2000
-	for _, tc := range []struct {
-		name string
-		new  *Oracle
-		ref  refOracle
-	}{
-		{"Oracle", NewOracle(), refOracle{}},
-		{"Oracle-P", NewOracleP(), refOracle{MinPerfRatio: 1}},
-	} {
+	const states, shards = 2000, 8
+	r := rand.New(rand.NewSource(12))
+	all := make([]*State, states)
+	var fallbacks int
+	for i := range all {
+		all[i] = randomState{}.Generate(r, 0).Interface().(randomState).st
+		if all[i].Threshold == unreachable {
+			fallbacks++
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no state exercised the keep-current fallback")
+	}
+	for _, tc := range oracleCases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			mNew, mRef := NewMachine(), NewMachine()
-			var fallbacks int
-			prop := func(rs randomState) bool {
-				got := tc.new.Decide(cloneState(rs.st), mNew)
-				want := tc.ref.Decide(cloneState(rs.st), mRef)
-				if rs.st.Threshold == unreachable {
-					fallbacks++
-					keep := Decision{DVFS: rs.st.DVFS, Banks: rs.st.Banks, FanLevel: rs.st.FanLevel}
-					if !reflect.DeepEqual(got, keep) {
-						t.Logf("unreachable threshold: got %+v, want the current %+v", got, keep)
-						return false
+			for k := 0; k < shards; k++ {
+				t.Run(strconv.Itoa(k), func(t *testing.T) {
+					t.Parallel()
+					o, mNew, mRef := tc.new(), NewMachine(), NewMachine()
+					for i := k; i < states; i += shards {
+						st := all[i]
+						got := o.Decide(cloneState(st), mNew)
+						want := tc.ref.Decide(cloneState(st), mRef)
+						if st.Threshold == unreachable {
+							keep := Decision{DVFS: st.DVFS, Banks: st.Banks, FanLevel: st.FanLevel}
+							if !reflect.DeepEqual(got, keep) {
+								t.Fatalf("state %d, unreachable threshold: got %+v, want the current %+v", i, got, keep)
+							}
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("state %d %+v: got %+v, want %+v", i, st, got, want)
+						}
 					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Logf("state %+v: got %+v, want %+v", rs.st, got, want)
-					return false
-				}
-				return true
-			}
-			cfg := &quick.Config{MaxCount: states, Rand: rand.New(rand.NewSource(12))}
-			if err := quick.Check(prop, cfg); err != nil {
-				t.Fatal(err)
-			}
-			if fallbacks == 0 {
-				t.Fatal("no state exercised the keep-current fallback")
+				})
 			}
 		})
+	}
+}
+
+// TestOracleEdgeStates checks Oracle and Oracle-P against the direct
+// formulation on States that the block skips must get right:
+//   - a NaN demand makes every EPI NaN, and a NaN passes the strict
+//     improvement test, so every candidate goes to the thermal check and
+//     the last feasible one wins; a block whose table holds a NaN must
+//     never be skipped;
+//   - under Oracle-P, a state whose best candidate is tied with a later
+//     bank vector with as many banks on, where the first must win;
+//   - an unreachable threshold, where the current configuration is kept.
+func TestOracleEdgeStates(t *testing.T) {
+	m := NewMachine()
+	n := m.Chip.NumCores()
+	state := func(threshold float64, demand ...float64) *State {
+		return &State{
+			Temps:     make([]float64, m.NW.NumNodes()),
+			DVFS:      []int{1, 2, 3, 4},
+			Banks:     []bool{false, true, false, true},
+			FanLevel:  2,
+			Demand:    demand,
+			Backlog:   make([]float64, n),
+			Threshold: threshold,
+		}
+	}
+	nan := state(90, 0.5, math.NaN(), 0.5, 0.5)
+	tie := state(84, 1.4, 0.8, 0.7, 0.03)
+	stuck := state(unreachable, 0.5, 0.5, 0.5, 0.5)
+	for _, tc := range oracleCases {
+		for _, c := range []struct {
+			name string
+			st   *State
+		}{{"nan", nan}, {"tie", tie}, {"unreachable", stuck}} {
+			got := tc.new().Decide(cloneState(c.st), m)
+			want := tc.ref.Decide(cloneState(c.st), m)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: got %+v, want %+v", tc.name, c.name, got, want)
+			}
+		}
+	}
+
+	// The cases hold what they claim.
+	last := Decision{DVFS: []int{4, 4, 4, 4}, Banks: []bool{true, true, true, true}, FanLevel: m.Fan.NumLevels() - 1}
+	if got := NewOracle().Decide(cloneState(nan), m); !reflect.DeepEqual(got, last) {
+		t.Errorf("nan: got %+v, want the last candidate %+v", got, last)
+	}
+	keep := Decision{DVFS: stuck.DVFS, Banks: stuck.Banks, FanLevel: stuck.FanLevel}
+	if got := NewOracleP().Decide(cloneState(stuck), m); !reflect.DeepEqual(got, keep) {
+		t.Errorf("unreachable: got %+v, want the current %+v", got, keep)
+	}
+	dec := NewOracleP().Decide(cloneState(tie), m)
+	util := make([]float64, n)
+	for c, l := range dec.DVFS {
+		capc := m.Platform.Capacity(l)
+		util[c] = math.Min(tie.Demand[c], capc) / capc
+	}
+	mask, on := banksMask(dec.Banks), countOn(dec.Banks)
+	tied := false
+	for later := mask + 1; later < len(m.bankVecs) && !tied; later++ {
+		banks := m.bankVecs[later]
+		if countOn(banks) != on {
+			continue
+		}
+		temps, err := m.PredictSteady(dec.DVFS, util, banks, dec.FanLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, peak := m.NW.PeakDie(temps)
+		tied = peak <= tie.Threshold
+	}
+	if on == 0 || !tied {
+		t.Errorf("tie: decision %+v has no feasible later bank vector with %d banks on", dec, on)
 	}
 }
 

@@ -90,8 +90,19 @@ func (OFTEC) Decide(st *State, m *Machine) Decision {
 // of the sweep: an O(N·M) per-core, per-level table (capacity, served
 // work, utilization, core power, Oracle-P admissibility) and an O(M^N)
 // per-configuration table (admissible, throughput, core + uncore power).
-// A candidate then costs three flops; only one that beats the running
-// minimum is decoded and sent to the thermal check.
+// A candidate's EPI depends on its bank vector only through the count of
+// banks on, so the sweep scores at most (N+1)·F EPI tables, one per
+// (banks-on, fan) pair, each filled on first use; only a candidate that
+// beats the running minimum is decoded and sent to the thermal check.
+//
+// A (bank vector, fan) block is skipped whole when none of its candidates
+// can beat the running minimum: its table holds no NaN and its minimum is
+// at least the best EPI so far (itself not NaN). A table not yet filled is
+// skipped unscored when a filled one that cannot win has no more fan power
+// and no more Joule power: ((core + uncore) + fan) + joule rounds
+// monotonically in fan and joule and the throughput is positive, so none
+// of its EPIs is smaller. Every candidate a skip passes over would have
+// failed the strict test anyway.
 //
 // The tables must not move a decision by one bit. Each candidate's EPI is
 // SearchPower(dvfs, util, nOn, f) / throughput evaluated in SearchPower's
@@ -127,7 +138,9 @@ func (o *Oracle) Name() string { return o.name }
 // oracleScratch is the Oracle's search state, reused across calls so a
 // Decide allocates only the Decision it returns. Per-core tables are
 // indexed c·M + l, per-configuration tables by the configuration number
-// whose base-M digits are the core levels (core 0 least significant).
+// whose base-M digits are the core levels (core 0 least significant). EPI
+// tables are numbered t = nOn·F + f; table t holds its EPIs at
+// epis[t·M^N + cfg].
 type oracleScratch struct {
 	served, util, power []float64 // per core and level
 	admit               []bool    // per core and level: Oracle-P admissible
@@ -135,6 +148,15 @@ type oracleScratch struct {
 	thr, pcu            []float64 // per configuration: Σ served, Σ core + uncore
 	dvfs                []int
 	cfgUtil, temps      []float64
+
+	epis []float64 // per table and configuration: the EPI, where ok
+	tabs []epiTable
+}
+
+// epiTable describes one EPI table in a Decide.
+type epiTable struct {
+	filled, nan     bool    // filled this Decide; holds a NaN EPI
+	lo, fanP, joule float64 // minimum EPI; the fan and Joule power it was scored at
 }
 
 // searchScratch returns the Oracle's search scratch, sized for m and built
@@ -148,6 +170,7 @@ func (o *Oracle) searchScratch(m *Machine) *oracleScratch {
 	for i := 0; i < n; i++ {
 		nConfigs *= levels
 	}
+	nTabs := (n + 1) * m.Fan.NumLevels()
 	o.scratch = &oracleScratch{
 		served:  make([]float64, n*levels),
 		util:    make([]float64, n*levels),
@@ -159,6 +182,8 @@ func (o *Oracle) searchScratch(m *Machine) *oracleScratch {
 		dvfs:    make([]int, n),
 		cfgUtil: make([]float64, n),
 		temps:   make([]float64, m.NW.NumNodes()),
+		epis:    make([]float64, nTabs*nConfigs),
+		tabs:    make([]epiTable, nTabs),
 	}
 	return o.scratch
 }
@@ -167,6 +192,49 @@ func (o *Oracle) searchScratch(m *Machine) *oracleScratch {
 // SearchPower / throughput, in SearchPower's summation order.
 func (s *oracleScratch) epi(cfg int, fanP, joule float64) float64 {
 	return (s.pcu[cfg] + fanP + joule) / s.thr[cfg]
+}
+
+// table returns EPI table t.
+func (s *oracleScratch) table(t int) []float64 {
+	return s.epis[t*len(s.ok) : (t+1)*len(s.ok)]
+}
+
+// fill scores every admissible configuration into table t at a fan power
+// and a Joule power, and records the table's minimum and NaN flag.
+func (s *oracleScratch) fill(t int, fanP, joule float64) {
+	tab := s.table(t)
+	lo, nan := math.Inf(1), false
+	for cfg, ok := range s.ok {
+		if !ok {
+			continue
+		}
+		epi := s.epi(cfg, fanP, joule)
+		tab[cfg] = epi
+		if epi < lo {
+			lo = epi
+		} else if epi != epi {
+			nan = true
+		}
+	}
+	s.tabs[t] = epiTable{filled: true, nan: nan, lo: lo, fanP: fanP, joule: joule}
+}
+
+// cannotWin reports that no EPI in a filled table is below bestEPI: the
+// table holds no NaN and its minimum is at least bestEPI (a NaN bestEPI
+// fails the comparison, so nothing is ruled out against it).
+func (tb *epiTable) cannotWin(bestEPI float64) bool {
+	return !tb.nan && tb.lo >= bestEPI
+}
+
+// dominated reports that a filled table with no more fan power and no more
+// Joule power cannot win, so no table at (fanP, joule) can either.
+func (s *oracleScratch) dominated(fanP, joule, bestEPI float64) bool {
+	for i := range s.tabs {
+		if tb := &s.tabs[i]; tb.filled && tb.fanP <= fanP && tb.joule <= joule && tb.cannotWin(bestEPI) {
+			return true
+		}
+	}
+	return false
 }
 
 // Decide implements Policy.
@@ -227,19 +295,33 @@ func (o *Oracle) Decide(st *State, m *Machine) Decision {
 		s.thr[cfg], s.pcu[cfg] = thr, pcu+m.Platform.UncorePower
 	}
 
-	// The sweep: three flops per candidate.
+	// The sweep, one (bank vector, fan) block at a time.
+	clear(s.tabs)
 	bankVecs := m.bankVecs
+	fans := m.Fan.NumLevels()
 	bestCfg, bestBank, bestFan := -1, -1, -1
 	bestEPI := math.Inf(1)
 	for bi, banks := range bankVecs {
-		joule := m.bankJoule(countOn(banks))
-		for f := 0; f < m.Fan.NumLevels(); f++ {
-			fanP := m.Fan.Power(f)
+		nOn := countOn(banks)
+		joule := m.bankJoule(nOn)
+		for f := 0; f < fans; f++ {
+			t := nOn*fans + f
+			if !s.tabs[t].filled {
+				fanP := m.Fan.Power(f)
+				if s.dominated(fanP, joule, bestEPI) {
+					continue
+				}
+				s.fill(t, fanP, joule)
+			}
+			if s.tabs[t].cannotWin(bestEPI) {
+				continue
+			}
+			tab := s.table(t)
 			for cfg, ok := range s.ok {
 				if !ok {
 					continue
 				}
-				epi := s.epi(cfg, fanP, joule)
+				epi := tab[cfg]
 				if epi >= bestEPI {
 					continue // cannot win; skip the thermal evaluation
 				}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"tecfan/internal/tec"
 )
 
 func shortTraces(seconds int) [][]float64 {
@@ -353,6 +355,62 @@ func TestBasisCachedAcrossCalls(t *testing.T) {
 	_, hp := m.NW.PeakDie(hot)
 	if hp <= cp {
 		t.Fatalf("hot prediction %.2f not above cold %.2f", hp, cp)
+	}
+}
+
+// TestBasisBatchMatchesSteady checks, for every (banks, fan) key, that the
+// block-solved basis holds bit for bit what one NW.Steady per column gives:
+// the zero-power base and each core's unit response minus the base, under
+// a TEC state built afresh for the key.
+func TestBasisBatchMatchesSteady(t *testing.T) {
+	m := NewMachine()
+	n := m.Chip.NumCores()
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, banks := range m.bankVecs {
+		ts := tec.NewState(m.TECs)
+		for l, pl := range m.TECs {
+			ts.Set(l, banks[pl.Core])
+		}
+		ts.Advance(1)
+		for f := 0; f < m.Fan.NumLevels(); f++ {
+			got, err := m.Basis(banks, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := m.NW.Steady(make([]float64, len(m.Chip.Components)), f, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got.base, base) {
+				t.Fatalf("banks %v fan %d: base differs from NW.Steady", banks, f)
+			}
+			for c := 0; c < n; c++ {
+				unit := make([]float64, len(m.Chip.Components))
+				for _, i := range m.Chip.CoreComponents(c) {
+					unit[i] = m.Chip.Components[i].Area() / m.tileArea
+				}
+				resp, err := m.NW.Steady(unit, f, ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range resp {
+					resp[i] -= base[i]
+				}
+				if !sameBits(got.resp[c], resp) {
+					t.Fatalf("banks %v fan %d: core %d response differs from NW.Steady", banks, f, c)
+				}
+			}
+		}
 	}
 }
 

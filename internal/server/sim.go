@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"tecfan/internal/fan"
 	"tecfan/internal/floorplan"
+	"tecfan/internal/linalg"
 	"tecfan/internal/perf"
 	"tecfan/internal/tec"
 	"tecfan/internal/thermal"
@@ -45,11 +47,12 @@ type Policy interface {
 // configuration).
 //
 // A Machine is safe for concurrent runs: everything on it is read-only once
-// NewMachine returns, except the superposition bases, which Basis builds
-// once per (banks, fan) key under a lock and then shares. What belongs to
-// one run lives with that run: its temperatures, queues and transient
-// integrator in RunContext, and any search scratch in the Policy value —
-// a Policy value serves one run at a time.
+// NewMachine returns (the 2^N bank vectors and their TEC states among it)
+// except the superposition bases, which Basis builds once per (banks, fan)
+// key under a lock and then shares. What belongs to one run lives with that
+// run: its temperatures, queues and transient integrator in RunContext, and
+// any search scratch in the Policy value — a Policy value serves one run at
+// a time.
 type Machine struct {
 	Platform *Platform
 	Chip     *floorplan.Chip
@@ -63,6 +66,10 @@ type Machine struct {
 	// bankVecs lists every per-core bank vector in mask order. The vectors
 	// are read-only: a Decision carrying one must copy it.
 	bankVecs [][]bool
+	// bankStates holds each bank vector's TEC state, whole-core banks
+	// engaged, indexed by banksMask. The solves and TECPower only read a
+	// tec.State, so every run shares them.
+	bankStates []*tec.State
 
 	basisMu sync.Mutex
 	bases   map[int]*cachedBasis
@@ -91,7 +98,7 @@ type steadyBasis struct {
 func NewMachine() *Machine {
 	chip := floorplan.NewQuad()
 	fm := fan.DynatronR16()
-	return &Machine{
+	m := &Machine{
 		Platform:  I7Platform(),
 		Chip:      chip,
 		Fan:       fm,
@@ -102,6 +109,18 @@ func NewMachine() *Machine {
 		bankVecs:  enumBanks(chip.NumCores()),
 		bases:     map[int]*cachedBasis{},
 	}
+	m.bankStates = make([]*tec.State, len(m.bankVecs))
+	for mask, banks := range m.bankVecs {
+		st := tec.NewState(m.TECs)
+		for l, pl := range m.TECs {
+			if banks[pl.Core] {
+				st.Set(l, true)
+			}
+		}
+		st.Advance(1)
+		m.bankStates[mask] = st
+	}
+	return m
 }
 
 // componentPower spreads per-core powers uniformly (by area) over each
@@ -115,18 +134,6 @@ func (m *Machine) componentPower(corePower []float64, out []float64) {
 			out[i] = p * m.Chip.Components[i].Area() / m.tileArea
 		}
 	}
-}
-
-// bankState materializes a tec.State with whole-core banks engaged.
-func (m *Machine) bankState(banks []bool) *tec.State {
-	st := tec.NewState(m.TECs)
-	for l, pl := range m.TECs {
-		if banks[pl.Core] {
-			st.Set(l, true)
-		}
-	}
-	st.Advance(1)
-	return st
 }
 
 // banksMask packs a bank vector into a cache key.
@@ -143,7 +150,8 @@ func banksMask(banks []bool) int {
 // Basis returns the superposition basis for a (banks, fan) pair, building
 // it on the first call for that pair; concurrent callers share one build.
 func (m *Machine) Basis(banks []bool, fanLevel int) (*steadyBasis, error) {
-	key := banksMask(banks)<<8 | fanLevel
+	mask := banksMask(banks)
+	key := mask<<8 | fanLevel
 	m.basisMu.Lock()
 	e := m.bases[key]
 	if e == nil {
@@ -158,40 +166,43 @@ func (m *Machine) Basis(banks []bool, fanLevel int) (*steadyBasis, error) {
 				panic(r)
 			}
 		}()
-		e.b, e.err = m.buildBasis(banks, fanLevel)
+		e.b, e.err = m.buildBasis(mask, fanLevel)
 	})
 	return e.b, e.err
 }
 
-// buildBasis solves the base and per-core unit responses for a (banks,
-// fan) pair.
-func (m *Machine) buildBasis(banks []bool, fanLevel int) (*steadyBasis, error) {
-	st := m.bankState(banks)
-	zero := make([]float64, len(m.Chip.Components))
-	base, err := m.NW.Steady(zero, fanLevel, st)
-	if err != nil {
-		return nil, err
+// buildBasis solves the base and the per-core unit responses of a (banks,
+// fan) key as one block of steady solves: column 0 at zero power, column
+// c+1 at 1 W spread over core c, each warm-started at ambient as NW.Steady
+// starts. SteadyBatch leaves every column bitwise what its own NW.Steady
+// would. The quad's N+1 = 5 columns fit one block of linalg.BlockWidth.
+func (m *Machine) buildBasis(mask, fanLevel int) (*steadyBasis, error) {
+	blk := m.NW.LeaseSteadyBlock()
+	defer m.NW.ReturnSteadyBlock(blk)
+	cols := make([][]float64, m.Chip.NumCores()+1) // base, then one per core
+	for j := range cols {
+		linalg.Fill(blk.T[j], m.NW.Params.AmbientC)
+		linalg.Fill(blk.Power[j], 0)
+		if j > 0 {
+			for _, i := range m.Chip.CoreComponents(j - 1) {
+				blk.Power[j][i] = m.Chip.Components[i].Area() / m.tileArea
+			}
+		}
 	}
-	b := &steadyBasis{base: base, resp: make([][]float64, m.Chip.NumCores())}
-	unit := make([]float64, len(m.Chip.Components))
-	for c := 0; c < m.Chip.NumCores(); c++ {
-		for i := range unit {
-			unit[i] = 0
-		}
-		for _, i := range m.Chip.CoreComponents(c) {
-			unit[i] = m.Chip.Components[i].Area() / m.tileArea
-		}
-		t, err := m.NW.Steady(unit, fanLevel, st)
-		if err != nil {
+	m.NW.SteadyBatch(blk, len(cols), fanLevel, m.bankStates[mask])
+	for j := range cols {
+		if err := blk.Err[j]; err != nil {
 			return nil, err
 		}
-		resp := make([]float64, len(t))
-		for i := range t {
-			resp[i] = t[i] - base[i]
-		}
-		b.resp[c] = resp
+		cols[j] = slices.Clone(blk.T[j])
 	}
-	return b, nil
+	base := cols[0]
+	for _, resp := range cols[1:] {
+		for i := range resp {
+			resp[i] -= base[i]
+		}
+	}
+	return &steadyBasis{base: base, resp: cols[1:]}, nil
 }
 
 // PredictSteadyInto evaluates the steady temperatures via the superposition
@@ -263,7 +274,7 @@ func (m *Machine) PredictSteady(dvfs []int, util []float64, banks []bool, fanLev
 	}
 	comp := make([]float64, len(m.Chip.Components))
 	m.componentPower(corePower, comp)
-	return m.NW.Steady(comp, fanLevel, m.bankState(banks))
+	return m.NW.Steady(comp, fanLevel, m.bankStates[banksMask(banks)])
 }
 
 // ConfigPower returns the total chip power of a configuration given achieved
@@ -275,7 +286,7 @@ func (m *Machine) ConfigPower(dvfs []int, util []float64, banks []bool, fanLevel
 	}
 	total += m.Platform.UncorePower
 	total += m.Fan.Power(fanLevel)
-	total += m.NW.TECPower(temps, m.bankState(banks))
+	total += m.NW.TECPower(temps, m.bankStates[banksMask(banks)])
 	return total
 }
 
@@ -435,7 +446,7 @@ func (m *Machine) RunContext(ctx context.Context, traces [][]float64, p Policy, 
 			corePower[c] = m.Platform.CorePower(dvfs[c], util[c]) + m.Platform.UncorePower/float64(nCores)
 		}
 		m.componentPower(corePower, comp)
-		ts := m.bankState(banks)
+		ts := m.bankStates[banksMask(banks)]
 		for s := 0; s < stepsPerPeriod; s++ {
 			tr.Step(temps, comp, ts)
 		}
