@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,6 +52,12 @@ func errText(err error) string {
 // solveBlockAndSingly solves the columns bs with SolveBlock and with one
 // Solve each.
 func solveBlockAndSingly(v *VerifiedCholesky, bs [][]float64) (block, single []blockOutcome) {
+	return solveWithAndSingly(v, bs, v.SolveBlock)
+}
+
+// solveWithAndSingly solves the columns bs with solve, SolveBlock or its
+// block path, and with one Solve each.
+func solveWithAndSingly(v *VerifiedCholesky, bs [][]float64, solve func(b, x [][]float64, blk, r []float64, refined []bool, errs []error)) (block, single []blockOutcome) {
 	n := v.N()
 	k := len(bs)
 	xs := make([][]float64, k)
@@ -59,7 +66,7 @@ func solveBlockAndSingly(v *VerifiedCholesky, bs [][]float64) (block, single []b
 	}
 	refined := make([]bool, k)
 	errs := make([]error, k)
-	v.SolveBlock(bs, xs, make([]float64, n*BlockWidth), make([]float64, n), refined, errs)
+	solve(bs, xs, make([]float64, n*BlockWidth), make([]float64, n), refined, errs)
 	for j := range bs {
 		block = append(block, blockOutcome{xs[j], refined[j], errText(errs[j])})
 		x := make([]float64, n)
@@ -140,6 +147,161 @@ func TestSolveBlockMatchesSolve(t *testing.T) {
 	}
 	if clean == 0 || refined == 0 || refused == 0 {
 		t.Fatalf("outcomes clean %d, refined %d, refused %d: every kind must occur for the test to cover the shared tail", clean, refined, refused)
+	}
+}
+
+// specialValues are the inputs a floating-point kernel gets wrong first:
+// signed zeros, subnormals, the overflow edge, infinities and NaN.
+var specialValues = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1.8p-1050,
+	math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// blockColumn returns a right-hand side of length n in one of four
+// flavours: finite values at a random scale (subnormal to near overflow),
+// only signed zeros, finite values with a few special values mixed in, or
+// special values only.
+func blockColumn(rng *rand.Rand, n int) []float64 {
+	b := make([]float64, n)
+	flavour := rng.Intn(4)
+	scale := math.Pow(10, float64(rng.Intn(601)-300))
+	if rng.Intn(8) == 0 {
+		scale = 0x1p-1060
+	}
+	for i := range b {
+		switch flavour {
+		case 1:
+			b[i] = specialValues[rng.Intn(2)]
+		case 3:
+			b[i] = specialValues[rng.Intn(len(specialValues))]
+		default:
+			b[i] = rng.NormFloat64() * scale
+		}
+	}
+	if flavour == 2 {
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			b[rng.Intn(n)] = specialValues[rng.Intn(len(specialValues))]
+		}
+	}
+	return b
+}
+
+// checkBlockWidths runs checkBlock on reps blocks of every width
+// 1–BlockWidth, their columns drawn by blockColumn, so ±0, subnormals,
+// ±Inf, NaN and MaxFloat64 go through the kernels.
+func checkBlockWidths(t *testing.T, label string, v *VerifiedCholesky, rng *rand.Rand, reps int) {
+	t.Helper()
+	for k := 1; k <= BlockWidth; k++ {
+		for rep := 0; rep < reps; rep++ {
+			bs := make([][]float64, k)
+			for j := range bs {
+				bs[j] = blockColumn(rng, v.N())
+			}
+			checkBlock(t, fmt.Sprintf("%s width %d rep %d", label, k, rep), v, bs)
+		}
+	}
+}
+
+// checkBlock sends the k = len(bs) columns through the row kernels of v's
+// factor and matrix as one block, the idle columns zero as SolveBlock
+// fills them, at any width, below blockMin too. Cholesky.SolveBlock must
+// give every column bitwise the Go kernels' block (solveBlockGo), and each
+// active column bitwise Solve's solution of it; every row sum of the
+// residual kernel must equal the Go kernel's; and the verified block path
+// must give each column Solve's outcome. Only outside the triangular solve
+// do NaNs count as equal whatever their payload: a residual row can add
+// two NaNs, and which operand's payload survives is the compiler's choice,
+// not part of the order contract.
+func checkBlock(t *testing.T, at string, v *VerifiedCholesky, bs [][]float64) {
+	t.Helper()
+	const w = BlockWidth
+	c, a, n := v.chol, v.a, v.N()
+	x, ref := make([]float64, n*w), make([]float64, n*w)
+	for i := 0; i < n; i++ {
+		for j, b := range bs {
+			x[i*w+j] = b[i]
+		}
+	}
+	copy(ref, x)
+	c.SolveBlock(x)
+	c.solveBlockGo(ref)
+	for p := range x {
+		if math.Float64bits(x[p]) != math.Float64bits(ref[p]) {
+			t.Fatalf("%s: x[%d] column %d = %x, Go kernels %x",
+				at, p/w, p%w, math.Float64bits(x[p]), math.Float64bits(ref[p]))
+		}
+	}
+	single := make([]float64, n)
+	for j, b := range bs {
+		c.Solve(b, single)
+		for i, s := range single {
+			if !sameBits(x[i*w+j], s) {
+				t.Fatalf("%s: column %d x[%d] = %v, Solve %v", at, j, i, x[i*w+j], s)
+			}
+		}
+	}
+
+	var s, sGo [w]float64
+	for i := 0; i < n; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		blockResidualRow(&s, a.ColIdx[lo:hi], a.Vals[lo:hi], x)
+		blockResidualRowGo(&sGo, a.ColIdx[lo:hi], a.Vals[lo:hi], x)
+		for j := range s {
+			if !sameBits(s[j], sGo[j]) {
+				t.Fatalf("%s: residual row %d column %d = %x, Go kernel %x",
+					at, i, j, math.Float64bits(s[j]), math.Float64bits(sGo[j]))
+			}
+		}
+	}
+
+	block, singles := solveWithAndSingly(v, bs, v.SolveBlockAnyWidth)
+	compareOutcomes(t, at, block, singles)
+}
+
+// withEmptyEnvelopes returns a copy of a with rows rows (and, by symmetry,
+// columns) decoupled from every earlier row: each such row of L is its
+// pivot alone.
+func withEmptyEnvelopes(a *Dense, rows ...int) *Dense {
+	a = a.Clone()
+	for _, i := range rows {
+		for j := 0; j < i; j++ {
+			a.Set(i, j, 0)
+			a.Set(j, i, 0)
+		}
+	}
+	return a
+}
+
+// TestSolveBlockKernelEveryWidth runs checkBlockWidths on random profile
+// matrices, with and without empty-envelope rows; ref_test.go runs it on
+// the thermal networks' factors.
+func TestSolveBlockKernelEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 2, 9, 60} {
+		a := randomProfileSPD(rng, n)
+		empty := []int{n / 3, n / 2, n - 1}
+		for _, m := range []struct {
+			label string
+			a     *Dense
+		}{
+			{"profile", a},
+			{"empty-envelope", withEmptyEnvelopes(a, empty...)},
+		} {
+			v, err := NewVerifiedCholesky(csrFromDense(m.a), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.label == "empty-envelope" {
+				for _, i := range empty {
+					if f := v.chol.first[i]; f != i {
+						t.Fatalf("n=%d: row %d's envelope starts at column %d", n, i, f)
+					}
+				}
+			}
+			checkBlockWidths(t, fmt.Sprintf("%s(n=%d)", m.label, n), v, rng, 6)
+		}
 	}
 }
 

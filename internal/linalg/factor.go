@@ -44,7 +44,9 @@ import (
 // exactly Solve's order. The order contract is per column, so a block
 // solve gives every column Solve's bits; what it changes is only that the
 // columns' independent chains of subtractions overlap in the pipeline,
-// where one solve is a single dependent chain.
+// where one solve is a single dependent chain. Its row loops are kernels
+// (kernel.go): SSE2 assembly on amd64, the eight columns in four packed
+// pairs, and the same loops in Go elsewhere.
 type Cholesky struct {
 	n     int
 	first []int     // first nonzero column of row i of A's lower triangle
@@ -282,7 +284,11 @@ const BlockWidth = 8
 // the pivot), so column j comes out bitwise Solve's solution of column j:
 // the columns share the factor's loads and never mix with each other. A
 // single solve is one chain of dependent subtractions; eight independent
-// chains keep the floating-point pipeline busy instead.
+// chains keep the floating-point pipeline busy instead. Each row is one
+// call of a row kernel. On amd64 the kernels are SSE2 assembly that
+// carries the eight columns as four packed pairs, one MULPD and one SUBPD
+// per term and one DIVPD per row, never FMA; a packed operation rounds
+// each lane as the scalar one does, so the bits are the Go loops' bits.
 //
 //tecfan:hotpath
 func (c *Cholesky) SolveBlock(x []float64) {
@@ -295,46 +301,12 @@ func (c *Cholesky) SolveBlock(x []float64) {
 		row := c.l[c.off[i]:c.off[i+1]]
 		d := row[len(row)-1]
 		row = row[:len(row)-1]
-		xs := x[c.first[i]*w : i*w]
-		xs = xs[:len(row)*w]
-		xi := x[i*w : i*w+w : i*w+w]
-		s0, s1, s2, s3, s4, s5, s6, s7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
-		for k, v := range row {
-			xk := xs[k*w : k*w+w : k*w+w]
-			s0 -= v * xk[0]
-			s1 -= v * xk[1]
-			s2 -= v * xk[2]
-			s3 -= v * xk[3]
-			s4 -= v * xk[4]
-			s5 -= v * xk[5]
-			s6 -= v * xk[6]
-			s7 -= v * xk[7]
-		}
-		xi[0], xi[1], xi[2], xi[3] = s0/d, s1/d, s2/d, s3/d
-		xi[4], xi[5], xi[6], xi[7] = s4/d, s5/d, s6/d, s7/d
+		blockForwardRow((*[w]float64)(x[i*w:]), row, x[c.first[i]*w:i*w], d)
 	}
 	// Back substitution Lᵀ·X = Y over each sparse row of Lᵀ.
 	for i := c.n - 1; i >= 0; i-- {
-		xi := x[i*w : i*w+w : i*w+w]
-		s0, s1, s2, s3, s4, s5, s6, s7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
 		lo, hi := c.utOff[i], c.utOff[i+1]
-		rows, vals := c.utRow[lo:hi], c.utVal[lo:hi]
-		vals = vals[:len(rows)]
-		for k, r := range rows {
-			v := vals[k]
-			xr := x[r*w : r*w+w : r*w+w]
-			s0 -= v * xr[0]
-			s1 -= v * xr[1]
-			s2 -= v * xr[2]
-			s3 -= v * xr[3]
-			s4 -= v * xr[4]
-			s5 -= v * xr[5]
-			s6 -= v * xr[6]
-			s7 -= v * xr[7]
-		}
-		d := c.pivot(i)
-		xi[0], xi[1], xi[2], xi[3] = s0/d, s1/d, s2/d, s3/d
-		xi[4], xi[5], xi[6], xi[7] = s4/d, s5/d, s6/d, s7/d
+		blockBackRow((*[w]float64)(x[i*w:]), c.utRow[lo:hi], c.utVal[lo:hi], x, c.pivot(i))
 	}
 }
 

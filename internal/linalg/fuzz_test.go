@@ -159,7 +159,9 @@ func FuzzBandLUResidual(f *testing.F) {
 // and denormals included) and asserts that every column of the verified
 // block solve equals its own verified Solve bit for bit: the same
 // solution, refined flag and error. A poisoned column must never leak into
-// its neighbours.
+// its neighbours. SolveBlock solves narrow blocks one column at a time, so
+// checkBlock also sends the columns through the row kernels as a block at
+// every width.
 func FuzzSolveBlockMatchesSolve(f *testing.F) {
 	seed := make([]byte, 1+12*8)
 	seed[0] = 7
@@ -214,5 +216,6 @@ func FuzzSolveBlockMatchesSolve(f *testing.F) {
 		}
 		block, single := solveBlockAndSingly(v, bs)
 		compareOutcomes(t, "fuzz", block, single)
+		checkBlock(t, "fuzz kernel", v, bs)
 	})
 }

@@ -527,6 +527,59 @@ func TestVerifiedCholeskyRefinementMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSolveBlockKernelThermal runs the every-width block kernel check
+// (checkBlockWidths in block_test.go) on the factors the block solve
+// serves: the SCC16 network's steady G and its 100 µs transient system.
+func TestSolveBlockKernelThermal(t *testing.T) {
+	nw := thermal.NewNetwork(floorplan.NewSCC16(), fan.DynatronR16(), thermal.DefaultParams())
+	rng := rand.New(rand.NewSource(31))
+	for _, dt := range []float64{0, 100e-6} {
+		v, err := linalg.NewVerifiedCholesky(nw.SystemCSR(0, dt), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linalg.CheckBlockWidths(t, fmt.Sprintf("scc16(dt=%g)", dt), v, rng, 3)
+	}
+}
+
+// BenchmarkVerifiedBlockWidthSCC16 is the measurement behind blockMin: on
+// the SCC16 steady factor, one verified Solve ("single") against the
+// verified block path at each width ("block/k"), which always carries
+// BlockWidth columns through the kernels. A block of k columns pays off
+// once it costs less than k single solves.
+func BenchmarkVerifiedBlockWidthSCC16(b *testing.B) {
+	nw := thermal.NewNetwork(floorplan.NewSCC16(), fan.DynatronR16(), thermal.DefaultParams())
+	v, err := linalg.NewVerifiedCholesky(nw.SystemCSR(0, 0), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := v.N()
+	rng := rand.New(rand.NewSource(37))
+	bs, xs := make([][]float64, linalg.BlockWidth), make([][]float64, linalg.BlockWidth)
+	for j := range bs {
+		bs[j], xs[j] = make([]float64, n), make([]float64, n)
+		for i := range bs[j] {
+			bs[j][i] = 10 * rng.Float64()
+		}
+	}
+	blk, r := make([]float64, n*linalg.BlockWidth), make([]float64, n)
+	refined, errs := make([]bool, linalg.BlockWidth), make([]error, linalg.BlockWidth)
+	b.Run("single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := v.Solve(bs[0], xs[0], r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for k := 1; k <= linalg.BlockWidth; k++ {
+		b.Run(fmt.Sprintf("block/%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.SolveBlockAnyWidth(bs[:k], xs[:k], blk, r, refined[:k], errs[:k])
+			}
+		})
+	}
+}
+
 // TestVerifiedCholeskyConcurrentSolves: a factor is read-only after
 // construction, so eight goroutines may solve through one at once, each
 // with its own scratch. Every outcome, refining and refused ones included,

@@ -174,10 +174,12 @@ func (v *VerifiedCholesky) Solve(b, x, r []float64) (refined bool, err error) {
 
 // blockMin is the fewest columns SolveBlock runs through the block kernel.
 // The kernel always carries BlockWidth columns, and on the 305-node SCC16
-// factor one block costs about as much as four single solves, so fewer
-// columns than this are cheaper solved one at a time. Both kernels give the
-// same bits, so the choice is speed alone.
-const blockMin = 5
+// steady factor a verified block of one or two columns costs about 2.1
+// verified single solves, of three about 2.3 and of eight about 2.3
+// (BenchmarkVerifiedBlockWidthSCC16, medians of per-run ratios on a 2-vCPU
+// Xeon host), so one or two columns are cheaper solved one at a time.
+// Both paths give the same bits, so the choice is speed alone.
+const blockMin = 3
 
 // SolveBlock is Solve for the k = len(b) ≤ BlockWidth right-hand sides b[j]
 // at once: x[j] receives the solution of b[j], and refined[j] and errs[j]
@@ -213,6 +215,17 @@ func (v *VerifiedCholesky) SolveBlock(b, x [][]float64, blk, r []float64, refine
 		}
 		return
 	}
+	v.solveBlock(b, x, blk, r, refined, errs)
+}
+
+// solveBlock is SolveBlock's block path for any width: the columns go
+// through Cholesky.SolveBlock together and are verified in one pass over
+// A. SolveBlock has checked every shape but blk's.
+//
+//tecfan:hotpath
+func (v *VerifiedCholesky) solveBlock(b, x [][]float64, blk, r []float64, refined []bool, errs []error) {
+	const w = BlockWidth
+	k, n := len(b), v.chol.n
 	if len(blk) != n*w {
 		panic(ErrShape)
 	}
@@ -249,7 +262,8 @@ func (v *VerifiedCholesky) SolveBlock(b, x [][]float64, blk, r []float64, refine
 // ‖b[j]‖∞ of each of the len(b) columns of the column-interleaved solution
 // blk, in one pass over A. Column j's row sums, residual entries and norms
 // are computed in exactly residual's order, so res[j] is bitwise what
-// residual would return for it, NaN rule included.
+// residual would return for it, NaN rule included. blk must have length
+// n·BlockWidth (solveBlock checks it): the row kernel reads it unchecked.
 //
 //tecfan:hotpath
 func (v *VerifiedCholesky) blockResidual(b [][]float64, blk []float64, res *[BlockWidth]float64) {
@@ -258,21 +272,8 @@ func (v *VerifiedCholesky) blockResidual(b [][]float64, blk []float64, res *[Blo
 	var rn, bn [w]float64
 	for i := 0; i < a.N; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols, vals := a.ColIdx[lo:hi], a.Vals[lo:hi]
-		vals = vals[:len(cols)]
 		var s [w]float64
-		for t, c := range cols {
-			av := vals[t]
-			xc := blk[c*w : c*w+w : c*w+w]
-			s[0] += av * xc[0]
-			s[1] += av * xc[1]
-			s[2] += av * xc[2]
-			s[3] += av * xc[3]
-			s[4] += av * xc[4]
-			s[5] += av * xc[5]
-			s[6] += av * xc[6]
-			s[7] += av * xc[7]
-		}
+		blockResidualRow(&s, a.ColIdx[lo:hi], a.Vals[lo:hi], blk)
 		for j, bj := range b {
 			bi := bj[i]
 			if d := math.Abs(bi - s[j]); d > rn[j] || math.IsNaN(d) {
