@@ -29,7 +29,7 @@ var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./inter
 // end-to-end cost, not per-period hot-path cost, and would make the gate
 // minutes-slow and noisy.
 const gateBenchRe = "^Benchmark(Step|SteadySolve|TransientStep|Systolic|TECfanControl|BandEstimatorEval|" +
-	"CholeskyFactor305|CholeskySolve305|CGGridScale|BandMulVec18|BandLUSolve18|ParMulVec4096|" +
+	"CholeskyFactor305|CholeskySolve305|CGGridScale|BandMulVec18|BandLUSolve18|" +
 	"NetworkAssembly16|TransientFactor16|SteadyWithTEC16|GridSteady16|OracleDecide|OraclePDecide)$"
 
 type gateFlags struct {

@@ -1,35 +1,27 @@
 // Command tecfan-lint is the repo's static-invariant multichecker: it runs
 // the nine DESIGN.md §13/§18 analyzers (nondeterminism, ctxloop,
 // atomicwrite, lockedio, floatcmp, monotime, allocfree, scratchalias,
-// hotcall) over package patterns and exits nonzero on any unjustified
-// finding.
+// hotcall) as a `go vet` tool and fails on any unjustified finding.
 //
-//	tecfan-lint ./...                # standalone, human-readable
-//	tecfan-lint -json ./...          # standalone, machine-readable
-//	tecfan-lint -analyzers           # print the catalog
-//	tecfan-lint -escape ./...        # confirm allocs with go build -gcflags=-m=2
-//	tecfan-lint -escape-cache=escape.json ./...  # reuse a saved -m=2 report
-//	go vet -vettool=$(which tecfan-lint) ./...
+//	go vet -vettool=$(which tecfan-lint) ./...        # what scripts/lint.sh runs
+//	go vet -vettool=$(which tecfan-lint) -json ./...  # machine-readable
+//	tecfan-lint -analyzers                            # print the catalog
 //
-// -escape runs the compiler's escape analysis over the whole module and
-// hands the parsed report to the analyzers, which may use it only to clear
-// or annotate syntactic findings (never to add new ones) — so escape-aware
-// and plain runs agree on a clean tree. -escape-cache loads a report saved
-// by a previous run (escape.Report.Save) instead of rebuilding; both are
-// standalone-mode only and are not forwarded through the vet driver.
-//
-// The last form speaks cmd/go's (unpublished) vet driver protocol: cmd/go
-// invokes the tool once per package with a vet.cfg file naming the sources
-// and every dependency's export data, plus -V=full and -flags probes for
-// build caching and flag discovery. Both forms run the identical analyzer
-// set with identical //lint:tecfan-ignore handling, so developers, the
-// scripts/lint.sh entry point, CI, and TestAnalyzersCleanOnTree can never
-// disagree about what is clean.
+// It speaks cmd/go's (unpublished) vet driver protocol: cmd/go invokes the
+// tool once per package with a vet.cfg file naming the sources and every
+// dependency's export data, plus -V=full and -flags probes for build
+// caching and flag discovery. The in-process tests (the analysistest
+// fixtures and TestAnalyzersCleanOnTree) load packages through
+// internal/analysis/loader and type-check them through the same
+// analysis.TypeCheck, with identical //lint:tecfan-ignore handling, so
+// scripts/lint.sh, CI and `go test` can never disagree about what is
+// clean.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,9 +29,6 @@ import (
 	"strings"
 
 	"tecfan/internal/analysis"
-	"tecfan/internal/analysis/escape"
-	"tecfan/internal/analysis/loader"
-	"tecfan/internal/cmdutil"
 )
 
 func main() {
@@ -57,13 +46,9 @@ func main() {
 		}
 	}
 
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout (exit 0; for tooling)")
+	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (exit 0; for tooling)")
 	listAnalyzers := flag.Bool("analyzers", false, "print the analyzer catalog and exit")
-	useEscape := flag.Bool("escape", false, "run go build -gcflags=-m=2 and confirm allocation findings against the compiler (standalone mode only)")
-	escapeCache := flag.String("escape-cache", "", "load a saved -m=2 escape report from `file` instead of rebuilding (standalone mode only)")
-	escapeSave := flag.String("escape-save", "", "with -escape: also save the parsed report to `file` for later -escape-cache runs")
 	flag.Parse()
-	args := flag.Args()
 
 	if *listAnalyzers {
 		for _, a := range analysis.All() {
@@ -71,63 +56,21 @@ func main() {
 		}
 		return
 	}
-
-	// vet driver mode: cmd/go passes exactly one argument, the config file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		if *useEscape || *escapeCache != "" {
-			fatal(fmt.Errorf("-escape/-escape-cache are standalone-mode flags; the vet driver cannot carry an escape report"))
-		}
-		os.Exit(vetMode(args[0], *jsonOut))
-	}
-
-	// Standalone mode over package patterns.
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	for _, pat := range args {
-		if err := cmdutil.CheckPackagePattern("tecfan-lint", pat); err != nil {
-			fatal(err)
-		}
-	}
-	var rep *escape.Report
-	switch {
-	case *escapeCache != "":
-		if err := cmdutil.CheckFileExists("escape-cache", *escapeCache); err != nil {
-			fatal(err)
-		}
-		var err error
-		if rep, err = escape.LoadFile(*escapeCache); err != nil {
-			fatal(err)
-		}
-	case *useEscape:
-		var err error
-		if rep, err = escape.Run(".", args...); err != nil {
-			fatal(err)
-		}
-		if *escapeSave != "" {
-			if err := rep.Save(*escapeSave); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	pkgs, err := loader.Load(".", args...)
+	cfg, err := vetConfigArg(flag.Args())
 	if err != nil {
 		fatal(err)
 	}
-	if rep != nil {
-		for _, pkg := range pkgs {
-			pkg.Escape = rep
-		}
+	os.Exit(vetMode(cfg, *jsonOut))
+}
+
+// vetConfigArg returns the vet.cfg path cmd/go passes as the sole
+// positional argument, and rejects anything else: package patterns are
+// go vet's to expand.
+func vetConfigArg(args []string) (string, error) {
+	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+		return args[0], nil
 	}
-	var findings []analysis.Finding
-	for _, pkg := range pkgs {
-		fs, err := analysis.RunPackage(pkg, analysis.All(), nil)
-		if err != nil {
-			fatal(err)
-		}
-		findings = append(findings, fs...)
-	}
-	os.Exit(emit(os.Stdout, findings, *jsonOut))
+	return "", errors.New("runs only as a go vet tool: go vet -vettool=$(which tecfan-lint) ./... (scripts/lint.sh builds and runs it)")
 }
 
 // emit writes findings and returns the process exit code: 1 if anything

@@ -3,12 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"go/token"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tecfan/internal/analysis"
-	"tecfan/internal/cmdutil"
+	"tecfan/internal/analysis/loader"
 )
 
 func sampleFindings() []analysis.Finding {
@@ -106,16 +113,125 @@ func TestFlagDefs(t *testing.T) {
 	}
 }
 
-// TestPatternValidation mirrors main's eager argument check: the same
-// cmdutil helper must reject flag-looking and mangled patterns before any
-// go list run.
+// TestPatternValidation pins the one-driver contract: the sole positional
+// argument must be cmd/go's vet.cfg, and a package pattern (or nothing)
+// is refused with a pointer to the go vet entry point.
 func TestPatternValidation(t *testing.T) {
-	if err := cmdutil.CheckPackagePattern("tecfan-lint", "./..."); err != nil {
-		t.Fatal(err)
+	if cfg, err := vetConfigArg([]string{"/tmp/b001/vet.cfg"}); err != nil || cfg != "/tmp/b001/vet.cfg" {
+		t.Fatalf("vet.cfg rejected: %q, %v", cfg, err)
 	}
-	for _, pat := range []string{"", "-json", "./... ./cmd"} {
-		if err := cmdutil.CheckPackagePattern("tecfan-lint", pat); err == nil {
-			t.Errorf("pattern %q accepted", pat)
+	for _, args := range [][]string{nil, {"./..."}, {"./cmd/tecfan-lint"}, {"a.cfg", "b.cfg"}} {
+		_, err := vetConfigArg(args)
+		if err == nil {
+			t.Errorf("args %q accepted", args)
+		} else if !strings.Contains(err.Error(), "scripts/lint.sh") {
+			t.Errorf("args %q: error %q does not point to scripts/lint.sh", args, err)
 		}
 	}
+}
+
+// finding is the part of a finding both drivers must agree on.
+type finding struct {
+	file     string
+	line     int
+	analyzer string
+}
+
+// vetLineRE matches one text-mode finding as go vet relays it:
+// "path:line:col: message (analyzer)".
+var vetLineRE = regexp.MustCompile(`^(.+\.go):(\d+):\d+: .* \(([a-z-]+)\)$`)
+
+// TestVetDriverMatchesInProcess builds the tool, runs it under
+// `go vet -vettool` over every analyzer fixture module, and requires
+// exactly the (file, line, analyzer) findings the in-process loader path
+// produces for the same module: the vet.cfg driver and the loader must
+// type-check and analyze identically.
+func TestVetDriverMatchesInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tool and runs go vet")
+	}
+	mods, err := filepath.Glob("../../internal/analysis/testdata/*/go.mod")
+	if err != nil || len(mods) == 0 {
+		t.Fatalf("no fixture modules found (%v)", err)
+	}
+
+	tool := filepath.Join(t.TempDir(), "tecfan-lint")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building tecfan-lint: %v\n%s", err, out)
+	}
+
+	// A package pattern is refused before any work, exit 2.
+	out, err := exec.Command(tool, "./...").CombinedOutput()
+	if exitCode(err) != 2 || !strings.Contains(string(out), "scripts/lint.sh") {
+		t.Errorf("tecfan-lint ./...: %v, %s; want exit 2 pointing to scripts/lint.sh", err, out)
+	}
+
+	for _, mod := range mods {
+		fixture, err := filepath.Abs(filepath.Dir(mod))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(filepath.Base(fixture), func(t *testing.T) {
+			want := inProcessFindings(t, fixture)
+			if len(want) == 0 {
+				t.Fatal("fixture produced no in-process findings; the comparison would be vacuous")
+			}
+			vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+			vet.Dir = fixture
+			vet.Env = append(os.Environ(), "GOWORK=off")
+			out, err := vet.CombinedOutput()
+			if exitCode(err) != 1 {
+				t.Fatalf("go vet over a fixture with findings: %v, want exit 1\n%s", err, out)
+			}
+			got := map[finding]int{}
+			for _, line := range strings.Split(string(out), "\n") {
+				m := vetLineRE.FindStringSubmatch(line)
+				if m == nil {
+					continue
+				}
+				file := m[1]
+				if !filepath.IsAbs(file) {
+					file = filepath.Join(fixture, file)
+				}
+				n, _ := strconv.Atoi(m[2])
+				got[finding{filepath.Clean(file), n, m[3]}]++
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("go vet findings differ from the in-process run\nvet:        %v\nin-process: %v\ngo vet output:\n%s", got, want, out)
+			}
+		})
+	}
+}
+
+// exitCode is the exit status an exec run ended with: 0 on success, -1
+// when the process did not run to an exit.
+func exitCode(err error) int {
+	var ee *exec.ExitError
+	if err == nil {
+		return 0
+	} else if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	return -1
+}
+
+// inProcessFindings runs the full registry over a fixture module through
+// the loader, as TestAnalyzersCleanOnTree does over the tree.
+func inProcessFindings(t *testing.T, dir string) map[finding]int {
+	t.Helper()
+	pkgs, err := loader.Load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[finding]int{}
+	for _, pkg := range pkgs {
+		fs, err := analysis.RunPackage(pkg, analysis.All(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fs {
+			out[finding{filepath.Clean(f.File), f.Line, f.Analyzer}]++
+		}
+	}
+	return out
 }

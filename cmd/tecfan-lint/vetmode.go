@@ -3,11 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 
@@ -18,9 +13,6 @@ import (
 // driver consumes. cmd/go serializes it to <objdir>/vet.cfg and passes the
 // path as the sole positional argument.
 type vetConfig struct {
-	ID         string   // package ID, e.g. "tecfan/internal/sim"
-	Compiler   string   // "gc"
-	Dir        string   // package directory
 	ImportPath string   // canonical import path
 	GoFiles    []string // absolute paths of the package's Go sources
 
@@ -58,7 +50,19 @@ func vetMode(cfgPath string, asJSON bool) int {
 		return 0
 	}
 
-	pkg, err := typecheckCfg(&cfg)
+	// cmd/go maps every source import to its canonical package path; the
+	// two differ only for vendored packages.
+	lookup := func(path string) (io.ReadCloser, error) {
+		if mapped, ok := cfg.ImportMap[path]; ok {
+			path = mapped
+		}
+		file, ok := cfg.PackageFile[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
+	pkg, err := analysis.TypeCheck(cfg.ImportPath, cfg.GoFiles, lookup)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -73,50 +77,3 @@ func vetMode(cfgPath string, asJSON bool) int {
 	// with its own "# package" headers.
 	return emit(os.Stderr, findings, asJSON)
 }
-
-// typecheckCfg loads the package the way the loader package does, but from
-// the driver config instead of `go list` output.
-func typecheckCfg(cfg *vetConfig) (*analysis.Package, error) {
-	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(cfg.GoFiles))
-	for _, path := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-
-	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if mapped, ok := cfg.ImportMap[importPath]; ok {
-			importPath = mapped
-		}
-		return compilerImp.Import(importPath)
-	})
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", cfg.ImportPath, err)
-	}
-	return &analysis.Package{Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -6,19 +6,15 @@ import (
 	"go/types"
 	"regexp"
 	"strings"
-
-	"tecfan/internal/analysis/escape"
 )
 
 // Allocfree enforces the zero-allocation contract on hot-path functions
 // (//tecfan:hotpath plus the defaultHotpath table): no make/new, no
 // escaping composite literals, no append outside the x = append(x[:0], ...)
 // reuse idiom, no string concatenation or fmt calls, no capturing func
-// literals, no defer inside loops, no interface boxing of scalars. When a
-// compiler escape report is attached (tecfan-lint -escape), syntactic
-// candidates the compiler proved stack-allocated are cleared and confirmed
-// heap allocations are labeled as such; the report only ever removes or
-// annotates findings.
+// literals, no defer inside loops, no interface boxing of scalars. The
+// rules are syntactic: a site the compiler would keep on the stack is
+// still reported, and is hoisted or carries a justified directive.
 //
 // A second, request-path scope flags per-request fmt.Sprintf/Sprint key
 // construction in internal/{client,pool,daemon,worker}: not a hot loop,
@@ -29,8 +25,7 @@ var Allocfree = &Analyzer{
 	Doc: "forbids allocation-inducing constructs (make/new, escaping composite " +
 		"literals, non-reuse append, string concat, fmt, capturing closures, " +
 		"defer-in-loop, interface boxing of scalars) in //tecfan:hotpath " +
-		"functions and the default per-step set, with optional confirmation " +
-		"by the compiler's -m=2 escape analysis; also flags per-request " +
+		"functions and the default per-step set; also flags per-request " +
 		"fmt.Sprint* key construction in internal/{client,pool,daemon,worker}",
 	Run: runAllocfree,
 }
@@ -42,18 +37,6 @@ var allocfreeReqScope = regexp.MustCompile(`(^|/)internal/(client|pool|daemon|wo
 
 // sprintFuncs are the fmt constructors the request-path rule flags.
 var sprintFuncs = map[string]bool{"Sprintf": true, "Sprint": true, "Sprintln": true}
-
-// allocCand is one syntactic allocation candidate, pending the optional
-// escape-confirmation pass.
-type allocCand struct {
-	pos token.Pos
-	msg string
-	// clearable candidates are creation sites the compiler's escape
-	// analysis rules on directly (make, composite literals, func
-	// literals, boxed arguments). Structural rules (append growth,
-	// string concat, fmt, defer-in-loop) stay syntactic.
-	clearable bool
-}
 
 func runAllocfree(pass *Pass) error {
 	hs := collectHotFuncs(pass)
@@ -76,11 +59,6 @@ func displayName(fn *types.Func) string {
 }
 
 func checkAllocFree(pass *Pass, name string, fd *ast.FuncDecl) {
-	var cands []allocCand
-	add := func(pos token.Pos, clearable bool, msg string) {
-		cands = append(cands, allocCand{pos: pos, msg: msg, clearable: clearable})
-	}
-
 	// Loop body ranges, for the defer-in-loop rule.
 	var loopRanges [][2]token.Pos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -102,43 +80,41 @@ func checkAllocFree(pass *Pass, name string, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
 			if inLoop(n.Pos()) {
-				add(n.Pos(), false,
-					"defer inside a loop in hot-path function "+name+" allocates a defer record per iteration; hoist it out of the loop")
+				pass.Reportf(n.Pos(),
+					"defer inside a loop in hot-path function %s allocates a defer record per iteration; hoist it out of the loop", name)
 			}
 		case *ast.CallExpr:
-			checkAllocCall(pass, name, n, add)
+			checkAllocCall(pass, name, n)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if _, isLit := ast.Unparen(n.X).(*ast.CompositeLit); isLit {
-					add(n.Pos(), true,
-						"escaping composite literal in hot-path function "+name+"; preallocate the value and reuse it")
+					pass.Reportf(n.Pos(),
+						"escaping composite literal in hot-path function %s; preallocate the value and reuse it", name)
 					return false
 				}
 			}
 		case *ast.CompositeLit:
-			checkAllocComposite(pass, name, n, add)
+			checkAllocComposite(pass, name, n)
 			return false // inner literals are part of the same allocation
 		case *ast.FuncLit:
 			if capturesOutside(pass.TypesInfo, n) {
-				add(n.Pos(), true,
-					"func literal in hot-path function "+name+" captures variables (closure allocation); restructure as a method on a scratch struct")
+				pass.Reportf(n.Pos(),
+					"func literal in hot-path function %s captures variables (closure allocation); restructure as a method on a scratch struct", name)
 			}
 			return false // don't descend: the closure body is not this function's hot path
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringExpr(pass.TypesInfo, n.X) && !isConstExpr(pass.TypesInfo, n) {
-				add(n.Pos(), false,
-					"string concatenation allocates in hot-path function "+name+"; precompute the string or format off the hot path")
+				pass.Reportf(n.Pos(),
+					"string concatenation allocates in hot-path function %s; precompute the string or format off the hot path", name)
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringExpr(pass.TypesInfo, n.Lhs[0]) {
-				add(n.Pos(), false,
-					"string concatenation allocates in hot-path function "+name+"; precompute the string or format off the hot path")
+				pass.Reportf(n.Pos(),
+					"string concatenation allocates in hot-path function %s; precompute the string or format off the hot path", name)
 			}
 		}
 		return true
 	})
-
-	emitAllocCands(pass, cands)
 }
 
 // loopBody returns the body of a for or range statement.
@@ -152,23 +128,23 @@ func loopBody(n ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-func checkAllocCall(pass *Pass, name string, call *ast.CallExpr, add func(token.Pos, bool, string)) {
+func checkAllocCall(pass *Pass, name string, call *ast.CallExpr) {
 	// Builtins: make/new allocate; append is allowed only in the reuse
 	// idiom append(x[:...], ...), which reuses the backing array.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				add(call.Pos(), true,
-					"make allocates in hot-path function "+name+"; hoist the buffer into a preallocated scratch field")
+				pass.Reportf(call.Pos(),
+					"make allocates in hot-path function %s; hoist the buffer into a preallocated scratch field", name)
 			case "new":
-				add(call.Pos(), true,
-					"new allocates in hot-path function "+name+"; hoist the value into a preallocated scratch field")
+				pass.Reportf(call.Pos(),
+					"new allocates in hot-path function %s; hoist the value into a preallocated scratch field", name)
 			case "append":
 				if len(call.Args) > 0 {
 					if _, reuse := ast.Unparen(call.Args[0]).(*ast.SliceExpr); !reuse {
-						add(call.Pos(), false,
-							"append outside the x = append(x[:0], ...) reuse idiom in hot-path function "+name+" may grow the backing array; reslice a preallocated buffer")
+						pass.Reportf(call.Pos(),
+							"append outside the x = append(x[:0], ...) reuse idiom in hot-path function %s may grow the backing array; reslice a preallocated buffer", name)
 					}
 				}
 			}
@@ -177,18 +153,18 @@ func checkAllocCall(pass *Pass, name string, call *ast.CallExpr, add func(token.
 	}
 
 	if fn := calleeFunc(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-		add(call.Pos(), false,
-			"fmt."+fn.Name()+" allocates in hot-path function "+name+"; format off the hot path")
+		pass.Reportf(call.Pos(),
+			"fmt.%s allocates in hot-path function %s; format off the hot path", fn.Name(), name)
 		return
 	}
 
-	checkBoxedArgs(pass, name, call, add)
+	checkBoxedArgs(pass, name, call)
 }
 
 // checkBoxedArgs flags scalar (basic-typed) arguments passed to
 // interface-typed parameters: each such call boxes the scalar on the heap
 // unless the compiler proves otherwise.
-func checkBoxedArgs(pass *Pass, name string, call *ast.CallExpr, add func(token.Pos, bool, string)) {
+func checkBoxedArgs(pass *Pass, name string, call *ast.CallExpr) {
 	tv, ok := pass.TypesInfo.Types[call.Fun]
 	if !ok || tv.IsType() { // conversion, not a call
 		return
@@ -219,25 +195,25 @@ func checkBoxedArgs(pass *Pass, name string, call *ast.CallExpr, add func(token.
 			continue
 		}
 		if b, isBasic := at.Underlying().(*types.Basic); isBasic && b.Kind() != types.UntypedNil {
-			add(arg.Pos(), true,
-				"argument boxes a "+at.String()+" into an interface in hot-path function "+name+"; keep hot-path signatures concrete")
+			pass.Reportf(arg.Pos(),
+				"argument boxes a %s into an interface in hot-path function %s; keep hot-path signatures concrete", at, name)
 		}
 	}
 }
 
-func checkAllocComposite(pass *Pass, name string, lit *ast.CompositeLit, add func(token.Pos, bool, string)) {
+func checkAllocComposite(pass *Pass, name string, lit *ast.CompositeLit) {
 	t := pass.TypesInfo.Types[lit].Type
 	if t == nil {
 		return
 	}
 	switch t.Underlying().(type) {
 	case *types.Slice, *types.Map:
-		add(lit.Pos(), true,
-			"composite literal allocates in hot-path function "+name+"; hoist it into a preallocated scratch field")
+		pass.Reportf(lit.Pos(),
+			"composite literal allocates in hot-path function %s; hoist it into a preallocated scratch field", name)
 	}
 	// Value struct/array literals live on the stack unless their address
-	// escapes; &T{...} sites show up via the escape report when attached,
-	// and via the new/make rules when built explicitly.
+	// escapes; &T{...} sites are flagged as escaping composite literals,
+	// and explicit builds by the new/make rules.
 }
 
 // capturesOutside reports whether the func literal references variables
@@ -276,35 +252,6 @@ func isStringExpr(info *types.Info, e ast.Expr) bool {
 
 func isConstExpr(info *types.Info, e ast.Expr) bool {
 	return info.Types[e].Value != nil
-}
-
-// emitAllocCands applies the optional escape-confirmation pass and reports
-// the survivors. Without a report every candidate is reported as-is; with
-// one, a "does not escape" verdict on the candidate's line clears it and a
-// heap verdict upgrades the message.
-func emitAllocCands(pass *Pass, cands []allocCand) {
-	for _, c := range cands {
-		msg := c.msg
-		if c.clearable && pass.Escape != nil {
-			p := pass.Fset.Position(c.pos)
-			cleared, confirmed := false, false
-			for _, d := range pass.Escape.At(p.Filename, p.Line) {
-				switch d.Kind {
-				case escape.KindNotEscape:
-					cleared = true
-				case escape.KindEscapes, escape.KindMoved:
-					confirmed = true
-				}
-			}
-			if cleared && !confirmed {
-				continue
-			}
-			if confirmed {
-				msg += " (confirmed by compiler escape analysis)"
-			}
-		}
-		pass.Reportf(c.pos, "%s", msg)
-	}
 }
 
 // checkRequestPathSprints is the request-path informational rule: fmt

@@ -26,11 +26,11 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"sort"
-
-	"tecfan/internal/analysis/escape"
 )
 
 // Analyzer describes one invariant checker. Mirrors
@@ -53,13 +53,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Escape, when non-nil, carries the compiler's -m=2 escape report for
-	// this build (tecfan-lint -escape / -escape-cache). Analyzers that use
-	// it may only *clear or annotate* syntactic findings with it — never
-	// add findings — so runs with and without the report agree on a clean
-	// tree.
-	Escape *escape.Report
-
 	report func(Diagnostic)
 }
 
@@ -74,16 +67,43 @@ type Diagnostic struct {
 	Message string
 }
 
-// Package is one type-checked package as produced by the loader or by the
-// vet-driver config.
+// Package is one type-checked package, as TypeCheck returns it.
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+}
 
-	// Escape is the optional compiler escape report; see Pass.Escape.
-	Escape *escape.Report
+// TypeCheck parses goFiles (absolute paths), keeping comments, and
+// type-checks them as package importPath, resolving every import from the
+// gc export data that lookup opens. It is the one type-check path of the
+// suite: the loader feeds it `go list -export` output, and
+// cmd/tecfan-lint's vet driver feeds it the vet.cfg file cmd/go writes.
+func TypeCheck(importPath string, goFiles []string, lookup importer.Lookup) (*Package, error) {
+	fset := token.NewFileSet()
+	files := make([]*ast.File, 0, len(goFiles))
+	for _, path := range goFiles {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+	pkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
+	}
+	return &Package{Fset: fset, Files: files, Types: pkg, Info: info}, nil
 }
 
 // Finding is one surviving diagnostic, positioned and attributed.
@@ -142,7 +162,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, validNames []string) ([]Fin
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Escape:    pkg.Escape,
 		}
 		var diags []Diagnostic
 		pass.report = func(d Diagnostic) { diags = append(diags, d) }

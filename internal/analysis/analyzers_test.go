@@ -1,14 +1,11 @@
 package analysis_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"tecfan/internal/analysis"
 	"tecfan/internal/analysis/analysistest"
-	"tecfan/internal/analysis/escape"
-	"tecfan/internal/analysis/loader"
 )
 
 // Each analyzer gets a golden fixture module under testdata/: every line
@@ -49,55 +46,6 @@ func TestScratchalias(t *testing.T) {
 
 func TestHotcall(t *testing.T) {
 	analysistest.Run(t, "testdata/hotcall", analysis.Hotcall)
-}
-
-// TestAllocfreeEscapeConfirm runs the real compiler escape analysis over
-// the escapeconfirm fixture and attaches its report: the provably
-// stack-allocated make must be cleared, the heap-confirmed one upgraded.
-// The report must only ever shrink or annotate the syntactic finding set.
-func TestAllocfreeEscapeConfirm(t *testing.T) {
-	dir := "testdata/escapeconfirm"
-	pkgs, err := loader.Load(dir, "./...")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture has %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
-
-	// Syntactic run: both make sites are candidates.
-	base, err := analysis.RunPackage(pkg, []*analysis.Analyzer{analysis.Allocfree}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != 2 {
-		t.Fatalf("syntactic run: got %d findings, want 2: %v", len(base), base)
-	}
-
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := escape.Run(abs, "./...")
-	if err != nil {
-		t.Fatalf("compiler escape analysis: %v", err)
-	}
-	pkg.Escape = rep
-	confirmed, err := analysis.RunPackage(pkg, []*analysis.Analyzer{analysis.Allocfree}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(confirmed) != 1 {
-		t.Fatalf("escape-confirmed run: got %d findings, want 1: %v", len(confirmed), confirmed)
-	}
-	f := confirmed[0]
-	if !strings.Contains(f.Message, "confirmed by compiler escape analysis") {
-		t.Errorf("surviving finding not upgraded: %s", f.Message)
-	}
-	if !strings.Contains(f.Message, "Confirmed") {
-		t.Errorf("wrong site survived: %s", f)
-	}
 }
 
 // TestIgnoreDirective covers the escape hatch's own contract: trailing and

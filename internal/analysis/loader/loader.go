@@ -1,27 +1,21 @@
 // Package loader turns `go list -export` output into type-checked
-// analysis.Packages. It is the package-loading half of the lint suite for
-// every in-process entry point — `tecfan-lint <patterns>`, the
-// analysistest harness, and TestAnalyzersCleanOnTree — while the
-// `go vet -vettool` path gets the same information from the vet.cfg file
-// cmd/go writes (see cmd/tecfan-lint).
+// analysis.Packages for the suite's in-process callers: the analysistest
+// harness and TestAnalyzersCleanOnTree. The `go vet -vettool` driver gets
+// the same information from the vet.cfg file cmd/go writes (see
+// cmd/tecfan-lint); both type-check through analysis.TypeCheck.
 //
 // Strategy: one `go list -export -deps -json` invocation yields, for every
 // package in the build closure, the path of its gc export data. Target
 // packages (the non-dep-only ones) are then parsed from source and
-// type-checked with an importer that reads dependencies' export data —
-// exactly how cmd/vet drivers load packages, with no dependency outside
-// the standard library and the go tool itself.
+// type-checked against their dependencies' export data — exactly how
+// cmd/vet drivers load packages, with no dependency outside the standard
+// library and the go tool itself.
 package loader
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -60,8 +54,13 @@ func Load(dir string, patterns ...string) ([]*analysis.Package, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
 
 	var out []*analysis.Package
 	for _, p := range listed {
@@ -71,9 +70,13 @@ func Load(dir string, patterns ...string) ([]*analysis.Package, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("loader: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		pkg, err := typecheck(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
+		files := make([]string, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			files[i] = filepath.Join(p.Dir, name)
+		}
+		pkg, err := analysis.TypeCheck(p.ImportPath, files, lookup)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("loader: %w", err)
 		}
 		out = append(out, pkg)
 	}
@@ -112,47 +115,4 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 		return nil, fmt.Errorf("loader: go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
 	return listed, nil
-}
-
-// exportImporter returns a types importer that resolves every import from
-// the gc export-data files recorded in exports.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("loader: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	return importer.ForCompiler(fset, "gc", lookup)
-}
-
-// typecheck parses and checks one package from source.
-func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*analysis.Package, error) {
-	files := make([]*ast.File, 0, len(goFiles))
-	for _, name := range goFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("loader: %w", err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("loader: type-checking %s: %w", importPath, err)
-	}
-	return &analysis.Package{Fset: fset, Files: files, Types: pkg, Info: info}, nil
 }

@@ -143,23 +143,6 @@ func CheckPositiveInt(flagName string, n int) error {
 	return nil
 }
 
-// CheckPackagePattern validates a go-tool package pattern argument
-// ("./...", "tecfan/internal/sim", "std") eagerly, so tecfan-lint rejects
-// a flag-looking or whitespace-mangled argument before spending seconds in
-// `go list`.
-func CheckPackagePattern(flagName, pattern string) error {
-	if pattern == "" {
-		return fmt.Errorf("%s: package pattern must not be empty", flagName)
-	}
-	if strings.HasPrefix(pattern, "-") {
-		return fmt.Errorf("%s: package pattern %q looks like a flag; flags must precede patterns", flagName, pattern)
-	}
-	if strings.ContainsAny(pattern, " \t\n") {
-		return fmt.Errorf("%s: package pattern %q contains whitespace", flagName, pattern)
-	}
-	return nil
-}
-
 // PrintLists prints the valid benchmarks and policies — the body of every
 // tool's -list flag.
 func PrintLists(sys System) {

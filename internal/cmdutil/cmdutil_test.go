@@ -135,23 +135,3 @@ func TestCheckPositiveInt(t *testing.T) {
 		t.Error("zero accepted as positive int")
 	}
 }
-
-func TestCheckPackagePattern(t *testing.T) {
-	for _, pat := range []string{"./...", ".", "tecfan/internal/sim", "std", "./cmd/tecfan-lint"} {
-		if err := CheckPackagePattern("tecfan-lint", pat); err != nil {
-			t.Errorf("CheckPackagePattern(%q) = %v", pat, err)
-		}
-	}
-	bad := map[string]string{
-		"":            "empty",
-		"-json":       "flag-looking",
-		"./... extra": "embedded space",
-		"a\tb":        "embedded tab",
-		"a\nb":        "embedded newline",
-	}
-	for pat, why := range bad {
-		if err := CheckPackagePattern("tecfan-lint", pat); err == nil {
-			t.Errorf("CheckPackagePattern(%q) accepted (%s)", pat, why)
-		}
-	}
-}

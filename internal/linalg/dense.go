@@ -1,9 +1,8 @@
 // Package linalg provides the small dense, banded, and sparse linear-algebra
 // kernels used by the TECfan thermal and control models: a Cholesky
 // factorization for steady-state thermal solves, a band LU for per-core band
-// systems, a conjugate-gradient solver
-// for large symmetric positive-definite networks, and parallel matrix-vector
-// products for the transient integrator.
+// systems, and a conjugate-gradient solver for the fine grid model's large
+// symmetric positive-definite systems.
 //
 // Everything is written against plain float64 slices so the thermal network
 // (a few hundred nodes) solves in microseconds without external dependencies.

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Coord is one (row, col, value) triplet used while assembling a sparse
 // matrix.
@@ -158,48 +154,6 @@ func (m *CSR) Dense() *Dense {
 	return d
 }
 
-// parCutoff is the matrix size below which ParMulVec falls back to the serial
-// kernel; goroutine fan-out costs more than it saves on tiny systems.
-const parCutoff = 512
-
-// ParMulVec computes y = M·x, splitting rows across GOMAXPROCS workers. The
-// transient thermal integrator calls this thousands of times per simulated
-// second.
-func (m *CSR) ParMulVec(x, y []float64) {
-	if m.N < parCutoff {
-		m.MulVec(x, y)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m.N {
-		workers = m.N
-	}
-	chunk := (m.N + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m.N {
-			hi = m.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				var s float64
-				for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-					s += m.Vals[k] * x[m.ColIdx[k]]
-				}
-				y[r] = s
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // CGOptions configure the conjugate-gradient solver.
 type CGOptions struct {
 	MaxIter int     // 0 means 4·n
@@ -244,7 +198,7 @@ func (m *CSR) SolveCG(b, x []float64, opt CGOptions) CGResult {
 	z := make([]float64, m.N)
 	p := make([]float64, m.N)
 	ap := make([]float64, m.N)
-	m.ParMulVec(x, r)
+	m.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
 		z[i] = inv[i] * r[i]
@@ -254,7 +208,7 @@ func (m *CSR) SolveCG(b, x []float64, opt CGOptions) CGResult {
 	res := CGResult{}
 	for it := 0; it < maxIter; it++ {
 		res.Iterations = it + 1
-		m.ParMulVec(p, ap)
+		m.MulVec(p, ap)
 		den := Dot(p, ap)
 		if den == 0 {
 			break

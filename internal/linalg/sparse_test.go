@@ -70,26 +70,6 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestParMulVecMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Above the parallel cutoff to exercise the goroutine path.
-	n := parCutoff * 2
-	m := randomLaplacian(rng, n)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y1 := make([]float64, n)
-	y2 := make([]float64, n)
-	m.MulVec(x, y1)
-	m.ParMulVec(x, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("parallel mismatch at %d: %v vs %v", i, y1[i], y2[i])
-		}
-	}
-}
-
 func TestSolveCGZeroRHS(t *testing.T) {
 	m := randomLaplacian(rand.New(rand.NewSource(1)), 10)
 	x := make([]float64, 10)

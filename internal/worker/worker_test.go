@@ -78,6 +78,11 @@ func TestConcurrentWorkersReportEveryOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A worker counts a shard done only once the coordinator has
+	// acknowledged it, so its count can trail the job's end: stop the
+	// workers and wait for Run to return before reading their counters.
+	stop()
+	wg.Wait()
 	var done, failed int64
 	for _, w := range ws {
 		done += w.Stats().ShardsDone
