@@ -1,135 +1,175 @@
 package main
 
-// The -gobench mode turns tecfan-bench into the repo's performance gate:
-// it runs the Go micro-benchmarks (not the paper experiments) -runs times,
-// reduces to per-metric medians, and either emits a BENCH_*.json summary
-// or compares against a committed baseline. scripts/bench_gate.sh and the
-// CI bench-gate job are thin wrappers over this.
+// The -gobench REV mode is the performance gate over the hot-path
+// micro-benchmarks: the working tree against revision REV, in interleaved
+// pairs (DESIGN.md §18). internal/benchgate holds the verdict.
 
 import (
 	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
+	"text/tabwriter"
+	"time"
 
 	"tecfan/internal/benchgate"
 )
 
-// gatePackages is the default benchmark surface: the packages holding the
-// hot-path kernels DESIGN.md §18 polices. The root package carries the
-// controller, solver, and estimator benchmarks; internal/sim the per-step
-// kernel; internal/linalg and internal/thermal the substrate;
-// internal/server the exhaustive Fig. 7 Oracle searches.
+// gatePackages is the benchmark surface: the packages holding the hot-path
+// kernels DESIGN.md §18 polices. The root package carries the controller,
+// solver, and estimator benchmarks; internal/sim the per-step kernel;
+// internal/linalg and internal/thermal the substrate; internal/server the
+// exhaustive Fig. 7 Oracle searches.
 var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./internal/thermal", "./internal/server"}
 
-// gateBenchRe is the default -bench selection: the hot-path kernels and
-// their substrate, by exact name. The root package's table/figure
+// gateBenchmarks are the gated benchmarks, without their Benchmark prefix:
+// the hot-path kernels and their substrate. The root package's table/figure
 // benchmarks (BenchmarkTable1, BenchmarkFig4, ...) regenerate whole paper
-// experiments per iteration and are deliberately excluded — they document
-// end-to-end cost, not per-period hot-path cost, and would make the gate
-// minutes-slow and noisy.
-const gateBenchRe = "^Benchmark(Step|SteadySolve|TransientStep|Systolic|TECfanControl|BandEstimatorEval|" +
-	"CholeskyFactor305|CholeskySolve305|CGGridScale|BandMulVec18|BandLUSolve18|" +
-	"NetworkAssembly16|TransientFactor16|SteadyWithTEC16|GridSteady16|OracleDecide|OraclePDecide)$"
+// experiments per iteration and are left out: they document end-to-end
+// cost, not per-period hot-path cost, and would make the gate minutes-slow
+// and noisy. A name listed here that does not run fails the gate.
+var gateBenchmarks = []string{"Step", "SteadySolve", "TransientStep", "Systolic", "TECfanControl", "BandEstimatorEval",
+	"CholeskyFactor305", "CholeskySolve305", "CGGridScale", "BandMulVec18", "BandLUSolve18",
+	"NetworkAssembly16", "TransientFactor16", "SteadyWithTEC16", "GridSteady16", "OracleDecide", "OraclePDecide"}
 
-type gateFlags struct {
-	gate      bool
-	baseline  string
-	emit      string
-	runs      int
-	benchtime string
-	benchRe   string
-	nsTol     float64
+// gateBenchRe selects exactly gateBenchmarks.
+var gateBenchRe = "^Benchmark(" + strings.Join(gateBenchmarks, "|") + ")$"
+
+const (
+	// gatePairs is the number of interleaved parent/change pairs: enough
+	// for the nine-in-ten rule to mean something, and for quartiles.
+	gatePairs = 10
+	// gateBenchtime is time-based, so ns-scale and ms-scale kernels
+	// measure equally long.
+	gateBenchtime = "100ms"
+)
+
+// runGate runs the gate against rev and returns the process exit code.
+func runGate(rev string) int {
+	start := time.Now()
+	verdicts, err := gate(rev)
+	if err != nil {
+		fatal(err)
+	}
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tparent ns/op\tchange ns/op\tslower\tparent IQR\tallocs/op\tverdict")
+	failed := 0
+	for _, v := range verdicts {
+		verdict := "ok"
+		switch {
+		case len(v.Failures) > 0:
+			failed++
+			verdict = "FAIL: " + strings.Join(v.Failures, "; ")
+		case v.New:
+			verdict = "new: not in the parent, not judged"
+		}
+		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%d/%d\t%.1f\t%g -> %g\t%s\n", v.Name, v.Parent.NsPerOp, v.Change.NsPerOp,
+			v.Slower, gatePairs, v.IQR, v.Parent.AllocsPerOp, v.Change.AllocsPerOp, verdict)
+	}
+	tw.Flush()
+	took := time.Since(start).Round(time.Second)
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "tecfan-bench: %d of %d benchmarks regressed against %s (%v)\n", failed, len(verdicts), rev, took)
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "tecfan-bench: gate clean: %d benchmarks, %d pairs against %s (%v)\n", len(verdicts), gatePairs, rev, took)
+	return 0
 }
 
-// runGoBench executes the gate mode and returns the process exit code.
-func runGoBench(f gateFlags, pkgs []string) int {
-	if len(pkgs) == 0 {
-		pkgs = gatePackages
+// gate measures the working tree against rev and judges every gated name.
+func gate(rev string) ([]benchgate.Verdict, error) {
+	tmp, err := os.MkdirTemp("", "tecfan-gate-")
+	if err != nil {
+		return nil, err
 	}
-	if f.runs < 1 {
-		fatal(fmt.Errorf("-runs must be >= 1, got %d", f.runs))
+	defer os.RemoveAll(tmp)
+	parentDir := filepath.Join(tmp, "src")
+	if err := os.Mkdir(parentDir, 0o755); err != nil {
+		return nil, err
 	}
-	var base *benchgate.Baseline
-	if f.gate {
-		if f.baseline == "" {
-			fatal(fmt.Errorf("-gate requires -baseline"))
-		}
-		var err error
-		if base, err = benchgate.Load(f.baseline); err != nil {
-			fatal(err)
-		}
+	if err := run(".", "bash", "-c", `set -o pipefail; git archive --end-of-options "$0" | tar -x -C "$1"`, rev, parentDir); err != nil {
+		return nil, err
 	}
-
-	runs := make([]map[string]benchgate.Metrics, 0, f.runs)
-	for i := 0; i < f.runs; i++ {
-		fmt.Fprintf(os.Stderr, "tecfan-bench: gobench run %d/%d\n", i+1, f.runs)
-		out, err := goBenchOnce(f, pkgs)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := benchgate.ParseGoBench(bytes.NewReader(out))
-		if err != nil {
-			fatal(err)
-		}
-		if len(m) == 0 {
-			fatal(fmt.Errorf("no benchmarks matched -bench %q in %v", f.benchRe, pkgs))
-		}
-		runs = append(runs, m)
+	parent, err := buildTests(parentDir, filepath.Join(tmp, "parent"))
+	if err != nil {
+		return nil, err
 	}
-	cur := &benchgate.Baseline{
-		Schema:     benchgate.Schema,
-		CPU:        benchgate.CPUFingerprint(),
-		Benchmarks: benchgate.Median(runs),
+	change, err := buildTests(".", filepath.Join(tmp, "change"))
+	if err != nil {
+		return nil, err
 	}
 
-	if f.emit != "" {
-		w, err := os.Create(f.emit)
-		if err != nil {
-			fatal(err)
-		}
-		if err := cur.Save(w); err != nil {
-			fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "tecfan-bench: wrote %d benchmarks to %s\n", len(cur.Benchmarks), f.emit)
-	} else if !f.gate {
-		if err := cur.Save(os.Stdout); err != nil {
-			fatal(err)
+	pairs := make([]benchgate.Pair, gatePairs)
+	for i := range pairs {
+		fmt.Fprintf(os.Stderr, "tecfan-bench: pair %d/%d\n", i+1, gatePairs)
+		pairs[i] = benchgate.Pair{Parent: map[string]benchgate.Metrics{}, Change: map[string]benchgate.Metrics{}}
+		for k, pkg := range gatePackages {
+			for side := range 2 {
+				if (i+side)%2 == 0 { // the parent goes first in even pairs
+					err = runBench(filepath.Join(parentDir, pkg), parent[k], pairs[i].Parent)
+				} else {
+					err = runBench(pkg, change[k], pairs[i].Change)
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-
-	if !f.gate {
-		return 0
+	names := make([]string, len(gateBenchmarks))
+	for i, n := range gateBenchmarks {
+		names[i] = "Benchmark" + n
 	}
-	regs := benchgate.Compare(base, cur, f.nsTol)
-	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "tecfan-bench: gate clean: %d benchmarks vs %s (cpu match: %v)\n",
-			len(base.Benchmarks), f.baseline, base.CPU == cur.CPU)
-		return 0
-	}
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "tecfan-bench: REGRESSION", r.String())
-	}
-	fmt.Fprintf(os.Stderr, "tecfan-bench: %d regression(s) vs %s\n", len(regs), f.baseline)
-	return 1
+	return benchgate.Judge(names, pairs), nil
 }
 
-// goBenchOnce runs one `go test -bench` sweep over the packages and
-// returns its combined output.
-func goBenchOnce(f gateFlags, pkgs []string) ([]byte, error) {
-	args := []string{"test", "-run", "^$", "-bench", f.benchRe,
-		"-benchmem", "-benchtime", f.benchtime, "-count", "1"}
-	args = append(args, pkgs...)
-	cmd := exec.Command("go", args...)
-	cmd.Env = append(os.Environ(), "GOWORK=off")
+// buildTests builds the test binary of each gate package under root into
+// binDir, with the same flags on both sides; -trimpath keeps the two source
+// roots out of the binaries.
+func buildTests(root, binDir string) ([]string, error) {
+	bins := make([]string, len(gatePackages))
+	for k, pkg := range gatePackages {
+		bins[k] = filepath.Join(binDir, fmt.Sprintf("%d.test", k))
+		if err := run(root, "go", "test", "-c", "-trimpath", "-o", bins[k], pkg); err != nil {
+			return nil, err
+		}
+	}
+	return bins, nil
+}
+
+// runBench runs one test binary's gated benchmarks from its package
+// directory and adds what it measured to into.
+func runBench(dir, bin string, into map[string]benchgate.Metrics) error {
+	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", gateBenchRe,
+		"-test.benchmem", "-test.benchtime", gateBenchtime, "-test.timeout", "10m")
+	cmd.Dir = dir
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go test -bench (run output above): %w", err)
+		return fmt.Errorf("%s in %s: %w\n%s", filepath.Base(bin), dir, err, out.Bytes())
 	}
-	return out.Bytes(), nil
+	m, err := benchgate.ParseGoBench(&out)
+	if err != nil {
+		return err
+	}
+	for name, v := range m {
+		into[name] = v
+	}
+	return nil
+}
+
+// run runs one tool in dir, its output passed through to stderr.
+func run(dir, name string, args ...string) error {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
+	}
+	return nil
 }

@@ -10,11 +10,12 @@
 // "all" runs every experiment except report, which repeats them all as one
 // document and runs only when asked for.
 //
-// With -gobench it instead becomes the performance regression gate over
-// the Go micro-benchmarks (see gate.go and scripts/bench_gate.sh):
+// With -gobench REV it instead becomes the performance regression gate:
+// it judges the working tree's hot-path micro-benchmarks against revision
+// REV in ten interleaved pairs, and exits 1 on a regression (see gate.go
+// and scripts/bench_gate.sh):
 //
-//	tecfan-bench -gobench -emit BENCH_13.json          # record a baseline
-//	tecfan-bench -gobench -gate -baseline BENCH_13.json  # CI gate
+//	tecfan-bench -gobench HEAD~1   # the working tree against its parent
 package main
 
 import (
@@ -38,24 +39,17 @@ func main() {
 	traceSec := flag.Int("trace", 600, "Fig. 7 per-core trace seconds (600 = paper's 10 min)")
 	out := flag.String("o", "", "output file (default stdout)")
 
-	gobench := flag.Bool("gobench", false, "run the Go micro-benchmarks as the perf gate instead of the paper experiments")
-	var gf gateFlags
-	flag.BoolVar(&gf.gate, "gate", false, "with -gobench: compare against -baseline and exit 1 on regression")
-	flag.StringVar(&gf.baseline, "baseline", "", "baseline BENCH JSON `file` for -gate")
-	flag.StringVar(&gf.emit, "emit", "", "write the measured BENCH JSON to `file`")
-	flag.IntVar(&gf.runs, "runs", 3, "benchmark repetitions; the per-metric median gates")
-	flag.StringVar(&gf.benchtime, "benchtime", "100ms", "go test -benchtime value (time-based, so ns-scale and ms-scale kernels measure equally long)")
-	flag.StringVar(&gf.benchRe, "bench", gateBenchRe, "go test -bench regex (default: the hot-path kernel set)")
-	flag.Float64Var(&gf.nsTol, "ns-tol", 0.15, "ns/op tolerance fraction on a matching CPU")
+	gobench := flag.String("gobench", "", "instead of the paper experiments, gate the hot-path micro-benchmarks against `REV`, the parent commit")
 	flag.Parse()
 
-	if *gobench {
-		if gf.baseline != "" {
-			if err := cmdutil.CheckFileExists("baseline", gf.baseline); err != nil {
-				fatal(err)
-			}
-		}
-		os.Exit(runGoBench(gf, flag.Args()))
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected arguments %q", flag.Args()))
+	}
+	if *gobench != "" {
+		os.Exit(runGate(*gobench))
+	}
+	if err := cmdutil.CheckPositiveInt("trace", *traceSec); err != nil {
+		fatal(err)
 	}
 
 	valid := []string{"table1", "fig4", "fig5", "fig6", "fig7", "hw", "ablate",

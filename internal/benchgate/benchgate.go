@@ -1,66 +1,39 @@
-// Package benchgate implements the performance regression gate behind
-// `tecfan-bench -gobench -gate` and scripts/bench_gate.sh: it parses
-// `go test -bench` output, reduces repeated runs to per-metric medians,
-// and compares the result against a committed BENCH_*.json baseline
-// (scripts/bench_gate.sh names the current one).
+// Package benchgate judges the hot-path micro-benchmarks of a change against
+// its parent commit: the verdict behind `tecfan-bench -gobench REV` and
+// scripts/bench_gate.sh. Both sides run as interleaved pairs, on the same
+// machine under the same load, so no measurement is stored between runs.
 //
-// The comparison policy encodes what each metric means for this repo:
+// The verdict on each benchmark named in the change's list:
 //
-//   - allocs/op regressions always fail. The hot-path allocation
-//     discipline (DESIGN.md §18) holds steady-state allocation counts at
-//     exact integers — usually zero — so any increase is a real code
-//     change, never measurement noise, regardless of what machine the
-//     gate runs on.
-//   - ns/op regressions beyond the tolerance fail only when the current
-//     CPU fingerprint matches the baseline's. Wall-time comparisons
-//     across different machines are meaningless; across identical ones
-//     the tolerance band absorbs scheduler jitter.
-//   - a benchmark present in the baseline but missing from the current
-//     run fails: silently dropping a benchmark is how a gate goes blind.
+//   - allocs/op regresses when the change's median is above the parent's.
+//     The hot kernels hold exact integer counts (DESIGN.md §18), so the
+//     check is exact on any machine.
+//   - ns/op regresses when the change is slower in at least nine tenths of
+//     the pairs (ties count for neither) and its median gap exceeds both
+//     the parent's interquartile range and Band of the parent's median: a
+//     loss across pairs that is larger than the parent's own spread.
+//   - a benchmark that did not run on the change side is missing, and
+//     fails: deleting a benchmark means removing its name from the list.
+//   - a benchmark the parent lacks is reported but not judged.
 package benchgate
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Schema is the BENCH_*.json format version.
-const Schema = 1
+// Band is the smallest ns/op rise, as a share of the parent's median, that
+// can count as a regression.
+const Band = 0.15
 
 // Metrics holds one benchmark's measured values.
 type Metrics struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// Baseline is the persisted form of one gate measurement (a BENCH_*.json).
-type Baseline struct {
-	Schema     int                `json:"schema"`
-	CPU        string             `json:"cpu"`
-	Benchmarks map[string]Metrics `json:"benchmarks"`
-}
-
-// CPUFingerprint identifies the machine class a measurement was taken on,
-// from the same source `go test -bench` prints in its cpu: banner.
-func CPUFingerprint() string {
-	model := "unknown"
-	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
-				model = strings.TrimSpace(val)
-				break
-			}
-		}
-	}
-	return runtime.GOOS + "/" + runtime.GOARCH + " " + model
+	NsPerOp     float64
+	AllocsPerOp float64
 }
 
 // ParseGoBench extracts per-benchmark metrics from one `go test -bench
@@ -70,7 +43,6 @@ func CPUFingerprint() string {
 func ParseGoBench(r io.Reader) (map[string]Metrics, error) {
 	out := map[string]Metrics{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -97,8 +69,6 @@ func ParseGoBench(r io.Reader) (map[string]Metrics, error) {
 			case "ns/op":
 				m.NsPerOp = v
 				seen = true
-			case "B/op":
-				m.BytesPerOp = v
 			case "allocs/op":
 				m.AllocsPerOp = v
 			}
@@ -113,111 +83,95 @@ func ParseGoBench(r io.Reader) (map[string]Metrics, error) {
 	return out, nil
 }
 
-// Median reduces repeated runs to a per-benchmark, per-metric median —
-// the standard defense against a single noisy run. A benchmark missing
-// from some runs is reduced over the runs that have it.
-func Median(runs []map[string]Metrics) map[string]Metrics {
-	byName := map[string][]Metrics{}
-	for _, run := range runs {
-		for name, m := range run {
-			byName[name] = append(byName[name], m)
-		}
-	}
-	out := make(map[string]Metrics, len(byName))
-	for name, ms := range byName {
-		out[name] = Metrics{
-			NsPerOp:     medianOf(ms, func(m Metrics) float64 { return m.NsPerOp }),
-			BytesPerOp:  medianOf(ms, func(m Metrics) float64 { return m.BytesPerOp }),
-			AllocsPerOp: medianOf(ms, func(m Metrics) float64 { return m.AllocsPerOp }),
-		}
+// Pair is one interleaved pair of sweeps, by benchmark name.
+type Pair struct {
+	Parent, Change map[string]Metrics
+}
+
+// Verdict is the judgement on one benchmark.
+type Verdict struct {
+	Name string
+	// Parent and Change are the medians over the pairs.
+	Parent, Change Metrics
+	// Slower counts the pairs in which the change's ns/op was higher.
+	Slower int
+	// IQR is the interquartile range of the parent's ns/op.
+	IQR float64
+	// New marks a benchmark the parent lacks: reported, not judged.
+	New bool
+	// Failures says why the benchmark fails the gate; empty when it passes.
+	Failures []string
+}
+
+// Judge returns one verdict per name, in the order given.
+func Judge(names []string, pairs []Pair) []Verdict {
+	out := make([]Verdict, len(names))
+	for i, name := range names {
+		out[i] = judge(name, pairs)
 	}
 	return out
 }
 
-func medianOf(ms []Metrics, get func(Metrics) float64) float64 {
-	vals := make([]float64, len(ms))
-	for i, m := range ms {
-		vals[i] = get(m)
-	}
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
-}
-
-// Regression is one gate failure.
-type Regression struct {
-	Benchmark string
-	Metric    string // "ns/op", "allocs/op", or "missing"
-	Base, Cur float64
-	Detail    string
-}
-
-func (r Regression) String() string {
-	if r.Metric == "missing" {
-		return fmt.Sprintf("%s: present in baseline but not measured (%s)", r.Benchmark, r.Detail)
-	}
-	return fmt.Sprintf("%s: %s %.6g -> %.6g (%s)", r.Benchmark, r.Metric, r.Base, r.Cur, r.Detail)
-}
-
-// Compare gates cur against base with the given ns/op tolerance fraction
-// (0.15 = +15%). See the package comment for the policy. Benchmarks new in
-// cur pass silently — they gate once they enter the baseline.
-func Compare(base, cur *Baseline, nsTol float64) []Regression {
-	var regs []Regression
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sameCPU := base.CPU == cur.CPU
-	for _, name := range names {
-		b := base.Benchmarks[name]
-		c, ok := cur.Benchmarks[name]
+func judge(name string, pairs []Pair) Verdict {
+	v := Verdict{Name: name}
+	var parentNs, parentAllocs, changeNs, changeAllocs []float64
+	for _, p := range pairs {
+		c, ok := p.Change[name]
 		if !ok {
-			regs = append(regs, Regression{Benchmark: name, Metric: "missing",
-				Detail: "a deleted or renamed benchmark must be removed from the baseline explicitly"})
-			continue
+			break
 		}
-		if c.AllocsPerOp > b.AllocsPerOp {
-			regs = append(regs, Regression{Benchmark: name, Metric: "allocs/op",
-				Base: b.AllocsPerOp, Cur: c.AllocsPerOp,
-				Detail: "allocation regressions gate on every machine"})
-		}
-		if sameCPU && b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+nsTol) {
-			regs = append(regs, Regression{Benchmark: name, Metric: "ns/op",
-				Base: b.NsPerOp, Cur: c.NsPerOp,
-				Detail: fmt.Sprintf("+%.1f%% exceeds the %.0f%% band on a matching CPU",
-					100*(c.NsPerOp/b.NsPerOp-1), 100*nsTol)})
+		changeNs = append(changeNs, c.NsPerOp)
+		changeAllocs = append(changeAllocs, c.AllocsPerOp)
+		if b, ok := p.Parent[name]; ok {
+			parentNs = append(parentNs, b.NsPerOp)
+			parentAllocs = append(parentAllocs, b.AllocsPerOp)
+			if c.NsPerOp > b.NsPerOp {
+				v.Slower++
+			}
 		}
 	}
-	return regs
+	if len(pairs) == 0 || len(changeNs) < len(pairs) {
+		v.Failures = []string{"missing: named in the gate's list, but did not run"}
+		return v
+	}
+	_, v.Change.NsPerOp, _ = quartiles(changeNs)
+	_, v.Change.AllocsPerOp, _ = quartiles(changeAllocs)
+	if len(parentNs) < len(pairs) {
+		v.New = true
+		return v
+	}
+	q1, med, q3 := quartiles(parentNs)
+	v.Parent.NsPerOp, v.IQR = med, q3-q1
+	_, v.Parent.AllocsPerOp, _ = quartiles(parentAllocs)
+
+	if v.Change.AllocsPerOp > v.Parent.AllocsPerOp {
+		v.Failures = append(v.Failures, fmt.Sprintf("allocs/op %g -> %g", v.Parent.AllocsPerOp, v.Change.AllocsPerOp))
+	}
+	gap := v.Change.NsPerOp - v.Parent.NsPerOp
+	if 10*v.Slower >= 9*len(pairs) && gap > v.IQR && gap > Band*v.Parent.NsPerOp {
+		v.Failures = append(v.Failures, fmt.Sprintf("ns/op %.4g -> %.4g (+%.1f%%, slower in %d of %d pairs, parent IQR %.3g)",
+			v.Parent.NsPerOp, v.Change.NsPerOp, 100*gap/v.Parent.NsPerOp, v.Slower, len(pairs), v.IQR))
+	}
+	return v
 }
 
-// Load reads a baseline file and validates its schema.
-func Load(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// quartiles returns Q1, median and Q3 by the rule of Python's
+// statistics.quantiles(xs, n=4) (the "exclusive" method), the rule
+// tecfan-perf reports the end-to-end benchmark by. One sample is its own
+// median and quartiles.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	d := append([]float64(nil), xs...)
+	sort.Float64s(d)
+	ld := len(d)
+	if ld == 1 {
+		return d[0], d[0], d[0]
 	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("benchgate: %s: %w", path, err)
+	var q [3]float64
+	m := ld + 1
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*m/4, 1), ld-1)
+		delta := i*m - j*4
+		q[i-1] = (d[j-1]*float64(4-delta) + d[j]*float64(delta)) / 4
 	}
-	if b.Schema != Schema {
-		return nil, fmt.Errorf("benchgate: %s: schema %d, want %d", path, b.Schema, Schema)
-	}
-	if len(b.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchgate: %s: no benchmarks", path)
-	}
-	return &b, nil
-}
-
-// Save writes a baseline as deterministic, diff-friendly JSON.
-func (b *Baseline) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
+	return q[0], q[1], q[2]
 }

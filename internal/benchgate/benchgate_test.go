@@ -1,8 +1,6 @@
 package benchgate
 
 import (
-	"bytes"
-	"os"
 	"strings"
 	"testing"
 )
@@ -13,7 +11,7 @@ pkg: tecfan
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSteadySolve       	     100	    212484 ns/op	   29904 B/op	       0 allocs/op
 BenchmarkTransientStep-8   	     100	    159630 ns/op	       0 B/op	       0 allocs/op
-BenchmarkSystolic-8        	     100	        52.91 ns/op	        36.00 MACs/eval	       0 B/op	       0 allocs/op
+BenchmarkSystolic-8        	     100	        52.91 ns/op	        36.00 MACs/eval	       0 B/op	       3 allocs/op
 PASS
 ok  	tecfan	0.117s
 `
@@ -34,95 +32,113 @@ func TestParseGoBench(t *testing.T) {
 		t.Fatalf("TransientStep = %+v", ts)
 	}
 	// The custom MACs/eval metric must not displace the real ones.
-	if sys := got["BenchmarkSystolic"]; sys.NsPerOp != 52.91 || sys.BytesPerOp != 0 {
+	if sys := got["BenchmarkSystolic"]; sys.NsPerOp != 52.91 || sys.AllocsPerOp != 3 {
 		t.Fatalf("Systolic = %+v", sys)
 	}
 }
 
 func TestMedianOddEven(t *testing.T) {
-	runs := []map[string]Metrics{
-		{"A": {NsPerOp: 100, AllocsPerOp: 1}},
-		{"A": {NsPerOp: 300, AllocsPerOp: 1}},
-		{"A": {NsPerOp: 200, AllocsPerOp: 1}, "B": {NsPerOp: 10}},
+	if _, m, _ := quartiles([]float64{100, 300, 200}); m != 200 {
+		t.Fatalf("odd median = %v, want 200", m)
 	}
-	m := Median(runs)
-	if m["A"].NsPerOp != 200 {
-		t.Fatalf("odd median = %v, want 200", m["A"].NsPerOp)
+	if _, m, _ := quartiles([]float64{100, 300}); m != 200 {
+		t.Fatalf("even median = %v, want 200", m)
 	}
-	// B appears in one run only: reduced over what exists.
-	if m["B"].NsPerOp != 10 {
-		t.Fatalf("sparse median = %v, want 10", m["B"].NsPerOp)
+	// Python: statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25].
+	if q1, m, q3 := quartiles([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}); q1 != 2.75 || m != 5.5 || q3 != 8.25 {
+		t.Fatalf("quartiles of 1..10 = %v %v %v, want 2.75 5.5 8.25", q1, m, q3)
 	}
-	even := Median(runs[:2])
-	if even["A"].NsPerOp != 200 {
-		t.Fatalf("even median = %v, want 200", even["A"].NsPerOp)
+}
+
+// pairs builds ten pairs of one benchmark, X: the parent runs at parentNs
+// with parentAllocs, and the change at parentNs*factor[i] with
+// changeAllocs.
+func pairs(parentNs []float64, factor []float64, parentAllocs, changeAllocs float64) []Pair {
+	out := make([]Pair, len(parentNs))
+	for i, ns := range parentNs {
+		out[i] = Pair{
+			Parent: map[string]Metrics{"X": {NsPerOp: ns, AllocsPerOp: parentAllocs}},
+			Change: map[string]Metrics{"X": {NsPerOp: ns * factor[i], AllocsPerOp: changeAllocs}},
+		}
+	}
+	return out
+}
+
+// quiet is a parent with a 2 % interquartile range around 100 ns/op.
+var quiet = []float64{99, 100, 101, 100, 99, 101, 100, 99, 101, 100}
+
+func repeat(x float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = x
+	}
+	return out
+}
+
+func TestJudgeIdenticalSidesPass(t *testing.T) {
+	v := Judge([]string{"X"}, pairs(quiet, repeat(1, 10), 3, 3))[0]
+	if len(v.Failures) != 0 || v.New || v.Slower != 0 {
+		t.Fatalf("identical sides judged %+v", v)
 	}
 }
 
 func TestCompareAllocsGateEverywhere(t *testing.T) {
-	base := &Baseline{Schema: Schema, CPU: "cpuA",
-		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 0}}}
-	cur := &Baseline{Schema: Schema, CPU: "cpuB", // different machine
-		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 500, AllocsPerOp: 2}}}
-	regs := Compare(base, cur, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
-		t.Fatalf("want exactly the allocs regression on a foreign CPU, got %v", regs)
+	// One allocation more per op fails even with ns/op unchanged.
+	v := Judge([]string{"X"}, pairs(quiet, repeat(1, 10), 5, 6))[0]
+	if len(v.Failures) != 1 || !strings.HasPrefix(v.Failures[0], "allocs/op 5 -> 6") {
+		t.Fatalf("one extra alloc judged %+v", v)
 	}
 }
 
-func TestCompareNsGatesOnlyOnMatchingCPU(t *testing.T) {
-	base := &Baseline{Schema: Schema, CPU: "cpuA",
-		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 100}}}
-	within := &Baseline{Schema: Schema, CPU: "cpuA",
-		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 114}}}
-	if regs := Compare(base, within, 0.15); len(regs) != 0 {
-		t.Fatalf("+14%% inside the band flagged: %v", regs)
+func TestJudgeNsRule(t *testing.T) {
+	slower := func(n int, f float64) []float64 {
+		out := repeat(0.95, 10) // the pairs the change wins
+		for i := 0; i < n; i++ {
+			out[i] = f
+		}
+		return out
 	}
-	beyond := &Baseline{Schema: Schema, CPU: "cpuA",
-		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 120}}}
-	regs := Compare(base, beyond, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "ns/op" {
-		t.Fatalf("+20%% on a matching CPU not flagged: %v", regs)
+	noisy := []float64{70, 100, 130, 80, 120, 100, 75, 125, 90, 110} // IQR ≈ 41
+	for _, tc := range []struct {
+		name   string
+		parent []float64
+		factor []float64
+		fail   bool
+	}{
+		{"9 of 10 slower, +30% above band and IQR", quiet, slower(9, 1.3), true},
+		{"8 of 10 slower", quiet, slower(8, 1.3), false},
+		{"9 of 10 slower by under 15%", quiet, slower(9, 1.12), false},
+		{"9 of 10 slower, gap inside the parent's IQR", noisy, slower(9, 1.3), false},
+		{"ties count for neither", quiet, append(repeat(1.3, 8), 1, 1), false},
+	} {
+		v := Judge([]string{"X"}, pairs(tc.parent, tc.factor, 0, 0))[0]
+		if got := len(v.Failures) > 0; got != tc.fail {
+			t.Errorf("%s: failed = %v, want %v (%+v)", tc.name, got, tc.fail, v)
+		}
 	}
 }
 
 func TestCompareMissingBenchmark(t *testing.T) {
-	base := &Baseline{Schema: Schema, CPU: "c",
-		Benchmarks: map[string]Metrics{"BenchmarkGone": {NsPerOp: 1}}}
-	cur := &Baseline{Schema: Schema, CPU: "c", Benchmarks: map[string]Metrics{}}
-	regs := Compare(base, cur, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "missing" {
-		t.Fatalf("dropped benchmark not flagged: %v", regs)
+	ps := pairs(quiet, repeat(1, 10), 0, 0)
+	delete(ps[3].Change, "X") // ran in some pairs only
+	for _, p := range [][]Pair{ps, pairs(quiet, repeat(1, 10), 0, 0)} {
+		v := Judge([]string{"X", "Gone"}, p)
+		if len(v[1].Failures) != 1 || !strings.HasPrefix(v[1].Failures[0], "missing") {
+			t.Fatalf("a named benchmark that never ran judged %+v", v[1])
+		}
+	}
+	if v := Judge([]string{"X"}, ps)[0]; len(v.Failures) != 1 || !strings.HasPrefix(v.Failures[0], "missing") {
+		t.Fatalf("a benchmark absent from one pair judged %+v", v)
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	b := &Baseline{Schema: Schema, CPU: "c",
-		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 1.5, BytesPerOp: 16, AllocsPerOp: 1}}}
-	var buf bytes.Buffer
-	if err := b.Save(&buf); err != nil {
-		t.Fatal(err)
+func TestJudgeNewBenchmarkNotJudged(t *testing.T) {
+	ps := pairs(quiet, repeat(3, 10), 0, 9)
+	for _, p := range ps {
+		delete(p.Parent, "X")
 	}
-	path := t.TempDir() + "/b.json"
-	if err := writeFile(path, buf.Bytes()); err != nil {
-		t.Fatal(err)
+	v := Judge([]string{"X"}, ps)[0]
+	if !v.New || len(v.Failures) != 0 || v.Change.AllocsPerOp != 9 {
+		t.Fatalf("a benchmark the parent lacks judged %+v", v)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CPU != b.CPU || got.Benchmarks["BenchmarkX"] != b.Benchmarks["BenchmarkX"] {
-		t.Fatalf("round trip: %+v", got)
-	}
-	// Wrong schema refuses.
-	if err := writeFile(path, []byte(`{"schema":99,"cpu":"c","benchmarks":{"B":{}}}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("schema 99 accepted")
-	}
-}
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

@@ -109,23 +109,6 @@ func CheckExistingDir(flagName, path string) error {
 	return nil
 }
 
-// CheckFileExists validates that a path flag names an existing regular file
-// — eagerly, so a tool pointed at a missing baseline or cache file fails at
-// flag parsing instead of deep inside its run.
-func CheckFileExists(flagName, path string) error {
-	if path == "" {
-		return fmt.Errorf("-%s must not be empty", flagName)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("-%s: %v", flagName, err)
-	}
-	if info.IsDir() {
-		return fmt.Errorf("-%s: %q is a directory, not a file", flagName, path)
-	}
-	return nil
-}
-
 // CheckPositiveDuration rejects zero and negative durations for flags where
 // "no timeout" is not a sensible interpretation.
 func CheckPositiveDuration(flagName string, d time.Duration) error {

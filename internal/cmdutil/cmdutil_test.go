@@ -98,26 +98,6 @@ func TestCheckExistingDir(t *testing.T) {
 	}
 }
 
-func TestCheckFileExists(t *testing.T) {
-	dir := t.TempDir()
-	file := dir + "/f.json"
-	if err := os.WriteFile(file, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckFileExists("baseline", file); err != nil {
-		t.Errorf("existing file rejected: %v", err)
-	}
-	if err := CheckFileExists("baseline", ""); err == nil {
-		t.Error("empty path accepted")
-	}
-	if err := CheckFileExists("baseline", dir+"/missing.json"); err == nil {
-		t.Error("missing path accepted")
-	}
-	if err := CheckFileExists("baseline", dir); err == nil {
-		t.Error("directory accepted as file")
-	}
-}
-
 func TestCheckDurations(t *testing.T) {
 	if err := CheckPositiveDuration("t", time.Second); err != nil {
 		t.Error(err)

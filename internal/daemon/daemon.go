@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,9 +41,11 @@ import (
 	"tecfan/internal/clockfault"
 	"tecfan/internal/diskfault"
 	"tecfan/internal/exp"
+	"tecfan/internal/fault"
 	"tecfan/internal/numfault"
 	"tecfan/internal/numguard"
 	"tecfan/internal/pool"
+	"tecfan/internal/workload"
 )
 
 // Config tunes the daemon. Zero values take the documented defaults.
@@ -545,6 +548,9 @@ func validateSpec(spec *JobSpec) error {
 		if spec.Threads <= 0 {
 			return fmt.Errorf("daemon: threads must be positive")
 		}
+		if err := knownBenches.check(spec.Bench + "/" + strconv.Itoa(spec.Threads)); err != nil {
+			return err
+		}
 	case KindTable1, KindFig4:
 		// Whole-table sweeps over the fixed Table I set: no bench selection.
 	default:
@@ -563,11 +569,59 @@ func validateSpec(spec *JobSpec) error {
 			return fmt.Errorf("daemon: fan_level %d out of range [0, %d)", spec.FanLevel, fanLevels)
 		}
 	}
-	return nil
+	if spec.Policy != "" {
+		if err := knownPolicies.check(spec.Policy); err != nil {
+			return err
+		}
+	}
+	if spec.Scenario != "" {
+		if err := knownScenarios.check(spec.Scenario); err != nil {
+			return err
+		}
+	}
+	if err := knownPolicies.check(spec.Policies...); err != nil {
+		return err
+	}
+	return knownScenarios.check(spec.Scenarios...)
 }
 
-// fanLevels is the level count of the fan every job runs under.
-var fanLevels = exp.FanModel().NumLevels()
+// The fan and the names a job may use, fixed for the process. They are
+// checked at admission, not by the runner: an attempt with a level or a
+// name the model lacks fails the same way on every retry.
+var (
+	fanLevels      = exp.FanModel().NumLevels()
+	knownBenches   = newNameSet("benchmark", workload.Configs())
+	knownPolicies  = newNameSet("policy", exp.AllPolicies())
+	knownScenarios = newNameSet("scenario", fault.Names())
+)
+
+// nameSet is the valid values of one job-spec field.
+type nameSet struct {
+	field string
+	names map[string]bool
+	valid string // every name, sorted, for the refusal
+}
+
+func newNameSet(field string, names []string) nameSet {
+	set := nameSet{field: field, names: map[string]bool{}}
+	for _, n := range names {
+		set.names[n] = true
+	}
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	set.valid = strings.Join(sorted, ", ")
+	return set
+}
+
+// check refuses the first name outside the set.
+func (s nameSet) check(names ...string) error {
+	for _, n := range names {
+		if !s.names[n] {
+			return fmt.Errorf("daemon: unknown %s %q (valid: %s)", s.field, n, s.valid)
+		}
+	}
+	return nil
+}
 
 func (s *Server) newID() string {
 	// Collision-proof within the map we hold the lock on.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -122,19 +123,26 @@ func waitState(t *testing.T, s *Server, id string, want JobState) JobView {
 }
 
 // TestSubmitValidation refuses each bad spec, in Submit and with 400 over
-// HTTP.
+// HTTP. Each one differs from an admissible spec in one field, so each
+// line shows that field's check.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, fastConfig(t))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	bad := []JobSpec{
-		{},                                     // no kind
-		{Kind: "nope", Bench: "x", Threads: 1}, // unknown kind
-		{Kind: KindTrace, Threads: 1},          // no bench
-		{Kind: KindTrace, Bench: "x"},          // no threads
-		{Kind: KindTrace, Bench: "x", Threads: 1, ID: "bad id!"},       // invalid id
-		{Kind: KindTrace, Bench: "x", Threads: 1, FanLevel: -1},        // fan level below the fastest
-		{Kind: KindTrace, Bench: "x", Threads: 1, FanLevel: fanLevels}, // past the slowest
+		{},                                      // no kind
+		{Kind: "nope", Bench: "lu", Threads: 4}, // unknown kind
+		{Kind: KindTrace, Threads: 16},          // no bench
+		{Kind: KindTrace, Bench: "cholesky"},    // no threads
+		{Kind: KindTrace, Bench: "cholesky", Threads: 16, ID: "bad id!"},                             // invalid id
+		{Kind: KindTrace, Bench: "cholesky", Threads: 16, FanLevel: -1},                              // fan level below the fastest
+		{Kind: KindTrace, Bench: "cholesky", Threads: 16, FanLevel: fanLevels},                       // past the slowest
+		{Kind: KindTrace, Bench: "cholesky", Threads: 8},                                             // not a Table I pairing
+		{Kind: KindChaos, Bench: "nosuch", Threads: 16},                                              // unknown benchmark
+		{Kind: KindTrace, Bench: "cholesky", Threads: 16, Policy: "nope"},                            // unknown policy
+		{Kind: KindTrace, Bench: "cholesky", Threads: 16, Scenario: "nope"},                          // unknown scenario
+		{Kind: KindChaos, Bench: "cholesky", Threads: 16, Policies: []string{"TECfan-FT", "nope"}},   // unknown policies entry
+		{Kind: KindChaos, Bench: "cholesky", Threads: 16, Scenarios: []string{"sensor-dropout", ""}}, // unknown scenarios entry
 	}
 	for _, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
@@ -150,9 +158,53 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
 		}
 	}
-	slowest := JobSpec{Kind: KindTrace, Bench: "x", Threads: 1, FanLevel: fanLevels - 1}
-	if err := validateSpec(&slowest); err != nil {
-		t.Errorf("slowest fan level refused: %v", err)
+	for _, ok := range []JobSpec{
+		{Kind: KindTrace, Bench: "cholesky", Threads: 16, FanLevel: fanLevels - 1}, // the slowest level
+		{Kind: KindTrace, Bench: "water", Threads: 4, Policy: "Fan-only", Scenario: "sensor-dropout"},
+		{Kind: KindChaos, Bench: "lu", Threads: 16, Policies: []string{"TECfan", "TECfan-FT"}, Scenarios: []string{"tec-fail-off"}},
+	} {
+		if err := validateSpec(&ok); err != nil {
+			t.Errorf("%+v refused: %v", ok, err)
+		}
+	}
+}
+
+// TestCrucibleCorpusAdmitted: every job the committed crucible entries and
+// campaigns submit passes admission.
+func TestCrucibleCorpusAdmitted(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/crucible/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaigns, err := filepath.Glob("../../testdata/crucible/campaigns/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for _, path := range append(paths, campaigns...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus entry wraps its campaign in "spec"; a campaign file is one.
+		var f struct {
+			Jobs []JobSpec `json:"jobs"`
+			Spec struct {
+				Jobs []JobSpec `json:"jobs"`
+			} `json:"spec"`
+		}
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, spec := range append(f.Jobs, f.Spec.Jobs...) {
+			jobs++
+			if err := validateSpec(&spec); err != nil {
+				t.Errorf("%s: job %s refused: %v", filepath.Base(path), spec.ID, err)
+			}
+		}
+	}
+	if jobs < 10 {
+		t.Fatalf("read %d jobs from the crucible corpus, want at least 10", jobs)
 	}
 }
 

@@ -322,7 +322,9 @@ func TestPooledShardFailureFailsJob(t *testing.T) {
 	cl := poolClient(t, url)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	id, err := cl.Submit(ctx, daemon.JobSpec{ID: "doomed", Kind: daemon.KindTrace, Bench: "no-such-bench", Threads: 16})
+	// Admission cannot see that a negative threshold fails: the run does,
+	// on every attempt.
+	id, err := cl.Submit(ctx, daemon.JobSpec{ID: "doomed", Kind: daemon.KindTrace, Bench: "cholesky", Threads: 16, Threshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +332,7 @@ func TestPooledShardFailureFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job never ended: %v", err)
 	}
-	if v.State != daemon.StateFailed || !strings.Contains(v.Error, "attempt 2/2") || !strings.Contains(v.Error, "no-such-bench") {
+	if v.State != daemon.StateFailed || !strings.Contains(v.Error, "attempt 2/2") || !strings.Contains(v.Error, "threshold -1") {
 		t.Fatalf("job ended %s (%q), want failed after two attempts with the cause", v.State, v.Error)
 	}
 	if errs := ws[0].Stats().ShardErrors + ws[1].Stats().ShardErrors; errs != 2 {

@@ -238,6 +238,20 @@ func TestFig7Shape(t *testing.T) {
 	checkDigest(t, "fig7", buf.Bytes())
 }
 
+// TestFig7RefusesEmptyTrace: a trace under one second has nothing to
+// normalize by, so Fig. 7 and the report refuse it before any run.
+func TestFig7RefusesEmptyTrace(t *testing.T) {
+	for _, seconds := range []int{0, -1} {
+		if _, err := Fig7Context(context.Background(), seconds); err == nil {
+			t.Errorf("Fig7Context(%d) accepted an empty trace", seconds)
+		}
+	}
+	var buf bytes.Buffer
+	if err := testEnv().WriteReportContext(context.Background(), &buf, ReportOptions{TraceSeconds: -1}); err == nil || buf.Len() > 0 {
+		t.Errorf("report with TraceSeconds -1: err %v after %d bytes, want a refusal before any output", err, buf.Len())
+	}
+}
+
 func TestHardwareCostReport(t *testing.T) {
 	e := NewEnv()
 	r, err := e.HardwareCost()

@@ -28,6 +28,9 @@ func Fig7Context(ctx context.Context, seconds int) ([]Fig7Row, error) {
 // fig7 is Fig7Context on at most workers goroutines; the rows come back in
 // the same order, with the same bytes, at any count.
 func fig7(ctx context.Context, workers, seconds int) ([]Fig7Row, error) {
+	if err := checkTraceSeconds(seconds); err != nil {
+		return nil, err
+	}
 	m := server.NewMachine()
 	traces := server.PaperTraces()
 	if seconds < len(traces[0]) {
@@ -72,6 +75,15 @@ func fig7(ctx context.Context, workers, seconds int) ([]Fig7Row, error) {
 		r.EDP = (r.Raw.Metrics.Energy * r.Raw.Delay) / (base.Metrics.Energy * base.Delay)
 	}
 	return rows, nil
+}
+
+// checkTraceSeconds refuses a Fig. 7 trace shorter than one second: an
+// empty trace has no delay or energy to normalize by.
+func checkTraceSeconds(seconds int) error {
+	if seconds < 1 {
+		return fmt.Errorf("fig7: trace seconds must be >= 1, got %d", seconds)
+	}
+	return nil
 }
 
 // WriteFig7 renders the normalized comparison.

@@ -46,6 +46,9 @@ func (e *Env) WriteReportContext(ctx context.Context, w io.Writer, opt ReportOpt
 	if opt.TraceSeconds == 0 {
 		opt.TraceSeconds = 600
 	}
+	if err := checkTraceSeconds(opt.TraceSeconds); err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "# TECfan reproduction report\n\n")
 	fmt.Fprintf(w, "Scale %.2f, violation budget %.2f, generated by exp.WriteReport.\n\n", e.Scale, e.ViolationBudget)
 

@@ -97,7 +97,7 @@ func TestBoundariesObservationReuse(t *testing.T) {
 }
 
 // BenchmarkStep measures the per-step simulation kernel in isolation — the
-// number the bench gate (scripts/bench_gate.sh and its BENCH_*.json) tracks for
+// number the bench gate (scripts/bench_gate.sh) judges against the parent for
 // the inner loop, allocs/op included.
 func BenchmarkStep(b *testing.B) {
 	s := newTestStepLoop(b, &noop{})

@@ -62,7 +62,7 @@ func TestConcurrentWorkersReportEveryOutcome(t *testing.T) {
 	cl := newClient()
 	for _, spec := range []daemon.JobSpec{
 		{ID: "good", Kind: daemon.KindTable1, Scale: 0.001},
-		{ID: "bad", Kind: daemon.KindTrace, Bench: "no-such-bench", Threads: 16},
+		{ID: "bad", Kind: daemon.KindTrace, Bench: "cholesky", Threads: 16, Threshold: -1}, // fails every attempt
 	} {
 		if _, err := cl.Submit(ctx, spec); err != nil {
 			t.Fatal(err)

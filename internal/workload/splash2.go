@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"tecfan/internal/floorplan"
 	"tecfan/internal/power"
@@ -174,6 +175,16 @@ func Table1(leak power.Leakage) []*Benchmark {
 	out := make([]*Benchmark, len(specs))
 	for i, s := range specs {
 		out[i] = build(s, leak)
+	}
+	return out
+}
+
+// Configs lists the Table I configurations as "name/threads", the pairs
+// ByName resolves, without building a benchmark.
+func Configs() []string {
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.name + "/" + strconv.Itoa(s.threads)
 	}
 	return out
 }

@@ -12,7 +12,6 @@ import (
 	"tecfan/internal/numfault"
 	"tecfan/internal/numguard"
 	"tecfan/internal/perf"
-	"tecfan/internal/power"
 	"tecfan/internal/sim"
 	"tecfan/internal/workload"
 )
@@ -123,10 +122,7 @@ func (s *System) FanLevels() int { return s.env.Fan.NumLevels() }
 
 // Benchmarks lists the Table I workload configurations as "name/threads".
 func (s *System) Benchmarks() []string {
-	var out []string
-	for _, b := range workload.Table1(power.DefaultLeakage()) {
-		out = append(out, fmt.Sprintf("%s/%d", b.Name, b.Threads))
-	}
+	out := workload.Configs()
 	sort.Strings(out)
 	return out
 }

@@ -78,6 +78,11 @@ func TestRunErrors(t *testing.T) {
 	if _, err := sys.Run("water", 16, "TECfan"); err == nil {
 		t.Fatal("water/16 is not a Table I row")
 	}
+	for _, seconds := range []int{0, -1} {
+		if _, err := Fig7(seconds); err == nil {
+			t.Errorf("Fig7(%d) accepted an empty trace", seconds)
+		}
+	}
 }
 
 func TestTraceAPI(t *testing.T) {
